@@ -377,29 +377,27 @@ func (d *Device) GetTileField(c Coord, slot, width int) uint32 {
 }
 
 func (d *Device) getTileFieldLocked(c Coord, slot, width int) uint32 {
-	// Hoist the frame lookup out of the bit loop: consecutive slots share a
-	// frame until the slot index crosses a BitsPerTileRow boundary, so the
-	// frame (and the bit base within it) is resolved once per run. This
-	// path sits under every PIP-mask and cell-config read — the hottest
-	// loop of the occupancy view and the router's free-resource checks.
+	// Consecutive slots share a frame until the slot index crosses a
+	// BitsPerTileRow boundary, so the field is read one run per frame. A run
+	// is at most BitsPerTileRow bits, so it lies within two adjacent frame
+	// words and comes out of one 64-bit window. This path sits under every
+	// PIP-mask and cell-config read — the hottest loop of the occupancy view
+	// and the relocation engine's free-resource checks.
 	var v uint32
 	base := d.frameBase[d.majorOfCol[c.Col]]
 	rowBase := c.Row * BitsPerTileRow
-	i := 0
-	for i < width {
+	for i := 0; i < width; {
 		s := slot + i
 		off := s % BitsPerTileRow
-		n := BitsPerTileRow - off
-		if n > width-i {
-			n = width - i
-		}
+		n := min(BitsPerTileRow-off, width-i)
 		frame := d.frames[base+s/BitsPerTileRow]
-		for k := 0; k < n; k++ {
-			bit := rowBase + off + k
-			if frame[bit/32]>>(bit%32)&1 == 1 {
-				v |= 1 << (i + k)
-			}
+		bit := rowBase + off
+		w := bit / 32
+		window := uint64(frame[w])
+		if w+1 < len(frame) {
+			window |= uint64(frame[w+1]) << 32
 		}
+		v |= uint32(window>>(bit%32)&(1<<n-1)) << i
 		i += n
 	}
 	return v

@@ -1,6 +1,8 @@
 package fabric
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -128,6 +130,93 @@ func TestFanoutTemplateIsInverse(t *testing.T) {
 	}
 	if count != want {
 		t.Errorf("fanout template has %d edges, sink templates %d", count, want)
+	}
+}
+
+// TestFanoutTemplateMatchesFanoutOf validates the exported fanout template
+// by enumeration, on the smallest test device and XCV50. For every tile
+// node, walking FanoutTemplate of its local id with the in-array filter must
+// yield exactly FanoutOf's edges, in order; and FanoutOf must list exactly
+// the (sink, bit) PIPs that enumerating every sink of the array resolves to
+// that node. Routers walk the template instead of calling FanoutOf, so the
+// two must never drift.
+func TestFanoutTemplateMatchesFanoutOf(t *testing.T) {
+	for _, p := range []Preset{TestDevice, XCV50} {
+		d := NewDevice(p)
+		// Reverse enumeration: every configurable PIP of the array, keyed
+		// by the tile node it selects.
+		selects := make(map[NodeID]map[PIPEdge]bool)
+		for tile := 0; tile < d.Rows*d.Cols; tile++ {
+			c := d.CoordOfTile(tile)
+			for s := 0; s < sinkCount; s++ {
+				for b, src := range d.SinkSourceNodes(c, s) {
+					if src == InvalidNode || src >= d.PadBase() {
+						continue
+					}
+					if selects[src] == nil {
+						selects[src] = make(map[PIPEdge]bool)
+					}
+					selects[src][PIPEdge{SinkTile: c, SinkLocal: s, Bit: b, Sink: d.NodeIDAt(c, s)}] = true
+				}
+			}
+		}
+		for n := NodeID(0); n < d.PadBase(); n++ {
+			c, local, _ := d.SplitNode(n)
+			var walked []PIPEdge
+			for _, fr := range FanoutTemplate(local) {
+				st := Coord{Row: c.Row + fr.DRow, Col: c.Col + fr.DCol}
+				if d.InBounds(st) {
+					walked = append(walked, PIPEdge{SinkTile: st, SinkLocal: fr.SinkLocal, Bit: fr.Bit, Sink: d.NodeIDAt(st, fr.SinkLocal)})
+				}
+			}
+			fanout := d.FanoutOf(n)
+			if !slices.Equal(walked, fanout) {
+				t.Fatalf("%s: node %d (%v local %d): template walk %v, FanoutOf %v", p.Name, n, c, local, walked, fanout)
+			}
+			if len(fanout) != len(selects[n]) {
+				t.Fatalf("%s: node %d: FanoutOf has %d edges, %d PIPs select it", p.Name, n, len(fanout), len(selects[n]))
+			}
+			for _, e := range fanout {
+				if !selects[n][e] {
+					t.Fatalf("%s: node %d: FanoutOf edge %+v selects no such PIP", p.Name, n, e)
+				}
+			}
+		}
+	}
+	if FanoutTemplate(-1) != nil || FanoutTemplate(NodeSlots) != nil {
+		t.Error("FanoutTemplate outside the local id range should be nil")
+	}
+}
+
+// TestGetTileFieldMatchesBitReads checks the word-level field read against
+// bit-by-bit reads through the same slot-to-frame mapping the writers use,
+// over random configuration memory, tiles, slots and widths.
+func TestGetTileFieldMatchesBitReads(t *testing.T) {
+	d := NewDevice(TestDevice)
+	rng := rand.New(rand.NewSource(7))
+	for _, f := range d.frames {
+		for w := range f {
+			f[w] = rng.Uint32()
+		}
+	}
+	for trial := 0; trial < 20000; trial++ {
+		c := Coord{Row: rng.Intn(d.Rows), Col: rng.Intn(d.Cols)}
+		width := 1 + rng.Intn(32)
+		slot := rng.Intn(TileConfigBits - width + 1)
+		var want uint32
+		for i := 0; i < width; i++ {
+			major, minor, bit := d.tileBitAddr(c, slot+i)
+			idx, err := d.frameIndex(major, minor)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.getBitLocked(idx, bit) {
+				want |= 1 << i
+			}
+		}
+		if got := d.GetTileField(c, slot, width); got != want {
+			t.Fatalf("GetTileField(%v, %d, %d) = %#x, bit reads give %#x", c, slot, width, got, want)
+		}
 	}
 }
 

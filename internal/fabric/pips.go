@@ -117,25 +117,38 @@ func (d *Device) PIPBitFor(c Coord, sinkLocal int, source NodeID) (int, bool) {
 	return 0, false
 }
 
-// fanoutTemplate[L] lists, for a source with local id L, the sinks that can
-// select it: the sink tile is at relative offset (DRow, DCol) from the
-// source tile.
-type fanoutRef struct {
+// FanoutRef describes one sink that can select a source, relative to the
+// source's tile: the sink lives DRow/DCol tiles away, and Bit is the mask
+// bit of the sink's PIP that selects the source.
+type FanoutRef struct {
 	DRow, DCol int
 	SinkLocal  int
 	Bit        int
 }
 
-var fanoutTemplate [localNodeCount][]fanoutRef
+// fanoutTemplate[L] lists, for a source with local id L, the sinks that can
+// select it: the reverse of the sinkSources template.
+var fanoutTemplate [localNodeCount][]FanoutRef
 
 func init() {
 	for s := 0; s < sinkCount; s++ {
 		for b, ref := range sinkSources[s] {
-			fanoutTemplate[ref.Local] = append(fanoutTemplate[ref.Local], fanoutRef{
+			fanoutTemplate[ref.Local] = append(fanoutTemplate[ref.Local], FanoutRef{
 				DRow: -ref.DRow, DCol: -ref.DCol, SinkLocal: s, Bit: b,
 			})
 		}
 	}
+}
+
+// FanoutTemplate returns the translation-invariant fanout template of a
+// local id. FanoutOf of a tile node is exactly its local id's template
+// entries whose sink tile lies inside the array, in template order. The
+// returned slice must not be modified.
+func FanoutTemplate(local int) []FanoutRef {
+	if local < 0 || local >= localNodeCount {
+		return nil
+	}
+	return fanoutTemplate[local]
 }
 
 // PIPEdge is one programmable connection from a source node to a sink node.

@@ -220,7 +220,6 @@ func (e *Engine) RestoreAccounting(st Stats, lastTick float64) {
 
 // inputPlan describes one original input pin to be paralleled.
 type inputPlan struct {
-	pinLocal  int             // local id on both original and replica CLB
 	driver    fabric.NodeID   // terminal source of the net
 	oldChain  []fabric.NodeID // driver -> original pin
 	selfFeed  bool            // driver is the original cell's own output
@@ -389,7 +388,6 @@ func (e *Engine) plan(from, to fabric.CellRef) (*cellPlan, error) {
 		_, self := remap(drv)
 		replicaLocal := replicaPinLocal(local, from.Cell, to.Cell)
 		p.inputs = append(p.inputs, inputPlan{
-			pinLocal:  local,
 			driver:    drv,
 			oldChain:  chain,
 			selfFeed:  self,
@@ -498,10 +496,29 @@ func (e *Engine) destinationFree(to fabric.CellRef) error {
 	return nil
 }
 
+// netRole says where a replica-connection net's routed paths go in the plan.
+type netRole uint8
+
+const (
+	roleInput   netRole = iota // an input parallel: cellPlan.inputs[index]
+	roleAux                    // aux wiring, recorded in auxPaths only
+	roleMuxToBX                // aux wiring from the mux to the replica BX pin
+	roleOrToCE                 // aux wiring from the OR to the replica CE pin
+	roleBX                     // the replica's final BX net
+	roleCE                     // the replica's final CE net
+	roleOut                    // an output parallel from a replica output
+)
+
+// netUse tags one net of a plan's routing request with its role.
+type netUse struct {
+	role  netRole
+	index int
+}
+
 // routePlan routes the parallel input paths, aux wiring and output paths.
-// The engine's router is reused across relocations — Reset is O(1) and the
-// fanout cache persists, so routing allocations stay proportional to the
-// paths found, not to the device.
+// The engine's router is reused across relocations — Reset is O(1) — so
+// routing allocations stay proportional to the paths found, not to the
+// device.
 func (e *Engine) routePlan(p *cellPlan) error {
 	dev := e.Dev
 	r := e.router
@@ -515,17 +532,17 @@ func (e *Engine) routePlan(p *cellPlan) error {
 	replOutXQ := dev.NodeIDAt(p.to.Coord, fabric.LocalOutXQ(p.to.Cell))
 
 	var nets []route.Net
-	kind := []string{}
+	var uses []netUse
+	add := func(use netUse, n route.Net) {
+		nets = append(nets, n)
+		uses = append(uses, use)
+	}
 
 	// Input parallels (I pins).
 	for i := range p.inputs {
 		in := &p.inputs[i]
-		nets = append(nets, route.Net{
-			Name:   fmt.Sprintf("in%d", in.pinLocal),
-			Source: in.driver,
-			Sinks:  []fabric.NodeID{in.replicaIn},
-		})
-		kind = append(kind, fmt.Sprintf("input:%d", i))
+		add(netUse{role: roleInput, index: i},
+			route.Net{Name: "in", Source: in.driver, Sinks: []fabric.NodeID{in.replicaIn}})
 	}
 
 	if p.needsAux {
@@ -544,36 +561,34 @@ func (e *Engine) routePlan(p *cellPlan) error {
 			replD, _ = remapNode(p.bxOldChain[0], p, dev)
 		}
 
-		nets = append(nets,
-			route.Net{Name: "aux_origXQ", Source: origXQ, Sinks: []fabric.NodeID{muxI(0)}},
-			route.Net{Name: "aux_replD", Source: replD, Sinks: []fabric.NodeID{muxI(1)}},
-			route.Net{Name: "aux_ce", Source: p.ceDriver, Sinks: []fabric.NodeID{muxI(2), orI(0)}},
-			route.Net{Name: "aux_rel", Source: relConst, Sinks: []fabric.NodeID{muxI(3)}},
-			route.Net{Name: "aux_cec", Source: ceConst, Sinks: []fabric.NodeID{orI(1)}},
-			route.Net{Name: "aux_mux_bx", Source: muxOut, Sinks: []fabric.NodeID{dev.NodeIDAt(p.to.Coord, fabric.LocalPinBX(p.to.Cell))}},
-			route.Net{Name: "aux_or_ce", Source: orOut, Sinks: []fabric.NodeID{dev.NodeIDAt(p.to.Coord, fabric.LocalPinCE(p.to.Cell))}},
-			// Deferred: the real CE net to the replica CE pin (step 5).
-			route.Net{Name: "ce_final", Source: p.ceDriver, Sinks: []fabric.NodeID{dev.NodeIDAt(p.to.Coord, fabric.LocalPinCE(p.to.Cell))}},
-		)
-		kind = append(kind, "aux0", "aux1", "aux2", "aux3", "aux4", "aux5", "aux6", "ce_final")
+		aux := netUse{role: roleAux}
+		add(aux, route.Net{Name: "aux_origXQ", Source: origXQ, Sinks: []fabric.NodeID{muxI(0)}})
+		add(aux, route.Net{Name: "aux_replD", Source: replD, Sinks: []fabric.NodeID{muxI(1)}})
+		add(aux, route.Net{Name: "aux_ce", Source: p.ceDriver, Sinks: []fabric.NodeID{muxI(2), orI(0)}})
+		add(aux, route.Net{Name: "aux_rel", Source: relConst, Sinks: []fabric.NodeID{muxI(3)}})
+		add(aux, route.Net{Name: "aux_cec", Source: ceConst, Sinks: []fabric.NodeID{orI(1)}})
+		add(netUse{role: roleMuxToBX}, route.Net{Name: "aux_mux_bx", Source: muxOut,
+			Sinks: []fabric.NodeID{dev.NodeIDAt(p.to.Coord, fabric.LocalPinBX(p.to.Cell))}})
+		add(netUse{role: roleOrToCE}, route.Net{Name: "aux_or_ce", Source: orOut,
+			Sinks: []fabric.NodeID{dev.NodeIDAt(p.to.Coord, fabric.LocalPinCE(p.to.Cell))}})
+		// Deferred: the real CE net to the replica CE pin (step 5).
+		add(netUse{role: roleCE}, route.Net{Name: "ce_final", Source: p.ceDriver,
+			Sinks: []fabric.NodeID{dev.NodeIDAt(p.to.Coord, fabric.LocalPinCE(p.to.Cell))}})
 		if p.cfg.DFromBX {
 			drv, _ := remapNode(p.bxOldChain[0], p, dev)
-			nets = append(nets, route.Net{Name: "bx_final", Source: drv,
+			add(netUse{role: roleBX}, route.Net{Name: "bx_final", Source: drv,
 				Sinks: []fabric.NodeID{dev.NodeIDAt(p.to.Coord, fabric.LocalPinBX(p.to.Cell))}})
-			kind = append(kind, "bx_final")
 		}
 	} else {
 		// Plain two-phase: BX and CE nets parallel directly.
 		if p.cfg.DFromBX {
 			drv, _ := remapNode(p.bxOldChain[0], p, dev)
-			nets = append(nets, route.Net{Name: "bx", Source: drv,
+			add(netUse{role: roleBX}, route.Net{Name: "bx", Source: drv,
 				Sinks: []fabric.NodeID{dev.NodeIDAt(p.to.Coord, fabric.LocalPinBX(p.to.Cell))}})
-			kind = append(kind, "bx_plain")
 		}
 		if p.cfg.CEUsed {
-			nets = append(nets, route.Net{Name: "ce", Source: p.ceDriver,
+			add(netUse{role: roleCE}, route.Net{Name: "ce", Source: p.ceDriver,
 				Sinks: []fabric.NodeID{dev.NodeIDAt(p.to.Coord, fabric.LocalPinCE(p.to.Cell))}})
-			kind = append(kind, "ce_plain")
 		}
 	}
 
@@ -598,8 +613,7 @@ func (e *Engine) routePlan(p *cellPlan) error {
 		if len(sk) == 0 {
 			continue
 		}
-		nets = append(nets, route.Net{Name: "out", Source: op.repl, Sinks: sk})
-		kind = append(kind, fmt.Sprintf("out:%d", op.orig))
+		add(netUse{role: roleOut}, route.Net{Name: "out", Source: op.repl, Sinks: sk})
 	}
 
 	routed, err := r.RouteDisjoint(nets)
@@ -609,29 +623,26 @@ func (e *Engine) routePlan(p *cellPlan) error {
 
 	// Distribute routed paths back into the plan.
 	for i, rn := range routed {
-		switch {
-		case len(kind[i]) > 6 && kind[i][:6] == "input:":
-			var idx int
-			fmt.Sscanf(kind[i], "input:%d", &idx)
-			p.inputs[idx].newPath = rn.Paths[p.inputs[idx].replicaIn]
-		case kind[i] == "aux5":
+		switch u := uses[i]; u.role {
+		case roleInput:
+			in := &p.inputs[u.index]
+			in.newPath = rn.Paths[in.replicaIn]
+		case roleAux:
+			p.auxPaths = append(p.auxPaths, pathsOf(rn)...)
+		case roleMuxToBX:
 			p.muxToBX = rn.Paths[rn.Sinks[0]]
 			p.auxPaths = append(p.auxPaths, pathsOf(rn)...)
-		case kind[i] == "aux6":
+		case roleOrToCE:
 			p.orToCE = rn.Paths[rn.Sinks[0]]
 			p.auxPaths = append(p.auxPaths, pathsOf(rn)...)
-		case kind[i] == "ce_final":
-			p.ceNewPath = rn.Paths[rn.Sinks[0]]
-		case kind[i] == "bx_final", kind[i] == "bx_plain":
+		case roleBX:
 			p.bxNewPath = rn.Paths[rn.Sinks[0]]
-		case kind[i] == "ce_plain":
+		case roleCE:
 			p.ceNewPath = rn.Paths[rn.Sinks[0]]
-		case len(kind[i]) > 4 && kind[i][:4] == "out:":
+		case roleOut:
 			for _, s := range rn.Sinks {
 				p.newOut[rn.Source] = append(p.newOut[rn.Source], rn.Paths[s])
 			}
-		default: // aux0..aux4
-			p.auxPaths = append(p.auxPaths, pathsOf(rn)...)
 		}
 	}
 	return nil

@@ -58,7 +58,7 @@ func (e *Engine) RerouteSink(sinkTile fabric.Coord, sinkLocal int) (*NetMove, er
 	sink := e.Dev.NodeIDAt(sinkTile, sinkLocal)
 
 	// Route the replica path with free resources only (the engine's router
-	// is reused; Reset is O(1) and keeps the fanout cache warm).
+	// is reused; Reset is O(1)).
 	r := e.router
 	r.Reset()
 	for n := range e.view.used {

@@ -6,14 +6,32 @@ import (
 	"repro/internal/fabric"
 )
 
+// The search lanes time only routing: the router is built and warmed once,
+// outside the timed loop, and Reset per iteration as the engines reuse
+// theirs. BenchmarkNewRouter times construction on its own.
+
+// warmRouter builds a router and routes nets once: the first RouteAll
+// allocates the negotiation state, a one-time cost that would otherwise
+// spread over b.N and make B/op depend on the iteration count.
+func warmRouter(b *testing.B, dev *fabric.Device, nets []Net) *Router {
+	b.Helper()
+	r := NewRouter(dev)
+	if _, err := r.RouteAll(nets); err != nil {
+		b.Fatal(err)
+	}
+	return r
+}
+
 func BenchmarkRouteAcrossDevice(b *testing.B) {
 	dev := fabric.NewDevice(fabric.XCV200)
 	src := dev.NodeIDAt(fabric.Coord{Row: 2, Col: 2}, fabric.LocalOutX(0))
 	sink := dev.NodeIDAt(fabric.Coord{Row: 25, Col: 39}, fabric.LocalPinI(1, 1))
+	nets := []Net{{Name: "n", Source: src, Sinks: []fabric.NodeID{sink}}}
+	r := warmRouter(b, dev, nets)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := NewRouter(dev)
-		if _, err := r.RouteAll([]Net{{Name: "n", Source: src, Sinks: []fabric.NodeID{sink}}}); err != nil {
+		r.Reset()
+		if _, err := r.RouteAll(nets); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -27,10 +45,12 @@ func BenchmarkRouteFanout16(b *testing.B) {
 		sinks = append(sinks, dev.NodeIDAt(
 			fabric.Coord{Row: 6 + (i%4)*5, Col: 8 + (i/4)*8}, fabric.LocalPinI(i%4, i/4%4)))
 	}
+	nets := []Net{{Name: "n", Source: src, Sinks: sinks}}
+	r := warmRouter(b, dev, nets)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := NewRouter(dev)
-		if _, err := r.RouteAll([]Net{{Name: "n", Source: src, Sinks: sinks}}); err != nil {
+		r.Reset()
+		if _, err := r.RouteAll(nets); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -44,7 +64,6 @@ func BenchmarkRouteFanout16(b *testing.B) {
 // volume.
 func BenchmarkRouteAll(b *testing.B) {
 	dev := fabric.NewDevice(fabric.XCV200)
-	r := NewRouter(dev)
 	nets := []Net{
 		{Name: "cross", Source: dev.NodeIDAt(fabric.Coord{Row: 2, Col: 2}, fabric.LocalOutX(0)),
 			Sinks: []fabric.NodeID{dev.NodeIDAt(fabric.Coord{Row: 25, Col: 39}, fabric.LocalPinI(1, 1))}},
@@ -61,12 +80,7 @@ func BenchmarkRouteAll(b *testing.B) {
 		{Name: "loc3", Source: dev.NodeIDAt(fabric.Coord{Row: 9, Col: 30}, fabric.LocalOutX(3)),
 			Sinks: []fabric.NodeID{dev.NodeIDAt(fabric.Coord{Row: 8, Col: 33}, fabric.LocalPinCE(2))}},
 	}
-	// Warm the lazy fanout cache (a one-time cost in real use: engines keep
-	// one router for their lifetime) so the measured loop shows the
-	// steady-state allocation behaviour.
-	if _, err := r.RouteAll(nets); err != nil {
-		b.Fatal(err)
-	}
+	r := warmRouter(b, dev, nets)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -76,3 +90,18 @@ func BenchmarkRouteAll(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkNewRouter pins the router's per-node footprint on the paper's
+// device: B/op is the size of the NodeID-indexed stamp arrays plus the
+// compiled fanout tables, so a per-node field added to the router shows up
+// in the allocation gate.
+func BenchmarkNewRouter(b *testing.B) {
+	dev := fabric.NewDevice(fabric.XCV200)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchRouter = NewRouter(dev)
+	}
+}
+
+var benchRouter *Router

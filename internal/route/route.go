@@ -8,6 +8,7 @@ package route
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/fabric"
 )
@@ -70,9 +71,8 @@ func nodeDelay(dev *fabric.Device, n fabric.NodeID) float64 {
 // congestion history, usage counts) and all per-search state (the A* open
 // set, cost and predecessor tables) live in epoch-stamped arrays indexed by
 // NodeID, so Reset and every search start are O(1) instead of reallocating
-// device-sized tables. The lazy fanout cache likewise persists across
-// searches — relocation engines route thousands of nets over the same
-// topology, and the cache warms exactly once.
+// device-sized tables. Neighbours come from the fabric's translation-invariant
+// fanout template, compiled once per router into a per-local hop table.
 type Router struct {
 	dev *fabric.Device
 	// MaxIters bounds the negotiation rounds.
@@ -85,10 +85,18 @@ type Router struct {
 	// delay-optimal trees, they need O(path) search. Zero means 1.
 	Greedy float64
 
-	adj [][]fabric.NodeID // lazy fanout cache, indexed by NodeID
+	// hops[local] is the fanout of every tile node with that local id, in
+	// FanoutOf's order. padHops[i] is the fanout of pad i relative to the
+	// pad's heuristic tile, compiled when the pad first expands (see
+	// padFanout): only input pads that seed a net ever do.
+	hops    [fabric.NodeSlots][]hop
+	padHops [][]hop
 
 	// Session state, valid while its stamp equals epoch (Reset bumps the
-	// epoch, invalidating everything at once).
+	// epoch, invalidating everything at once). The congestion arrays
+	// (history, present, owner) are allocated by the first RouteAll: only
+	// negotiation writes them, and until then every node reads as unused
+	// and history-free.
 	epoch     uint64
 	blockedAt []uint64
 	history   []float64 // PathFinder history cost
@@ -98,12 +106,12 @@ type Router struct {
 	owner     []int32 // net index last routed over the node
 	ownerAt   []uint64
 
-	// Per-search state (one routeOne call), stamped with searchEpoch.
+	// Per-search state (one routeOne call): best cost and predecessor, set
+	// together and both valid while searchAt equals searchEpoch.
 	searchEpoch uint64
-	prev        []fabric.NodeID
-	prevAt      []uint64
+	searchAt    []uint64
 	best        []float64
-	bestAt      []uint64
+	prev        []fabric.NodeID
 
 	// Per-net tree membership, stamped with treeEpoch. treePrev[n] is the
 	// predecessor of n inside the current net's tree (valid only while
@@ -124,35 +132,79 @@ type Router struct {
 	pathBuf []fabric.NodeID
 }
 
+// hop is one fanout edge relative to its source: the sink lies dRow/dCol
+// tiles away, its NodeID is the source's plus delta, and delay is the
+// sink's wire delay (nodeDelay of the sink).
+type hop struct {
+	dRow, dCol int32
+	delta      int32
+	delay      float64
+}
+
 // NewRouter creates a router over a device.
 func NewRouter(dev *fabric.Device) *Router {
 	n := int(dev.PadBase()) + dev.NumPads()
-	return &Router{
+	r := &Router{
 		dev:         dev,
 		MaxIters:    40,
-		adj:         make([][]fabric.NodeID, n),
 		epoch:       1,
 		blockedAt:   make([]uint64, n),
-		history:     make([]float64, n),
-		historyAt:   make([]uint64, n),
-		present:     make([]int32, n),
-		presentAt:   make([]uint64, n),
-		owner:       make([]int32, n),
-		ownerAt:     make([]uint64, n),
 		searchEpoch: 1,
-		prev:        make([]fabric.NodeID, n),
-		prevAt:      make([]uint64, n),
+		searchAt:    make([]uint64, n),
 		best:        make([]float64, n),
-		bestAt:      make([]uint64, n),
+		prev:        make([]fabric.NodeID, n),
 		treeEpoch:   1,
 		treeAt:      make([]uint64, n),
 		treePrev:    make([]fabric.NodeID, n),
 	}
+	// A tile node's fanout depends only on its local id (FanoutTemplate);
+	// the NodeID delta of an offset depends on the device width. All the
+	// tables share one backing array.
+	total := 0
+	for local := range r.hops {
+		total += len(fabric.FanoutTemplate(local))
+	}
+	flat := make([]hop, 0, total)
+	for local := range r.hops {
+		start := len(flat)
+		for _, fr := range fabric.FanoutTemplate(local) {
+			kind, _, _ := fabric.DecodeLocal(fr.SinkLocal)
+			flat = append(flat, hop{
+				dRow:  int32(fr.DRow),
+				dCol:  int32(fr.DCol),
+				delta: int32((fr.DRow*dev.Cols+fr.DCol)*fabric.NodeSlots + fr.SinkLocal - local),
+				delay: fabric.WireDelayNs(kind),
+			})
+		}
+		r.hops[local] = flat[start:len(flat):len(flat)]
+	}
+	r.padHops = make([][]hop, dev.NumPads())
+	return r
+}
+
+// padFanout returns the fanout of pad node n (pad index i), compiling it
+// from FanoutOf on first use.
+func (r *Router) padFanout(n fabric.NodeID, i int) []hop {
+	if hs := r.padHops[i]; hs != nil {
+		return hs
+	}
+	t := r.tileOf(n)
+	edges := r.dev.FanoutOf(n)
+	hs := make([]hop, len(edges))
+	for j, e := range edges {
+		hs[j] = hop{
+			dRow:  int32(e.SinkTile.Row - t.Row),
+			dCol:  int32(e.SinkTile.Col - t.Col),
+			delta: int32(int64(e.Sink) - int64(n)),
+			delay: nodeDelay(r.dev, e.Sink),
+		}
+	}
+	r.padHops[i] = hs
+	return hs
 }
 
 // Reset returns the router to its freshly-constructed state — no blocked
-// nodes, no congestion history — in O(1). Callers that previously built a
-// new router per operation reuse one this way, keeping the fanout cache.
+// nodes, no congestion history — in O(1).
 func (r *Router) Reset() { r.epoch++ }
 
 // Block marks nodes as unusable (owned by other circuitry).
@@ -217,22 +269,6 @@ func (r *Router) setOwner(n fabric.NodeID, idx int32) {
 }
 
 func (r *Router) clearOwner(n fabric.NodeID) { r.ownerAt[n] = 0 }
-
-func (r *Router) fanout(n fabric.NodeID) []fabric.NodeID {
-	if cached := r.adj[n]; cached != nil {
-		return cached
-	}
-	edges := r.dev.FanoutOf(n)
-	out := make([]fabric.NodeID, 0, len(edges))
-	for _, e := range edges {
-		out = append(out, e.Sink)
-	}
-	if out == nil {
-		out = []fabric.NodeID{}
-	}
-	r.adj[n] = out
-	return out
-}
 
 // item is a priority-queue entry.
 type item struct {
@@ -342,49 +378,47 @@ func (r *Router) routeOne(seeds []fabric.NodeID, sink fabric.NodeID,
 
 // searchOne is one bounded A* expansion; margin < 0 means unbounded. It
 // returns nil when the open set exhausts without reaching the sink.
+//
+// The relaxation walks the compiled fanout template: per edge, one box test
+// (the box is clamped to the device, so it also rejects template offsets
+// that leave the array), the blocked stamp and the cost stamp. The
+// congestion terms are read only once RouteAll has allocated them; skipping
+// them adds nothing but exact zeros, so costs are bit-identical either way.
 func (r *Router) searchOne(seeds []fabric.NodeID, sink fabric.NodeID,
 	netIdx int32, presentFactor float64, margin int, within *fabric.Rect) []fabric.NodeID {
-
-	// Pad sinks are reached through their candidate pre-pad wires.
-	var prePad []fabric.NodeID
+	dev := r.dev
 	target := sink
 	sinkTile := r.tileOf(sink)
-	if pad, ok := r.dev.PadOfNode(sink); ok {
-		prePad = r.dev.PadOutSourceNodes(pad)
-	}
-	isPrePad := func(n fabric.NodeID) bool {
-		for _, p := range prePad {
-			if p == n {
-				return true
-			}
+
+	// Output-pad sinks are reached through their candidate pre-pad wires.
+	var prePad [fabric.PadOutSources]fabric.NodeID
+	padSink := false
+	if pad, ok := dev.PadOfNode(sink); ok {
+		padSink = true
+		for b := range prePad {
+			prePad[b] = dev.PadOutSourceNode(pad, b)
 		}
-		return false
 	}
 
-	// Bounding box over the tree's tiles and the sink, inflated by margin.
-	bounded := margin >= 0
-	minR, maxR := sinkTile.Row, sinkTile.Row
-	minC, maxC := sinkTile.Col, sinkTile.Col
-	if bounded {
+	// Bounding box over the tree's tiles and the sink, inflated by margin,
+	// clamped to the device and, under a Bound, to the bound. Only the
+	// target may be entered outside it: the bound exempts the target, and
+	// the target's tile always lies inside the staged box.
+	minR, maxR, minC, maxC := 0, dev.Rows-1, 0, dev.Cols-1
+	if margin >= 0 {
+		bMinR, bMaxR := sinkTile.Row, sinkTile.Row
+		bMinC, bMaxC := sinkTile.Col, sinkTile.Col
 		for _, n := range seeds {
 			t := r.tileOf(n)
-			if t.Row < minR {
-				minR = t.Row
-			}
-			if t.Row > maxR {
-				maxR = t.Row
-			}
-			if t.Col < minC {
-				minC = t.Col
-			}
-			if t.Col > maxC {
-				maxC = t.Col
-			}
+			bMinR, bMaxR = min(bMinR, t.Row), max(bMaxR, t.Row)
+			bMinC, bMaxC = min(bMinC, t.Col), max(bMaxC, t.Col)
 		}
-		minR -= margin
-		maxR += margin
-		minC -= margin
-		maxC += margin
+		minR, maxR = max(minR, bMinR-margin), min(maxR, bMaxR+margin)
+		minC, maxC = max(minC, bMinC-margin), min(maxC, bMaxC+margin)
+	}
+	if within != nil {
+		minR, maxR = max(minR, within.Row), min(maxR, within.Row+within.H-1)
+		minC, maxC = max(minC, within.Col), min(maxC, within.Col+within.W-1)
 	}
 
 	hPerTile := heuristicPerTile
@@ -396,76 +430,92 @@ func (r *Router) searchOne(seeds []fabric.NodeID, sink fabric.NodeID,
 	r.q = r.q[:0]
 	for _, n := range seeds {
 		r.q.push(item{node: n, cost: 0, est: float64(r.tileOf(n).ManhattanDist(sinkTile)) * hPerTile})
-		r.best[n], r.bestAt[n] = 0, se
-		r.prev[n], r.prevAt[n] = fabric.InvalidNode, se
+		r.searchAt[n], r.best[n], r.prev[n] = se, 0, fabric.InvalidNode
 	}
 
-	reconstruct := func(from fabric.NodeID) []fabric.NodeID {
-		path := r.pathBuf[:0]
-		for n := from; n != fabric.InvalidNode; {
-			path = append(path, n)
-			if r.treeAt[n] == r.treeEpoch {
-				break
-			}
-			if r.prevAt[n] != se {
-				break
-			}
-			n = r.prev[n]
-		}
-		reverse(path)
-		r.pathBuf = path
-		return path
-	}
-
-	expand := func(cur fabric.NodeID, curCost float64, nxt fabric.NodeID) {
-		// The target itself may be "in use" (an already-driven pin being
-		// connected in PARALLEL — the relocation procedure's core move);
-		// only intermediate nodes must be free.
-		if r.blockedAt[nxt] == r.epoch && nxt != target {
-			return
-		}
-		t := r.tileOf(nxt)
-		if bounded && (t.Row < minR || t.Row > maxR || t.Col < minC || t.Col > maxC) {
-			return
-		}
-		if within != nil && nxt != target && !within.Contains(t) {
-			return
-		}
-		// Nodes owned by another net cost extra (negotiation) instead of
-		// being forbidden outright.
-		penalty := 0.0
-		if o := r.ownerOf(nxt); o >= 0 && o != netIdx {
-			penalty = presentFactor * (1 + float64(r.presentOf(nxt)))
-		}
-		c := curCost + nodeDelay(r.dev, nxt) + r.historyOf(nxt) + penalty + 0.01
-		if r.bestAt[nxt] == se && r.best[nxt] <= c {
-			return
-		}
-		r.best[nxt], r.bestAt[nxt] = c, se
-		r.prev[nxt], r.prevAt[nxt] = cur, se
-		est := c + float64(t.ManhattanDist(sinkTile))*hPerTile
-		r.q.push(item{node: nxt, cost: c, est: est})
-	}
-
+	epoch := r.epoch
+	negotiating := r.owner != nil
+	padBase := dev.PadBase()
+	cols := dev.Cols
 	for len(r.q) > 0 {
 		it := r.q.pop()
-		if it.cost > r.best[it.node] {
+		cur := it.node
+		if it.cost > r.best[cur] {
 			continue
 		}
-		if it.node == target {
-			return reconstruct(it.node)
+		if cur == target {
+			return r.reconstruct(cur, se)
 		}
-		if isPrePad(it.node) {
+		if padSink && slices.Contains(prePad[:], cur) {
 			// One more hop into the pad.
-			r.prev[target], r.prevAt[target] = it.node, se
-			r.best[target], r.bestAt[target] = it.cost, se
-			return reconstruct(target)
+			r.searchAt[target], r.best[target], r.prev[target] = se, it.cost, cur
+			return r.reconstruct(target, se)
 		}
-		for _, nxt := range r.fanout(it.node) {
-			expand(it.node, it.cost, nxt)
+		var row, col int
+		var hops []hop
+		if cur < padBase {
+			tile := int(cur) / fabric.NodeSlots
+			row, col = tile/cols, tile%cols
+			hops = r.hops[int(cur)%fabric.NodeSlots]
+		} else {
+			t := r.tileOf(cur)
+			row, col = t.Row, t.Col
+			hops = r.padFanout(cur, int(cur-padBase))
+		}
+		for i := range hops {
+			h := &hops[i]
+			nr, nc := row+int(h.dRow), col+int(h.dCol)
+			nxt := cur + fabric.NodeID(h.delta)
+			if nr < minR || nr > maxR || nc < minC || nc > maxC {
+				if nr != sinkTile.Row || nc != sinkTile.Col || nxt != target {
+					continue
+				}
+			} else if r.blockedAt[nxt] == epoch && nxt != target {
+				// The target itself may be "in use" (an already-driven pin
+				// being connected in PARALLEL — the relocation procedure's
+				// core move); only intermediate nodes must be free.
+				continue
+			}
+			c := it.cost + h.delay
+			if negotiating {
+				// Nodes owned by another net cost extra (negotiation)
+				// instead of being forbidden outright.
+				penalty := 0.0
+				if o := r.ownerOf(nxt); o >= 0 && o != netIdx {
+					penalty = presentFactor * (1 + float64(r.presentOf(nxt)))
+				}
+				c = c + r.historyOf(nxt) + penalty
+			}
+			c += 0.01
+			if r.searchAt[nxt] == se && r.best[nxt] <= c {
+				continue
+			}
+			r.searchAt[nxt], r.best[nxt], r.prev[nxt] = se, c, cur
+			est := c + float64(fabric.Coord{Row: nr, Col: nc}.ManhattanDist(sinkTile))*hPerTile
+			r.q.push(item{node: nxt, cost: c, est: est})
 		}
 	}
 	return nil
+}
+
+// reconstruct walks the search predecessors from a reached node back to the
+// current net tree and returns the path tree-node-first. The path lives in
+// reusable scratch, valid until the next search.
+func (r *Router) reconstruct(from fabric.NodeID, se uint64) []fabric.NodeID {
+	path := r.pathBuf[:0]
+	for n := from; n != fabric.InvalidNode; {
+		path = append(path, n)
+		if r.treeAt[n] == r.treeEpoch {
+			break
+		}
+		if r.searchAt[n] != se {
+			break
+		}
+		n = r.prev[n]
+	}
+	reverse(path)
+	r.pathBuf = path
+	return path
 }
 
 func reverse(p []fabric.NodeID) {
@@ -478,6 +528,12 @@ func reverse(p []fabric.NodeID) {
 // routed trees. It fails if congestion cannot be resolved in MaxIters
 // rounds.
 func (r *Router) RouteAll(nets []Net) ([]RoutedNet, error) {
+	if r.owner == nil {
+		n := len(r.blockedAt)
+		r.history, r.historyAt = make([]float64, n), make([]uint64, n)
+		r.present, r.presentAt = make([]int32, n), make([]uint64, n)
+		r.owner, r.ownerAt = make([]int32, n), make([]uint64, n)
+	}
 	routed := make([]RoutedNet, len(nets))
 	presentFactor := 0.5
 

@@ -580,7 +580,7 @@ func (s *System) unloadFabricBatched(name string) error {
 // rebuildRouterLocked rebuilds the shared router from the configuration
 // memory itself — the ground truth — so occupancy never goes stale across
 // relocations (per-design net lists do: they record the original routes).
-// The router object is reused: Reset is O(1) and keeps the fanout cache.
+// The router object is reused: Reset is O(1).
 func (s *System) rebuildRouterLocked() {
 	s.router.Reset()
 	s.router.Block(s.engine.OccupiedNodes()...)
