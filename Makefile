@@ -1,4 +1,4 @@
-.PHONY: test race bench bench-baseline cover lint fuzz torture soak
+.PHONY: test race bench bench-baseline bench-module cover lint fuzz torture soak
 
 test:
 	go build ./... && go test ./...
@@ -26,6 +26,12 @@ BENCH_CMD = go test -run '^$$' -bench . -benchmem -benchtime=100ms -timeout 30m 
 
 bench:
 	$(BENCH_CMD)
+
+# Mirrors the CI "Benchmark module" step: rlmbench (bench/, its own module)
+# compiles against the facade and port accounting APIs, so build, vet and
+# self-test it with them.
+bench-module:
+	go -C bench vet ./... && go -C bench test ./...
 
 # Refresh the checked-in baseline after a PR that intentionally shifts
 # performance. Run on an otherwise idle machine.

@@ -28,7 +28,7 @@
 //
 // The health subcommand prints the per-column health ledger the journal's
 // last committed state carries (the self-healing layer's column states,
-// error rates and probe history), plus the quarantined frame mask:
+// error rates and probe history), plus the number of quarantined columns:
 //
 //	fratool health ops.journal
 package main
@@ -336,9 +336,9 @@ func journalCmd(args []string) {
 }
 
 // healthCmd prints the health ledger of a journal's last committed state:
-// one row per column that ever produced evidence, plus the quarantine mask
-// summary. Works on live and compacted journals; an unsealed tail is
-// reported but not reconciled (that is rlm.Recover's job).
+// one row per column that ever produced evidence, plus the count of
+// quarantined columns. Works on live and compacted journals; an unsealed
+// tail is reported but not reconciled (that is rlm.Recover's job).
 func healthCmd(args []string) {
 	if len(args) != 1 {
 		fmt.Fprintln(os.Stderr, "fratool health: usage: fratool health JOURNAL")
@@ -349,8 +349,14 @@ func healthCmd(args []string) {
 	rs, err := journal.Replay(log)
 	fail(err)
 	st := &rs.State
-	fmt.Printf("%s: state seq %d, %d design(s), %d quarantined frame(s)\n",
-		args[0], st.Seq, len(st.Designs), len(st.Quarantined))
+	quarantined := 0
+	for _, h := range st.Health {
+		if h.State == uint8(rlm.ColumnQuarantined) {
+			quarantined++
+		}
+	}
+	fmt.Printf("%s: state seq %d, %d design(s), %d quarantined column(s)\n",
+		args[0], st.Seq, len(st.Designs), quarantined)
 	if rs.Tail != nil {
 		fmt.Printf("  note: unsealed tail op %d (%s); the ledger below is the last committed state\n",
 			rs.Tail.Begin.Seq, rs.Tail.Begin.Op)

@@ -80,7 +80,7 @@ func TestCompressedDeliveryBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial, err := New(WithDevice(fabric.TestDevice), WithCompression(), WithSerialCommit())
+		serial, err := New(WithDevice(fabric.TestDevice), WithCompression(), withSerialCommit())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,9 +95,9 @@ func TestCompressedDeliveryBitIdentical(t *testing.T) {
 	t.Run("fault-injection", func(t *testing.T) {
 		// Transient transport faults under compression: the retry ladder's
 		// re-deliveries also ship deltas (against the confirmed baseline), the
-		// maintenance traffic is compensated out, and the result — including
-		// the traffic counters, which are NOT masked here — is bit-identical
-		// to a compressed fault-free twin's.
+		// maintenance traffic stays out of the foreground, and the result —
+		// including the traffic counters, which are NOT masked here — is
+		// bit-identical to a compressed fault-free twin's.
 		clean, err := New(WithDevice(fabric.TestDevice), WithCompression())
 		if err != nil {
 			t.Fatal(err)

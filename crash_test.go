@@ -71,7 +71,7 @@ func captureState(s *System) hostState {
 	st.pads = fmt.Sprint(s.pads)
 	al, next := s.area.Export()
 	st.allocs = fmt.Sprintf("%v next=%d", al, next)
-	if cp, ok := s.port.(cyclePort); ok {
+	if cp, ok := s.port.(interface{ Cycles() uint64 }); ok {
 		st.cycles = cp.Cycles()
 	}
 	if tp, ok := s.port.(bitstream.CompressPort); ok {
@@ -344,6 +344,10 @@ func TestRecoverContinuesJournaling(t *testing.T) {
 	}
 	if rep.Action != "clean" {
 		t.Fatalf("action = %q, want clean", rep.Action)
+	}
+	// A clean journal needs no reconciliation, so recovery shifts nothing.
+	if rep.RecoverySeconds != 0 {
+		t.Fatalf("clean recovery consumed %v s of port time, want 0", rep.RecoverySeconds)
 	}
 	if diffs := diffStates(captureState(rec), want); len(diffs) > 0 {
 		t.Fatalf("recovered state diverges: %s", diffs[0])

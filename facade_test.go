@@ -374,3 +374,30 @@ func TestEventStream(t *testing.T) {
 		t.Errorf("event kinds = %v, want %v", kinds, want)
 	}
 }
+
+// TestStatsPortSecondsTracksPort: Stats().PortSeconds is the port's
+// foreground transport time after every kind of operation, not a snapshot
+// the engine last took inside a cell relocation (which a Load, an Unload or
+// a translated move would leave stale).
+func TestStatsPortSecondsTracksPort(t *testing.T) {
+	s, err := New(WithDevice(fabric.TestDevice))
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := []struct {
+		name string
+		op   func() error
+	}{
+		{"load", func() error { _, err := s.Load(mkCounter("c1"), fabric.Rect{Row: 0, Col: 8, H: 2, W: 2}); return err }},
+		{"move", func() error { return s.Move("c1", fabric.Rect{Row: 6, Col: 10, H: 2, W: 2}) }},
+		{"unload", func() error { return s.Unload("c1") }},
+	}
+	for _, step := range steps {
+		if err := step.op(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		if got, want := s.Stats().PortSeconds, s.Port().Elapsed(); got != want || got <= 0 {
+			t.Fatalf("after %s: Stats().PortSeconds = %v, Port().Elapsed() = %v", step.name, got, want)
+		}
+	}
+}

@@ -19,9 +19,10 @@ import (
 // re-delivers the unharvested frames from the host shadow (the paper's
 // complete configuration copy), escalating to per-frame readback-verify.
 // Only when every attempt fails does the operation roll back — and the
-// frames the final verify condemned are quarantined: masked out of the
-// frame tool's delivery, their columns masked out of the area manager's
-// logic space, and resident designs evacuated to healthy space.
+// columns of the frames the final verify condemned are quarantined in the
+// health ledger, which masks them out of the frame tool's delivery and (for
+// CLB columns) out of the area manager's logic space, and resident designs
+// are evacuated to healthy space.
 //
 // The write-through staging model makes the re-delivery set well-defined
 // even though the port cannot say WHICH burst failed (its drain continues
@@ -92,11 +93,11 @@ func (s *System) finishLoadLocked(cp *checkpoint) error {
 // frame tool's Retry delegate: cause surfaced at an AwaitStream and addrs is
 // the unharvested frame set. It runs under the operation's lock (every tool
 // call path holds it). On success the operation proceeds as if the fault
-// never happened (the retry traffic is compensated out of the foreground
-// accounting). On exhaustion a final readback-verify condemns the frames
-// that still fail, parks them in s.pendingBad for the failed operation's
-// post-rollback quarantine sweep, and the returned error wraps
-// ErrRetriesExhausted.
+// never happened (the port meter charges the retry traffic to its retry
+// class, not the foreground). On exhaustion a final readback-verify
+// condemns the frames that still fail, parks them in s.pendingBad for the
+// failed operation's post-rollback quarantine sweep, and the returned error
+// wraps ErrRetriesExhausted.
 func (s *System) retryDeliveryLocked(cause error, addrs []fabric.FrameAddr) error {
 	pol := *s.retry
 	s.engine.Stats.FaultsDetected++
@@ -116,7 +117,7 @@ func (s *System) retryDeliveryLocked(cause error, addrs []fabric.FrameAddr) erro
 		}
 		s.crash("retry")
 		s.engine.Stats.FaultRetries++
-		err = s.compensatePort(&s.engine.Stats.RetrySeconds, func() error {
+		err = s.charge(bitstream.Retry, func() error {
 			return s.redeliver(updates, attempt >= verifyFrom)
 		})
 		if err == nil {
@@ -126,7 +127,7 @@ func (s *System) retryDeliveryLocked(cause error, addrs []fabric.FrameAddr) erro
 	}
 	s.engine.Stats.RetriesExhausted++
 	var bad []fabric.FrameAddr
-	_ = s.compensatePort(&s.engine.Stats.RetrySeconds, func() error {
+	_ = s.charge(bitstream.Retry, func() error {
 		var verr error
 		bad, verr = s.verifyFrames(updates)
 		return verr
@@ -152,7 +153,7 @@ func (s *System) noteFaultEvidenceLocked(addrs []fabric.FrameAddr) {
 		seen[a.Major] = true
 		changes = append(changes, s.health.NoteFault(a.Major))
 	}
-	s.applyHealthChangesLocked(changes, true)
+	s.applyHealthChangesLocked(changes)
 }
 
 // redeliverySetLocked builds the sorted re-delivery set from the unharvested
@@ -170,7 +171,7 @@ func (s *System) redeliverySetLocked(unharvested []fabric.FrameAddr) []bitstream
 	})
 	updates := make([]bitstream.FrameUpdate, 0, len(addrs))
 	for _, a := range addrs {
-		if s.quarantined[a] {
+		if s.masked(a.Major) {
 			continue
 		}
 		if data, ok := s.engine.Tool.Shadow().Frame(a); ok {
@@ -219,35 +220,15 @@ func (s *System) verifyFrames(updates []bitstream.FrameUpdate) ([]fabric.FrameAd
 	return nil, nil
 }
 
-// compensatePort runs fn and moves the transport time it consumed off the
-// port's counters into acc: the fault layer's traffic is reported separately
-// (Stats.RetrySeconds / Stats.ScrubSeconds) so the foreground accounting
-// stays bit-identical to a fault-free twin's — the same convention Recover
-// uses for its reconciliation traffic.
-func (s *System) compensatePort(acc *float64, fn func() error) error {
-	e0 := s.port.Elapsed()
-	cp, hasCycles := s.port.(cyclePort)
-	var c0 uint64
-	if hasCycles {
-		c0 = cp.Cycles()
+// charge runs fn with the port meter charging class c, so maintenance
+// traffic (retries, scrubs, probes, recovery) never counts as foreground and
+// the foreground accounting stays bit-identical to a fault-free twin's.
+func (s *System) charge(c bitstream.Class, fn func() error) error {
+	if s.meter != nil {
+		prev := s.meter.SetClass(c)
+		defer s.meter.SetClass(prev)
 	}
-	tp, hasTraffic := s.port.(bitstream.CompressPort)
-	var t0 bitstream.Traffic
-	if hasTraffic {
-		t0 = tp.Traffic()
-	}
-	err := fn()
-	*acc += s.port.Elapsed() - e0
-	if hasCycles {
-		cp.RestoreCycles(c0)
-	}
-	if hasTraffic {
-		// Maintenance re-deliveries and repairs are compensated out of the
-		// write-traffic counters too, keeping Traffic bit-identical to a
-		// fault-free twin's.
-		tp.RestoreTraffic(t0)
-	}
-	return err
+	return fn()
 }
 
 // quarantineSweepLocked consumes the verified-bad frames a failed operation
@@ -257,10 +238,17 @@ func (s *System) compensatePort(acc *float64, fn func() error) error {
 func (s *System) quarantineSweepLocked() {
 	bad := s.pendingBad
 	s.pendingBad = nil
-	if len(bad) == 0 {
-		return
+	added := false
+	for _, addr := range bad {
+		// A frame carries bits of every row of its column, so the whole
+		// column is condemned: finer masking could still route live logic
+		// through the bad memory.
+		if s.health.Condemn(addr.Major) != nil {
+			s.quarantineColumnLocked(addr)
+			added = true
+		}
 	}
-	if s.quarantineFramesLocked(bad, true) {
+	if added {
 		s.evacuateLocked()
 		// The mask changed outside any journaled op (the failed op already
 		// sealed its abort); seal the new mask so a crash cannot lose it.
@@ -268,51 +256,22 @@ func (s *System) quarantineSweepLocked() {
 	}
 }
 
-// quarantineFramesLocked condemns the full configuration column of every
-// given frame: a frame carries bits of every row of its column, so finer
-// masking could still route live logic through the bad memory. The frame
-// tool stops delivering to the frames, CLB columns are masked out of the
-// area manager's logic space, and — when record is set — events are
-// published and Stats counted. Recovery re-applies a journaled mask with
-// record off (the journaled Stats already counted it). Returns whether any
-// new frame was quarantined.
-func (s *System) quarantineFramesLocked(bad []fabric.FrameAddr, record bool) bool {
-	added := false
-	for _, addr := range bad {
-		if s.quarantined == nil {
-			s.quarantined = make(map[fabric.FrameAddr]bool)
-		}
-		if s.quarantined[addr] {
-			continue
-		}
-		col, ok := s.dev.ColumnByMajor(addr.Major)
-		if !ok {
-			continue
-		}
-		for minor := 0; minor < col.Frames; minor++ {
-			fa := fabric.FrameAddr{Major: addr.Major, Minor: minor}
-			if s.quarantined[fa] {
-				continue
-			}
-			s.quarantined[fa] = true
-			s.engine.Tool.QuarantineFrame(fa)
-			if record {
-				s.engine.Stats.FramesQuarantined++
-			}
-		}
-		if col.Kind == fabric.ColCLB {
-			s.area.Quarantine(fabric.Rect{Row: 0, Col: col.ArrayCol, H: s.dev.Rows, W: 1})
-		}
-		// Keep the health ledger in lockstep with the mask (the Change is
-		// discarded: the masking side effects are exactly this code).
-		s.health.Condemn(addr.Major)
-		added = true
-		if record {
-			s.publish(Event{Kind: FrameQuarantined, Frame: addr})
-			s.publish(Event{Kind: CapacityChanged, Capacity: s.capacityLocked()})
-		}
+// quarantineColumnLocked is the side effect of the health ledger moving the
+// column of addr to quarantined: the ledger itself masks the column out of
+// the frame tool's delivery, so what is left is masking a CLB column out of
+// the area manager's logic space, counting its frames and publishing the
+// events (addr is the frame that condemned the column).
+func (s *System) quarantineColumnLocked(addr fabric.FrameAddr) {
+	col, ok := s.dev.ColumnByMajor(addr.Major)
+	if !ok {
+		return
 	}
-	return added
+	if col.Kind == fabric.ColCLB {
+		s.area.Quarantine(fabric.Rect{Row: 0, Col: col.ArrayCol, H: s.dev.Rows, W: 1})
+	}
+	s.engine.Stats.FramesQuarantined += col.Frames
+	s.publish(Event{Kind: FrameQuarantined, Frame: addr})
+	s.publish(Event{Kind: CapacityChanged, Capacity: s.capacityLocked()})
 }
 
 // evacuateLocked relocates every design whose region now overlaps

@@ -39,7 +39,6 @@ func faultSystem(t *testing.T, seed uint64, extra ...Option) (*System, *faultpor
 func maskFaultStats(st hostState) hostState {
 	st.stats.FaultsDetected = 0
 	st.stats.FaultRetries = 0
-	st.stats.RetrySeconds = 0
 	return st
 }
 
@@ -48,7 +47,8 @@ func maskFaultStats(st hostState) hostState {
 // frame budget must be absorbed by the retry ladder — every facade operation
 // of the scripted workout still succeeds, and the final configuration image,
 // host book-keeping and cycle accounting are bit-identical to a fault-free
-// twin's (the retry traffic is compensated out). Run with -race.
+// twin's (the retry traffic is charged to the port meter's retry class).
+// Run with -race.
 func TestChaosRetryBitIdenticalToFaultFree(t *testing.T) {
 	clean, err := New(WithDevice(fabric.TestDevice))
 	if err != nil {
@@ -203,7 +203,7 @@ func TestPersistentFaultQuarantinesAndEvacuates(t *testing.T) {
 // TestScrubRepairsSilentCorruption: a silent SEU — readback diverges from
 // the golden shadow with no transport error — is found and repaired by one
 // scrub pass, the repair is observable (report, Stats, event), and the scrub
-// traffic is compensated out of the foreground cycle accounting.
+// traffic stays out of the foreground cycle accounting.
 func TestScrubRepairsSilentCorruption(t *testing.T) {
 	sys, flaky := faultSystem(t, 23)
 	if _, err := sys.Load(mkCounter("c1"), fabric.Rect{Row: 0, Col: 0, H: 2, W: 2}); err != nil {

@@ -9,11 +9,12 @@ import (
 
 // This file glues the per-column health lifecycle (internal/health) into
 // the facade: the tracker decides WHEN a column changes state from the
-// evidence the retry ladder and the scrubber feed it; the code here owns
-// the side effects — masking and unmasking frames and logic space,
-// evacuating residents, journaling the transition, publishing events and
-// counting Stats. See fault.go for the evidence from foreground faults and
-// scrub.go for scrub/probe evidence.
+// evidence the retry ladder and the scrubber feed it, and it is the one
+// owner of column state: the frame tool's delivery mask reads it directly
+// (masked). The code here owns the side effects of its transitions —
+// masking and unmasking logic space, evacuating residents, journaling the
+// transition, publishing events and counting Stats. See fault.go for the
+// evidence from foreground faults and scrub.go for scrub/probe evidence.
 
 // HealthPolicy is the threshold set driving the health lifecycle; see
 // WithHealthPolicy. The zero value reproduces the legacy permanent
@@ -82,10 +83,13 @@ func (s *System) admitLocked() error {
 	return nil
 }
 
+// masked reports whether a column is quarantined in the health ledger: its
+// frames are condemned memory, left out of delivery, re-delivery, scrubbing
+// and the journal's digests.
+func (s *System) masked(major int) bool { return s.health.State(major) == health.Quarantined }
+
 // applyHealthChangesLocked performs the side effects of tracker decisions.
-// record mirrors quarantineFramesLocked's convention: recovery re-applies
-// journaled state with record off so Stats are not double-counted.
-func (s *System) applyHealthChangesLocked(changes []*health.Change, record bool) {
+func (s *System) applyHealthChangesLocked(changes []*health.Change) {
 	masked := false
 	for _, ch := range changes {
 		if ch == nil {
@@ -93,23 +97,20 @@ func (s *System) applyHealthChangesLocked(changes []*health.Change, record bool)
 		}
 		switch ch.To {
 		case health.Suspect:
-			if record {
-				s.engine.Stats.ColumnsSuspected++
-				s.publish(Event{Kind: FrameSuspect, Frame: fabric.FrameAddr{Major: ch.Major}})
-			}
+			s.engine.Stats.ColumnsSuspected++
+			s.publish(Event{Kind: FrameSuspect, Frame: fabric.FrameAddr{Major: ch.Major}})
 		case health.Quarantined:
 			// Preemptive condemnation (scrub evidence) or a probation
 			// column's one-strike return: mask the column and evacuate.
-			if s.quarantineFramesLocked([]fabric.FrameAddr{{Major: ch.Major}}, record) {
-				s.evacuateLocked()
-				masked = true
-			}
+			s.quarantineColumnLocked(fabric.FrameAddr{Major: ch.Major})
+			s.evacuateLocked()
+			masked = true
 		case health.Probation:
 			// Released from quarantine: unmask the column.
-			s.releaseColumnLocked(ch.Major, record)
+			s.releaseColumnLocked(ch.Major)
 			masked = true
 		case health.Healthy:
-			if ch.From == health.Probation && record {
+			if ch.From == health.Probation {
 				s.publish(Event{Kind: CapacityChanged, Capacity: s.capacityLocked()})
 			}
 		}
@@ -121,30 +122,21 @@ func (s *System) applyHealthChangesLocked(changes []*health.Change, record bool)
 	}
 }
 
-// releaseColumnLocked returns a quarantined column to service: every minor
-// frame re-enters port delivery, and (for CLB columns) the logic space is
-// unmasked so placements may cover it again.
-func (s *System) releaseColumnLocked(major int, record bool) {
+// releaseColumnLocked is the side effect of the health ledger releasing a
+// quarantined column into probation: the ledger itself returns its frames
+// to port delivery, so what is left is unmasking a CLB column's logic space
+// so placements may cover it again.
+func (s *System) releaseColumnLocked(major int) {
 	col, ok := s.dev.ColumnByMajor(major)
 	if !ok {
 		return
 	}
-	for minor := 0; minor < col.Frames; minor++ {
-		fa := fabric.FrameAddr{Major: major, Minor: minor}
-		if !s.quarantined[fa] {
-			continue
-		}
-		delete(s.quarantined, fa)
-		s.engine.Tool.UnquarantineFrame(fa)
-	}
 	if col.Kind == fabric.ColCLB {
 		s.area.Unquarantine(fabric.Rect{Row: 0, Col: col.ArrayCol, H: s.dev.Rows, W: 1})
 	}
-	if record {
-		s.engine.Stats.QuarantinesReleased++
-		s.publish(Event{Kind: QuarantineReleased, Frame: fabric.FrameAddr{Major: major}})
-		s.publish(Event{Kind: CapacityChanged, Capacity: s.capacityLocked()})
-	}
+	s.engine.Stats.QuarantinesReleased++
+	s.publish(Event{Kind: QuarantineReleased, Frame: fabric.FrameAddr{Major: major}})
+	s.publish(Event{Kind: CapacityChanged, Capacity: s.capacityLocked()})
 }
 
 // journalHealthLocked seals the current health/quarantine state into the

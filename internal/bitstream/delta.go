@@ -233,13 +233,13 @@ func frameKey(words []uint32) string {
 // compression only.
 type Traffic struct {
 	// WordsShifted counts the stream words actually delivered.
-	WordsShifted uint64
+	WordsShifted uint64 `json:"words_shifted,omitempty"`
 	// FullWords counts the words the same deliveries would have taken
 	// uncompressed (equal to WordsShifted when compression is off).
-	FullWords uint64
+	FullWords uint64 `json:"full_words,omitempty"`
 	// FramesDelivered counts the frame updates handed to the port's write
 	// paths (skipped identical rewrites included: the caller asked for them).
-	FramesDelivered uint64
+	FramesDelivered uint64 `json:"frames_delivered,omitempty"`
 }
 
 // CompressionRatio returns FullWords/WordsShifted (1 when nothing shipped,
@@ -260,11 +260,8 @@ type CompressPort interface {
 	SetCompress(on bool)
 	// Compressed reports whether compressed encoding is on.
 	Compressed() bool
-	// Traffic returns the cumulative write-traffic counters.
+	// Traffic returns the cumulative foreground write-traffic counters.
 	Traffic() Traffic
-	// RestoreTraffic overwrites the counters (journal recovery and the
-	// facade's maintenance-traffic compensation).
-	RestoreTraffic(Traffic)
 }
 
 // EncodeStream builds the write stream for updates — compressed or not —

@@ -146,20 +146,18 @@ func (q *StreamQueue) Completed() uint64 {
 // variants). It implements AsyncPort: bursts can shift out in the background
 // while the host computes, with the clock cost accounted at enqueue time.
 type ParallelPort struct {
-	Ctrl    *Controller
-	ClockHz float64
+	Ctrl *Controller
 	// WidthBits is the data-port width in bits: 8, 16 or 32 (0 means 8).
 	// Set it before any traffic flows; the per-word clock cost is 32/width.
 	WidthBits int
-	cycles    uint64
+	meter     Meter
 	compress  bool
-	traffic   Traffic
 	q         StreamQueue
 }
 
 // NewParallelPort attaches a SelectMAP-style port to a controller.
 func NewParallelPort(ctrl *Controller, clockHz float64) *ParallelPort {
-	p := &ParallelPort{Ctrl: ctrl, ClockHz: clockHz}
+	p := &ParallelPort{Ctrl: ctrl, meter: Meter{Hz: clockHz}}
 	p.q.Deliver = func(words []uint32) error {
 		ctrl.SetRedelivery(true)
 		defer ctrl.SetRedelivery(false)
@@ -184,11 +182,11 @@ func (p *ParallelPort) WriteUpdates(updates []FrameUpdate) error {
 	if err := p.AwaitStream(); err != nil {
 		return err
 	}
-	words := EncodeStream(p.Ctrl.Device(), p.compress, updates, &p.traffic)
+	words := EncodeStream(p.Ctrl.Device(), p.compress, updates, p.meter.Traffic())
 	if len(words) == 0 {
 		return nil // every frame was an identical rewrite: nothing to ship
 	}
-	p.cycles += p.cyclesPerWord() * uint64(len(words))
+	p.meter.Charge(p.cyclesPerWord() * uint64(len(words)))
 	return p.Ctrl.Feed(words...)
 }
 
@@ -198,8 +196,8 @@ func (p *ParallelPort) WriteUpdates(updates []FrameUpdate) error {
 // every frame) still enqueues — zero words, zero cycles — so callers'
 // CompletedBursts book-keeping stays in lockstep.
 func (p *ParallelPort) StreamUpdates(updates []FrameUpdate) {
-	words := EncodeStream(p.Ctrl.Device(), p.compress, updates, &p.traffic)
-	p.cycles += p.cyclesPerWord() * uint64(len(words))
+	words := EncodeStream(p.Ctrl.Device(), p.compress, updates, p.meter.Traffic())
+	p.meter.Charge(p.cyclesPerWord() * uint64(len(words)))
 	p.q.Enqueue(words)
 }
 
@@ -222,25 +220,24 @@ func (p *ParallelPort) ReadFrame(addr fabric.FrameAddr) ([]uint32, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.cycles += p.cyclesPerWord() * uint64(len(req)+len(out))
+	p.meter.Charge(p.cyclesPerWord() * uint64(len(req)+len(out)))
 	if len(out) != p.Ctrl.Device().FrameWords() {
 		return nil, fmt.Errorf("bitstream: readback returned %d words", len(out))
 	}
 	return out, nil
 }
 
-// Elapsed implements Port.
-func (p *ParallelPort) Elapsed() float64 { return float64(p.cycles) / p.ClockHz }
+// Elapsed implements Port (foreground traffic only).
+func (p *ParallelPort) Elapsed() float64 { return p.meter.Seconds(Foreground) }
 
 // Name implements Port.
 func (p *ParallelPort) Name() string { return "SelectMAP" }
 
-// Cycles returns the raw clock cycle count.
-func (p *ParallelPort) Cycles() uint64 { return p.cycles }
+// Cycles returns the foreground clock cycle count.
+func (p *ParallelPort) Cycles() uint64 { return p.meter.Usage(Foreground).Cycles }
 
-// RestoreCycles overwrites the cycle counter (journal recovery restores a
-// crashed system's accounting).
-func (p *ParallelPort) RestoreCycles(n uint64) { p.cycles = n }
+// Meter implements Metered.
+func (p *ParallelPort) Meter() *Meter { return &p.meter }
 
 // SetCompress implements CompressPort.
 func (p *ParallelPort) SetCompress(on bool) { p.compress = on }
@@ -249,12 +246,10 @@ func (p *ParallelPort) SetCompress(on bool) { p.compress = on }
 func (p *ParallelPort) Compressed() bool { return p.compress }
 
 // Traffic implements CompressPort.
-func (p *ParallelPort) Traffic() Traffic { return p.traffic }
-
-// RestoreTraffic implements CompressPort.
-func (p *ParallelPort) RestoreTraffic(t Traffic) { p.traffic = t }
+func (p *ParallelPort) Traffic() Traffic { return p.meter.Usage(Foreground).Traffic }
 
 var (
 	_ AsyncPort    = (*ParallelPort)(nil)
 	_ CompressPort = (*ParallelPort)(nil)
+	_ Metered      = (*ParallelPort)(nil)
 )

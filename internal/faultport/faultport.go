@@ -37,13 +37,12 @@ import (
 	"repro/internal/fabric"
 )
 
-// Inner is the port being wrapped: an asynchronous configuration port whose
-// cycle counter can be read and restored (both jtag.Port and
-// bitstream.ParallelPort qualify).
+// Inner is the port being wrapped: an asynchronous configuration port that
+// keeps a per-class meter (both jtag.Port and bitstream.ParallelPort
+// qualify).
 type Inner interface {
 	bitstream.AsyncPort
-	Cycles() uint64
-	RestoreCycles(uint64)
+	bitstream.Metered
 }
 
 // Port is a fault-injecting bitstream.AsyncPort wrapper. The zero fault plan
@@ -276,12 +275,12 @@ func (f *Port) Elapsed() float64 { return f.inner.Elapsed() }
 // invisible to reports and journal init records).
 func (f *Port) Name() string { return f.inner.Name() }
 
-// Cycles exposes the inner port's cycle counter.
-func (f *Port) Cycles() uint64 { return f.inner.Cycles() }
+// Cycles exposes the inner port's foreground cycle count.
+func (f *Port) Cycles() uint64 { return f.inner.Meter().Usage(bitstream.Foreground).Cycles }
 
-// RestoreCycles overwrites the inner port's cycle counter (journal recovery
-// and retry compensation).
-func (f *Port) RestoreCycles(n uint64) { f.inner.RestoreCycles(n) }
+// Meter implements bitstream.Metered: the wrapper charges nothing of its
+// own, so its meter is the inner port's.
+func (f *Port) Meter() *bitstream.Meter { return f.inner.Meter() }
 
 // SetCompress forwards compression control to the inner port, so a
 // fault-injected system can run compressed streams. Faults are injected on
@@ -303,21 +302,9 @@ func (f *Port) Compressed() bool {
 	return false
 }
 
-// Traffic exposes the inner port's write-traffic counters (zero-valued when
-// unsupported).
+// Traffic exposes the inner port's foreground write-traffic counters.
 func (f *Port) Traffic() bitstream.Traffic {
-	if tp, ok := f.inner.(bitstream.CompressPort); ok {
-		return tp.Traffic()
-	}
-	return bitstream.Traffic{}
-}
-
-// RestoreTraffic overwrites the inner port's traffic counters (journal
-// recovery and retry compensation). No-op when unsupported.
-func (f *Port) RestoreTraffic(t bitstream.Traffic) {
-	if tp, ok := f.inner.(bitstream.CompressPort); ok {
-		tp.RestoreTraffic(t)
-	}
+	return f.inner.Meter().Usage(bitstream.Foreground).Traffic
 }
 
 var _ bitstream.AsyncPort = (*Port)(nil)

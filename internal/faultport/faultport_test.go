@@ -213,8 +213,8 @@ func TestFlipBit(t *testing.T) {
 }
 
 // TestAccountingPassthrough: the wrapper is accounting-transparent — cycles,
-// elapsed time and the port name all come from the inner transport, and a
-// healthy wrapped run matches an unwrapped twin bit for bit.
+// elapsed time, the meter and the port name all come from the inner
+// transport, and a healthy wrapped run matches an unwrapped twin bit for bit.
 func TestAccountingPassthrough(t *testing.T) {
 	p, inner, dev := newPort(t, 9)
 	twinDev := fabric.NewDevice(fabric.TestDevice)
@@ -238,8 +238,7 @@ func TestAccountingPassthrough(t *testing.T) {
 	if p.Name() != twin.Name() {
 		t.Fatalf("name: wrapped %q, twin %q", p.Name(), twin.Name())
 	}
-	p.RestoreCycles(123)
-	if inner.Cycles() != 123 {
-		t.Fatalf("RestoreCycles did not reach the inner port: %d", inner.Cycles())
+	if p.Meter() != inner.Meter() {
+		t.Fatal("Meter() is not the inner port's meter")
 	}
 }

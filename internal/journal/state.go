@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"repro/internal/bitstream"
 	"repro/internal/fabric"
 	"repro/internal/netlist"
 	"repro/internal/relocate"
@@ -13,13 +14,11 @@ import (
 // Init is the journal's opening record: everything needed to rebuild a
 // matching System over the same device geometry before replaying state.
 type Init struct {
-	Preset     string  `json:"preset"`
-	Rows       int     `json:"rows,omitempty"` // geometry cross-check
-	Cols       int     `json:"cols,omitempty"`
-	Port       string  `json:"port"` // "jtag", "selectmap", "custom"
-	ClockHz    float64 `json:"clock_hz,omitempty"`
-	AppClockHz float64 `json:"app_clock_hz,omitempty"`
-	Serial     bool    `json:"serial,omitempty"`
+	Preset  string  `json:"preset"`
+	Rows    int     `json:"rows,omitempty"` // geometry cross-check
+	Cols    int     `json:"cols,omitempty"`
+	Port    string  `json:"port"` // "jtag", "selectmap", "custom"
+	ClockHz float64 `json:"clock_hz,omitempty"`
 	// Compress records that the port delivered compressed (delta/MFWR)
 	// write streams; recovery rebuilds the system compressed so its traffic
 	// and cycle accounting stay bit-identical. Absent in older journals.
@@ -90,34 +89,23 @@ type Alloc struct {
 
 // State is the complete host book-keeping at a committed operation
 // boundary: designs, pad reservations, area occupancy, and the accounting
-// counters (engine statistics, port cycle counter, engine tick cursor) that
-// make a recovered system's TCK accounting bit-identical to a never-crashed
-// twin's.
+// counters (engine statistics, the port meter's per-class usage, engine
+// tick cursor) that make a recovered system's TCK accounting bit-identical
+// to a never-crashed twin's.
 type State struct {
-	Seq        uint64          `json:"seq"`
-	Designs    []DesignState   `json:"designs,omitempty"`
-	Pads       []fabric.PadRef `json:"pads,omitempty"`
-	Allocs     []Alloc         `json:"allocs,omitempty"`
-	NextAlloc  int             `json:"next_alloc"`
-	Stats      relocate.Stats  `json:"stats"`
-	PortCycles uint64          `json:"port_cycles"`
-	LastTick   float64         `json:"last_tick"`
-	// WordsShifted/FullWords/FramesDelivered mirror the port's write-traffic
-	// counters (bitstream.Traffic) at the commit boundary; recovery restores
-	// them alongside PortCycles. Absent in pre-compression journals, which
-	// decode to zero counters.
-	WordsShifted    uint64 `json:"words_shifted,omitempty"`
-	FullWords       uint64 `json:"full_words,omitempty"`
-	FramesDelivered uint64 `json:"frames_delivered,omitempty"`
-	// Quarantined lists the configuration frames masked out after persistent
-	// write failures; recovery re-applies the mask (frame filter plus area
-	// quarantine) before anything is delivered. Absent in pre-quarantine
-	// journals, which decode to an empty mask.
-	Quarantined []fabric.FrameAddr `json:"quarantined,omitempty"`
+	Seq       uint64          `json:"seq"`
+	Designs   []DesignState   `json:"designs,omitempty"`
+	Pads      []fabric.PadRef `json:"pads,omitempty"`
+	Allocs    []Alloc         `json:"allocs,omitempty"`
+	NextAlloc int             `json:"next_alloc"`
+	Stats     relocate.Stats  `json:"stats"`
+	// Port is the port meter's reading, one Usage per bitstream.Class.
+	Port     []bitstream.Usage `json:"port,omitempty"`
+	LastTick float64           `json:"last_tick"`
 	// Health is the per-column health ledger (states, error rates, probe
-	// history) of the self-healing layer; recovery restores it after
-	// re-applying the quarantine mask. Absent in older journals, which
-	// decode to a ledger derived from Quarantined alone.
+	// history) of the self-healing layer. It is the only record of column
+	// quarantine: recovery restores it and re-applies the area mask of its
+	// quarantined columns before anything is delivered.
 	Health []ColumnHealth `json:"health,omitempty"`
 }
 

@@ -7,20 +7,19 @@ import (
 	"repro/internal/fabric"
 )
 
-// Port drives a Chain as a Boundary-Scan configuration port, counting every
-// TCK cycle. It implements bitstream.Port and bitstream.AsyncPort: a partial
-// bitstream can be enqueued with StreamUpdates and shifts out on a
-// background worker while the host plans the next operation — the paper's
-// natural pipeline, since the Boundary-Scan shift is by far the slowest
-// stage. The TCK cost of a burst is a pure function of its word count, so it
-// is added to the cycle counter at enqueue time: Elapsed is deterministic
-// and identical between pipelined and serial delivery.
+// Port drives a Chain as a Boundary-Scan configuration port, charging every
+// TCK cycle to its meter's current class. It implements bitstream.Port and
+// bitstream.AsyncPort: a partial bitstream can be enqueued with
+// StreamUpdates and shifts out on a background worker while the host plans
+// the next operation — the paper's natural pipeline, since the
+// Boundary-Scan shift is by far the slowest stage. The TCK cost of a burst
+// is a pure function of its word count, so it is charged at enqueue time:
+// Elapsed is deterministic and identical between pipelined and serial
+// delivery.
 type Port struct {
 	Chain    *Chain
-	TCKHz    float64
-	cycles   uint64
+	meter    bitstream.Meter
 	compress bool
-	traffic  bitstream.Traffic
 	q        bitstream.StreamQueue
 }
 
@@ -30,14 +29,14 @@ const DefaultTCKHz = 20e6
 // NewPort attaches a Boundary-Scan port to a configuration controller and
 // resets the TAP.
 func NewPort(ctrl *bitstream.Controller, tckHz float64) *Port {
-	p := &Port{Chain: NewChain(ctrl, 0x0050C093 /* Virtex-family-style idcode */), TCKHz: tckHz}
+	p := &Port{Chain: NewChain(ctrl, 0x0050C093 /* Virtex-family-style idcode */), meter: bitstream.Meter{Hz: tckHz}}
 	p.q.Deliver = p.deliverBurst
 	p.ResetTAP()
 	return p
 }
 
 func (p *Port) step(tms, tdi bool) bool {
-	p.cycles++
+	p.meter.Charge(1)
 	return p.Chain.Step(tms, tdi)
 }
 
@@ -50,8 +49,8 @@ func (p *Port) ResetTAP() {
 	p.step(false, false)
 }
 
-// stepFn advances a TAP by one TCK cycle. The port's own step counts into
-// its cycle counter; the background worker supplies a locally counting one.
+// stepFn advances a TAP by one TCK cycle. The port's own step charges its
+// meter; the background worker supplies a locally counting one.
 type stepFn func(tms, tdi bool) bool
 
 // LoadIR shifts an instruction into the IR and returns to Run-Test/Idle.
@@ -122,7 +121,7 @@ func (p *Port) WriteUpdates(updates []bitstream.FrameUpdate) error {
 	if err := p.AwaitStream(); err != nil {
 		return err
 	}
-	words := bitstream.EncodeStream(p.Chain.ctrl.Device(), p.compress, updates, &p.traffic)
+	words := bitstream.EncodeStream(p.Chain.ctrl.Device(), p.compress, updates, p.meter.Traffic())
 	if len(words) == 0 {
 		return nil // every frame was an identical rewrite: nothing to shift
 	}
@@ -142,16 +141,16 @@ func burstCycles(nWords int) uint64 {
 	return uint64(IRLength+6) + uint64(32*nWords+5)
 }
 
-// StreamUpdates implements bitstream.AsyncPort: the burst's TCK cost lands
-// on the cycle counter now; the TAP stepping — the expensive part of the
-// Boundary-Scan model — runs on the queue's background worker.
+// StreamUpdates implements bitstream.AsyncPort: the burst's TCK cost is
+// charged now; the TAP stepping — the expensive part of the Boundary-Scan
+// model — runs on the queue's background worker.
 // A fully elided burst (compression skipped every frame) still enqueues —
 // zero words, zero cycles — so callers' CompletedBursts book-keeping stays
 // in lockstep with their enqueue count.
 func (p *Port) StreamUpdates(updates []bitstream.FrameUpdate) {
-	words := bitstream.EncodeStream(p.Chain.ctrl.Device(), p.compress, updates, &p.traffic)
+	words := bitstream.EncodeStream(p.Chain.ctrl.Device(), p.compress, updates, p.meter.Traffic())
 	if len(words) > 0 {
-		p.cycles += burstCycles(len(words))
+		p.meter.Charge(burstCycles(len(words)))
 	}
 	p.q.Enqueue(words)
 }
@@ -215,19 +214,17 @@ func (p *Port) ReadFrame(addr fabric.FrameAddr) ([]uint32, error) {
 	return out, nil
 }
 
-// Elapsed implements bitstream.Port.
-func (p *Port) Elapsed() float64 { return float64(p.cycles) / p.TCKHz }
+// Elapsed implements bitstream.Port (foreground traffic only).
+func (p *Port) Elapsed() float64 { return p.meter.Seconds(bitstream.Foreground) }
 
 // Name implements bitstream.Port.
 func (p *Port) Name() string { return "Boundary-Scan" }
 
-// Cycles returns the total TCK cycles consumed.
-func (p *Port) Cycles() uint64 { return p.cycles }
+// Cycles returns the foreground TCK cycles consumed.
+func (p *Port) Cycles() uint64 { return p.meter.Usage(bitstream.Foreground).Cycles }
 
-// RestoreCycles overwrites the TCK cycle counter — the journal-recovery
-// path restores the counter a crashed system had accounted, so elapsed-time
-// book-keeping survives a crash bit-identically.
-func (p *Port) RestoreCycles(n uint64) { p.cycles = n }
+// Meter implements bitstream.Metered.
+func (p *Port) Meter() *bitstream.Meter { return &p.meter }
 
 // SetCompress implements bitstream.CompressPort.
 func (p *Port) SetCompress(on bool) { p.compress = on }
@@ -236,13 +233,11 @@ func (p *Port) SetCompress(on bool) { p.compress = on }
 func (p *Port) Compressed() bool { return p.compress }
 
 // Traffic implements bitstream.CompressPort.
-func (p *Port) Traffic() bitstream.Traffic { return p.traffic }
-
-// RestoreTraffic implements bitstream.CompressPort.
-func (p *Port) RestoreTraffic(t bitstream.Traffic) { p.traffic = t }
+func (p *Port) Traffic() bitstream.Traffic { return p.meter.Usage(bitstream.Foreground).Traffic }
 
 var (
 	_ bitstream.Port         = (*Port)(nil)
 	_ bitstream.AsyncPort    = (*Port)(nil)
 	_ bitstream.CompressPort = (*Port)(nil)
+	_ bitstream.Metered      = (*Port)(nil)
 )

@@ -77,10 +77,11 @@ type Stats struct {
 	SerialFallbacks int
 	// Fault-tolerance layer counters (the facade's retry/quarantine/scrub
 	// ladder). RetrySeconds and ScrubSeconds are the transport time spent
-	// on re-delivery and on scrubbing; both are accounted here and
-	// compensated out of the port's cycle counter, so the foreground
-	// accounting (PortSeconds, Elapsed, Cycles) stays bit-identical to a
-	// fault-free twin's.
+	// on re-delivery and on scrubbing. The port's meter charges that
+	// traffic to classes of its own, so the foreground accounting
+	// (PortSeconds, Elapsed, Cycles) stays bit-identical to a fault-free
+	// twin's; the run-time manager's Stats reads the seconds from the
+	// meter and the engine never writes them.
 	FaultsDetected    int
 	FaultRetries      int
 	RetriesExhausted  int
@@ -93,8 +94,8 @@ type Stats struct {
 	// Health lifecycle counters (the facade's self-healing layer): columns
 	// marked suspect by the error-rate tracker, quarantine probes issued and
 	// failed, and columns released back into service. ProbeSeconds is the
-	// transport time spent probing, compensated out of the port's cycle
-	// counter like RetrySeconds/ScrubSeconds.
+	// transport time spent probing, read from the meter like
+	// RetrySeconds/ScrubSeconds.
 	ColumnsSuspected    int
 	Probes              int
 	ProbeFailures       int
@@ -209,7 +210,7 @@ func (e *Engine) Tick(minCycles int) error { return e.tick(minCycles) }
 func (e *Engine) LastTick() float64 { return e.lastTick }
 
 // RestoreAccounting overwrites the engine's cumulative statistics and tick
-// cursor. Journal recovery uses it (together with the port's RestoreCycles)
+// cursor. Journal recovery uses it (together with the port meter's Restore)
 // to make a recovered system's accounting bit-identical to a never-crashed
 // twin's: the physical reconciliation traffic is reported separately, not
 // folded into the restored counters.

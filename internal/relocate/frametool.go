@@ -108,12 +108,14 @@ type FrameTool struct {
 	unharvested    []fabric.FrameAddr
 	unharvestedSet map[fabric.FrameAddr]bool
 
-	// quarantined frames are condemned configuration memory: staged writes
-	// to them still update the shadow and the device model (the host view
-	// stays coherent), but Flush silently drops them from port delivery and
-	// the cautious readback mode skips them — nothing live may depend on a
-	// quarantined frame (the area manager's mask guarantees that).
-	quarantined map[fabric.FrameAddr]bool
+	// Masked, when set, reports the configuration columns (by frame-address
+	// major) that are condemned memory: staged writes to their frames still
+	// update the shadow and the device model (the host view stays
+	// coherent), but Flush silently drops them from port delivery and the
+	// cautious readback mode skips them — nothing live may depend on a
+	// masked column (the area manager's mask guarantees that). The run-time
+	// manager points it at its column health ledger; nil masks nothing.
+	Masked func(major int) bool
 
 	// Delta baselines for compressed delivery. lastSent holds, per frame,
 	// the content most recently handed to the port (captured lazily from the
@@ -305,28 +307,6 @@ func (ft *FrameTool) SyncDeclared(cells []fabric.CellRef, nodes []fabric.NodeID,
 	return nil
 }
 
-// QuarantineFrame excludes a frame from port delivery. The caller (the
-// facade's fault-tolerance layer) has established that writes to the frame
-// fail persistently and has masked the corresponding logic out of the area
-// manager; the tool treats the frame as dead memory until an explicit
-// UnquarantineFrame (the facade's probe/release cycle) revives it.
-func (ft *FrameTool) QuarantineFrame(addr fabric.FrameAddr) {
-	if ft.quarantined == nil {
-		ft.quarantined = make(map[fabric.FrameAddr]bool)
-	}
-	ft.quarantined[addr] = true
-}
-
-// UnquarantineFrame returns a frame to port delivery after its column
-// passed the facade's probe/release cycle. The caller has re-verified the
-// configuration memory and restored the area manager's mask.
-func (ft *FrameTool) UnquarantineFrame(addr fabric.FrameAddr) {
-	delete(ft.quarantined, addr)
-}
-
-// FrameQuarantined reports whether a frame is excluded from port delivery.
-func (ft *FrameTool) FrameQuarantined(addr fabric.FrameAddr) bool { return ft.quarantined[addr] }
-
 // Port returns the configuration port.
 func (ft *FrameTool) Port() bitstream.Port { return ft.port }
 
@@ -393,7 +373,7 @@ func (ft *FrameTool) Apply(edits []Edit) error {
 		if err := ft.AwaitStream(); err != nil {
 			return err
 		}
-		if ft.ReadbackVerify && !ft.quarantined[addr] {
+		if ft.ReadbackVerify && (ft.Masked == nil || !ft.Masked(addr.Major)) {
 			got, err := ft.port.ReadFrame(addr)
 			if err != nil {
 				return fmt.Errorf("relocate: readback of %v: %w", addr, err)
@@ -495,10 +475,10 @@ func (ft *FrameTool) Flush() error {
 		}
 		return addrs[i].Minor < addrs[j].Minor
 	})
-	if len(ft.quarantined) > 0 {
+	if ft.Masked != nil {
 		kept := addrs[:0]
 		for _, addr := range addrs {
-			if !ft.quarantined[addr] {
+			if !ft.Masked(addr.Major) {
 				kept = append(kept, addr)
 			}
 		}

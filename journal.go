@@ -109,15 +109,13 @@ func (s *System) journalInit(cfg *config) error {
 		portKind = "selectmap"
 	}
 	init := journal.Init{
-		Preset:     s.dev.Name,
-		Rows:       s.dev.Rows,
-		Cols:       s.dev.Cols,
-		Port:       portKind,
-		ClockHz:    cfg.clockHz,
-		AppClockHz: cfg.appClockHz,
-		Serial:     cfg.serialCommit,
-		Compress:   cfg.compress,
-		PortWidth:  cfg.portWidth,
+		Preset:    s.dev.Name,
+		Rows:      s.dev.Rows,
+		Cols:      s.dev.Cols,
+		Port:      portKind,
+		ClockHz:   cfg.clockHz,
+		Compress:  cfg.compress,
+		PortWidth: cfg.portWidth,
 	}
 	if err := s.jrnl.j.Append(journal.RecInit, init); err != nil {
 		return err
@@ -175,7 +173,7 @@ func (s *System) journalCommitLocked() error {
 	dirty := js.cp.snap.Frames()
 	digests := make([]journal.FrameDigest, 0, len(dirty))
 	for _, addr := range dirty {
-		if s.quarantined[addr] {
+		if s.masked(addr.Major) {
 			// Condemned memory reads back garbage; a digest over it could
 			// never match and would force recovery into a spurious roll-back.
 			continue
@@ -259,27 +257,14 @@ func crcFrame(words []uint32) uint32 {
 	return crc32.ChecksumIEEE(buf)
 }
 
-// cyclePort is the optional port capability journal recovery needs to make
-// transport accounting crash-transparent.
-type cyclePort interface {
-	Cycles() uint64
-	RestoreCycles(uint64)
-}
-
 // journalStateLocked serialises the complete host book-keeping.
 func (s *System) journalStateLocked() journal.State {
 	st := journal.State{
 		Stats:    s.engine.Stats,
 		LastTick: s.engine.LastTick(),
 	}
-	if cp, ok := s.port.(cyclePort); ok {
-		st.PortCycles = cp.Cycles()
-	}
-	if tp, ok := s.port.(bitstream.CompressPort); ok {
-		t := tp.Traffic()
-		st.WordsShifted = t.WordsShifted
-		st.FullWords = t.FullWords
-		st.FramesDelivered = t.FramesDelivered
+	if s.meter != nil {
+		st.Port = s.meter.Usages()
 	}
 	names := make([]string, 0, len(s.designs))
 	for name := range s.designs {
@@ -319,16 +304,6 @@ func (s *System) journalStateLocked() journal.State {
 		st.Allocs = append(st.Allocs, journal.Alloc{ID: a.ID, Rect: a.Rect})
 	}
 	st.NextAlloc = next
-	for addr := range s.quarantined {
-		st.Quarantined = append(st.Quarantined, addr)
-	}
-	sort.Slice(st.Quarantined, func(i, j int) bool {
-		a, b := st.Quarantined[i], st.Quarantined[j]
-		if a.Major != b.Major {
-			return a.Major < b.Major
-		}
-		return a.Minor < b.Minor
-	})
 	for _, c := range s.health.Columns() {
 		st.Health = append(st.Health, journal.ColumnHealth{
 			Major:       c.Major,

@@ -25,8 +25,7 @@ type config struct {
 	device       fabric.Preset
 	port         PortKind
 	clockHz      float64
-	appClockHz   float64
-	serialCommit bool
+	serialCommit bool // test hook: see withSerialCommit in pipeline_test.go
 	portFactory  func(*bitstream.Controller) bitstream.Port
 	tmplPolicy   *template.Policy
 	journalPath  string
@@ -57,21 +56,6 @@ func WithPort(k PortKind) Option {
 // 20 MHz TCK for Boundary-Scan, 50 MHz for SelectMAP).
 func WithClock(hz float64) Option {
 	return func(c *config) { c.clockHz = hz }
-}
-
-// WithAppClock sets the application clock in Hz, used to convert port
-// transport time into elapsed application cycles during relocation waits.
-func WithAppClock(hz float64) Option {
-	return func(c *config) { c.appClockHz = hz }
-}
-
-// WithSerialCommit disables the two-stage commit pipeline: every partial
-// bitstream is delivered synchronously before the next operation plans.
-// Configuration memory and cycle accounting are bit-identical either way
-// (the property the pipeline tests pin down); serial mode exists for that
-// comparison and for debugging.
-func WithSerialCommit() Option {
-	return func(c *config) { c.serialCommit = true }
 }
 
 // WithTemplateCache enables the content-addressed template cache: cold
@@ -130,9 +114,9 @@ func WithRetryPolicy(p RetryPolicy) Option {
 // the golden shadow content (the same bits the journal's dirty-frame digests
 // attest) and rewrites any frame that silently diverged (the SEU model),
 // emitting ScrubRepair events. The scrubber yields to foreground work — a
-// pass is skipped while an operation's stream is in flight — and its
-// transport traffic is compensated out of the port's cycle accounting
-// (reported as Stats.ScrubSeconds instead). Stop it with System.Close.
+// pass is skipped while an operation's stream is in flight — and the port
+// meter charges its transport traffic to the scrub class, not the
+// foreground (Stats.ScrubSeconds reports it). Stop it with System.Close.
 // batchFrames bounds the frames checked per pass (0 = a default of 32).
 func WithScrubber(interval time.Duration, batchFrames int) Option {
 	return func(c *config) { c.scrubEvery, c.scrubBatch = interval, batchFrames }

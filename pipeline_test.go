@@ -12,6 +12,14 @@ import (
 	"repro/internal/jtag"
 )
 
+// withSerialCommit is the test hook that disables the two-stage commit
+// pipeline: every partial bitstream is delivered synchronously before the
+// next operation plans. Configuration memory and cycle accounting are
+// bit-identical either way, which is the property the pipeline tests pin.
+func withSerialCommit() Option {
+	return func(c *config) { c.serialCommit = true }
+}
+
 // comparePipelinedSerial asserts the two systems' configuration memories are
 // bit-identical frame by frame and their Boundary-Scan cycle counters agree
 // (transport time is accounted at enqueue, so pipelined and serial delivery
@@ -59,7 +67,7 @@ func TestPipelinedCommitBitIdenticalToSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := New(WithDevice(fabric.XCV50), WithPort(BoundaryScan), WithSerialCommit())
+	serial, err := New(WithDevice(fabric.XCV50), WithPort(BoundaryScan), withSerialCommit())
 	if err != nil {
 		t.Fatal(err)
 	}

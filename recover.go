@@ -38,10 +38,10 @@ type RecoverReport struct {
 	// roll-back (0 for clean and rolled-forward recoveries).
 	FramesRestored int
 	// RecoverySeconds is the configuration-port transport time the
-	// reconciliation itself consumed. It is reported here and NOT added to
-	// the recovered system's accounting: the restored counters are the
-	// never-crashed twin's, which is what makes recovery transparent to the
-	// paper's cost model.
+	// reconciliation itself consumed: the port meter's recovery class. It is
+	// reported here and NOT kept in the recovered system's accounting: the
+	// restored meter is the never-crashed twin's, which is what makes
+	// recovery transparent to the paper's cost model.
 	RecoverySeconds float64
 	// Designs lists the designs live in the recovered system.
 	Designs []string
@@ -93,17 +93,6 @@ func Recover(dev *fabric.Device, journalPath string, opts ...Option) (*System, *
 	if err != nil {
 		return nil, nil, err
 	}
-	// Engine initialisation traffic is part of a fresh system's deterministic
-	// accounting; remember it so a nothing-ever-committed recovery can rewind
-	// the reconciliation traffic without losing it.
-	var freshCycles uint64
-	if cp, ok := s.port.(cyclePort); ok {
-		freshCycles = cp.Cycles()
-	}
-	var freshTraffic bitstream.Traffic
-	if tp, ok := s.port.(bitstream.CompressPort); ok {
-		freshTraffic = tp.Traffic()
-	}
 	j, err := journal.OpenAppend(journalPath, rs.ValidLen)
 	if err != nil {
 		return nil, nil, fmt.Errorf("rlm: reopening journal: %w", err)
@@ -112,24 +101,24 @@ func Recover(dev *fabric.Device, journalPath string, opts ...Option) (*System, *
 	target := rs.State
 	if rs.Tail != nil {
 		rep.TailOp = rs.Tail.Begin.Op
-		forward := false
-		if rs.Tail.Post != nil {
-			forward, err = s.digestsMatch(rs.Tail.Post.Dirty, rep)
-			if err != nil {
-				j.Close()
-				return nil, nil, err
+		err = s.charge(bitstream.Recovery, func() (err error) {
+			forward := false
+			if rs.Tail.Post != nil {
+				if forward, err = s.digestsMatch(rs.Tail.Post.Dirty, rep); err != nil {
+					return err
+				}
 			}
-		}
-		if forward {
-			rep.Action = "rolled-forward"
-			target = rs.Tail.Post.State
-			err = sealTail(j, journal.RecCommit, rs.Tail.Begin.Seq)
-		} else {
+			if forward {
+				rep.Action = "rolled-forward"
+				target = rs.Tail.Post.State
+				return sealTail(j, journal.RecCommit, rs.Tail.Begin.Seq)
+			}
 			rep.Action = "rolled-back"
-			if err = s.applyUndo(rs.Tail.Undo, rep); err == nil {
-				err = sealTail(j, journal.RecAbort, rs.Tail.Begin.Seq)
+			if err = s.applyUndo(rs.Tail.Undo, rep); err != nil {
+				return err
 			}
-		}
+			return sealTail(j, journal.RecAbort, rs.Tail.Begin.Seq)
+		})
 		if err != nil {
 			j.Close()
 			return nil, nil, err
@@ -143,31 +132,17 @@ func Recover(dev *fabric.Device, journalPath string, opts ...Option) (*System, *
 	for _, ds := range target.Designs {
 		rep.Designs = append(rep.Designs, ds.Name)
 	}
-	// Measure the reconciliation's own transport cost before the restored
-	// counters overwrite it.
-	rep.RecoverySeconds = s.port.Elapsed()
+	// Read the reconciliation's own transport cost before the restored meter
+	// overwrites it. With nothing ever committed there is nothing to
+	// restore: the fresh port's construction traffic is the never-crashed
+	// twin's too, and the reconciliation never left the recovery class.
+	if s.meter != nil {
+		rep.RecoverySeconds = s.meter.Seconds(bitstream.Recovery)
+	}
 	if target.Seq > 0 {
 		s.engine.RestoreAccounting(target.Stats, target.LastTick)
-		if cp, ok := s.port.(cyclePort); ok {
-			cp.RestoreCycles(target.PortCycles)
-		}
-		if tp, ok := s.port.(bitstream.CompressPort); ok {
-			tp.RestoreTraffic(bitstream.Traffic{
-				WordsShifted:    target.WordsShifted,
-				FullWords:       target.FullWords,
-				FramesDelivered: target.FramesDelivered,
-			})
-		}
-	} else {
-		if cp, ok := s.port.(cyclePort); ok {
-			// Nothing ever committed: the journaled state is zero-valued, but a
-			// fresh system's engine initialisation itself costs port cycles (the
-			// never-crashed twin kept them). Rewind the reconciliation traffic
-			// only, leaving the deterministic initialisation cost in place.
-			cp.RestoreCycles(freshCycles)
-		}
-		if tp, ok := s.port.(bitstream.CompressPort); ok {
-			tp.RestoreTraffic(freshTraffic)
+		if s.meter != nil {
+			s.meter.Restore(target.Port)
 		}
 	}
 	s.attachJournal(j, rs.LastSeq)
@@ -190,8 +165,6 @@ func configFromInit(init journal.Init) config {
 		cfg.port = BoundaryScan
 	}
 	cfg.clockHz = init.ClockHz
-	cfg.appClockHz = init.AppClockHz
-	cfg.serialCommit = init.Serial
 	cfg.compress = init.Compress
 	cfg.portWidth = init.PortWidth
 	return cfg
@@ -319,16 +292,10 @@ func (s *System) installState(st *journal.State) error {
 			return fmt.Errorf("%w: %v", journal.ErrMalformed, err)
 		}
 	}
-	// Re-apply the journaled quarantine mask before anything else delivers
-	// frames: the frame filter and the area mask are permanent, and the
-	// journaled Stats already count the quarantine (record off).
-	if len(st.Quarantined) > 0 {
-		s.quarantineFramesLocked(st.Quarantined, false)
-	}
-	// Restore the health ledger on top of the mask: quarantineFramesLocked
-	// already condemned the masked columns in the tracker (a backward-compat
-	// default for journals without a ledger); a journaled ledger overrides it
-	// with the exact states, rates and probe streaks.
+	// Restore the health ledger — the frame tool's delivery mask reads it —
+	// and re-apply the area mask of its quarantined CLB columns before
+	// anything else delivers frames. The journaled Stats already count the
+	// quarantine.
 	if len(st.Health) > 0 {
 		cols := make([]health.Column, 0, len(st.Health))
 		for _, h := range st.Health {
@@ -344,6 +311,11 @@ func (s *System) installState(st *journal.State) error {
 			})
 		}
 		s.health.Restore(cols)
+	}
+	for _, major := range s.health.QuarantinedMajors() {
+		if col, ok := s.dev.ColumnByMajor(major); ok && col.Kind == fabric.ColCLB {
+			s.area.Quarantine(fabric.Rect{Row: 0, Col: col.ArrayCol, H: s.dev.Rows, W: 1})
+		}
 	}
 	// Capture the reconciled device into the tool's shadow (the paper's
 	// complete configuration copy) and rebuild routing occupancy from it.

@@ -33,9 +33,9 @@ type ScrubReport struct {
 // Scrub runs one scrub pass over at most maxFrames frames (0 sweeps the
 // whole device), resuming round-robin where the previous pass stopped. The
 // pass yields — returns with Skipped set — when a background stream is in
-// flight. Scrub transport traffic is compensated out of the port's cycle
-// accounting and reported as Stats.ScrubSeconds, so foreground accounting
-// stays bit-identical to an unscrubbed twin's.
+// flight. The port meter charges scrub traffic to its scrub class (reported
+// as Stats.ScrubSeconds), so foreground accounting stays bit-identical to an
+// unscrubbed twin's.
 func (s *System) Scrub(maxFrames int) (*ScrubReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -56,11 +56,11 @@ func (s *System) scrubLocked(maxFrames int) (*ScrubReport, error) {
 		maxFrames = len(addrs)
 	}
 	var changes []*health.Change
-	err := s.compensatePort(&s.engine.Stats.ScrubSeconds, func() error {
+	err := s.charge(bitstream.Scrub, func() error {
 		for i := 0; i < maxFrames; i++ {
 			addr := addrs[s.scrubCursor%len(addrs)]
 			s.scrubCursor = (s.scrubCursor + 1) % len(addrs)
-			if s.quarantined[addr] {
+			if s.masked(addr.Major) {
 				continue
 			}
 			want, ok := s.engine.Tool.Shadow().Frame(addr)
@@ -89,10 +89,10 @@ func (s *System) scrubLocked(maxFrames int) (*ScrubReport, error) {
 		}
 		return nil
 	})
-	// Apply tracker decisions outside the compensate window: a preemptive
+	// Apply tracker decisions outside the scrub charge: a preemptive
 	// condemnation evacuates residents, and that traffic is a real foreground
 	// relocation, not scrub overhead.
-	s.applyHealthChangesLocked(changes, true)
+	s.applyHealthChangesLocked(changes)
 	if err != nil {
 		return rep, err
 	}
@@ -104,9 +104,9 @@ func (s *System) scrubLocked(maxFrames int) (*ScrubReport, error) {
 // quarantined column is exercised with a test pattern (write the bit-inverse
 // of the golden content, read it back, restore golden, read that back), one
 // probe per column per scrub pass. A column that accumulates the policy's
-// streak of clean probes is released into probation. Probe traffic is
-// compensated out of the port accounting as Stats.ProbeSeconds; probes only
-// touch quarantined frames, which carry no live design.
+// streak of clean probes is released into probation. The port meter charges
+// probe traffic to its probe class (reported as Stats.ProbeSeconds); probes
+// only touch quarantined frames, which carry no live design.
 func (s *System) probeQuarantinedLocked() {
 	if s.health.Policy().ProbesToRelease <= 0 {
 		return
@@ -122,7 +122,7 @@ func (s *System) probeQuarantinedLocked() {
 			continue
 		}
 		clean := true
-		_ = s.compensatePort(&s.engine.Stats.ProbeSeconds, func() error {
+		_ = s.charge(bitstream.Probe, func() error {
 			for minor := 0; minor < col.Frames; minor++ {
 				fa := fabric.FrameAddr{Major: major, Minor: minor}
 				golden, ok := s.engine.Tool.Shadow().Frame(fa)
@@ -147,7 +147,7 @@ func (s *System) probeQuarantinedLocked() {
 	// shadow's view and any crash-consistency mirror re-confirm the golden
 	// content the probes restored.
 	_ = s.engine.Tool.Sync()
-	s.applyHealthChangesLocked(changes, true)
+	s.applyHealthChangesLocked(changes)
 }
 
 // probeFrameLocked runs the pattern test on one frame and reports whether it

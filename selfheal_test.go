@@ -205,8 +205,8 @@ func TestScrubPreemptiveQuarantineAndProbeRelease(t *testing.T) {
 // TestStallWatchdog covers the watchdog's two modes. Without a retry policy
 // a hung transport surfaces as a typed ErrPortStalled well before the stall
 // clears, and the operation rolls back. With the retry ladder armed, every
-// stall is absorbed by a compensated re-delivery, and the run stays
-// bit-identical to an unstalled twin.
+// stall is absorbed by a re-delivery charged to the retry class, and the
+// run stays bit-identical to an unstalled twin.
 func TestStallWatchdog(t *testing.T) {
 	t.Run("typed-failure", func(t *testing.T) {
 		const stall = 400 * time.Millisecond
@@ -436,9 +436,9 @@ func TestCloseUnderLoadNoGoroutineLeak(t *testing.T) {
 
 // maskSoakStats additionally zeroes every counter the self-healing layer
 // owns, on top of the fault-layer mask: the chaos soak asserts that all
-// maintenance traffic — retries, scrubs, probes, quarantine churn — is
-// compensated out, leaving the foreground accounting bit-identical to a
-// fault-free twin's.
+// maintenance traffic — retries, scrubs, probes, quarantine churn — stays
+// out of the foreground, leaving the foreground accounting bit-identical to
+// a fault-free twin's.
 func maskSoakStats(st hostState) hostState {
 	st = maskFaultStats(st)
 	st.stats.RetriesExhausted = 0
@@ -446,11 +446,9 @@ func maskSoakStats(st hostState) hostState {
 	st.stats.DesignsEvacuated = 0
 	st.stats.ScrubChecked = 0
 	st.stats.ScrubRepairs = 0
-	st.stats.ScrubSeconds = 0
 	st.stats.ColumnsSuspected = 0
 	st.stats.Probes = 0
 	st.stats.ProbeFailures = 0
-	st.stats.ProbeSeconds = 0
 	st.stats.QuarantinesReleased = 0
 	return st
 }

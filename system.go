@@ -50,6 +50,11 @@ type System struct {
 	engine *relocate.Engine
 	area   *area.Manager
 
+	// meter is the port's per-class cost ledger (nil for a custom port
+	// without one). The facade's direct port calls are all maintenance
+	// traffic, and charge names the class they go to.
+	meter *bitstream.Meter
+
 	router  *route.Router
 	pads    map[fabric.PadRef]bool
 	designs map[string]*place.Design
@@ -75,15 +80,12 @@ type System struct {
 	// fault.go): harvest faults re-deliver from the shadow instead of
 	// immediately rolling the operation back.
 	retry *RetryPolicy
-	// health is the per-column health lifecycle tracker (see health.go).
+	// health is the per-column health lifecycle tracker (see health.go) and
+	// the one owner of column quarantine: the frame tool's delivery mask and
+	// the area manager's logic-space mask both follow its transitions.
 	// Always non-nil; the zero policy keeps every automatic transition off,
 	// reproducing the legacy permanent-quarantine behaviour.
 	health *health.Tracker
-	// quarantined is the set of configuration frames condemned after
-	// persistent write failures — masked out of port delivery and (for CLB
-	// columns) out of the area manager's logic space until the health
-	// lifecycle's probe/release cycle (if armed) revives the column.
-	quarantined map[fabric.FrameAddr]bool
 	// pendingBad holds frames the retry ladder's final verify condemned,
 	// consumed by quarantineSweepLocked after the failed op rolls back.
 	pendingBad []fabric.FrameAddr
@@ -185,9 +187,6 @@ func newSystem(cfg *config, dev *fabric.Device) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.appClockHz > 0 {
-		eng.AppClockHz = cfg.appClockHz
-	}
 	eng.Tool.Serial = cfg.serialCommit
 	eng.Tool.StallTimeout = cfg.stallTimeout
 	var tmpl *template.Store
@@ -213,6 +212,10 @@ func newSystem(cfg *config, dev *fabric.Device) (*System, error) {
 		hpol = *cfg.health
 	}
 	sys.health = health.NewTracker(hpol)
+	eng.Tool.Masked = sys.masked
+	if mp, ok := port.(bitstream.Metered); ok {
+		sys.meter = mp.Meter()
+	}
 	sys.armRetryLadder()
 	return sys, nil
 }
@@ -299,11 +302,21 @@ func (s *System) Map() string {
 	return s.area.String()
 }
 
-// Stats returns the relocation engine statistics.
+// Stats returns the relocation engine statistics, with the transport
+// seconds read from the port: PortSeconds is its foreground time, and
+// RetrySeconds, ScrubSeconds and ProbeSeconds are its meter's maintenance
+// classes (zero on a custom port without a meter).
 func (s *System) Stats() relocate.Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.engine.Stats
+	st := s.engine.Stats
+	st.PortSeconds = s.port.Elapsed()
+	if s.meter != nil {
+		st.RetrySeconds = s.meter.Seconds(bitstream.Retry)
+		st.ScrubSeconds = s.meter.Seconds(bitstream.Scrub)
+		st.ProbeSeconds = s.meter.Seconds(bitstream.Probe)
+	}
+	return st
 }
 
 // Traffic returns the port's configuration write-traffic counters (words
