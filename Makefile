@@ -1,4 +1,4 @@
-.PHONY: test race bench bench-baseline bench-module cover lint fuzz torture soak
+.PHONY: test race bench bench-baseline bench-module cover lint fuzz torture soak router-diff
 
 test:
 	go build ./... && go test ./...
@@ -12,6 +12,13 @@ race:
 torture:
 	go test -race -run 'TestCrashConsistency|TestRecover|TestCompressedDelivery|TestCompressionFig7' repro
 	go test -race -run 'TestChaosRetry|TestPersistentFault|TestScrub|TestBackgroundScrubber|TestCrashDuringRetry' repro
+
+# Mirrors the CI "Router differential (race)" step (keep the -run pattern in
+# sync with .github/workflows/ci.yml): routes node-for-node equal to the
+# reference router's, the fanout tables equal to FanoutOf, and a search that
+# queues no dead end.
+router-diff:
+	go test -race -run 'TestRouterMatchesReference|TestFanoutTemplate|TestSearchQueuesNoDeadEnds' ./internal/route ./internal/fabric
 
 # The self-healing chaos soak at full length (CI runs the short-mode variant
 # inside the fault-torture step): background scrubber + fault plan +

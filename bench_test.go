@@ -657,12 +657,19 @@ func BenchmarkTab226msRelocationTime(b *testing.B) {
 	// (ITC'99 circuits on an XCV200). We relocate every occupied CLB of a
 	// mapped gated-clock ITC'99 circuit through the Boundary-Scan model
 	// and report the measured mean.
-	// measure also reports the host-side planning cost (ms of wall-clock
-	// spent in placement/routing per CLB) and the pipeline overlap ratio
-	// (fraction of relocations that started executing while the previous
-	// operation's bitstream was still shifting out) — the two numbers the
-	// commit pipeline moves: planning now happens inside the shift window.
-	measure := func(circuit string, mkPort func(*fabric.Device) bitstream.Port) (msPerCLB float64, clbs int, hostMsPerCLB, overlap float64, cycles uint64, tr bitstream.Traffic) {
+	// setup builds the XCV200, places the circuit and builds the engine;
+	// measure relocates the placed CLBs and also reports the host-side
+	// planning cost (ms of wall-clock spent in placement/routing per CLB)
+	// and the pipeline overlap ratio (fraction of relocations that started
+	// executing while the previous operation's bitstream was still shifting
+	// out) — the two numbers the commit pipeline moves: planning now
+	// happens inside the shift window. The lanes time measure only.
+	type tab2Setup struct {
+		region fabric.Rect
+		d      *place.Design
+		eng    *relocate.Engine
+	}
+	setup := func(circuit string, mkPort func(*fabric.Device) bitstream.Port) tab2Setup {
 		dev := fabric.NewDevice(fabric.XCV200)
 		nl, err := itc99.Get(circuit)
 		if err != nil {
@@ -676,33 +683,35 @@ func BenchmarkTab226msRelocationTime(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		port := mkPort(dev)
-		eng, err := relocate.NewEngine(dev, port)
+		eng, err := relocate.NewEngine(dev, mkPort(dev))
 		if err != nil {
 			b.Fatal(err)
 		}
 		eng.MaxCyclesPerWait = 0
+		return tab2Setup{region: region, d: d, eng: eng}
+	}
+	measure := func(su tab2Setup) (msPerCLB float64, clbs int, hostMsPerCLB, overlap float64, cycles uint64, tr bitstream.Traffic) {
 		// Relocate every occupied CLB of the region far away.
 		seen := map[fabric.Coord]bool{}
 		totalSec := 0.0
-		dstRow, dstCol := region.Row+region.H+3, region.Col
-		for _, ref := range d.OccupiedCells() {
+		dstRow, dstCol := su.region.Row+su.region.H+3, su.region.Col
+		for _, ref := range su.d.OccupiedCells() {
 			if seen[ref.Coord] {
 				continue
 			}
 			seen[ref.Coord] = true
 			dst := fabric.Coord{Row: dstRow, Col: dstCol}
 			dstCol += 2
-			if dstCol >= dev.Cols-2 {
-				dstCol = region.Col
+			if dstCol >= su.eng.Dev.Cols-2 {
+				dstCol = su.region.Col
 				dstRow += 2
 			}
-			moves, err := eng.RelocateCLB(ref.Coord, dst)
+			moves, err := su.eng.RelocateCLB(ref.Coord, dst)
 			if err != nil {
 				b.Fatal(err)
 			}
 			for cell := 0; cell < fabric.CellsPerCLB; cell++ {
-				d.Rebind(fabric.CellRef{Coord: ref.Coord, Cell: cell}, fabric.CellRef{Coord: dst, Cell: cell})
+				su.d.Rebind(fabric.CellRef{Coord: ref.Coord, Cell: cell}, fabric.CellRef{Coord: dst, Cell: cell})
 			}
 			for _, mv := range moves {
 				totalSec += mv.Seconds
@@ -712,11 +721,12 @@ func BenchmarkTab226msRelocationTime(b *testing.B) {
 				break
 			}
 		}
-		st := eng.Stats
+		st := su.eng.Stats
 		hostMsPerCLB = st.PlanSeconds * 1e3 / float64(clbs)
 		if st.CellsRelocated > 0 {
 			overlap = float64(st.OverlappedOps) / float64(st.CellsRelocated)
 		}
+		port := su.eng.Tool.Port()
 		if cp, ok := port.(interface{ Cycles() uint64 }); ok {
 			cycles = cp.Cycles()
 		}
@@ -729,7 +739,7 @@ func BenchmarkTab226msRelocationTime(b *testing.B) {
 		fmt.Println("\nHeadline — mean CLB relocation time, gated-clock ITC'99 on XCV200, Boundary-Scan @ 20 MHz:")
 		fmt.Printf("%-8s %-10s %-12s %-14s %-10s (paper: 22.6 ms)\n", "circuit", "CLBs", "ms/CLB", "host-ms/CLB", "overlap")
 		for _, c := range []string{"b03", "b07", "b10"} {
-			ms, n, hostMs, ov, _, _ := measure(c, jtagBenchPort)
+			ms, n, hostMs, ov, _, _ := measure(setup(c, jtagBenchPort))
 			fmt.Printf("%-8s %-10d %-12.1f %-14.2f %-10.2f\n", c, n, ms, hostMs, ov)
 		}
 	})
@@ -753,7 +763,10 @@ func BenchmarkTab226msRelocationTime(b *testing.B) {
 			var tr bitstream.Traffic
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ms, _, h, ov, cy, tf := measure("b03", lane.mk)
+				b.StopTimer()
+				su := setup("b03", lane.mk)
+				b.StartTimer()
+				ms, _, h, ov, cy, tf := measure(su)
 				b.ReportMetric(ms, "ms/CLB")
 				hostMs, overlap, cycles, tr = h, ov, cy, tf
 			}

@@ -401,3 +401,30 @@ func TestStatsPortSecondsTracksPort(t *testing.T) {
 		}
 	}
 }
+
+// TestStatsFramesWrittenTracksTool: Stats().FramesWritten is the frame
+// tool's count after every kind of operation, not a snapshot the engine last
+// took inside a cell relocation (which an Unload, a translated move or a
+// defrag slide would leave stale).
+func TestStatsFramesWrittenTracksTool(t *testing.T) {
+	s := newSys(t)
+	steps := []struct {
+		name string
+		op   func() error
+	}{
+		{"load", func() error { _, err := s.Load(mkCounter("c1"), fabric.Rect{Row: 0, Col: 8, H: 2, W: 2}); return err }},
+		{"move", func() error { return s.Move("c1", fabric.Rect{Row: 6, Col: 10, H: 2, W: 2}) }},
+		{"unload", func() error { return s.Unload("c1") }},
+	}
+	for _, step := range steps {
+		if err := step.op(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		if got, want := s.Stats().FramesWritten, s.Engine().Tool.FramesWritten(); got != want {
+			t.Fatalf("after %s: Stats().FramesWritten = %d, Engine().Tool.FramesWritten() = %d", step.name, got, want)
+		}
+	}
+	if s.Stats().FramesWritten == 0 {
+		t.Fatal("no frames counted")
+	}
+}

@@ -188,6 +188,23 @@ func TestFanoutTemplateMatchesFanoutOf(t *testing.T) {
 	}
 }
 
+// TestFanoutTemplateOneTilePerLocal pins the invariant the router's
+// dead-end pruning rests on: all fanout of one local id lands in a single
+// tile offset (a single's in the next tile, a hex's six tiles on, a cell
+// output's in its own tile), so one range test per edge decides whether a
+// node's expansion can stay inside the search box.
+func TestFanoutTemplateOneTilePerLocal(t *testing.T) {
+	for local := 0; local < NodeSlots; local++ {
+		fan := FanoutTemplate(local)
+		for _, fr := range fan {
+			if fr.DRow != fan[0].DRow || fr.DCol != fan[0].DCol {
+				t.Errorf("local %d: fanout lands at offsets (%d,%d) and (%d,%d)",
+					local, fan[0].DRow, fan[0].DCol, fr.DRow, fr.DCol)
+			}
+		}
+	}
+}
+
 // TestGetTileFieldMatchesBitReads checks the word-level field read against
 // bit-by-bit reads through the same slot-to-frame mapping the writers use,
 // over random configuration memory, tiles, slots and widths.

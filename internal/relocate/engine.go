@@ -209,13 +209,14 @@ func (e *Engine) Tick(minCycles int) error { return e.tick(minCycles) }
 // of the state the journal persists.
 func (e *Engine) LastTick() float64 { return e.lastTick }
 
-// RestoreAccounting overwrites the engine's cumulative statistics and tick
-// cursor. Journal recovery uses it (together with the port meter's Restore)
-// to make a recovered system's accounting bit-identical to a never-crashed
-// twin's: the physical reconciliation traffic is reported separately, not
-// folded into the restored counters.
+// RestoreAccounting overwrites the engine's cumulative statistics, the frame
+// tool's frame count and the tick cursor. Journal recovery uses it (together
+// with the port meter's Restore) to make a recovered system's accounting
+// bit-identical to a never-crashed twin's: the physical reconciliation
+// traffic is reported separately, not folded into the restored counters.
 func (e *Engine) RestoreAccounting(st Stats, lastTick float64) {
 	e.Stats = st
+	e.Tool.frames = st.FramesWritten
 	e.lastTick = lastTick
 }
 

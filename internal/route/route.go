@@ -134,11 +134,31 @@ type Router struct {
 
 // hop is one fanout edge relative to its source: the sink lies dRow/dCol
 // tiles away, its NodeID is the source's plus delta, and delay is the
-// sink's wire delay (nodeDelay of the sink).
+// sink's wire delay (nodeDelay of the sink). farRow/farCol locate, relative
+// to the source as well, the one tile the sink's own fanout lands in (all
+// fanout of a local id shares one tile offset), and terminal marks a sink
+// with no fanout at all: an input pin. The search prunes on both.
 type hop struct {
-	dRow, dCol int32
-	delta      int32
-	delay      float64
+	dRow, dCol     int16
+	farRow, farCol int16
+	delta          int32
+	terminal       bool
+	delay          float64
+}
+
+// compileHop builds the hop to a sink with local id sinkLocal lying
+// dRow/dCol tiles from the source, at NodeID distance delta.
+func compileHop(dRow, dCol, sinkLocal int, delta int32) hop {
+	kind, _, _ := fabric.DecodeLocal(sinkLocal)
+	h := hop{dRow: int16(dRow), dCol: int16(dCol), farRow: int16(dRow), farCol: int16(dCol),
+		delta: delta, delay: fabric.WireDelayNs(kind)}
+	if far := fabric.FanoutTemplate(sinkLocal); len(far) == 0 {
+		h.terminal = true
+	} else {
+		h.farRow += int16(far[0].DRow)
+		h.farCol += int16(far[0].DCol)
+	}
+	return h
 }
 
 // NewRouter creates a router over a device.
@@ -168,13 +188,8 @@ func NewRouter(dev *fabric.Device) *Router {
 	for local := range r.hops {
 		start := len(flat)
 		for _, fr := range fabric.FanoutTemplate(local) {
-			kind, _, _ := fabric.DecodeLocal(fr.SinkLocal)
-			flat = append(flat, hop{
-				dRow:  int32(fr.DRow),
-				dCol:  int32(fr.DCol),
-				delta: int32((fr.DRow*dev.Cols+fr.DCol)*fabric.NodeSlots + fr.SinkLocal - local),
-				delay: fabric.WireDelayNs(kind),
-			})
+			flat = append(flat, compileHop(fr.DRow, fr.DCol, fr.SinkLocal,
+				int32((fr.DRow*dev.Cols+fr.DCol)*fabric.NodeSlots+fr.SinkLocal-local)))
 		}
 		r.hops[local] = flat[start:len(flat):len(flat)]
 	}
@@ -192,12 +207,8 @@ func (r *Router) padFanout(n fabric.NodeID, i int) []hop {
 	edges := r.dev.FanoutOf(n)
 	hs := make([]hop, len(edges))
 	for j, e := range edges {
-		hs[j] = hop{
-			dRow:  int32(e.SinkTile.Row - t.Row),
-			dCol:  int32(e.SinkTile.Col - t.Col),
-			delta: int32(int64(e.Sink) - int64(n)),
-			delay: nodeDelay(r.dev, e.Sink),
-		}
+		hs[j] = compileHop(e.SinkTile.Row-t.Row, e.SinkTile.Col-t.Col, e.SinkLocal,
+			int32(int64(e.Sink)-int64(n)))
 	}
 	r.padHops[i] = hs
 	return hs
@@ -381,9 +392,17 @@ func (r *Router) routeOne(seeds []fabric.NodeID, sink fabric.NodeID,
 //
 // The relaxation walks the compiled fanout template: per edge, one box test
 // (the box is clamped to the device, so it also rejects template offsets
-// that leave the array), the blocked stamp and the cost stamp. The
-// congestion terms are read only once RouteAll has allocated them; skipping
-// them adds nothing but exact zeros, so costs are bit-identical either way.
+// that leave the array), the dead-end tests, the blocked stamp and the cost
+// stamp. The congestion terms are read only once RouteAll has allocated
+// them; skipping them adds nothing but exact zeros, so costs are
+// bit-identical either way.
+//
+// Dead-end pruning is exact too. A pruned node's expansion would relax
+// nothing (a terminal has no fanout; every hop of the pruned wire fails the
+// box test), so popping it changes no other node's cost or predecessor, and
+// the heap pops in the total order (est, node): leaving it out of the queue
+// leaves every other pop, cost and predecessor, and therefore every route,
+// as it was.
 func (r *Router) searchOne(seeds []fabric.NodeID, sink fabric.NodeID,
 	netIdx int32, presentFactor float64, margin int, within *fabric.Rect) []fabric.NodeID {
 	dev := r.dev
@@ -470,11 +489,25 @@ func (r *Router) searchOne(seeds []fabric.NodeID, sink fabric.NodeID,
 				if nr != sinkTile.Row || nc != sinkTile.Col || nxt != target {
 					continue
 				}
-			} else if r.blockedAt[nxt] == epoch && nxt != target {
+			} else if nxt != target {
+				// Dead ends: a terminal, or a wire whose fanout lands
+				// outside the box and off the sink tile, would relax
+				// nothing when expanded, so it is neither stamped nor
+				// queued. A pad sink's pre-pad wires end the search when
+				// popped and stay.
+				if h.terminal {
+					continue
+				}
+				if fr, fc := row+int(h.farRow), col+int(h.farCol); (fr < minR || fr > maxR || fc < minC || fc > maxC) &&
+					(fr != sinkTile.Row || fc != sinkTile.Col) && !(padSink && slices.Contains(prePad[:], nxt)) {
+					continue
+				}
 				// The target itself may be "in use" (an already-driven pin
 				// being connected in PARALLEL — the relocation procedure's
 				// core move); only intermediate nodes must be free.
-				continue
+				if r.blockedAt[nxt] == epoch {
+					continue
+				}
 			}
 			c := it.cost + h.delay
 			if negotiating {

@@ -1,6 +1,8 @@
 package route
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/fabric"
@@ -333,5 +335,113 @@ func TestPadSinkIsTerminal(t *testing.T) {
 		if n >= dev.PadBase() {
 			t.Fatalf("pad node %d used as an expansion seed", n)
 		}
+	}
+}
+
+// TestSearchQueuesNoDeadEnds pins the search's dead-end pruning, which
+// TestRouterMatchesReference cannot see: routes are identical either way.
+// On an empty XCV200 it routes short seeded nets one RouteDisjoint call at a
+// time (cell output to input pin, cell output to output pad, input pad to
+// input pin), each short enough that the first, margin-3 search stage
+// succeeds. After each call, every node the search stamped must be able to
+// relax something when expanded: a seed, the target, a pre-pad wire of a
+// pad target, or a non-terminal whose far-end tile lies inside the search
+// box or on the sink tile.
+func TestSearchQueuesNoDeadEnds(t *testing.T) {
+	const margin = 3 // searchMargins[0]
+	d := fabric.NewDevice(fabric.XCV200)
+	r := NewRouter(d)
+	rng := rand.New(rand.NewSource(15))
+	clamp := func(v, hi int) int { return max(0, min(hi, v)) }
+	near := func(c fabric.Coord) fabric.Coord {
+		return fabric.Coord{Row: clamp(c.Row+rng.Intn(2*margin+1)-margin, d.Rows-1),
+			Col: clamp(c.Col+rng.Intn(2*margin+1)-margin, d.Cols-1)}
+	}
+	output := func(c fabric.Coord) fabric.NodeID {
+		if rng.Intn(2) == 0 {
+			return d.NodeIDAt(c, fabric.LocalOutX(rng.Intn(fabric.CellsPerCLB)))
+		}
+		return d.NodeIDAt(c, fabric.LocalOutXQ(rng.Intn(fabric.CellsPerCLB)))
+	}
+	pin := func(c fabric.Coord) fabric.NodeID {
+		cell := rng.Intn(fabric.CellsPerCLB)
+		switch rng.Intn(3) {
+		case 0:
+			return d.NodeIDAt(c, fabric.LocalPinBX(cell))
+		case 1:
+			return d.NodeIDAt(c, fabric.LocalPinCE(cell))
+		}
+		return d.NodeIDAt(c, fabric.LocalPinI(cell, rng.Intn(fabric.LUTInputs)))
+	}
+	edgePad := func() fabric.NodeID {
+		side := fabric.Dir(rng.Intn(4))
+		span := d.Rows
+		if side == fabric.North || side == fabric.South {
+			span = d.Cols
+		}
+		return d.PadNodeID(fabric.PadRef{Side: side, Pos: rng.Intn(span), K: rng.Intn(fabric.PadsPerEdgeTile)})
+	}
+
+	stamped := 0
+	for i := 0; i < 300; i++ {
+		var src, sink fabric.NodeID
+		switch i % 3 {
+		case 0:
+			src = output(fabric.Coord{Row: rng.Intn(d.Rows), Col: rng.Intn(d.Cols)})
+			sink = pin(near(r.tileOf(src)))
+		case 1:
+			sink = edgePad()
+			src = output(near(r.tileOf(sink)))
+		default:
+			src = edgePad()
+			sink = pin(near(r.tileOf(src)))
+		}
+		r.Reset()
+		routed, err := r.RouteDisjoint([]Net{{Name: "n", Source: src, Sinks: []fabric.NodeID{sink}}})
+		if err != nil {
+			t.Fatalf("net %d (%d -> %d): %v", i, src, sink, err)
+		}
+
+		// The search box of the margin-3 stage, as searchOne stages it.
+		srcTile, sinkTile := r.tileOf(src), r.tileOf(sink)
+		minR, maxR := max(0, min(srcTile.Row, sinkTile.Row)-margin), min(d.Rows-1, max(srcTile.Row, sinkTile.Row)+margin)
+		minC, maxC := max(0, min(srcTile.Col, sinkTile.Col)-margin), min(d.Cols-1, max(srcTile.Col, sinkTile.Col)+margin)
+		inBox := func(c fabric.Coord) bool {
+			return c.Row >= minR && c.Row <= maxR && c.Col >= minC && c.Col <= maxC
+		}
+		for _, n := range routed[0].Paths[sink] {
+			if n < d.PadBase() && !inBox(r.tileOf(n)) {
+				t.Fatalf("net %d: path leaves the margin-%d box, so a later stage ran", i, margin)
+			}
+		}
+		var prePad []fabric.NodeID
+		if pad, ok := d.PadOfNode(sink); ok {
+			prePad = d.PadOutSourceNodes(pad)
+		}
+		for n := fabric.NodeID(0); int(n) < len(r.searchAt); n++ {
+			if r.searchAt[n] != r.searchEpoch {
+				continue
+			}
+			stamped++
+			if n == src || n == sink || slices.Contains(prePad, n) {
+				continue
+			}
+			c, local, ok := d.SplitNode(n)
+			if !ok {
+				t.Fatalf("net %d: pad %d stamped", i, n)
+			}
+			fan := fabric.FanoutTemplate(local)
+			if len(fan) == 0 {
+				t.Fatalf("net %d: terminal %d (%v local %d) stamped", i, n, c, local)
+			}
+			far := fabric.Coord{Row: c.Row + fan[0].DRow, Col: c.Col + fan[0].DCol}
+			if !inBox(far) && far != sinkTile {
+				t.Fatalf("net %d: node %d (%v local %d) stamped, its fanout lands at %v outside rows %d-%d cols %d-%d",
+					i, n, c, local, far, minR, maxR, minC, maxC)
+			}
+		}
+	}
+	if stamped == 0 {
+		t.Fatal("no search stamped any node")
 	}
 }

@@ -263,6 +263,7 @@ func (s *System) journalStateLocked() journal.State {
 		Stats:    s.engine.Stats,
 		LastTick: s.engine.LastTick(),
 	}
+	st.Stats.FramesWritten = s.engine.Tool.FramesWritten()
 	if s.meter != nil {
 		st.Port = s.meter.Usages()
 	}

@@ -302,14 +302,16 @@ func (s *System) Map() string {
 	return s.area.String()
 }
 
-// Stats returns the relocation engine statistics, with the transport
-// seconds read from the port: PortSeconds is its foreground time, and
-// RetrySeconds, ScrubSeconds and ProbeSeconds are its meter's maintenance
-// classes (zero on a custom port without a meter).
+// Stats returns the relocation engine statistics, with FramesWritten read
+// from the frame tool and the transport seconds from the port: PortSeconds
+// is its foreground time, and RetrySeconds, ScrubSeconds and ProbeSeconds
+// are its meter's maintenance classes (zero on a custom port without a
+// meter).
 func (s *System) Stats() relocate.Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	st := s.engine.Stats
+	st.FramesWritten = s.engine.Tool.FramesWritten()
 	st.PortSeconds = s.port.Elapsed()
 	if s.meter != nil {
 		st.RetrySeconds = s.meter.Seconds(bitstream.Retry)
