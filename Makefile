@@ -1,4 +1,4 @@
-.PHONY: test race bench bench-baseline bench-module cover lint fuzz torture soak router-diff
+.PHONY: test race bench bench-baseline bench-module cover lint fuzz torture soak router-diff port-diff
 
 test:
 	go build ./... && go test ./...
@@ -19,6 +19,13 @@ torture:
 # queues no dead end.
 router-diff:
 	go test -race -run 'TestRouterMatchesReference|TestFanoutTemplate|TestSearchQueuesNoDeadEnds' ./internal/route ./internal/fabric
+
+# Mirrors the CI "Port differential (race)" step (keep the -run pattern in
+# sync with .github/workflows/ci.yml): the word-stepping Boundary-Scan port
+# equal to the bit-serial TAP model, and the table-driven CRC equal to the
+# bit-serial fold.
+port-diff:
+	go test -race -run 'TestWordShiftMatchesBitSerial|TestWordStepAppliesOnlyOnConfigWords|TestCRCTableMatchesBitSerial' ./internal/jtag ./internal/bitstream
 
 # The self-healing chaos soak at full length (CI runs the short-mode variant
 # inside the fault-torture step): background scrubber + fault plan +

@@ -9,6 +9,7 @@ package bitstream
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/fabric"
 )
@@ -94,18 +95,35 @@ func header2(op, wordCount int) uint32 {
 	return uint32(Type2)<<typeShift | uint32(op)<<opShift | uint32(wordCount&wc2Mask)
 }
 
-// crcUpdate folds one register write into a 16-bit CRC (polynomial 0x8005,
-// data plus register address, LSB first).
-func crcUpdate(crc uint16, addr int, word uint32) uint16 {
-	const poly = 0x8005
-	data := uint64(word) | uint64(addr&0xF)<<32
-	for i := 0; i < 36; i++ {
-		bit := uint16(data>>i) & 1
-		fb := (crc >> 15) ^ bit
-		crc <<= 1
-		if fb == 1 {
-			crc ^= poly
+// crcPoly is the configuration CRC-16 polynomial.
+const crcPoly = 0x8005
+
+// crcNibble[i] is the CRC register's top nibble i shifted out through the
+// polynomial: the table that folds four input bits per lookup.
+var crcNibble = func() (t [16]uint16) {
+	for i := range t {
+		c := uint16(i) << 12
+		for b := 0; b < 4; b++ {
+			if c&0x8000 != 0 {
+				c = c<<1 ^ crcPoly
+			} else {
+				c <<= 1
+			}
 		}
+		t[i] = c
+	}
+	return t
+}()
+
+// crcUpdate folds one register write into a 16-bit CRC (polynomial 0x8005,
+// data plus register address, LSB first). Feeding the 36 input bits LSB
+// first into this MSB-first register equals feeding them bit-reversed MSB
+// first, so they are reversed once and folded a nibble per table lookup
+// (TestCRCTableMatchesBitSerial holds it to the bit-serial fold).
+func crcUpdate(crc uint16, addr int, word uint32) uint16 {
+	data := bits.Reverse64(uint64(word)|uint64(addr&0xF)<<32) >> 28
+	for s := 32; s >= 0; s -= 4 {
+		crc = crc<<4 ^ crcNibble[crc>>12^uint16(data>>s&0xF)]
 	}
 	return crc
 }

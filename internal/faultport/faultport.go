@@ -223,6 +223,11 @@ func (f *Port) AwaitStream() error {
 	return err
 }
 
+// Fence implements bitstream.AsyncPort: it waits for the inner worker to go
+// idle. A stall models a slow harvest, not a slow shift, so none applies
+// here, and the sticky errors stay for the next AwaitStream.
+func (f *Port) Fence() { f.inner.Fence() }
+
 // ReadFrame implements bitstream.Port, applying the readback fault model:
 // persistent-bad frames come back seed-deterministically corrupted, SEU
 // flips show their inverted bits.

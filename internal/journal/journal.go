@@ -99,8 +99,20 @@ var (
 // Journal is an open journal file in append mode. Not safe for concurrent
 // use; the facade serialises access under its own lock.
 type Journal struct {
-	f   *os.File
+	f   file
 	off int64
+	// broken is set when a failed append could not be truncated away: the
+	// file may end in a partial record, so no later record may land behind
+	// it. Every later Append fails wrapping it.
+	broken error
+}
+
+// file is what a Journal needs of its file; *os.File satisfies it.
+type file interface {
+	io.WriteCloser
+	io.Seeker
+	Sync() error
+	Truncate(size int64) error
 }
 
 // Create opens a fresh journal at path, writing the magic header. It fails
@@ -143,8 +155,14 @@ func OpenAppend(path string, validLen int64) (*Journal, error) {
 
 // Append frames and writes one record. The payload is marshalled to JSON;
 // the record is not readable by Scan until the write fully lands, which is
-// exactly the torn-tail tolerance recovery relies on.
+// exactly the torn-tail tolerance recovery relies on. A write that fails
+// part-way (a full disk, an I/O error) is truncated back to the last good
+// record, so the next append does not land behind a partial one and turn a
+// tolerated torn tail into mid-file corruption.
 func (j *Journal) Append(t RecType, payload any) error {
+	if j.broken != nil {
+		return fmt.Errorf("journal: appending %v after an untruncated failed append: %w", t, j.broken)
+	}
 	body, err := json.Marshal(payload)
 	if err != nil {
 		return fmt.Errorf("journal: encoding %v: %w", t, err)
@@ -154,12 +172,26 @@ func (j *Journal) Append(t RecType, payload any) error {
 	binary.LittleEndian.PutUint32(rec[1:5], uint32(len(body)))
 	binary.LittleEndian.PutUint32(rec[5:9], crc32.ChecksumIEEE(body))
 	copy(rec[recHeaderLen:], body)
-	n, err := j.f.Write(rec)
-	j.off += int64(n)
-	if err != nil {
-		return fmt.Errorf("journal: appending %v: %w", t, err)
+	if _, err := j.f.Write(rec); err != nil {
+		err = fmt.Errorf("journal: appending %v: %w", t, err)
+		if terr := j.rewind(); terr != nil {
+			j.broken = err
+			return fmt.Errorf("%w (truncating back to offset %d failed: %v)", err, j.off, terr)
+		}
+		return err
 	}
+	j.off += int64(len(rec))
 	return nil
+}
+
+// rewind cuts the file back to the end of the last good record and moves
+// the write position there.
+func (j *Journal) rewind() error {
+	if err := j.f.Truncate(j.off); err != nil {
+		return err
+	}
+	_, err := j.f.Seek(j.off, io.SeekStart)
+	return err
 }
 
 // Sync forces the journal to stable storage — called after the records whose

@@ -151,6 +151,36 @@ func (ch *Chain) shiftDR(tdi bool) bool {
 	return false
 }
 
+// shiftWord is the whole-word Shift-DR transition: exactly the effect of 32
+// Step(false, bit) calls shifting tdi MSB-first, with the 32 TDO bits
+// returned MSB-first. It applies only where those calls stay on a word of a
+// configuration register: in Shift-DR under CFG_IN with no residual bits
+// (the word is logged and fed to the controller once) or under CFG_OUT at a
+// word boundary (the next readback word, or 0 without advancing once past
+// the served data). Anywhere else it changes nothing and reports false, and
+// the caller steps bit by bit.
+func (ch *Chain) shiftWord(tdi uint32) (tdo uint32, ok bool) {
+	if ch.state != ShiftDR {
+		return 0, false
+	}
+	switch {
+	case ch.instr == InstrCfgIn && ch.inBits == 0:
+		ch.inLog = append(ch.inLog, tdi)
+		if err := ch.ctrl.Feed(tdi); err != nil && ch.feedErr == nil {
+			ch.feedErr = err
+		}
+		return 0, true
+	case ch.instr == InstrCfgOut && ch.outBit == 0:
+		if ch.outWord >= len(ch.outData) {
+			return 0, true
+		}
+		w := ch.outData[ch.outWord]
+		ch.outWord++
+		return w, true
+	}
+	return 0, false
+}
+
 // prepareReadback serves the FDRO read described by the CFG_IN packets
 // shifted since the last readback.
 func (ch *Chain) prepareReadback() {

@@ -40,6 +40,14 @@ func (p *Port) step(tms, tdi bool) bool {
 	return p.Chain.Step(tms, tdi)
 }
 
+func (p *Port) word(tdi uint32) (uint32, bool) {
+	tdo, ok := p.Chain.shiftWord(tdi)
+	if ok {
+		p.meter.Charge(32)
+	}
+	return tdo, ok
+}
+
 // ResetTAP forces Test-Logic-Reset (five TMS-high cycles) and parks in
 // Run-Test/Idle.
 func (p *Port) ResetTAP() {
@@ -49,9 +57,14 @@ func (p *Port) ResetTAP() {
 	p.step(false, false)
 }
 
-// stepFn advances a TAP by one TCK cycle. The port's own step charges its
-// meter; the background worker supplies a locally counting one.
-type stepFn func(tms, tdi bool) bool
+// stepFn advances a TAP by one TCK cycle, and wordFn takes the chain's
+// whole-word Shift-DR transition (32 TCK cycles) where it applies. The
+// port's own pair charges its meter; the background worker supplies a
+// locally counting pair.
+type (
+	stepFn func(tms, tdi bool) bool
+	wordFn func(tdi uint32) (tdo uint32, ok bool)
+)
 
 // LoadIR shifts an instruction into the IR and returns to Run-Test/Idle.
 func (p *Port) LoadIR(code uint8) { loadIRWith(p.step, code) }
@@ -71,39 +84,49 @@ func loadIRWith(step stepFn, code uint8) {
 
 // ShiftDRIn shifts words into the current data register MSB-first and
 // returns to Run-Test/Idle.
-func (p *Port) ShiftDRIn(words []uint32) { shiftDRInWith(p.step, words) }
+func (p *Port) ShiftDRIn(words []uint32) { shiftDRInWith(p.step, p.word, words) }
 
-func shiftDRInWith(step stepFn, words []uint32) {
+// shiftDRInWith takes the word step for every word but the last, where the
+// chain accepts it; the last word steps bit by bit so its final bit carries
+// TMS high into Exit1-DR.
+func shiftDRInWith(step stepFn, word wordFn, words []uint32) {
 	step(true, false)  // Select-DR
 	step(false, false) // Capture-DR
 	step(false, false) // Shift-DR
-	total := len(words) * 32
-	n := 0
-	for _, w := range words {
+	for i, w := range words {
+		last := i == len(words)-1
+		if !last {
+			if _, ok := word(w); ok {
+				continue
+			}
+		}
 		for b := 31; b >= 0; b-- {
-			n++
-			step(n == total, w>>b&1 == 1)
+			step(last && b == 0, w>>b&1 == 1)
 		}
 	}
 	step(true, false)  // Update-DR
 	step(false, false) // Run-Test/Idle
 }
 
-// ShiftDROut shifts n words out of the current data register.
+// ShiftDROut shifts n words out of the current data register, taking the
+// word step for every word but the last as ShiftDRIn does.
 func (p *Port) ShiftDROut(nWords int) []uint32 {
 	p.step(true, false)  // Select-DR
 	p.step(false, false) // Capture-DR
 	p.step(false, false) // Shift-DR
 	out := make([]uint32, nWords)
-	total := nWords * 32
-	n := 0
 	for i := range out {
+		last := i == nWords-1
+		if !last {
+			if w, ok := p.word(0); ok {
+				out[i] = w
+				continue
+			}
+		}
 		var w uint32
-		for b := 0; b < 32; b++ {
-			n++
-			bit := p.step(n == total, false)
+		for b := 31; b >= 0; b-- {
 			w <<= 1
-			if bit {
+			if p.step(last && b == 0, false) {
 				w |= 1
 			}
 		}
@@ -158,6 +181,9 @@ func (p *Port) StreamUpdates(updates []bitstream.FrameUpdate) {
 // AwaitStream implements bitstream.AsyncPort.
 func (p *Port) AwaitStream() error { return p.q.Await() }
 
+// Fence implements bitstream.AsyncPort.
+func (p *Port) Fence() { p.q.Fence() }
+
 // StreamInFlight implements bitstream.AsyncPort.
 func (p *Port) StreamInFlight() bool { return p.q.InFlight() }
 
@@ -181,8 +207,15 @@ func (p *Port) deliverBurst(words []uint32) error {
 		n++
 		return p.Chain.Step(tms, tdi)
 	}
+	word := func(tdi uint32) (uint32, bool) {
+		tdo, ok := p.Chain.shiftWord(tdi)
+		if ok {
+			n += 32
+		}
+		return tdo, ok
+	}
 	loadIRWith(step, InstrCfgIn)
-	shiftDRInWith(step, words)
+	shiftDRInWith(step, word, words)
 	if err := p.Chain.Err(); err != nil {
 		return err
 	}

@@ -4,7 +4,10 @@
 // configuration Port whose elapsed time is TCK cycles divided by the test
 // clock frequency. The paper's headline figure — 22.6 ms average relocation
 // time per gated-clock CLB at a 20 MHz test clock — is reproduced by
-// counting the cycles this package actually shifts.
+// counting the cycles this package actually shifts. Configuration words
+// shift in one whole-word Shift-DR transition that has exactly the effect,
+// and the cycle count, of 32 single-bit steps; everything else, and the
+// last bit of every DR scan, steps bit by bit.
 package jtag
 
 // State is a TAP controller state.

@@ -672,6 +672,17 @@ func (ft *FrameTool) harvest() error {
 	}
 }
 
+// Fence blocks until the port's background worker is idle, without the
+// watchdog and without harvesting: the guard before feeding the
+// configuration controller directly. A harvest the watchdog abandoned can
+// return while the worker is still shifting a burst. A no-op on a
+// synchronous port.
+func (ft *FrameTool) Fence() {
+	if ft.async != nil {
+		ft.async.Fence()
+	}
+}
+
 // HarvestPending reaps an abandoned watchdog await and drains any remaining
 // in-flight stream, without the watchdog and without the Retry delegate —
 // the shutdown path: Close must not leave the awaiter goroutine blocked on
@@ -788,13 +799,13 @@ func (ft *FrameTool) BeginSnapshot() (*bitstream.Snapshot, error) {
 }
 
 // RecoveryWords builds the partial recovery stream for a snapshot taken with
-// BeginSnapshot. Any in-flight stream drains first — the recovery words are
-// fed to the controller the worker would otherwise still own, and the
-// rollback overwrites frames the stream may cover. The drained stream's own
-// error is discarded: a rollback is already under way, and the recovery
-// stream supersedes whatever the failed delivery left behind. It then
-// synchronises so designer-path writes since the checkpoint are part of the
-// dirty set.
+// BeginSnapshot. Any in-flight stream drains first — the rollback overwrites
+// frames the stream may cover. The drained stream's own error is discarded:
+// a rollback is already under way, and the recovery stream supersedes
+// whatever the failed delivery left behind. The drain is a harvest the stall
+// watchdog can abandon, so the caller fences (Fence) before feeding the
+// words to the controller the worker may still own. It then synchronises so
+// designer-path writes since the checkpoint are part of the dirty set.
 func (ft *FrameTool) RecoveryWords(snap *bitstream.Snapshot) ([]uint32, error) {
 	ft.drainSuperseded()
 	if err := ft.sync(); err != nil {

@@ -825,6 +825,9 @@ func (s *System) Recover() error {
 		return err
 	}
 	words := s.engine.Tool.Shadow().RecoveryBitstream()
+	// The recovery stream bypasses the port, as restoreLocked's do: fence
+	// its worker first.
+	s.engine.Tool.Fence()
 	if err := s.ctrl.Feed(words...); err != nil {
 		return err
 	}
@@ -972,8 +975,12 @@ func (s *System) restoreLocked(cp *checkpoint, cause error) {
 			}
 		}
 	}
+	// Both recovery feeds below bypass the port, so each fences its worker
+	// first: RecoveryWords' drain is a harvest, and one the stall watchdog
+	// abandoned returns while a superseded burst may still be shifting.
 	var feedErr error
 	if wordsErr == nil && len(words) > 0 {
+		s.engine.Tool.Fence()
 		feedErr = s.ctrl.Feed(words...)
 		if feedErr == nil && s.onDelivered != nil {
 			s.onDelivered(restoredFrames)
@@ -990,6 +997,7 @@ func (s *System) restoreLocked(cp *checkpoint, cause error) {
 		if recErr == nil {
 			recErr = feedErr
 		}
+		s.engine.Tool.Fence()
 		_ = s.ctrl.Feed(s.engine.Tool.Shadow().RecoveryBitstream()...)
 		_ = s.engine.Tool.Sync()
 		s.notifyShadowDelivered()
