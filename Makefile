@@ -1,4 +1,4 @@
-.PHONY: test race bench bench-baseline bench-module cover lint fuzz torture soak router-diff port-diff
+.PHONY: test race bench bench-baseline bench-module cover lint fuzz torture soak router-diff port-diff replay-diff
 
 test:
 	go build ./... && go test ./...
@@ -26,6 +26,14 @@ router-diff:
 # bit-serial fold.
 port-diff:
 	go test -race -run 'TestWordShiftMatchesBitSerial|TestWordStepAppliesOnlyOnConfigWords|TestCRCTableMatchesBitSerial' ./internal/jtag ./internal/bitstream
+
+# Mirrors the CI "Journal replay differential (race)" step (keep the -run
+# pattern in sync with .github/workflows/ci.yml): Replay equal to the eager
+# reference replay at every record boundary of seeded histories, its
+# allocations independent of the sealed history, and the seq-first record
+# contract with its fallback.
+replay-diff:
+	go test -race -run 'TestReplayMatchesEager|TestReplayAllocsIndependentOfHistory|TestRecordSeq' ./internal/journal
 
 # The self-healing chaos soak at full length (CI runs the short-mode variant
 # inside the fault-torture step): background scrubber + fault plan +

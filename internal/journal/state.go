@@ -168,79 +168,151 @@ type Replayed struct {
 // rollback, e.g. across defragmentation candidates); the LAST one is the
 // roll-forward candidate, and the digest comparison against device readback
 // decides whether it stands.
+//
+// Replay costs O(tail + live state), not O(history). One pass checks the
+// grammar of every record, reading the sequence number of each record after
+// Init from its leading {"seq":N (see recordSeq). Only Init, the last Post
+// of the last committed operation and the open tail's records are then
+// decoded in full, and each decoded record must carry the sequence number
+// the pass read. The payload of a sealed, superseded record is therefore
+// covered by its CRC-32 alone: one that passes its checksum but is not
+// valid JSON, or carries a second seq key, replays.
 func Replay(log *Log) (*Replayed, error) {
 	if log == nil || len(log.Records) == 0 {
 		return nil, ErrEmpty
 	}
+	recs := log.Records
 	out := &Replayed{Torn: log.Torn, ValidLen: log.ValidLen}
-	if log.Records[0].Type != RecInit {
-		return nil, fmt.Errorf("%w: first record is %v, want init", ErrMalformed, log.Records[0].Type)
+	if recs[0].Type != RecInit {
+		return nil, fmt.Errorf("%w: first record is %v, want init", ErrMalformed, recs[0].Type)
 	}
-	if err := json.Unmarshal(log.Records[0].Payload, &out.Init); err != nil {
+	if err := json.Unmarshal(recs[0].Payload, &out.Init); err != nil {
 		return nil, fmt.Errorf("%w: init: %v", ErrMalformed, err)
 	}
-	var tail *TailOp
-	for i, rec := range log.Records[1:] {
+	// Record indices: the open operation's Begin and its last Post, and the
+	// last Post of the last committed operation (-1 for none).
+	begin, post, committed := -1, -1, -1
+	var seq, committedSeq uint64 // the open and the last committed op's seq
+	for i := 1; i < len(recs); i++ {
+		rec := recs[i]
 		switch rec.Type {
 		case RecInit:
-			return nil, fmt.Errorf("%w: duplicate init at record %d", ErrMalformed, i+1)
-		case RecBegin:
-			if tail != nil {
-				return nil, fmt.Errorf("%w: begin inside open op %d", ErrMalformed, tail.Begin.Seq)
-			}
-			tail = &TailOp{}
-			if err := json.Unmarshal(rec.Payload, &tail.Begin); err != nil {
-				return nil, fmt.Errorf("%w: begin: %v", ErrMalformed, err)
-			}
-			if tail.Begin.Seq > out.LastSeq {
-				out.LastSeq = tail.Begin.Seq
-			}
-		case RecUndo:
-			if tail == nil {
-				return nil, fmt.Errorf("%w: undo outside op body", ErrMalformed)
-			}
-			var u Undo
-			if err := json.Unmarshal(rec.Payload, &u); err != nil {
-				return nil, fmt.Errorf("%w: undo: %v", ErrMalformed, err)
-			}
-			if u.Seq != tail.Begin.Seq {
-				return nil, fmt.Errorf("%w: undo seq %d inside op %d", ErrMalformed, u.Seq, tail.Begin.Seq)
-			}
-			tail.Undo = append(tail.Undo, u)
-		case RecPost:
-			if tail == nil {
-				return nil, fmt.Errorf("%w: post outside op body", ErrMalformed)
-			}
-			var p Post
-			if err := json.Unmarshal(rec.Payload, &p); err != nil {
-				return nil, fmt.Errorf("%w: post: %v", ErrMalformed, err)
-			}
-			if p.Seq != tail.Begin.Seq {
-				return nil, fmt.Errorf("%w: post seq %d inside op %d", ErrMalformed, p.Seq, tail.Begin.Seq)
-			}
-			tail.Post = &p
-		case RecCommit, RecAbort:
-			if tail == nil {
-				return nil, fmt.Errorf("%w: %v with no open op", ErrMalformed, rec.Type)
-			}
-			var s Seal
-			if err := json.Unmarshal(rec.Payload, &s); err != nil {
-				return nil, fmt.Errorf("%w: %v: %v", ErrMalformed, rec.Type, err)
-			}
-			if s.Seq != tail.Begin.Seq {
-				return nil, fmt.Errorf("%w: %v seq %d seals op %d", ErrMalformed, rec.Type, s.Seq, tail.Begin.Seq)
-			}
-			if rec.Type == RecCommit {
-				if tail.Post == nil {
-					return nil, fmt.Errorf("%w: commit of op %d without post state", ErrMalformed, s.Seq)
-				}
-				out.State = tail.Post.State
-			}
-			tail = nil
+			return nil, fmt.Errorf("%w: duplicate init at record %d", ErrMalformed, i)
+		case RecBegin, RecUndo, RecPost, RecCommit, RecAbort:
 		default:
 			return nil, fmt.Errorf("%w: unknown record type %v", ErrMalformed, rec.Type)
 		}
+		s, err := recordSeq(rec)
+		if err != nil {
+			return nil, err
+		}
+		if rec.Type == RecBegin {
+			if begin >= 0 {
+				return nil, fmt.Errorf("%w: begin inside open op %d", ErrMalformed, seq)
+			}
+			begin, post, seq = i, -1, s
+			out.LastSeq = max(out.LastSeq, s)
+			continue
+		}
+		if begin < 0 {
+			return nil, fmt.Errorf("%w: %v outside op body", ErrMalformed, rec.Type)
+		}
+		if s != seq {
+			return nil, fmt.Errorf("%w: %v seq %d inside op %d", ErrMalformed, rec.Type, s, seq)
+		}
+		switch rec.Type {
+		case RecPost:
+			post = i
+		case RecCommit:
+			if post < 0 {
+				return nil, fmt.Errorf("%w: commit of op %d without post state", ErrMalformed, s)
+			}
+			committed, committedSeq, begin = post, s, -1
+		case RecAbort:
+			begin = -1
+		}
 	}
-	out.Tail = tail
+	if committed >= 0 {
+		var p Post
+		if err := decodeRecord(recs[committed], &p, &p.Seq, committedSeq); err != nil {
+			return nil, err
+		}
+		out.State = p.State
+	}
+	if begin >= 0 {
+		tail := &TailOp{}
+		for _, rec := range recs[begin:] {
+			var err error
+			switch rec.Type {
+			case RecBegin:
+				err = decodeRecord(rec, &tail.Begin, &tail.Begin.Seq, seq)
+			case RecUndo:
+				var u Undo
+				err = decodeRecord(rec, &u, &u.Seq, seq)
+				tail.Undo = append(tail.Undo, u)
+			case RecPost:
+				p := new(Post)
+				err = decodeRecord(rec, p, &p.Seq, seq)
+				tail.Post = p
+			}
+			if err != nil {
+				return nil, err
+			}
+		}
+		out.Tail = tail
+	}
 	return out, nil
+}
+
+// decodeRecord decodes rec's payload into v, whose sequence number lands in
+// *got, and checks it against want, the number Replay's grammar pass read.
+// A payload that repeats its seq key with another value fails here.
+func decodeRecord(rec Record, v any, got *uint64, want uint64) error {
+	if err := json.Unmarshal(rec.Payload, v); err != nil {
+		return fmt.Errorf("%w: %v: %v", ErrMalformed, rec.Type, err)
+	}
+	if *got != want {
+		return fmt.Errorf("%w: %v decodes to seq %d, its leading seq is %d", ErrMalformed, rec.Type, *got, want)
+	}
+	return nil
+}
+
+// seqPrefix is how the payload of every record after Init starts: Seq is the
+// first field of Begin, Undo, Post and Seal, so encoding/json writes it
+// first.
+const seqPrefix = `{"seq":`
+
+// leadingSeq reads a payload's sequence number from its leading {"seq":N,
+// strictly: 1 to 19 decimal digits with no leading zero (except "0" itself),
+// followed by ',' or '}'. Nineteen digits cannot overflow a uint64. ok is
+// false for any other payload.
+func leadingSeq(p []byte) (seq uint64, ok bool) {
+	if len(p) < len(seqPrefix) || string(p[:len(seqPrefix)]) != seqPrefix {
+		return 0, false
+	}
+	p = p[len(seqPrefix):]
+	n := 0
+	for n < len(p) && n < 20 && '0' <= p[n] && p[n] <= '9' {
+		seq = seq*10 + uint64(p[n]-'0')
+		n++
+	}
+	if n == 0 || n > 19 || n == len(p) || (p[0] == '0' && n > 1) || (p[n] != ',' && p[n] != '}') {
+		return 0, false
+	}
+	return seq, true
+}
+
+// recordSeq returns the sequence number of a record after Init. A payload
+// leadingSeq declines (a writer that ordered its fields differently, an
+// exponent, a 20-digit number, a non-object) is decoded in full into a Seal,
+// and fails with ErrMalformed when that does not decode.
+func recordSeq(rec Record) (uint64, error) {
+	if s, ok := leadingSeq(rec.Payload); ok {
+		return s, nil
+	}
+	var s Seal
+	if err := json.Unmarshal(rec.Payload, &s); err != nil {
+		return 0, fmt.Errorf("%w: %v: %v", ErrMalformed, rec.Type, err)
+	}
+	return s.Seq, nil
 }
