@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/bitstream"
 	"repro/internal/fabric"
 	"repro/internal/itc99"
 	"repro/internal/journal"
+	"repro/internal/netlist"
 	"repro/internal/relocate"
 )
 
@@ -420,6 +422,80 @@ func TestRecoverTornTail(t *testing.T) {
 	}
 	if diffs := diffStates(captureState(rec), oracle[atPost.seq-1]); len(diffs) > 0 {
 		t.Fatalf("recovered state diverges from pre-op twin: %s", diffs[0])
+	}
+}
+
+// TestRecoverRoutesNextLoadLikeTwin pins that a load's routes depend on the
+// configuration memory alone. Twin A loads design a, then design b. Twin B
+// loads a, then goes through a history that leaves the configuration memory
+// as it was — a crash recovered from its journal onto its own device, or a
+// load and unload of a design elsewhere — and then loads b. Both twins must
+// end with identical frames and identical routes for b: a router that keeps
+// congestion or ownership state from an earlier operation fails it.
+func TestRecoverRoutesNextLoadLikeTwin(t *testing.T) {
+	gen := func(name string, seed uint64) *netlist.Netlist {
+		return itc99.Generate(itc99.GenConfig{Name: name, Inputs: 4, Outputs: 4,
+			Style: itc99.FreeRunning, Seed: seed}.SizedTo(9*fabric.CellsPerCLB, 0.6))
+	}
+	regA := fabric.Rect{Row: 2, Col: 2, H: 3, W: 3}
+	regB := fabric.Rect{Row: 2, Col: 5, H: 3, W: 3}
+	regX := fabric.Rect{Row: 10, Col: 10, H: 3, W: 3}
+	dir := t.TempDir()
+	newLoaded := func(t *testing.T, jpath string, seed uint64) *System {
+		t.Helper()
+		s, err := New(WithDevice(fabric.XCV50), WithPort(SelectMAP), WithJournal(jpath))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Load(gen("a", seed), regA); err != nil {
+			t.Fatalf("loading a: %v", err)
+		}
+		return s
+	}
+	histories := []struct {
+		name string
+		run  func(t *testing.T, s *System, jpath string, seed uint64) *System
+	}{
+		{"recovered", func(t *testing.T, s *System, jpath string, _ uint64) *System {
+			rec, _, err := Recover(s.dev, jpath)
+			if err != nil {
+				t.Fatalf("recover: %v", err)
+			}
+			return rec
+		}},
+		{"load-unload", func(t *testing.T, s *System, _ string, seed uint64) *System {
+			if _, err := s.Load(gen("x", seed+7), regX); err != nil {
+				t.Fatalf("loading x: %v", err)
+			}
+			if err := s.Unload("x"); err != nil {
+				t.Fatalf("unloading x: %v", err)
+			}
+			return s
+		}},
+	}
+	for seed := uint64(1); seed <= 20; seed++ {
+		twin := newLoaded(t, filepath.Join(dir, fmt.Sprintf("twin-%d.journal", seed)), seed)
+		if _, err := twin.Load(gen("b", seed+100), regB); err != nil {
+			t.Fatalf("seed %d: twin loading b: %v", seed, err)
+		}
+		wantFrames := dumpFrames(twin.dev)
+		want, _ := twin.Design("b")
+		for _, h := range histories {
+			t.Run(fmt.Sprintf("%s/seed=%d", h.name, seed), func(t *testing.T) {
+				jpath := filepath.Join(dir, fmt.Sprintf("%s-%d.journal", h.name, seed))
+				s := h.run(t, newLoaded(t, jpath, seed), jpath, seed)
+				if _, err := s.Load(gen("b", seed+100), regB); err != nil {
+					t.Fatalf("loading b: %v", err)
+				}
+				got, _ := s.Design("b")
+				if !reflect.DeepEqual(got.Nets, want.Nets) {
+					t.Errorf("routes of b differ from the twin's")
+				}
+				if diffs := diffStates(hostState{frames: dumpFrames(s.dev)}, hostState{frames: wantFrames}); len(diffs) > 0 {
+					t.Errorf("%d frame diffs from the twin, first: %s", len(diffs), diffs[0])
+				}
+			})
+		}
 	}
 }
 

@@ -47,7 +47,8 @@ type Options struct {
 	InputSide, OutputSide fabric.Dir
 	// ReservePads skips pads already used by other designs.
 	ReservePads map[fabric.PadRef]bool
-	// Router to use (shared across designs so occupancy accumulates); nil
+	// Router to use, already blocked with the occupancy the placement must
+	// avoid (the run-time manager passes relocate.Engine.FreeRouter); nil
 	// builds a fresh one.
 	Router *route.Router
 	// Contain confines cell-driven routing to the design's region (boundary
@@ -247,18 +248,8 @@ func (d *Design) bindPads(opts Options) error {
 		used = map[fabric.PadRef]bool{}
 	}
 	alloc := func(side fabric.Dir) (fabric.PadRef, error) {
-		max := d.Dev.Cols
-		if side == fabric.West || side == fabric.East {
-			max = d.Dev.Rows
-		}
-		for pos := 0; pos < max; pos++ {
-			for k := 0; k < fabric.PadsPerEdgeTile; k++ {
-				p := fabric.PadRef{Side: side, Pos: pos, K: k}
-				if !used[p] {
-					used[p] = true
-					return p, nil
-				}
-			}
+		if p, ok := ReservePad(d.Dev, used, side); ok {
+			return p, nil
 		}
 		return fabric.PadRef{}, fmt.Errorf("place: out of pads on side %v", side)
 	}
@@ -280,6 +271,27 @@ func (d *Design) bindPads(opts Options) error {
 		// Output driver enabled when the net is applied.
 	}
 	return nil
+}
+
+// ReservePad reserves the first pad on a side that used does not hold,
+// scanning positions in ascending order, and marks it in used. It is the one
+// pad-binding rule: the placer and the run-time manager's warm loads both
+// bind through it, so a warm load binds the pads a cold load would.
+func ReservePad(dev *fabric.Device, used map[fabric.PadRef]bool, side fabric.Dir) (fabric.PadRef, bool) {
+	max := dev.Cols
+	if side == fabric.West || side == fabric.East {
+		max = dev.Rows
+	}
+	for pos := 0; pos < max; pos++ {
+		for k := 0; k < fabric.PadsPerEdgeTile; k++ {
+			p := fabric.PadRef{Side: side, Pos: pos, K: k}
+			if !used[p] {
+				used[p] = true
+				return p, true
+			}
+		}
+	}
+	return fabric.PadRef{}, false
 }
 
 // configureCells writes each occupied cell's configuration and records the

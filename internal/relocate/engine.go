@@ -149,7 +149,7 @@ type Engine struct {
 	Stats Stats
 
 	view     *view
-	router   *route.Router // reused across relocations (Reset per plan)
+	router   *route.Router // the only router: every route takes it from FreeRouter
 	lastTick float64
 }
 
@@ -171,6 +171,22 @@ func NewEngine(dev *fabric.Device, port bitstream.Port) (*Engine, error) {
 	// occupancy deltas instead of rescanning the device per operation.
 	tool.SetViewSink(e.view)
 	return e, nil
+}
+
+// FreeRouter returns the engine's router reset to a fresh session, with
+// Greedy at its default and every node the configuration memory shows in use
+// blocked: the free routing resources. A caller may block or unblock more
+// nodes and set Greedy before it routes; the next call discards all of it, so
+// no route depends on an earlier operation's search or negotiation state.
+func (e *Engine) FreeRouter() *route.Router {
+	e.view.refresh()
+	r := e.router
+	r.Reset()
+	r.Greedy = 0
+	for n := range e.view.used {
+		r.Block(n)
+	}
+	return r
 }
 
 // tick advances the application clock to cover the port time consumed since
@@ -523,11 +539,7 @@ type netUse struct {
 // device.
 func (e *Engine) routePlan(p *cellPlan) error {
 	dev := e.Dev
-	r := e.router
-	r.Reset()
-	for n := range e.view.used {
-		r.Block(n)
-	}
+	r := e.FreeRouter()
 	// The replica's own outputs are legal sources even though planning
 	// marked nothing there; they are free by destinationFree.
 	replOutX := dev.NodeIDAt(p.to.Coord, fabric.LocalOutX(p.to.Cell))

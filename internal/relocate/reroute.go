@@ -57,14 +57,8 @@ func (e *Engine) RerouteSink(sinkTile fabric.Coord, sinkLocal int) (*NetMove, er
 	}
 	sink := e.Dev.NodeIDAt(sinkTile, sinkLocal)
 
-	// Route the replica path with free resources only (the engine's router
-	// is reused; Reset is O(1)).
-	r := e.router
-	r.Reset()
-	for n := range e.view.used {
-		r.Block(n)
-	}
-	routed, err := r.RouteDisjoint([]route.Net{{Name: "reroute", Source: driver, Sinks: []fabric.NodeID{sink}}})
+	// Route the replica path with free resources only.
+	routed, err := e.FreeRouter().RouteDisjoint([]route.Net{{Name: "reroute", Source: driver, Sinks: []fabric.NodeID{sink}}})
 	if err != nil {
 		return nil, fmt.Errorf("relocate: no free path for reroute: %w", err)
 	}
@@ -124,11 +118,7 @@ func (e *Engine) RerouteSinkVia(sinkTile fabric.Coord, sinkLocal int, avoid []fa
 		return nil, err
 	}
 	sink := e.Dev.NodeIDAt(sinkTile, sinkLocal)
-	r := e.router
-	r.Reset()
-	for n := range e.view.used {
-		r.Block(n)
-	}
+	r := e.FreeRouter()
 	// Block every wire of the avoided tiles.
 	for _, c := range avoid {
 		for local := 0; local < fabric.NodeSlots; local++ {

@@ -2,7 +2,6 @@ package relocate
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"repro/internal/fabric"
@@ -428,18 +427,4 @@ func (e *Engine) ClearCell(ref fabric.CellRef) error {
 // ClearPad disables a pad through the port.
 func (e *Engine) ClearPad(pad fabric.PadRef) error {
 	return e.Tool.WritePadConfig(pad, fabric.PadConfig{})
-}
-
-// OccupiedNodes returns every routing node currently in use on the device,
-// derived from the configuration memory (like everything the engine knows).
-// The facade rebuilds its shared router from this ground truth instead of
-// from per-design book-keeping, which goes stale across relocations.
-func (e *Engine) OccupiedNodes() []fabric.NodeID {
-	e.view.refresh()
-	out := make([]fabric.NodeID, 0, len(e.view.used))
-	for n := range e.view.used {
-		out = append(out, n)
-	}
-	slices.Sort(out)
-	return out
 }

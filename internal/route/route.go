@@ -106,6 +106,10 @@ type Router struct {
 	owner     []int32 // net index last routed over the node
 	ownerAt   []uint64
 
+	// negotiatedAt is the last epoch a RouteAll ran in. In any other epoch
+	// the congestion arrays hold no stamp of the current session.
+	negotiatedAt uint64
+
 	// Per-search state (one routeOne call): best cost and predecessor, set
 	// together and both valid while searchAt equals searchEpoch.
 	searchEpoch uint64
@@ -393,9 +397,9 @@ func (r *Router) routeOne(seeds []fabric.NodeID, sink fabric.NodeID,
 // The relaxation walks the compiled fanout template: per edge, one box test
 // (the box is clamped to the device, so it also rejects template offsets
 // that leave the array), the dead-end tests, the blocked stamp and the cost
-// stamp. The congestion terms are read only once RouteAll has allocated
-// them; skipping them adds nothing but exact zeros, so costs are
-// bit-identical either way.
+// stamp. The congestion terms are read only in an epoch in which RouteAll
+// ran: only RouteAll stamps them, so in any other epoch they read as exact
+// zeros, and skipping them leaves costs bit-identical.
 //
 // Dead-end pruning is exact too. A pruned node's expansion would relax
 // nothing (a terminal has no fanout; every hop of the pruned wire fails the
@@ -453,7 +457,7 @@ func (r *Router) searchOne(seeds []fabric.NodeID, sink fabric.NodeID,
 	}
 
 	epoch := r.epoch
-	negotiating := r.owner != nil
+	negotiating := r.negotiatedAt == epoch
 	padBase := dev.PadBase()
 	cols := dev.Cols
 	for len(r.q) > 0 {
@@ -567,6 +571,7 @@ func (r *Router) RouteAll(nets []Net) ([]RoutedNet, error) {
 		r.present, r.presentAt = make([]int32, n), make([]uint64, n)
 		r.owner, r.ownerAt = make([]int32, n), make([]uint64, n)
 	}
+	r.negotiatedAt = r.epoch
 	routed := make([]RoutedNet, len(nets))
 	presentFactor := 0.5
 

@@ -318,10 +318,6 @@ func (s *System) installState(st *journal.State) error {
 		}
 	}
 	// Capture the reconciled device into the tool's shadow (the paper's
-	// complete configuration copy) and rebuild routing occupancy from it.
-	if err := s.engine.Tool.Sync(); err != nil {
-		return err
-	}
-	s.rebuildRouterLocked()
-	return nil
+	// complete configuration copy).
+	return s.engine.Tool.Sync()
 }

@@ -35,7 +35,6 @@ import (
 	"repro/internal/netlist"
 	"repro/internal/place"
 	"repro/internal/relocate"
-	"repro/internal/route"
 	"repro/internal/template"
 )
 
@@ -55,7 +54,6 @@ type System struct {
 	// traffic, and charge names the class they go to.
 	meter *bitstream.Meter
 
-	router  *route.Router
 	pads    map[fabric.PadRef]bool
 	designs map[string]*place.Design
 	regions map[string]int // design name -> area allocation id
@@ -199,7 +197,6 @@ func newSystem(cfg *config, dev *fabric.Device) (*System, error) {
 		port:    port,
 		engine:  eng,
 		area:    area.NewManagerFor(dev),
-		router:  route.NewRouter(dev),
 		pads:    map[fabric.PadRef]bool{},
 		designs: map[string]*place.Design{},
 		regions: map[string]int{},
@@ -435,20 +432,21 @@ func (s *System) loadRaw(nl *netlist.Netlist, region fabric.Rect) (*place.Design
 	// is capturable; containment is strictly harder, so a failure falls back
 	// to the unconstrained placement (which simply won't be cached). The
 	// failed attempt wrote the same cells and pads the retry rewrites
-	// identically, and no PIPs: routing fails before route.Apply.
+	// identically, and no PIPs: routing fails before route.Apply. Each
+	// attempt routes on the engine's router, freshly blocked from the
+	// configuration memory.
 	contain := s.tmpl != nil
 	d, err := place.Place(s.dev, nl, place.Options{
 		Region:      region,
 		ReservePads: s.pads, // Place reserves into this map directly
-		Router:      s.router,
+		Router:      s.engine.FreeRouter(),
 		Contain:     contain,
 	})
 	if err != nil && contain {
-		s.rebuildRouterLocked()
 		d, err = place.Place(s.dev, nl, place.Options{
 			Region:      region,
 			ReservePads: s.pads,
-			Router:      s.router,
+			Router:      s.engine.FreeRouter(),
 		})
 	}
 	if err != nil {
@@ -523,7 +521,7 @@ func (s *System) Unload(name string) error {
 }
 
 // unloadRaw performs the unload without checkpointing; the caller owns
-// rollback. The router and area book-keeping are consistent on success. The
+// rollback. The pad and area book-keeping are consistent on success. The
 // engine writes run in one coalescing batch, so the whole decommission
 // streams as a single partial bitstream instead of one per frame.
 func (s *System) unloadRaw(name string) error {
@@ -553,8 +551,6 @@ func (s *System) unloadRaw(name string) error {
 	region := d.Region
 	delete(s.designs, name)
 	delete(s.regions, name)
-	// The shared router's occupancy is stale; rebuild it.
-	s.rebuildRouterLocked()
 	s.publish(Event{Kind: DesignUnloaded, Design: name, Region: region})
 	return nil
 }
@@ -590,15 +586,6 @@ func (s *System) unloadFabricBatched(name string) error {
 		}
 		return nil
 	})
-}
-
-// rebuildRouterLocked rebuilds the shared router from the configuration
-// memory itself — the ground truth — so occupancy never goes stale across
-// relocations (per-design net lists do: they record the original routes).
-// The router object is reused: Reset is O(1).
-func (s *System) rebuildRouterLocked() {
-	s.router.Reset()
-	s.router.Block(s.engine.OccupiedNodes()...)
 }
 
 // Move relocates a whole design to a new region of identical shape, CLB by
@@ -720,7 +707,6 @@ func (s *System) moveRaw(name string, to fabric.Rect) error {
 	if err := s.area.Move(s.regions[name], to); err != nil {
 		return err
 	}
-	s.rebuildRouterLocked()
 	s.publish(Event{Kind: DesignMoved, Design: name, From: from, Region: to})
 	return nil
 }
@@ -1013,7 +999,6 @@ func (s *System) restoreLocked(cp *checkpoint, cause error) {
 	s.restoring = false
 	cp.undo = cp.undo[:0]
 	clear(cp.saved)
-	s.rebuildRouterLocked()
 	s.publish(Event{Kind: Recovered, Err: cause})
 }
 

@@ -55,25 +55,6 @@ func (s *System) captureTemplateLocked(d *place.Design) {
 	s.publish(Event{Kind: TemplateStored, Design: d.Name})
 }
 
-// allocPadLocked reserves the first free pad on a side, scanning in the
-// placer's order so warm loads bind the same pads a cold load would.
-func (s *System) allocPadLocked(side fabric.Dir) (fabric.PadRef, bool) {
-	max := s.dev.Cols
-	if side == fabric.West || side == fabric.East {
-		max = s.dev.Rows
-	}
-	for pos := 0; pos < max; pos++ {
-		for k := 0; k < fabric.PadsPerEdgeTile; k++ {
-			p := fabric.PadRef{Side: side, Pos: pos, K: k}
-			if !s.pads[p] {
-				s.pads[p] = true
-				return p, true
-			}
-		}
-	}
-	return fabric.PadRef{}, false
-}
-
 // templateBoundaryNets builds the routing problem for a template's boundary
 // nets at a region: each primary input's pad to its interior pin sinks, and
 // each interior output driver to its pad. Outputs sharing a driver merge
@@ -138,18 +119,14 @@ func (s *System) tryWarmLoadLocked(nl *netlist.Netlist, region fabric.Rect) (*pl
 	// free, and a single overlapping node means the pre-routed frames would
 	// corrupt it.
 	used := tpl.UsedAt(s.dev, region)
-	occ := s.engine.OccupiedNodes()
-	occSet := make(map[fabric.NodeID]bool, len(occ))
-	for _, n := range occ {
-		occSet[n] = true
-	}
+	r := s.engine.FreeRouter()
 	for _, n := range used {
-		if occSet[n] {
+		if r.Blocked(n) {
 			s.tmpl.NoteFallback()
 			return nil, false, nil
 		}
 	}
-	// Bind pads (inputs west, outputs east — the placer's rule).
+	// Bind pads (inputs west, outputs east) by the placer's own rule.
 	padOf := map[netlist.ID]fabric.PadRef{}
 	var newPads []fabric.PadRef
 	releasePads := func() {
@@ -159,7 +136,7 @@ func (s *System) tryWarmLoadLocked(nl *netlist.Netlist, region fabric.Rect) (*pl
 	}
 	bind := func(ids []netlist.ID, side fabric.Dir) bool {
 		for _, id := range ids {
-			p, ok := s.allocPadLocked(side)
+			p, ok := place.ReservePad(s.dev, s.pads, side)
 			if !ok {
 				return false
 			}
@@ -174,18 +151,13 @@ func (s *System) tryWarmLoadLocked(nl *netlist.Netlist, region fabric.Rect) (*pl
 		return nil, false, nil
 	}
 	// Route only the boundary nets, over ground-truth occupancy plus the
-	// image — zero interior routing. The shared router is rebuilt from the
-	// configuration memory either way, so a fallback leaves it coherent.
+	// image — zero interior routing.
 	bnets := templateBoundaryNets(s.dev, tpl, region, nl, padOf)
-	s.router.Reset()
-	s.router.Block(occ...)
-	s.router.Block(used...)
-	s.router.Greedy = boundaryGreedy
-	routed, err := s.router.RouteDisjoint(bnets)
-	s.router.Greedy = 0
+	r.Block(used...)
+	r.Greedy = boundaryGreedy
+	routed, err := r.RouteDisjoint(bnets)
 	if err != nil {
 		releasePads()
-		s.rebuildRouterLocked()
 		s.tmpl.NoteFallback()
 		return nil, false, nil
 	}
@@ -266,7 +238,6 @@ func (s *System) tryWarmLoadLocked(nl *netlist.Netlist, region fabric.Rect) (*pl
 	if err := s.engine.Tool.SyncDeclared(cells, touched, pads); err != nil {
 		return nil, true, err
 	}
-	s.rebuildRouterLocked()
 	s.publish(Event{Kind: TemplateHit, Design: name, Region: region})
 	s.publish(Event{Kind: DesignLoaded, Design: name, Region: region})
 	return d, true, nil
@@ -317,37 +288,28 @@ func (s *System) tryTranslateMoveLocked(name string, to fabric.Rect) (bool, erro
 	for _, p := range d.PadOf {
 		own[s.dev.PadNodeID(p)] = true
 	}
+	// Post-cut occupancy, computed before a single frame moves: everything in
+	// use except the design's own footprint.
+	r := s.engine.FreeRouter()
+	for n := range own {
+		r.Unblock(n)
+	}
 	targetUsed := tpl.UsedAt(s.dev, to)
-	occ := s.engine.OccupiedNodes()
-	foreign := make([]fabric.NodeID, 0, len(occ))
-	for _, n := range occ {
-		if !own[n] {
-			foreign = append(foreign, n)
-		}
-	}
-	foreignSet := make(map[fabric.NodeID]bool, len(foreign))
-	for _, n := range foreign {
-		foreignSet[n] = true
-	}
 	for _, n := range targetUsed {
-		if foreignSet[n] {
+		if r.Blocked(n) {
 			s.tmpl.NoteFallback()
 			return false, nil
 		}
 	}
-	// Route the boundary patch against post-cut occupancy, computed before a
-	// single frame moves: everything foreign plus the translated image. The
-	// same construction and ordering as the warm path, so an unload followed
-	// by a warm load at the target produces bit-identical frames.
+	// Route the boundary patch against post-cut occupancy plus the translated
+	// image. The same construction and ordering as the warm path, so an
+	// unload followed by a warm load at the target produces bit-identical
+	// frames.
 	bnets := templateBoundaryNets(s.dev, tpl, to, d.NL, d.PadOf)
-	s.router.Reset()
-	s.router.Block(foreign...)
-	s.router.Block(targetUsed...)
-	s.router.Greedy = boundaryGreedy
-	routed, err := s.router.RouteDisjoint(bnets)
-	s.router.Greedy = 0
+	r.Block(targetUsed...)
+	r.Greedy = boundaryGreedy
+	routed, err := r.RouteDisjoint(bnets)
 	if err != nil {
-		s.rebuildRouterLocked()
 		s.tmpl.NoteFallback()
 		return false, nil
 	}
@@ -385,7 +347,6 @@ func (s *System) tryTranslateMoveLocked(name string, to fabric.Rect) (bool, erro
 			for cell := 0; cell < fabric.CellsPerCLB; cell++ {
 				cc := s.dev.ReadCell(fabric.CellRef{Coord: fabric.Coord{Row: row, Col: col}, Cell: cell})
 				if cc.InUse() && cc.RAM {
-					s.rebuildRouterLocked()
 					s.tmpl.NoteFallback()
 					return false, nil
 				}
@@ -482,7 +443,6 @@ func (s *System) tryTranslateMoveLocked(name string, to fabric.Rect) (bool, erro
 	if err := s.area.Move(s.regions[name], to); err != nil {
 		return false, err
 	}
-	s.rebuildRouterLocked()
 	s.tmpl.NoteTranslation()
 	s.publish(Event{Kind: DesignTranslated, Design: name, From: from, Region: to})
 	s.publish(Event{Kind: DesignMoved, Design: name, From: from, Region: to})
