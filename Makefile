@@ -1,4 +1,4 @@
-.PHONY: test race bench bench-baseline bench-module cover lint fuzz torture soak router-diff port-diff replay-diff
+.PHONY: test race bench bench-baseline bench-module cover lint fuzz torture soak router-diff port-diff replay-diff view-diff
 
 test:
 	go build ./... && go test ./...
@@ -35,6 +35,13 @@ port-diff:
 # contract with its fallback.
 replay-diff:
 	go test -race -run 'TestReplayMatchesEager|TestReplayAllocsIndependentOfHistory|TestRecordSeq' ./internal/journal
+
+# Mirrors the CI "View differential (race)" step (keep the -run pattern in
+# sync with .github/workflows/ci.yml): the engine's occupancy view equal to a
+# rescan of the configuration memory after every facade operation (loads
+# declare their footprint) and after every engine-level write.
+view-diff:
+	go test -race -run 'TestViewMatchesRescan' repro ./internal/relocate
 
 # The self-healing chaos soak at full length (CI runs the short-mode variant
 # inside the fault-torture step): background scrubber + fault plan +

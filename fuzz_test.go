@@ -49,7 +49,9 @@ func fuzzSeedFromTasks(sel, flk byte, tasks []workload.Task) []byte {
 // journaled system with an injectable flaky port and simulated crash points,
 // then recovers one crash capture and checks the recovery invariants: no
 // panic anywhere, only typed errors out of Recover, the recovered journal
-// sealed, and the recovered book-keeping backed by device readback.
+// sealed, and the recovered book-keeping backed by device readback. After
+// every op the engine's occupancy view must equal a rescan of the
+// configuration memory (AuditView).
 //
 // Input layout: byte 0 selects the crash capture to recover, byte 1 encodes
 // the fault injection (0 = healthy; low 3 bits = which op; bit 3 = fault
@@ -260,6 +262,12 @@ func fuzzFacadeRun(t *testing.T, data []byte) {
 				// it) is already permanent system state.
 				flaky.HealFrames(hurtFrame)
 				persistent = false
+			}
+			// Whatever the op did — committed, refused, rolled back,
+			// retried or quarantined — the engine's occupancy view must
+			// equal a rescan of the configuration memory.
+			if err := auditView(sys); err != nil {
+				t.Fatalf("op %d (code %d): %v", op, code%8, err)
 			}
 		}
 		if seu {

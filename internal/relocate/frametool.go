@@ -168,9 +168,11 @@ func (ft *FrameTool) SetBarrier(b DeliveryBarrier) { ft.barrier = b }
 //     write can have changed (for a PIP toggle: the source and sink node;
 //     for a sink clear: the sink plus its previously enabled sources).
 //   - Synced fires whenever the tool reconciles configuration that changed
-//     through another path (designer-level placement, a rollback's recovery
-//     stream), carrying the dirty frame set from Device.FramesChangedSince
-//     or the checkpoint being rolled back.
+//     through another path undeclared (raw designer-path writes, recovery
+//     and scrub-probe reconciliation, a rollback's recovery stream), with
+//     the dirty frames from Device.FramesChangedSince or the checkpoint
+//     being rolled back. A declared placement (SyncDeclared) reports
+//     through the three calls above instead.
 //   - Advanced fires when the device generation moved with no configuration
 //     change the sink has not already seen (a flush re-delivering staged
 //     frames through the port).
@@ -205,20 +207,57 @@ func NewFrameTool(dev *fabric.Device, port bitstream.Port) (*FrameTool, error) {
 }
 
 // Sync refreshes the recovery shadow from the device if the configuration
-// changed through a path other than this tool (checkpointing after a new
-// design is loaded by the development flow).
-func (ft *FrameTool) Sync() error { return ft.sync() }
+// changed through a path other than this tool, and hands the changed frames
+// to the view sink, which re-derives every column they can reach. Every tool
+// write starts with it; the facade calls it where the change is undeclared.
+func (ft *FrameTool) Sync() error {
+	addrs, err := ft.reconcile()
+	if err != nil || len(addrs) == 0 {
+		return err
+	}
+	if ft.sink != nil {
+		ft.sink.Synced(addrs)
+	}
+	return nil
+}
 
-// sync reconciles the shadow when the configuration changed through a path
-// other than this tool (e.g. the development tool loading a new design) —
-// the paper's tool accepts "a complete configuration file" as input; this
-// is the equivalent import. Only the frames that actually changed are
-// re-read, and their pre-images flow into any open snapshots, so a
-// checkpoint covers designer-path writes too.
-func (ft *FrameTool) sync() error {
+// SyncDeclared refreshes the recovery shadow like Sync, but the caller
+// declares exactly which cells, nodes and pads its designer-path writes can
+// have changed, so the view sink updates by targeted deltas instead of the
+// dirty-frame sweep (a frame bit can affect nodes hex-reach columns away, so
+// the sweep re-derives far more than a placement actually touched). The
+// declaration must be complete: an undeclared change would leave the derived
+// occupancy stale. The facade's cold and warm loads use it — a placed
+// design knows its precise footprint.
+func (ft *FrameTool) SyncDeclared(cells []fabric.CellRef, nodes []fabric.NodeID, pads []fabric.PadRef) error {
+	addrs, err := ft.reconcile()
+	if err != nil || len(addrs) == 0 {
+		return err
+	}
+	if ft.sink != nil {
+		for _, ref := range cells {
+			ft.sink.CellTouched(ref)
+		}
+		ft.sink.NodesTouched(nodes...)
+		for _, p := range pads {
+			ft.sink.PadTouched(p)
+		}
+		ft.sink.Advanced()
+	}
+	return nil
+}
+
+// reconcile is the loop Sync and SyncDeclared share: it adopts configuration
+// that changed through a path other than this tool (e.g. the development tool
+// loading a new design) — the paper's tool accepts "a complete configuration
+// file" as input; this is the equivalent import. Only the frames that
+// actually changed are re-read, and their pre-images flow into any open
+// snapshots, so a checkpoint covers designer-path writes too. It returns the
+// changed frames, which the caller reports to the view sink.
+func (ft *FrameTool) reconcile() ([]fabric.FrameAddr, error) {
 	g := ft.dev.Generation()
 	if g == ft.genSeen {
-		return nil
+		return nil, nil
 	}
 	addrs := ft.dev.FramesChangedSince(ft.genSeen)
 	var updates []bitstream.FrameUpdate
@@ -228,7 +267,7 @@ func (ft *FrameTool) sync() error {
 	for _, addr := range addrs {
 		data, err := ft.dev.ReadFrame(addr.Major, addr.Minor)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		ft.shadow.NoteOwned(addr, data)
 		// Designer-path content is already on the fabric: it is the delta
@@ -245,66 +284,11 @@ func (ft *FrameTool) sync() error {
 		// sees them as a delivery so pre-images journal before anything
 		// else builds on the reconciled state.
 		if err := ft.barrier.PreDeliver(addrs); err != nil {
-			return err
+			return nil, err
 		}
 		ft.barrier.Delivered(updates)
 	}
-	if ft.sink != nil && len(addrs) > 0 {
-		ft.sink.Synced(addrs)
-	}
-	return nil
-}
-
-// SyncDeclared refreshes the recovery shadow like Sync, but the caller
-// declares exactly which cells, nodes and pads its designer-path writes can
-// have changed, so the view sink updates by targeted deltas instead of the
-// dirty-frame sweep (a frame bit can affect nodes hex-reach columns away, so
-// the sweep re-derives far more than a small splice actually touched). The
-// declaration must be complete: an undeclared change would leave the derived
-// occupancy stale. The facade's warm-load path uses it — the template splice
-// knows its precise footprint.
-func (ft *FrameTool) SyncDeclared(cells []fabric.CellRef, nodes []fabric.NodeID, pads []fabric.PadRef) error {
-	g := ft.dev.Generation()
-	if g == ft.genSeen {
-		return nil
-	}
-	addrs := ft.dev.FramesChangedSince(ft.genSeen)
-	var updates []bitstream.FrameUpdate
-	if ft.barrier != nil && len(addrs) > 0 {
-		updates = make([]bitstream.FrameUpdate, 0, len(addrs))
-	}
-	for _, addr := range addrs {
-		data, err := ft.dev.ReadFrame(addr.Major, addr.Minor)
-		if err != nil {
-			return err
-		}
-		ft.shadow.NoteOwned(addr, data)
-		// Designer-path content is already on the fabric: it is the delta
-		// baseline of the next port delivery of these frames.
-		ft.lastSent[addr] = data
-		ft.confirmed[addr] = data
-		if updates != nil {
-			updates = append(updates, bitstream.FrameUpdate{Addr: addr, Data: data})
-		}
-	}
-	ft.genSeen = g
-	if ft.barrier != nil && len(addrs) > 0 {
-		if err := ft.barrier.PreDeliver(addrs); err != nil {
-			return err
-		}
-		ft.barrier.Delivered(updates)
-	}
-	if ft.sink != nil {
-		for _, ref := range cells {
-			ft.sink.CellTouched(ref)
-		}
-		ft.sink.NodesTouched(nodes...)
-		for _, p := range pads {
-			ft.sink.PadTouched(p)
-		}
-		ft.sink.Advanced()
-	}
-	return nil
+	return addrs, nil
 }
 
 // Port returns the configuration port.
@@ -334,7 +318,7 @@ func (ft *FrameTool) Apply(edits []Edit) error {
 	if len(edits) == 0 {
 		return nil
 	}
-	if err := ft.sync(); err != nil {
+	if err := ft.Sync(); err != nil {
 		return err
 	}
 	order := []fabric.FrameAddr{}
@@ -463,7 +447,7 @@ func (ft *FrameTool) Flush() error {
 	if len(ft.pending) == 0 {
 		return nil
 	}
-	if err := ft.sync(); err != nil {
+	if err := ft.Sync(); err != nil {
 		return err
 	}
 	addrs := ft.pending
@@ -792,7 +776,7 @@ func (ft *FrameTool) TouchedFrames() []fabric.FrameAddr {
 // writes alike — the latter are captured by the next sync), so a rollback
 // replays only what the operation touched.
 func (ft *FrameTool) BeginSnapshot() (*bitstream.Snapshot, error) {
-	if err := ft.sync(); err != nil {
+	if err := ft.Sync(); err != nil {
 		return nil, err
 	}
 	return ft.shadow.Begin(), nil
@@ -808,7 +792,7 @@ func (ft *FrameTool) BeginSnapshot() (*bitstream.Snapshot, error) {
 // designer-path writes since the checkpoint are part of the dirty set.
 func (ft *FrameTool) RecoveryWords(snap *bitstream.Snapshot) ([]uint32, error) {
 	ft.drainSuperseded()
-	if err := ft.sync(); err != nil {
+	if err := ft.Sync(); err != nil {
 		return nil, err
 	}
 	return snap.RecoveryWords(), nil

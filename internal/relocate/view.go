@@ -26,10 +26,11 @@ import (
 // The picture is maintained incrementally: the tool's write path reports
 // exactly which cells, nodes and pads each configuration write can have
 // changed (view implements ViewSink), and the view re-derives just those
-// entries from the configuration memory. A full rescan remains only as the
-// fallback for configuration that changed outside the tool — designer-path
-// writes detected through Device.FramesChangedSince — and even that path
-// first tries a partial re-derivation bounded by the dirty frames' columns.
+// entries from the configuration memory; a placement declares its footprint
+// the same way (FrameTool.SyncDeclared). Configuration that changed outside
+// the tool undeclared — raw designer-path writes, recovery, rollbacks — is
+// found through Device.FramesChangedSince and re-derived over every column
+// the dirty frames can reach, or rescanned when they cover most of the device.
 type view struct {
 	dev *fabric.Device
 	gen uint64
@@ -107,6 +108,64 @@ func (v *view) rescan() {
 			v.used[n] = true
 		}
 	}
+}
+
+// AuditView checks the engine's occupancy view against a fresh rescan of the
+// configuration memory — validation by enumeration. It brings the view up to
+// date as any reader would, rebuilds the picture from scratch, and returns the
+// first disagreement in the used nodes, the occupied cells, the free CLBs,
+// the per-row free counts or the free total; nil means the incrementally
+// kept view is exact. It costs a full rescan: an audit, not a read path.
+func (e *Engine) AuditView() error {
+	v := e.view
+	v.refresh()
+	fresh := newView(v.dev)
+	mismatch := func(what string, inView bool) error {
+		return fmt.Errorf("relocate: view audit: %s: %t in the view, %t in configuration memory", what, inView, !inView)
+	}
+	if n, ok := firstDiff(v.used, fresh.used, func(a, b fabric.NodeID) bool { return a < b }); ok {
+		return mismatch(fmt.Sprintf("node %d used", n), v.used[n])
+	}
+	if c, ok := firstDiff(v.inUse, fresh.inUse, func(a, b fabric.CellRef) bool {
+		return coordLess(a.Coord, b.Coord) || a.Coord == b.Coord && a.Cell < b.Cell
+	}); ok {
+		return mismatch(fmt.Sprintf("cell %v/%d in use", c.Coord, c.Cell), v.inUse[c])
+	}
+	if c, ok := firstDiff(v.freeCLB, fresh.freeCLB, coordLess); ok {
+		return mismatch(fmt.Sprintf("CLB %v free", c), v.freeCLB[c])
+	}
+	for row, n := range fresh.freePerRow {
+		if v.freePerRow[row] != n {
+			return fmt.Errorf("relocate: view audit: row %d has %d free CLBs in the view, %d in configuration memory",
+				row, v.freePerRow[row], n)
+		}
+	}
+	if v.freeCount != fresh.freeCount {
+		return fmt.Errorf("relocate: view audit: %d free CLBs in the view, %d in configuration memory",
+			v.freeCount, fresh.freeCount)
+	}
+	return nil
+}
+
+// firstDiff returns the least key, by less, that is in exactly one of two
+// sets.
+func firstDiff[K comparable](a, b map[K]bool, less func(x, y K) bool) (K, bool) {
+	var first K
+	found := false
+	note := func(x, y map[K]bool) {
+		for k := range x {
+			if !y[k] && (!found || less(k, first)) {
+				first, found = k, true
+			}
+		}
+	}
+	note(a, b)
+	note(b, a)
+	return first, found
+}
+
+func coordLess(a, b fabric.Coord) bool {
+	return a.Row < b.Row || a.Row == b.Row && a.Col < b.Col
 }
 
 // refresh brings the view up to date if the configuration moved through a
@@ -273,7 +332,8 @@ func (v *view) PadTouched(pad fabric.PadRef) {
 }
 
 // Synced consumes configuration that changed outside the tool's write path
-// (designer-level placement, a rollback's recovery stream): the view
+// with no declared footprint (raw designer-path writes, recovery and
+// scrub-probe reconciliation, a rollback's recovery stream): the view
 // re-derives the columns the dirty frames can influence (ViewSink).
 func (v *view) Synced(addrs []fabric.FrameAddr) {
 	v.refreshFrames(addrs)

@@ -3,6 +3,7 @@ package relocate
 import (
 	"maps"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/bitstream"
@@ -198,6 +199,53 @@ func TestViewMatchesRescanUnderRandomOps(t *testing.T) {
 		check(name)
 		if t.Failed() {
 			t.Fatalf("diverged after op %d (%s)", i, name)
+		}
+	}
+}
+
+// TestAuditViewNamesEachDisagreement pins the audit itself: an exact view
+// passes, and a view wrong in any one of its five parts is reported.
+func TestAuditViewNamesEachDisagreement(t *testing.T) {
+	dev := fabric.NewDevice(fabric.TestDevice)
+	eng, err := NewEngine(dev, bitstream.NewParallelPort(bitstream.NewController(dev), 50e6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nl := itc99.Generate(itc99.GenConfig{Name: "a", Inputs: 2, Outputs: 1, FFs: 2, LUTs: 3, Style: itc99.FreeRunning})
+	d, err := place.Place(dev, nl, place.Options{Region: fabric.Rect{Row: 1, Col: 1, H: 2, W: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Tool.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.AuditView(); err != nil {
+		t.Fatalf("exact view: %v", err)
+	}
+	ref := d.OccupiedCells()[0]
+	free, err := eng.view.findFreeCLB(fabric.Coord{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		part  string
+		spoil func(v *view)
+		mend  func(v *view)
+	}{
+		{"node", func(v *view) { delete(v.used, d.UsedNodes()[0]) }, func(v *view) { v.used[d.UsedNodes()[0]] = true }},
+		{"cell", func(v *view) { delete(v.inUse, ref) }, func(v *view) { v.inUse[ref] = true }},
+		{"CLB", func(v *view) { delete(v.freeCLB, free) }, func(v *view) { v.freeCLB[free] = true }},
+		{"row", func(v *view) { v.freePerRow[free.Row]++ }, func(v *view) { v.freePerRow[free.Row]-- }},
+		{"free CLBs", func(v *view) { v.freeCount++ }, func(v *view) { v.freeCount-- }},
+	} {
+		tc.spoil(eng.view)
+		err := eng.AuditView()
+		if err == nil || !strings.Contains(err.Error(), tc.part) {
+			t.Errorf("view wrong in its %s part: audit says %v", tc.part, err)
+		}
+		tc.mend(eng.view)
+		if err := eng.AuditView(); err != nil {
+			t.Fatalf("mended %s part: %v", tc.part, err)
 		}
 	}
 }

@@ -468,13 +468,39 @@ func (s *System) loadRaw(nl *netlist.Netlist, region fabric.Rect) (*place.Design
 	}
 	s.designs[nl.Name] = d
 	s.regions[nl.Name] = id
-	// Checkpoint the recovery shadow: the tool now holds a complete copy
-	// of the configuration including the new design.
-	if err := s.engine.Tool.Sync(); err != nil {
+	// Checkpoint the recovery shadow, declaring what the placement wrote:
+	// the tool now holds a complete copy of the configuration including
+	// the new design.
+	if err := s.adoptLocked(d); err != nil {
 		return nil, err
 	}
 	s.publish(Event{Kind: DesignLoaded, Design: nl.Name, Region: region})
 	return d, nil
+}
+
+// adoptLocked ends both load paths: it reconciles the placement's
+// designer-path writes into the tool's shadow (the armed checkpoint covers
+// them) and declares the design's footprint, so the view re-derives just that
+// instead of sweeping every column the dirty frames can reach. The
+// declaration is complete:
+//   - place.Place writes the cells of CellOf (OccupiedCells), the input pads
+//     of PadOf and the PIPs along the routed paths (route.Apply). Both ends
+//     of a PIP lie on a path, so in its net's Tree; UsedNodes is the union
+//     of the Trees.
+//   - An output-pad PIP sets OutMask on a pad of PadOf; PadTouched
+//     re-derives the pad node and every wire its mask can select.
+//   - A failed contained attempt fails before route.Apply, having written
+//     the cells and pads the retry rewrites; the retry's FreeRouter also
+//     refreshes the view.
+//   - A warm design's CellOf is its template's, translated, so
+//     OccupiedCells is the spliced image; InteriorNets and the router built
+//     its Trees.
+func (s *System) adoptLocked(d *place.Design) error {
+	pads := make([]fabric.PadRef, 0, len(d.PadOf))
+	for _, p := range d.PadOf {
+		pads = append(pads, p)
+	}
+	return s.engine.Tool.SyncDeclared(d.OccupiedCells(), d.UsedNodes(), pads)
 }
 
 // findRegionLocked auto-sizes and places a region using the area manager.

@@ -162,8 +162,8 @@ func (s *System) tryWarmLoadLocked(nl *netlist.Netlist, region fabric.Rect) (*pl
 		return nil, false, nil
 	}
 	// Commit through the designer path, exactly as a cold place-and-route
-	// writes: the splice costs no port traffic, and Sync below adopts the
-	// changed frames into the tool's shadow (the armed checkpoint covers
+	// writes: the splice costs no port traffic, and adoptLocked below takes
+	// the changed frames into the tool's shadow (the armed checkpoint covers
 	// them if anything later fails).
 	name := nl.Name
 	s.noteUndoLocked(func(s *System) {
@@ -211,31 +211,9 @@ func (s *System) tryWarmLoadLocked(nl *netlist.Netlist, region fabric.Rect) (*pl
 	}
 	s.designs[name] = d
 	s.regions[name] = id
-	// Adopt the splice into the tool's shadow. The warm path knows its exact
-	// footprint (the image cells, every routed node, the bound pads), so the
-	// view updates by targeted deltas instead of the dirty-frame sweep — the
-	// splice stays O(frame-I/O) on the host side too.
-	cells := make([]fabric.CellRef, len(tpl.Cells))
-	for i, ci := range tpl.Cells {
-		cells[i] = ci.At.At(region)
-	}
-	seen := map[fabric.NodeID]bool{}
-	var touched []fabric.NodeID
-	for i := range d.Nets {
-		for _, path := range d.Nets[i].Paths {
-			for _, n := range path {
-				if !seen[n] {
-					seen[n] = true
-					touched = append(touched, n)
-				}
-			}
-		}
-	}
-	pads := make([]fabric.PadRef, 0, len(padOf))
-	for _, p := range padOf {
-		pads = append(pads, p)
-	}
-	if err := s.engine.Tool.SyncDeclared(cells, touched, pads); err != nil {
+	// Adopt the splice with its footprint, as a cold load adopts its
+	// placement: the splice stays O(frame-I/O) on the host side too.
+	if err := s.adoptLocked(d); err != nil {
 		return nil, true, err
 	}
 	s.publish(Event{Kind: TemplateHit, Design: name, Region: region})
