@@ -16,10 +16,10 @@ torture:
 
 # Mirrors the CI "Router differential (race)" step (keep the -run pattern in
 # sync with .github/workflows/ci.yml): routes node-for-node equal to the
-# reference router's, the fanout tables equal to FanoutOf, and a search that
-# queues no dead end.
+# reference router's, the bucketed open set popping what a binary heap pops,
+# the fanout tables equal to FanoutOf, and a search that queues no dead end.
 router-diff:
-	go test -race -run 'TestRouterMatchesReference|TestFanoutTemplate|TestSearchQueuesNoDeadEnds' ./internal/route ./internal/fabric
+	go test -race -run 'TestRouterMatchesReference|TestOpenSet|TestFanoutTemplate|TestSearchQueuesNoDeadEnds' ./internal/route ./internal/fabric
 
 # Mirrors the CI "Port differential (race)" step (keep the -run pattern in
 # sync with .github/workflows/ci.yml): the word-stepping Boundary-Scan port

@@ -8,6 +8,7 @@ package route
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/fabric"
@@ -68,11 +69,13 @@ func nodeDelay(dev *fabric.Device, n fabric.NodeID) float64 {
 // Router routes sets of nets over a device with negotiated congestion.
 //
 // A Router is built once and reused: all per-session state (blocked nodes,
-// congestion history, usage counts) and all per-search state (the A* open
-// set, cost and predecessor tables) live in epoch-stamped arrays indexed by
-// NodeID, so Reset and every search start are O(1) instead of reallocating
-// device-sized tables. Neighbours come from the fabric's translation-invariant
-// fanout template, compiled once per router into a per-local hop table.
+// congestion history, usage counts) and the per-search cost and predecessor
+// tables live in epoch-stamped arrays indexed by NodeID, so Reset and every
+// search start are O(1) instead of reallocating device-sized tables. The A*
+// open set is a bucketed queue (pq) reused across searches: a search start
+// truncates it and clears its 64-word bitmap. Neighbours come from the
+// fabric's translation-invariant fanout template, compiled once per router
+// into a per-local hop table.
 type Router struct {
 	dev *fabric.Device
 	// MaxIters bounds the negotiation rounds.
@@ -285,17 +288,80 @@ func (r *Router) setOwner(n fabric.NodeID, idx int32) {
 
 func (r *Router) clearOwner(n fabric.NodeID) { r.ownerAt[n] = 0 }
 
-// item is a priority-queue entry.
+// item is an open-set entry. next links a listed entry to the next slot of
+// its bucket; it sits in the padding after node, so an item stays 24 bytes.
 type item struct {
 	node fabric.NodeID
+	next int32
 	cost float64
 	est  float64
 }
 
-// pq is a typed binary min-heap on (est, node) — the node tie-break keeps
-// expansion deterministic. Hand-rolled to avoid container/heap's interface
-// boxing on every push and pop.
-type pq []item
+// The open set's buckets: an entry goes to bucket floor(est·bucketsPerNs),
+// and the last bucket also takes every estimate from numBuckets/bucketsPerNs
+// (64 ns) up. The width is a power of two, so est·bucketsPerNs is exact and
+// the bucket is monotone in est. Finer buckets do not shrink the front: a
+// search crosses plateaus of equal est (a hex hop toward the sink costs
+// exactly what the heuristic takes off), and at 1,024 buckets per ns the
+// bucket being popped held nearly as many entries as at 64. 64 ns covers
+// every estimate but long XCV800 boundary patches and heavy negotiation,
+// which share the last bucket.
+const (
+	bucketsPerNs = 64
+	numBuckets   = 4096
+)
+
+// pq is the A* open set: an exact min-queue on (est, node), the node
+// tie-break keeping expansion deterministic. More than half of what a search
+// queues never pops, so only the lowest bucket is heap-ordered:
+//
+//   - the front, a binary min-heap on (est, node), holds every entry whose
+//     bucket is at most cur;
+//   - each bucket above cur is an unordered list threaded through one slot
+//     pool, and bits marks the non-empty ones.
+//
+// It is exact. Every listed entry has est ≥ (cur+1)/64 and every front entry
+// less, so while the front is non-empty its least entry is the least of all;
+// when it empties, the lowest listed bucket becomes the front. A push at or
+// below cur joins the front, which is what keeps this valid under the
+// router's inconsistent heuristic (est drops by 1.05 ns on the hop out of a
+// hex start), where a monotone queue (Dial's buckets, a radix heap) would
+// reorder pops. Two entries with one (est, node) are one node queued twice
+// with different costs; the search skips the stale one whenever it pops, so
+// their relative order does not matter.
+//
+// rlmbench attributes route.heap_cpu_share to push, pop and pqLess by name,
+// so all open-set work stays in them: pop refills the front through push and
+// keeps its sift-down inline, and the share still counts the whole open set.
+type pq struct {
+	front  []item
+	cur    int
+	pool   []item  // listed entries, and the free slots of refilled buckets
+	free   int32   // first free pool slot, or -1
+	listed int     // entries in the pool's buckets
+	head   []int32 // head[b] is bucket b's first slot, valid while its bit is set
+	bits   [numBuckets / 64]uint64
+}
+
+// reset empties the queue in O(1) apart from clearing the bitmap. The bucket
+// heads are allocated by the first search: a router that never searches,
+// such as the one Recover builds, never pays for them. The pool and the
+// front start at a size a search reaches anyway (a front holds about one
+// plateau; a search across the device lists over 10,000 entries), so a new
+// router's first search does not grow two slices from nothing where the
+// binary heap grew one.
+func (p *pq) reset() {
+	if p.head == nil {
+		p.head = make([]int32, numBuckets)
+		p.pool = make([]item, 0, numBuckets)
+		p.front = make([]item, 0, 256)
+	}
+	p.front, p.pool = p.front[:0], p.pool[:0]
+	p.cur, p.free, p.listed = 0, -1, 0
+	clear(p.bits[:])
+}
+
+func (p *pq) len() int { return len(p.front) + p.listed }
 
 func pqLess(a, b item) bool {
 	if a.est != b.est {
@@ -305,8 +371,33 @@ func pqLess(a, b item) bool {
 }
 
 func (p *pq) push(it item) {
-	*p = append(*p, it)
-	q := *p
+	// Compared before converting: converting a float past int's range is
+	// implementation-defined.
+	b := numBuckets - 1
+	if it.est < numBuckets/bucketsPerNs {
+		b = int(it.est * bucketsPerNs)
+	}
+	if b > p.cur {
+		w, bit := b/64, uint64(1)<<(b%64)
+		it.next = -1
+		if p.bits[w]&bit != 0 {
+			it.next = p.head[b]
+		}
+		p.bits[w] |= bit
+		s := p.free
+		if s >= 0 {
+			p.free = p.pool[s].next
+			p.pool[s] = it
+		} else {
+			s = int32(len(p.pool))
+			p.pool = append(p.pool, it)
+		}
+		p.head[b] = s
+		p.listed++
+		return
+	}
+	p.front = append(p.front, it)
+	q := p.front
 	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -319,12 +410,29 @@ func (p *pq) push(it item) {
 }
 
 func (p *pq) pop() item {
-	q := *p
+	if len(p.front) == 0 {
+		// Refill from the lowest listed bucket. Every bucket at or below
+		// cur is empty, so the scan starts at cur's word.
+		w := p.cur / 64
+		for p.bits[w] == 0 {
+			w++
+		}
+		p.cur = w*64 + bits.TrailingZeros64(p.bits[w])
+		p.bits[w] &^= 1 << (p.cur % 64)
+		var tail int32
+		for s := p.head[p.cur]; s >= 0; s = p.pool[s].next {
+			p.push(p.pool[s]) // joins the front: its bucket is cur
+			p.listed--
+			tail = s
+		}
+		p.pool[tail].next, p.free = p.free, p.head[p.cur]
+	}
+	q := p.front
 	top := q[0]
 	last := len(q) - 1
 	q[0] = q[last]
 	q = q[:last]
-	*p = q
+	p.front = q
 	i := 0
 	for {
 		l, rgt := 2*i+1, 2*i+2
@@ -404,9 +512,9 @@ func (r *Router) routeOne(seeds []fabric.NodeID, sink fabric.NodeID,
 // Dead-end pruning is exact too. A pruned node's expansion would relax
 // nothing (a terminal has no fanout; every hop of the pruned wire fails the
 // box test), so popping it changes no other node's cost or predecessor, and
-// the heap pops in the total order (est, node): leaving it out of the queue
-// leaves every other pop, cost and predecessor, and therefore every route,
-// as it was.
+// the open set pops in the total order (est, node): leaving it out of the
+// queue leaves every other pop, cost and predecessor, and therefore every
+// route, as it was.
 func (r *Router) searchOne(seeds []fabric.NodeID, sink fabric.NodeID,
 	netIdx int32, presentFactor float64, margin int, within *fabric.Rect) []fabric.NodeID {
 	dev := r.dev
@@ -450,7 +558,7 @@ func (r *Router) searchOne(seeds []fabric.NodeID, sink fabric.NodeID,
 	}
 	r.searchEpoch++
 	se := r.searchEpoch
-	r.q = r.q[:0]
+	r.q.reset()
 	for _, n := range seeds {
 		r.q.push(item{node: n, cost: 0, est: float64(r.tileOf(n).ManhattanDist(sinkTile)) * hPerTile})
 		r.searchAt[n], r.best[n], r.prev[n] = se, 0, fabric.InvalidNode
@@ -460,7 +568,7 @@ func (r *Router) searchOne(seeds []fabric.NodeID, sink fabric.NodeID,
 	negotiating := r.negotiatedAt == epoch
 	padBase := dev.PadBase()
 	cols := dev.Cols
-	for len(r.q) > 0 {
+	for r.q.len() > 0 {
 		it := r.q.pop()
 		cur := it.node
 		if it.cost > r.best[cur] {
