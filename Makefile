@@ -37,11 +37,13 @@ replay-diff:
 	go test -race -run 'TestReplayMatchesEager|TestReplayAllocsIndependentOfHistory|TestRecordSeq' ./internal/journal
 
 # Mirrors the CI "View differential (race)" step (keep the -run pattern in
-# sync with .github/workflows/ci.yml): the engine's occupancy view equal to a
-# rescan of the configuration memory after every facade operation (loads
-# declare their footprint) and after every engine-level write.
+# sync with .github/workflows/ci.yml): every frame bit decoded to the
+# resource it configures, and the engine's occupancy view equal to a rescan
+# of the configuration memory, with no change undeclared, after every facade
+# operation, every engine-level write, a failed partial recovery and a pad
+# OutMask clear.
 view-diff:
-	go test -race -run 'TestViewMatchesRescan' repro ./internal/relocate
+	go test -race -run 'TestViewMatchesRescan|TestViewAfterFailedPartialRecovery|TestViewAfterPadOutMaskClear|TestAuditView|TestOwnerOfBit' repro ./internal/relocate ./internal/fabric
 
 # The self-healing chaos soak at full length (CI runs the short-mode variant
 # inside the fault-torture step): background scrubber + fault plan +

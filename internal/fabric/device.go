@@ -92,9 +92,13 @@ type Device struct {
 	addrOfFrame []FrameAddr
 
 	// pipOffset[sinkLocal] is the bit offset of the sink's PIP mask within
-	// the tile's configuration slot space; pipWidth its width.
+	// the tile's configuration slot space; pipWidth its width. sinkAt is the
+	// inverse: the sink whose mask holds a slot in [cellSlot(CellsPerCLB),
+	// pipEnd).
 	pipOffset [sinkCount]int
 	pipWidth  [sinkCount]int
+	sinkAt    [TileConfigBits]uint8
+	pipEnd    int
 
 	// tileGen is bumped whenever configuration covering the tile changes;
 	// simulators use it for incremental re-derivation.
@@ -149,6 +153,12 @@ func NewDevice(p Preset) *Device {
 	if off > TileConfigBits {
 		panic(fmt.Sprintf("fabric: tile config needs %d bits, have %d", off, TileConfigBits))
 	}
+	for s := 0; s < sinkCount; s++ {
+		for b := 0; b < d.pipWidth[s]; b++ {
+			d.sinkAt[d.pipOffset[s]+b] = uint8(s)
+		}
+	}
+	d.pipEnd = off
 	return d
 }
 

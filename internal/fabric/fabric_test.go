@@ -704,3 +704,78 @@ func TestConcurrentConfigAccess(t *testing.T) {
 	}
 	<-done
 }
+
+// TestOwnerOfBitInvertsLayout decodes every bit of every frame: each cell
+// slot, PIP-mask bit and pad-config bit that BitAddr or PadBitAddr places
+// decodes back to the resource it came from, a PIP bit's source is the
+// sink's resolved template entry, and every other bit is BitUnused.
+func TestOwnerOfBitInvertsLayout(t *testing.T) {
+	for _, p := range []Preset{TestDevice, XCV50} {
+		d := NewDevice(p)
+		base := map[int]int{} // major -> linear index of its first frame
+		n := 0
+		for _, col := range d.Columns() {
+			base[col.Major] = n
+			n += col.Frames
+		}
+		placed := make([]bool, n*d.FrameBits())
+		place := func(major, minor, bit int, want BitOwner) {
+			t.Helper()
+			addr := FrameAddr{Major: major, Minor: minor}
+			i := (base[major]+minor)*d.FrameBits() + bit
+			if bit < 0 || bit >= d.FrameBits() || placed[i] {
+				t.Fatalf("%s: %+v placed at %v bit %d twice or out of the frame", p.Name, want, addr, bit)
+			}
+			placed[i] = true
+			if got := d.OwnerOfBit(addr, bit); got != want {
+				t.Fatalf("%s: %v bit %d decodes to %+v, want %+v", p.Name, addr, bit, got, want)
+			}
+		}
+		for row := 0; row < d.Rows; row++ {
+			for col := 0; col < d.Cols; col++ {
+				c := Coord{Row: row, Col: col}
+				for cell := 0; cell < CellsPerCLB; cell++ {
+					start, width := d.CellSlotRange(cell)
+					for i := 0; i < width; i++ {
+						major, minor, bit := d.BitAddr(c, start+i)
+						place(major, minor, bit, BitOwner{Kind: BitCell, Tile: c, Local: cell})
+					}
+				}
+				for local := 0; IsLocalSink(local); local++ {
+					start, width := d.PIPSlotRange(local)
+					srcs := d.SinkSourceNodes(c, local)
+					for b := 0; b < width; b++ {
+						major, minor, bit := d.BitAddr(c, start+b)
+						place(major, minor, bit, BitOwner{Kind: BitPIP, Tile: c, Local: local, PIP: b})
+						if got := d.PIPSource(c, local, b); got != srcs[b] {
+							t.Fatalf("%s: PIPSource(%v, %d, %d) = %d, want %d", p.Name, c, local, b, got, srcs[b])
+						}
+					}
+				}
+			}
+		}
+		for i := 0; i < d.NumPads(); i++ {
+			pad := d.PadByIndex(i)
+			major, minor, bit := d.PadBitAddr(pad)
+			for k := 0; k < padConfigBits; k++ {
+				place(major, minor, bit+k, BitOwner{Kind: BitPad, Pad: pad})
+			}
+		}
+		for _, col := range d.Columns() {
+			for minor := 0; minor < col.Frames; minor++ {
+				addr := FrameAddr{Major: col.Major, Minor: minor}
+				for bit := 0; bit < d.FrameBits(); bit++ {
+					if placed[(base[col.Major]+minor)*d.FrameBits()+bit] {
+						continue
+					}
+					if got := d.OwnerOfBit(addr, bit); got != (BitOwner{}) {
+						t.Fatalf("%s: unplaced %v bit %d decodes to %+v", p.Name, addr, bit, got)
+					}
+				}
+			}
+		}
+		if len(placed) != d.ConfigBits() {
+			t.Fatalf("%s: walked %d bits, the device has %d", p.Name, len(placed), d.ConfigBits())
+		}
+	}
+}

@@ -118,8 +118,7 @@ var sinkSources [sinkCount][]SourceRef
 const maxPIPsPerSink = 16
 
 // HexSpan is the tile span of a hex wire — the farthest any PIP template
-// reaches across the array. Derived occupancy structures use it to bound
-// how far a configuration change can affect node usage.
+// reaches across the array.
 const HexSpan = 6
 
 func init() {

@@ -161,23 +161,6 @@ func (d *Device) PadConfigFrame(p PadRef) FrameAddr {
 	return FrameAddr{Major: major, Minor: minor}
 }
 
-// PadsInFrame returns the pads whose configuration byte lives in the given
-// frame, if any. Host-side occupancy views use it to re-derive exactly the
-// pads a dirty frame can have changed. It checks every pad against
-// PadConfigFrame — the one source of truth for pad placement — so it cannot
-// drift from the frame layout; the scan is a few hundred arithmetic-only
-// probes and runs only on the dirty frames of a partial refresh.
-func (d *Device) PadsInFrame(addr FrameAddr) []PadRef {
-	var out []PadRef
-	for i := 0; i < d.NumPads(); i++ {
-		p := d.PadByIndex(i)
-		if d.PadConfigFrame(p) == addr {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // PadOutSourceNode returns the outward single wire selected by bit b of a
 // pad's OutMask.
 func (d *Device) PadOutSourceNode(p PadRef, b int) NodeID {

@@ -38,6 +38,91 @@ func (d *Device) BitAddr(c Coord, slot int) (major, minor, bit int) {
 	return d.tileBitAddr(c, slot)
 }
 
+// BitKind names what one configuration bit configures.
+type BitKind uint8
+
+const (
+	// BitUnused is a bit no resource reads: the spare tile slots after the
+	// PIP masks, pseudo-row and IOB bits outside a pad byte, and the clock
+	// and block-RAM columns.
+	BitUnused BitKind = iota
+	// BitCell is a bit of a logic cell's configuration word.
+	BitCell
+	// BitPIP is a bit of a sink's PIP mask.
+	BitPIP
+	// BitPad is a bit of a pad's configuration byte.
+	BitPad
+)
+
+// BitOwner is the resource one configuration bit configures.
+type BitOwner struct {
+	Kind BitKind
+	// Tile and Local name a BitCell bit's cell (Local is its index in the
+	// CLB) or a BitPIP bit's sink (Local is the sink's local id).
+	Tile  Coord
+	Local int
+	// PIP is a BitPIP bit's mask bit: it selects PIPSource(Tile, Local, PIP).
+	PIP int
+	// Pad is a BitPad bit's pad.
+	Pad PadRef
+}
+
+// OwnerOfBit decodes one frame bit into the resource it configures: the
+// exact inverse of BitAddr (cell and PIP slots) and PadBitAddr (pad bytes).
+func (d *Device) OwnerOfBit(addr FrameAddr, bit int) BitOwner {
+	col, ok := d.ColumnByMajor(addr.Major)
+	if !ok || addr.Minor < 0 || addr.Minor >= col.Frames || bit < 0 || bit >= d.frameBits {
+		return BitOwner{}
+	}
+	row, off := bit/BitsPerTileRow, bit%BitsPerTileRow
+	switch col.Kind {
+	case ColCLB:
+		if row >= d.Rows {
+			// The North then the South pseudo-row: pad bytes, in minor 0.
+			k := off / padConfigBits
+			if addr.Minor != 0 || k >= PadsPerEdgeTile {
+				return BitOwner{}
+			}
+			side := North
+			if row > d.Rows {
+				side = South
+			}
+			return BitOwner{Kind: BitPad, Pad: PadRef{Side: side, Pos: col.ArrayCol, K: k}}
+		}
+		tile := Coord{Row: row, Col: col.ArrayCol}
+		switch slot := addr.Minor*BitsPerTileRow + off; {
+		case slot < cellSlot(CellsPerCLB):
+			return BitOwner{Kind: BitCell, Tile: tile, Local: slot / cellConfigBits}
+		case slot < d.pipEnd:
+			s := int(d.sinkAt[slot])
+			return BitOwner{Kind: BitPIP, Tile: tile, Local: s, PIP: slot - d.pipOffset[s]}
+		}
+	case ColIOB:
+		// Pad K of a West or East position sits in minor K, at the bits
+		// of the row it faces.
+		if addr.Minor >= PadsPerEdgeTile || row >= d.Rows || off >= padConfigBits {
+			return BitOwner{}
+		}
+		side := West
+		if addr.Major == 2+d.Cols {
+			side = East
+		}
+		return BitOwner{Kind: BitPad, Pad: PadRef{Side: side, Pos: row, K: addr.Minor}}
+	}
+	return BitOwner{}
+}
+
+// PIPSource returns the node bit b of a sink's PIP mask selects, or
+// InvalidNode where that slot cannot connect at tile c: one entry of
+// SinkSourceNodes, without the allocation.
+func (d *Device) PIPSource(c Coord, sinkLocal, b int) NodeID {
+	refs := SinkSources(sinkLocal)
+	if b < 0 || b >= len(refs) {
+		return InvalidNode
+	}
+	return d.resolveSource(c, refs[b])
+}
+
 // resolveSource turns a template SourceRef of a sink at tile c into a
 // device-wide NodeID, applying the border rule: an out-of-array single wire
 // pointing back into the array is an IOB pad input. Returns InvalidNode for

@@ -167,8 +167,8 @@ func NewEngine(dev *fabric.Device, port bitstream.Port) (*Engine, error) {
 		view:             newView(dev),
 		router:           route.NewRouter(dev),
 	}
-	// The tool reports every logical write back to the view, which applies
-	// occupancy deltas instead of rescanning the device per operation.
+	// The tool hands every frame it adopts to the view, which re-derives
+	// the bits that changed instead of rescanning the device per operation.
 	tool.SetViewSink(e.view)
 	return e, nil
 }

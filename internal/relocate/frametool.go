@@ -158,33 +158,19 @@ type DeliveryBarrier interface {
 // SetBarrier attaches the flush-ordering barrier (nil detaches).
 func (ft *FrameTool) SetBarrier(b DeliveryBarrier) { ft.barrier = b }
 
-// ViewSink receives logical-level change notifications from the tool's write
-// path — the touched-reporting that lets a derived occupancy structure (the
-// engine's view) stay current with markUsed/markFree-style deltas instead of
-// re-deriving the whole device per write. The contract:
-//
-//   - CellTouched / NodesTouched / PadTouched fire after each logical write
-//     through the tool, naming exactly the resources whose configuration the
-//     write can have changed (for a PIP toggle: the source and sink node;
-//     for a sink clear: the sink plus its previously enabled sources).
-//   - Synced fires whenever the tool reconciles configuration that changed
-//     through another path undeclared (raw designer-path writes, recovery
-//     and scrub-probe reconciliation, a rollback's recovery stream), with
-//     the dirty frames from Device.FramesChangedSince or the checkpoint
-//     being rolled back. A declared placement (SyncDeclared) reports
-//     through the three calls above instead.
-//   - Advanced fires when the device generation moved with no configuration
-//     change the sink has not already seen (a flush re-delivering staged
-//     frames through the port).
+// ViewSink is told about every frame whose content the tool adopts: a
+// staged write, a reconciliation with the device, a rollback. The old and
+// new content name exactly which bits changed, so a derived structure (the
+// engine's occupancy view) re-derives only what those bits configure; no
+// writer has to know its footprint. The device already holds new when
+// FrameChanged fires. old equals new for a frame whose generation moved but
+// whose content came back unchanged (a scrub probe restoring golden
+// content); the call still tells the sink the generation moved.
 type ViewSink interface {
-	CellTouched(ref fabric.CellRef)
-	NodesTouched(nodes ...fabric.NodeID)
-	PadTouched(pad fabric.PadRef)
-	Synced(addrs []fabric.FrameAddr)
-	Advanced()
+	FrameChanged(addr fabric.FrameAddr, old, new []uint32)
 }
 
-// SetViewSink attaches the touched-reporting sink (nil detaches).
+// SetViewSink attaches the frame-change sink (nil detaches).
 func (ft *FrameTool) SetViewSink(s ViewSink) { ft.sink = s }
 
 // NewFrameTool builds a tool over a device and port. The shadow is
@@ -206,58 +192,17 @@ func NewFrameTool(dev *fabric.Device, port bitstream.Port) (*FrameTool, error) {
 	}, nil
 }
 
-// Sync refreshes the recovery shadow from the device if the configuration
-// changed through a path other than this tool, and hands the changed frames
-// to the view sink, which re-derives every column they can reach. Every tool
-// write starts with it; the facade calls it where the change is undeclared.
+// Sync adopts configuration that changed through a path other than this
+// tool (e.g. the development tool loading a new design) — the paper's tool
+// accepts "a complete configuration file" as input; this is the equivalent
+// import. Only the frames that actually changed are re-read; their
+// pre-images flow into any open snapshots, so a checkpoint covers
+// designer-path writes too, and the view sink gets each frame's shadow and
+// readback content. Every tool write starts with it.
 func (ft *FrameTool) Sync() error {
-	addrs, err := ft.reconcile()
-	if err != nil || len(addrs) == 0 {
-		return err
-	}
-	if ft.sink != nil {
-		ft.sink.Synced(addrs)
-	}
-	return nil
-}
-
-// SyncDeclared refreshes the recovery shadow like Sync, but the caller
-// declares exactly which cells, nodes and pads its designer-path writes can
-// have changed, so the view sink updates by targeted deltas instead of the
-// dirty-frame sweep (a frame bit can affect nodes hex-reach columns away, so
-// the sweep re-derives far more than a placement actually touched). The
-// declaration must be complete: an undeclared change would leave the derived
-// occupancy stale. The facade's cold and warm loads use it — a placed
-// design knows its precise footprint.
-func (ft *FrameTool) SyncDeclared(cells []fabric.CellRef, nodes []fabric.NodeID, pads []fabric.PadRef) error {
-	addrs, err := ft.reconcile()
-	if err != nil || len(addrs) == 0 {
-		return err
-	}
-	if ft.sink != nil {
-		for _, ref := range cells {
-			ft.sink.CellTouched(ref)
-		}
-		ft.sink.NodesTouched(nodes...)
-		for _, p := range pads {
-			ft.sink.PadTouched(p)
-		}
-		ft.sink.Advanced()
-	}
-	return nil
-}
-
-// reconcile is the loop Sync and SyncDeclared share: it adopts configuration
-// that changed through a path other than this tool (e.g. the development tool
-// loading a new design) — the paper's tool accepts "a complete configuration
-// file" as input; this is the equivalent import. Only the frames that
-// actually changed are re-read, and their pre-images flow into any open
-// snapshots, so a checkpoint covers designer-path writes too. It returns the
-// changed frames, which the caller reports to the view sink.
-func (ft *FrameTool) reconcile() ([]fabric.FrameAddr, error) {
 	g := ft.dev.Generation()
 	if g == ft.genSeen {
-		return nil, nil
+		return nil
 	}
 	addrs := ft.dev.FramesChangedSince(ft.genSeen)
 	var updates []bitstream.FrameUpdate
@@ -267,9 +212,13 @@ func (ft *FrameTool) reconcile() ([]fabric.FrameAddr, error) {
 	for _, addr := range addrs {
 		data, err := ft.dev.ReadFrame(addr.Major, addr.Minor)
 		if err != nil {
-			return nil, err
+			return err
 		}
+		old, _ := ft.shadow.Frame(addr)
 		ft.shadow.NoteOwned(addr, data)
+		if ft.sink != nil {
+			ft.sink.FrameChanged(addr, old, data)
+		}
 		// Designer-path content is already on the fabric: it is the delta
 		// baseline of the next port delivery of these frames.
 		ft.lastSent[addr] = data
@@ -284,11 +233,11 @@ func (ft *FrameTool) reconcile() ([]fabric.FrameAddr, error) {
 		// sees them as a delivery so pre-images journal before anything
 		// else builds on the reconciled state.
 		if err := ft.barrier.PreDeliver(addrs); err != nil {
-			return nil, err
+			return err
 		}
 		ft.barrier.Delivered(updates)
 	}
-	return addrs, nil
+	return nil
 }
 
 // Port returns the configuration port.
@@ -402,20 +351,22 @@ func (ft *FrameTool) stage(addr fabric.FrameAddr, data []uint32) error {
 			return err
 		}
 	}
+	old, _ := ft.shadow.Frame(addr)
 	if _, ok := ft.lastSent[addr]; !ok {
 		// First-ever stage of this frame: the pre-staging shadow content is
 		// what the fabric has held since power-up — the initial delta
 		// baseline for compressed delivery.
-		if prev, ok := ft.shadow.Frame(addr); ok {
-			ft.lastSent[addr] = prev
-			ft.confirmed[addr] = prev
-		}
+		ft.lastSent[addr] = old
+		ft.confirmed[addr] = old
 	}
 	ft.shadow.NoteOwned(addr, data)
 	if err := ft.dev.WriteFrame(addr.Major, addr.Minor, data); err != nil {
 		return err
 	}
 	ft.genSeen = ft.dev.Generation()
+	if ft.sink != nil {
+		ft.sink.FrameChanged(addr, old, data)
+	}
 	ft.frames++
 	if !ft.touchSet[addr] {
 		ft.touchSet[addr] = true
@@ -530,12 +481,8 @@ func (ft *FrameTool) Flush() error {
 		ft.barrier.Delivered(updates)
 	}
 	// The controller re-wrote the same data the reconciled shadow holds;
-	// fold exactly those generation bumps in so the next sync stays a
-	// no-op, and tell the view nothing it has not already applied changed.
+	// fold exactly those generation bumps in so the next sync stays a no-op.
 	ft.genSeen = ft.dev.Generation()
-	if ft.sink != nil {
-		ft.sink.Advanced()
-	}
 	return nil
 }
 
@@ -801,27 +748,31 @@ func (ft *FrameTool) RecoveryWords(snap *bitstream.Snapshot) ([]uint32, error) {
 // CompleteRestore finishes a rollback after the recovery stream was fed to
 // the configuration logic: the pending (dead) stream of the failed operation
 // is dropped, the shadow rolls back to the checkpoint state, and the
-// generation cursor catches up with the recovery writes. The snapshot's
-// dirty-frame set is handed to the view sink, which restores its occupancy
-// picture from exactly those frames instead of rescanning the device. The
+// generation cursor catches up with the recovery writes. The view sink gets
+// each dirty frame's content before and after the rollback, so it restores
+// its occupancy picture from exactly the bits the rollback changed. The
 // snapshot stays armed, so the same checkpoint can back another attempt.
 func (ft *FrameTool) CompleteRestore(snap *bitstream.Snapshot) {
 	ft.drainSuperseded() // see RecoveryWords: a rollback supersedes the stream
 	dirty := snap.Frames()
 	ft.AbortPending()
+	before := make([][]uint32, len(dirty))
+	for i, addr := range dirty {
+		before[i], _ = ft.shadow.Frame(addr)
+	}
 	snap.Rollback()
 	// The recovery stream physically re-delivered every dirty frame in full;
 	// the rolled-back shadow content is the new delta baseline for both maps.
-	for _, addr := range dirty {
+	for i, addr := range dirty {
 		if data, ok := ft.shadow.Frame(addr); ok {
 			ft.lastSent[addr] = data
 			ft.confirmed[addr] = data
+			if ft.sink != nil {
+				ft.sink.FrameChanged(addr, before[i], data)
+			}
 		}
 	}
 	ft.genSeen = ft.dev.Generation()
-	if ft.sink != nil && len(dirty) > 0 {
-		ft.sink.Synced(dirty)
-	}
 }
 
 // cellEdits builds the edits that set a cell's configuration word.
@@ -848,17 +799,8 @@ func (ft *FrameTool) pipEdit(c fabric.Coord, sinkLocal, bit int, on bool) Edit {
 }
 
 // WriteCell applies a cell configuration through the port.
-//
-// The sink is notified even when Apply fails: a multi-frame write can stage
-// some frames before a per-frame verification rejects a later one, and the
-// sink's re-derivation reads the device truth, so notifying on error keeps
-// the view honest for callers that continue without a rollback.
 func (ft *FrameTool) WriteCell(ref fabric.CellRef, cc fabric.CellConfig) error {
-	err := ft.Apply(ft.cellEdits(ref, cc))
-	if ft.sink != nil {
-		ft.sink.CellTouched(ref)
-	}
-	return err
+	return ft.Apply(ft.cellEdits(ref, cc))
 }
 
 // SetPIP toggles the PIP from src to the sink node through the port.
@@ -874,11 +816,7 @@ func (ft *FrameTool) SetPIP(src, sink fabric.NodeID, on bool) error {
 	if !ok {
 		return fmt.Errorf("relocate: no PIP from %d to %d", src, sink)
 	}
-	err := ft.Apply([]Edit{ft.pipEdit(c, local, bit, on)})
-	if ft.sink != nil {
-		ft.sink.NodesTouched(src, sink) // on error too — see WriteCell
-	}
-	return err
+	return ft.Apply([]Edit{ft.pipEdit(c, local, bit, on)})
 }
 
 // SetPath enables (or disables) every PIP along a node path in path order.
@@ -897,9 +835,6 @@ func (ft *FrameTool) ClearSinkPIPs(sink fabric.NodeID) error {
 	if !ok || !fabric.IsLocalSink(local) {
 		return fmt.Errorf("relocate: node %d is not a configurable sink", sink)
 	}
-	// The previously enabled sources lose a consumer; report them alongside
-	// the sink so the view can re-derive their occupancy.
-	srcs := ft.dev.EnabledSourceNodes(c, local)
 	mask := ft.dev.PIPMask(c, local)
 	var edits []Edit
 	for b := 0; mask != 0; b++ {
@@ -908,11 +843,7 @@ func (ft *FrameTool) ClearSinkPIPs(sink fabric.NodeID) error {
 			mask &^= 1 << b
 		}
 	}
-	err := ft.Apply(edits)
-	if ft.sink != nil && len(edits) > 0 {
-		ft.sink.NodesTouched(append(srcs, sink)...) // on error too — see WriteCell
-	}
-	return err
+	return ft.Apply(edits)
 }
 
 func (ft *FrameTool) setPadPIP(pad fabric.PadRef, src fabric.NodeID, on bool) error {
@@ -947,11 +878,7 @@ func (ft *FrameTool) writePad(pad fabric.PadRef, pc fabric.PadConfig) error {
 	for i := 0; i < 8; i++ {
 		edits = append(edits, Edit{Addr: addr, Bit: bitBase + i, On: word>>i&1 == 1})
 	}
-	err := ft.Apply(edits)
-	if ft.sink != nil {
-		ft.sink.PadTouched(pad) // on error too — see WriteCell
-	}
-	return err
+	return ft.Apply(edits)
 }
 
 // WritePadConfig applies a pad configuration through the port.

@@ -16,6 +16,7 @@ package relocate
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/fabric"
 )
@@ -23,14 +24,13 @@ import (
 // view is the engine's bitstream-derived picture of the device: which
 // routing nodes are in use, which cells are occupied, and how signals flow.
 //
-// The picture is maintained incrementally: the tool's write path reports
-// exactly which cells, nodes and pads each configuration write can have
-// changed (view implements ViewSink), and the view re-derives just those
-// entries from the configuration memory; a placement declares its footprint
-// the same way (FrameTool.SyncDeclared). Configuration that changed outside
-// the tool undeclared — raw designer-path writes, recovery, rollbacks — is
-// found through Device.FramesChangedSince and re-derived over every column
-// the dirty frames can reach, or rescanned when they cover most of the device.
+// The picture is maintained incrementally through one path: the frame tool
+// hands over the old and new content of every frame it adopts — a staged
+// write, a reconciliation with the device, a rollback (view implements
+// ViewSink) — and each bit that differs names the one cell, sink PIP or pad
+// it configures, which alone is re-derived from the configuration memory.
+// A generation that moved with no declaration (a raw write that bypassed
+// the tool) falls back to a rescan.
 type view struct {
 	dev *fabric.Device
 	gen uint64
@@ -111,14 +111,18 @@ func (v *view) rescan() {
 }
 
 // AuditView checks the engine's occupancy view against a fresh rescan of the
-// configuration memory — validation by enumeration. It brings the view up to
-// date as any reader would, rebuilds the picture from scratch, and returns the
-// first disagreement in the used nodes, the occupied cells, the free CLBs,
-// the per-row free counts or the free total; nil means the incrementally
-// kept view is exact. It costs a full rescan: an audit, not a read path.
+// configuration memory — validation by enumeration. A view behind the device
+// generation is a disagreement by itself: some change was never declared,
+// and a reader would have rescanned it away. Otherwise it rebuilds the
+// picture from scratch and returns the first disagreement in the used nodes,
+// the occupied cells, the free CLBs, the per-row free counts or the free
+// total; nil means the incrementally kept view is exact. It costs a full
+// rescan: an audit, not a read path.
 func (e *Engine) AuditView() error {
 	v := e.view
-	v.refresh()
+	if g := v.dev.Generation(); g != v.gen {
+		return fmt.Errorf("relocate: view audit: the view is at generation %d, configuration memory at %d: a change was never declared", v.gen, g)
+	}
 	fresh := newView(v.dev)
 	mismatch := func(what string, inView bool) error {
 		return fmt.Errorf("relocate: view audit: %s: %t in the view, %t in configuration memory", what, inView, !inView)
@@ -168,16 +172,19 @@ func coordLess(a, b fabric.Coord) bool {
 	return a.Row < b.Row || a.Row == b.Row && a.Col < b.Col
 }
 
-// refresh brings the view up to date if the configuration moved through a
-// path the tool did not report (designer-level writes, recovery streams fed
-// straight to the controller). The changed frames are narrowed through
-// Device.FramesChangedSince; refreshFrames falls back to a full rescan when
-// they cover most of the device.
+// refresh rescans the view when the configuration moved with no
+// declaration: a raw write that bypassed the frame tool.
 func (v *view) refresh() {
 	if v.dev.Generation() != v.gen {
-		v.refreshFrames(v.dev.FramesChangedSince(v.gen))
+		v.rescan()
 	}
 }
+
+// RescanView rebuilds the occupancy view from the configuration memory. A
+// full recovery ends with it: when the partial recovery stream never reached
+// the device, the view re-derived a rollback the device did not take, and
+// the full stream then changes nothing the tool can diff.
+func (e *Engine) RescanView() { e.view.rescan() }
 
 // nodeInUse re-derives one node's occupancy from the configuration memory.
 // It must agree exactly with the criteria rescan applies: a cell output is
@@ -301,152 +308,46 @@ func (v *view) markTileFree(c fabric.Coord) {
 	}
 }
 
-// CellTouched applies the delta for one cell configuration write (ViewSink).
-func (v *view) CellTouched(ref fabric.CellRef) {
-	v.markCell(ref)
-	v.markTileFree(ref.Coord)
-	v.gen = v.dev.Generation()
-}
-
-// NodesTouched applies the delta for a set of nodes whose connectivity a
-// write can have changed: each is re-derived from the configuration, and the
-// tiles they live in re-derive their free/occupied status (ViewSink).
-func (v *view) NodesTouched(nodes ...fabric.NodeID) {
-	for _, n := range nodes {
-		v.markNode(n)
-		if c, _, ok := v.dev.SplitNode(n); ok {
-			v.markTileFree(c)
-		}
-	}
-	v.gen = v.dev.Generation()
-}
-
-// PadTouched applies the delta for one pad configuration write: the pad node
-// itself and every wire its OutMask can select (ViewSink).
-func (v *view) PadTouched(pad fabric.PadRef) {
-	v.markNode(v.dev.PadNodeID(pad))
-	for _, n := range v.dev.PadOutSourceNodes(pad) {
-		v.markNode(n)
-	}
-	v.gen = v.dev.Generation()
-}
-
-// Synced consumes configuration that changed outside the tool's write path
-// with no declared footprint (raw designer-path writes, recovery and
-// scrub-probe reconciliation, a rollback's recovery stream): the view
-// re-derives the columns the dirty frames can influence (ViewSink).
-func (v *view) Synced(addrs []fabric.FrameAddr) {
-	v.refreshFrames(addrs)
-}
-
-// Advanced notes that the device generation moved with no configuration
-// change the view has not already applied — the port re-delivering staged
-// frames on a flush (ViewSink).
-func (v *view) Advanced() {
-	v.gen = v.dev.Generation()
-}
-
-// hexReach is how far (in tiles) a PIP can connect across the array: the
-// straight-through hex wires of the sink templates span fabric.HexSpan
-// tiles, so a configuration bit in one column can change the usage of nodes
-// up to that many columns away.
-const hexReach = fabric.HexSpan
-
-// refreshFrames re-derives the occupancy entries a set of dirty frames can
-// have changed: the tiles of the frames' own columns (cell configs and sink
-// masks are tile-local), the used status of every node within wire reach of
-// those columns, and the pads whose configuration or selectable wires the
-// frames cover. Falls back to a full rescan when the dirty set covers most
-// of the device — the designer-path fallback of the O(change) contract.
-func (v *view) refreshFrames(addrs []fabric.FrameAddr) {
+// FrameChanged re-derives what one adopted frame changed (ViewSink). Each
+// bit that differs between old and new configures one cell, sink PIP or
+// pad; that resource alone is re-derived from the configuration memory,
+// which already holds new. A run of bits with the same owner (a cell's
+// word, a pad's byte) re-derives it once, and a tile's free status once per
+// frame. old equals new for a frame rewritten with its own content; the
+// view still catches up with the device generation.
+func (v *view) FrameChanged(addr fabric.FrameAddr, old, new []uint32) {
 	dev := v.dev
-	if len(addrs) == 0 {
-		v.gen = dev.Generation()
-		return
-	}
-	if 2*len(addrs) >= dev.TotalFrames() {
-		v.rescan()
-		return
-	}
-	dirtyCols := map[int]bool{} // array columns whose tile config changed
-	nodeCols := map[int]bool{}  // array columns whose nodes need re-deriving
-	pads := map[fabric.PadRef]bool{}
-	markPadCols := func(col int) {
-		// Sinks of this column can select North/South pads of the column;
-		// border columns can also select the West/East pad rings.
-		for k := 0; k < fabric.PadsPerEdgeTile; k++ {
-			pads[fabric.PadRef{Side: fabric.North, Pos: col, K: k}] = true
-			pads[fabric.PadRef{Side: fabric.South, Pos: col, K: k}] = true
-		}
-		if col == 0 || col == dev.Cols-1 {
-			side := fabric.West
-			if col == dev.Cols-1 {
-				side = fabric.East
+	var last fabric.BitOwner
+	tile := fabric.Coord{Row: -1} // the last tile whose free status was re-derived
+	for w := range new {
+		for x := old[w] ^ new[w]; x != 0; x &= x - 1 {
+			o := dev.OwnerOfBit(addr, w*32+bits.TrailingZeros32(x))
+			if o == last {
+				continue
 			}
-			for pos := 0; pos < dev.Rows; pos++ {
-				for k := 0; k < fabric.PadsPerEdgeTile; k++ {
-					pads[fabric.PadRef{Side: side, Pos: pos, K: k}] = true
+			last = o
+			switch o.Kind {
+			case fabric.BitCell:
+				v.markCell(fabric.CellRef{Coord: o.Tile, Cell: o.Local})
+			case fabric.BitPIP:
+				v.markNode(dev.NodeIDAt(o.Tile, o.Local))
+				if src := dev.PIPSource(o.Tile, o.Local, o.PIP); src != fabric.InvalidNode {
+					v.markNode(src)
+				}
+			case fabric.BitPad:
+				// The pad node, and every wire its OutMask can select.
+				v.markNode(dev.PadNodeID(o.Pad))
+				for b := 0; b < fabric.PadOutSources; b++ {
+					v.markNode(dev.PadOutSourceNode(o.Pad, b))
 				}
 			}
-		}
-	}
-	addNodeCol := func(col int) {
-		if col >= 0 && col < dev.Cols {
-			nodeCols[col] = true
-		}
-	}
-	for _, addr := range addrs {
-		col, ok := dev.ColumnByMajor(addr.Major)
-		if ok && col.Kind == fabric.ColCLB {
-			a := col.ArrayCol
-			dirtyCols[a] = true
-			for _, d := range []int{0, -1, 1, -hexReach, hexReach} {
-				addNodeCol(a + d)
-			}
-			markPadCols(a)
-		}
-		for _, p := range dev.PadsInFrame(addr) {
-			pads[p] = true
-			// The pad's selectable wires live in its border tile's column.
-			tile, _, _ := dev.SplitNode(dev.PadOutSourceNodes(p)[0])
-			addNodeCol(tile.Col)
-		}
-	}
-	for col := range nodeCols {
-		for row := 0; row < dev.Rows; row++ {
-			c := fabric.Coord{Row: row, Col: col}
-			for local := 0; local < fabric.NodeSlots; local++ {
-				if !validLocal(local) {
-					continue
-				}
-				v.markNode(dev.NodeIDAt(c, local))
+			if (o.Kind == fabric.BitCell || o.Kind == fabric.BitPIP) && o.Tile != tile {
+				tile = o.Tile
+				v.markTileFree(tile)
 			}
 		}
-	}
-	for col := range dirtyCols {
-		for row := 0; row < dev.Rows; row++ {
-			c := fabric.Coord{Row: row, Col: col}
-			for cell := 0; cell < fabric.CellsPerCLB; cell++ {
-				ref := fabric.CellRef{Coord: c, Cell: cell}
-				if dev.ReadCell(ref).InUse() {
-					v.inUse[ref] = true
-				} else {
-					delete(v.inUse, ref)
-				}
-			}
-			v.markTileFree(c)
-		}
-	}
-	for p := range pads {
-		v.markNode(dev.PadNodeID(p))
 	}
 	v.gen = dev.Generation()
-}
-
-// validLocal reports whether a local slot below NodeSlots is an actual node
-// (the per-tile id space is padded to a fixed stride).
-func validLocal(local int) bool {
-	return local < fabric.LocalOutXQ(fabric.CellsPerCLB-1)+1
 }
 
 // terminalDriver walks backwards from a sink through enabled PIPs to the

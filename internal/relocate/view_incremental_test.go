@@ -79,9 +79,9 @@ func TestViewMatchesRescanUnderRandomOps(t *testing.T) {
 		for _, p := range d.PadOf {
 			pads = append(pads, p)
 		}
-		// Half the loads reconcile through the tool (the facade's path, the
-		// Synced delta); the other half leave the designer writes for the
-		// view's own FramesChangedSince fallback to discover.
+		// Half the loads reconcile through the tool (the facade's path, each
+		// adopted frame's bit diff); the other half leave the designer writes
+		// for the view's own undeclared-generation fallback to discover.
 		if rng.Intn(2) == 0 {
 			if err := eng.Tool.Sync(); err != nil {
 				t.Fatal(err)
@@ -204,7 +204,8 @@ func TestViewMatchesRescanUnderRandomOps(t *testing.T) {
 }
 
 // TestAuditViewNamesEachDisagreement pins the audit itself: an exact view
-// passes, and a view wrong in any one of its five parts is reported.
+// passes, and a view wrong in any one of its five parts, or behind a
+// configuration change that was never declared, is reported.
 func TestAuditViewNamesEachDisagreement(t *testing.T) {
 	dev := fabric.NewDevice(fabric.TestDevice)
 	eng, err := NewEngine(dev, bitstream.NewParallelPort(bitstream.NewController(dev), 50e6))
@@ -237,6 +238,13 @@ func TestAuditViewNamesEachDisagreement(t *testing.T) {
 		{"CLB", func(v *view) { delete(v.freeCLB, free) }, func(v *view) { v.freeCLB[free] = true }},
 		{"row", func(v *view) { v.freePerRow[free.Row]++ }, func(v *view) { v.freePerRow[free.Row]-- }},
 		{"free CLBs", func(v *view) { v.freeCount++ }, func(v *view) { v.freeCount-- }},
+		// A raw write that bypasses the tool: a reader would rescan it away,
+		// so the audit reports it before comparing.
+		{"never declared", func(*view) { dev.WriteCell(fabric.CellRef{Coord: free}, fabric.CellConfig{Used: true}) }, func(*view) {
+			if err := eng.Tool.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}},
 	} {
 		tc.spoil(eng.view)
 		err := eng.AuditView()
@@ -247,5 +255,89 @@ func TestAuditViewNamesEachDisagreement(t *testing.T) {
 		if err := eng.AuditView(); err != nil {
 			t.Fatalf("mended %s part: %v", tc.part, err)
 		}
+	}
+}
+
+// TestViewAfterFailedPartialRecovery runs a rollback whose partial recovery
+// stream never reached the device. CompleteRestore rolls the shadow back and
+// the view re-derives the rollback from a device that still holds the
+// operation's writes; the full recovery stream then restores frames the
+// shadow already holds, so adopting them declares nothing. Only the
+// full-recovery rescan brings the view back.
+func TestViewAfterFailedPartialRecovery(t *testing.T) {
+	dev := fabric.NewDevice(fabric.TestDevice)
+	ctrl := bitstream.NewController(dev)
+	eng, err := NewEngine(dev, bitstream.NewParallelPort(ctrl, 50e6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nl := itc99.Generate(itc99.GenConfig{Name: "a", Inputs: 2, Outputs: 1, FFs: 2, LUTs: 3, Style: itc99.FreeRunning})
+	d, err := place.Place(dev, nl, place.Options{Region: fabric.Rect{Row: 1, Col: 1, H: 2, W: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := eng.Tool.BeginSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ref := range d.OccupiedCells() {
+		if err := eng.ClearCell(ref); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := eng.Tool.RecoveryWords(snap); err != nil { // built, never fed
+		t.Fatal(err)
+	}
+	eng.Tool.CompleteRestore(snap)
+	if err := ctrl.Feed(eng.Tool.Shadow().RecoveryBitstream()...); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Tool.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if eng.AuditView() == nil {
+		t.Fatal("the view agrees before the rescan: the sequence no longer exercises the failed partial recovery")
+	}
+	eng.RescanView()
+	if err := eng.AuditView(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestViewAfterPadOutMaskClear releases a border wire in two staged frames:
+// first its own PIP, then the OutMask of the output pad it drives. Between
+// the two the wire stays used, fed to the pad; the pad's configuration bits
+// must re-derive every wire the pad's OutMask can select, not only the pad
+// node.
+func TestViewAfterPadOutMaskClear(t *testing.T) {
+	dev := fabric.NewDevice(fabric.TestDevice)
+	eng, err := NewEngine(dev, bitstream.NewParallelPort(bitstream.NewController(dev), 50e6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pad := fabric.PadRef{Side: fabric.East, Pos: 3}
+	wire := dev.PadOutSourceNode(pad, 0)
+	tile, local, _ := dev.SplitNode(wire)
+	src := dev.PIPSource(tile, local, 0)
+	if err := eng.Tool.SetPIP(src, wire, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Tool.WritePadConfig(pad, fabric.PadConfig{Output: true, OutMask: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Tool.SetPIP(src, wire, false); err != nil {
+		t.Fatal(err)
+	}
+	if !eng.view.used[wire] {
+		t.Fatal("the wire is free while the pad still selects it: the test no longer stages the two writes apart")
+	}
+	if err := eng.AuditView(); err != nil {
+		t.Fatalf("after the wire's PIP: %v", err)
+	}
+	if err := eng.Tool.WritePadConfig(pad, fabric.PadConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.AuditView(); err != nil {
+		t.Fatalf("after the pad's OutMask: %v", err)
 	}
 }

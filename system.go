@@ -443,6 +443,11 @@ func (s *System) loadRaw(nl *netlist.Netlist, region fabric.Rect) (*place.Design
 		Contain:     contain,
 	})
 	if err != nil && contain {
+		// Adopt the failed attempt's writes, so the retry's view is declared
+		// rather than rescanned.
+		if err := s.engine.Tool.Sync(); err != nil {
+			return nil, err
+		}
 		d, err = place.Place(s.dev, nl, place.Options{
 			Region:      region,
 			ReservePads: s.pads,
@@ -468,39 +473,14 @@ func (s *System) loadRaw(nl *netlist.Netlist, region fabric.Rect) (*place.Design
 	}
 	s.designs[nl.Name] = d
 	s.regions[nl.Name] = id
-	// Checkpoint the recovery shadow, declaring what the placement wrote:
-	// the tool now holds a complete copy of the configuration including
-	// the new design.
-	if err := s.adoptLocked(d); err != nil {
+	// Adopt the placement into the recovery shadow (the armed checkpoint
+	// covers it): the tool now holds a complete copy of the configuration
+	// including the new design, and the view re-derives what it changed.
+	if err := s.engine.Tool.Sync(); err != nil {
 		return nil, err
 	}
 	s.publish(Event{Kind: DesignLoaded, Design: nl.Name, Region: region})
 	return d, nil
-}
-
-// adoptLocked ends both load paths: it reconciles the placement's
-// designer-path writes into the tool's shadow (the armed checkpoint covers
-// them) and declares the design's footprint, so the view re-derives just that
-// instead of sweeping every column the dirty frames can reach. The
-// declaration is complete:
-//   - place.Place writes the cells of CellOf (OccupiedCells), the input pads
-//     of PadOf and the PIPs along the routed paths (route.Apply). Both ends
-//     of a PIP lie on a path, so in its net's Tree; UsedNodes is the union
-//     of the Trees.
-//   - An output-pad PIP sets OutMask on a pad of PadOf; PadTouched
-//     re-derives the pad node and every wire its mask can select.
-//   - A failed contained attempt fails before route.Apply, having written
-//     the cells and pads the retry rewrites; the retry's FreeRouter also
-//     refreshes the view.
-//   - A warm design's CellOf is its template's, translated, so
-//     OccupiedCells is the spliced image; InteriorNets and the router built
-//     its Trees.
-func (s *System) adoptLocked(d *place.Design) error {
-	pads := make([]fabric.PadRef, 0, len(d.PadOf))
-	for _, p := range d.PadOf {
-		pads = append(pads, p)
-	}
-	return s.engine.Tool.SyncDeclared(d.OccupiedCells(), d.UsedNodes(), pads)
 }
 
 // findRegionLocked auto-sizes and places a region using the area manager.
@@ -836,19 +816,29 @@ func (s *System) Recover() error {
 	if err := s.engine.Tool.AwaitStream(); err != nil {
 		return err
 	}
-	words := s.engine.Tool.Shadow().RecoveryBitstream()
-	// The recovery stream bypasses the port, as restoreLocked's do: fence
-	// its worker first.
-	s.engine.Tool.Fence()
-	if err := s.ctrl.Feed(words...); err != nil {
+	if err := s.fullRecoveryLocked(); err != nil {
 		return err
 	}
-	if err := s.engine.Tool.Sync(); err != nil {
-		return err
-	}
-	s.notifyShadowDelivered()
 	s.publish(Event{Kind: Recovered})
 	return nil
+}
+
+// fullRecoveryLocked streams the full recovery bitstream, the whole shadow
+// configuration, straight to the controller; the port's worker is fenced
+// first, since the stream bypasses the port. The view then rescans: after a
+// partial recovery that never reached the device, the shadow already holds
+// the pre-operation content, so adopting the restored frames declares
+// nothing, while the view re-derived a rollback the device did not take.
+func (s *System) fullRecoveryLocked() error {
+	tool := s.engine.Tool
+	tool.Fence()
+	err := s.ctrl.Feed(tool.Shadow().RecoveryBitstream()...)
+	if err == nil {
+		err = tool.Sync()
+		s.notifyShadowDelivered()
+	}
+	s.engine.RescanView()
+	return err
 }
 
 // notifyShadowDelivered reports the whole shadow configuration to the
@@ -1009,10 +999,7 @@ func (s *System) restoreLocked(cp *checkpoint, cause error) {
 		if recErr == nil {
 			recErr = feedErr
 		}
-		s.engine.Tool.Fence()
-		_ = s.ctrl.Feed(s.engine.Tool.Shadow().RecoveryBitstream()...)
-		_ = s.engine.Tool.Sync()
-		s.notifyShadowDelivered()
+		_ = s.fullRecoveryLocked()
 		cause = fmt.Errorf("%w (partial recovery failed, full recovery streamed: %v)", cause, recErr)
 	}
 	// Area and host book-keeping rewind in place: Area() callers (e.g. a

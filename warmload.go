@@ -162,7 +162,7 @@ func (s *System) tryWarmLoadLocked(nl *netlist.Netlist, region fabric.Rect) (*pl
 		return nil, false, nil
 	}
 	// Commit through the designer path, exactly as a cold place-and-route
-	// writes: the splice costs no port traffic, and adoptLocked below takes
+	// writes: the splice costs no port traffic, and the Sync below takes
 	// the changed frames into the tool's shadow (the armed checkpoint covers
 	// them if anything later fails).
 	name := nl.Name
@@ -211,9 +211,10 @@ func (s *System) tryWarmLoadLocked(nl *netlist.Netlist, region fabric.Rect) (*pl
 	}
 	s.designs[name] = d
 	s.regions[name] = id
-	// Adopt the splice with its footprint, as a cold load adopts its
-	// placement: the splice stays O(frame-I/O) on the host side too.
-	if err := s.adoptLocked(d); err != nil {
+	// Adopt the splice as a cold load adopts its placement: the view
+	// re-derives only the bits the splice changed, so the splice stays
+	// O(frame-I/O) on the host side too.
+	if err := s.engine.Tool.Sync(); err != nil {
 		return nil, true, err
 	}
 	s.publish(Event{Kind: TemplateHit, Design: name, Region: region})
