@@ -1,4 +1,4 @@
-.PHONY: test race bench bench-baseline bench-module cover lint fuzz torture soak router-diff port-diff replay-diff view-diff
+.PHONY: test race bench bench-baseline bench-module cover lint fuzz torture soak router-diff port-diff replay-diff view-diff surfaces
 
 test:
 	go build ./... && go test ./...
@@ -51,6 +51,32 @@ view-diff:
 # bit-identical to a fault-free twin, under race.
 soak:
 	go test -race -run 'TestChaosSoakSelfHealing|TestChaosSoakCompressed|TestScrubPreemptiveQuarantine|TestStallWatchdog|TestDegradedAdmission|TestCloseUnderLoad' repro
+
+# Mirrors the CI "Documented surfaces" step: every command the verify notes
+# list under "Surfaces to drive" (keep the two lists in sync) and every
+# fratool doc-comment example must exit 0. The trace examples ingest traces
+# schedsim records first; fratool's journal and health subcommands are left
+# out, as no command-line tool writes a journal. The binaries and traces go
+# to a temporary directory, never the repo root.
+surfaces:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	go build -o "$$tmp/" ./cmd/fratool ./cmd/schedsim ./examples/...; \
+	cd "$$tmp"; \
+	run() { echo "+ $$*"; "./$$@" > log 2>&1 || { cat log; exit 1; }; }; \
+	run quickstart; run gatedclock; run defrag; run videoswap; \
+	run fratool -device XCV50 -design b01 -from R0C3 -to R9C9; \
+	run fratool -device XCV50 -design b02 -move-region 8,2 -max-step 2; \
+	run schedsim -experiment defrag -tasks 100; \
+	run schedsim -experiment defrag -fabric -tasks 12; \
+	run fratool -device XCV200 -design b03 -from R3C4 -to R10C12; \
+	run fratool -device XCV50 -design b02 -move-region 8,8; \
+	run fratool -device XCV50 -design b02 -move-region 8,8 -port selectmap -width 32 -compress; \
+	run fratool -list-benchmarks; \
+	run schedsim -experiment defrag -record night1.trace; \
+	run schedsim -experiment defrag -seed 2 -record night2.trace; \
+	run fratool trace night1.trace night2.trace; \
+	run fratool trace -o merged.trace night1.trace night2.trace; \
+	run schedsim -experiment defrag -replay merged.trace
 
 # The exact command the CI bench lane runs (keep the two in sync: the
 # regression gate compares like against like).

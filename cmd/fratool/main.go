@@ -8,8 +8,8 @@
 // Usage:
 //
 //	fratool -device XCV200 -design b03 -from R3C4 -to R10C12
-//	fratool -device XCV50  -design b01 -move-region 8,8
-//	fratool -device XCV50  -design b01 -move-region 8,8 -port selectmap -width 32 -compress
+//	fratool -device XCV50  -design b02 -move-region 8,8
+//	fratool -device XCV50  -design b02 -move-region 8,8 -port selectmap -width 32 -compress
 //	fratool -list-benchmarks
 //
 // The trace subcommand batch-ingests recorded schedsim task traces

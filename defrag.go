@@ -100,45 +100,44 @@ func (s *System) defragNeedLocked(pol DefragPolicy) (*DefragReport, error) {
 		return rep, nil
 	}
 	byID := s.namesByAllocationLocked()
-	snap, err := s.checkpointLocked()
-	if err != nil {
-		return nil, err
-	}
-	defer s.releaseCheckpointLocked(snap)
-	// One journal op spans every candidate: a rolled-back candidate's undo
+	// One transaction spans every candidate: a rolled-back candidate's undo
 	// records stay valid (its rollback restores the checkpoint state the
 	// pre-images were taken against), so a crash anywhere in the retry loop
-	// rolls back to the pre-pass configuration.
-	if err := s.journalBeginLocked(snap, "defrag-need", "", fabric.Rect{H: pol.NeedH, W: pol.NeedW},
-		fmt.Sprintf("planner=%s", pol.Planner.Name())); err != nil {
-		return nil, err
-	}
-	var lastErr error
-	for _, plan := range candidates {
-		rep.Attempts++
-		s.publish(Event{Kind: RearrangeStarted, Steps: len(plan.Steps)})
-		cells0 := s.engine.Stats.CellsRelocated
-		rep.Moves = rep.Moves[:0]
-		rep.CLBsMoved = 0
-		err := s.executeDefragPlanLocked(plan, byID, pol.MaxStep, rep)
-		if err == nil {
-			err = s.finishOpLocked(snap) // harvest before accepting the candidate
-		}
-		if err != nil {
-			s.restoreLocked(snap, err)
-			lastErr = err
-			continue
-		}
-		rep.Freed = plan.Target
-		rep.CellsRelocated = s.engine.Stats.CellsRelocated - cells0
-		rep.FragAfter = s.area.Fragmentation()
-		s.publish(Event{Kind: RearrangeFinished, Steps: len(plan.Steps), CLBs: rep.CellsRelocated})
+	// rolls back to the pre-pass configuration. Each candidate is harvested
+	// before it is accepted; a failed one rolls back before the next is
+	// tried, and the last one's rollback is the transaction's.
+	err := s.txLocked("defrag-need", "", fabric.Rect{H: pol.NeedH, W: pol.NeedW},
+		fmt.Sprintf("planner=%s", pol.Planner.Name()), func(cp *checkpoint) error {
+			var err error
+			for _, plan := range candidates {
+				if err != nil {
+					s.restoreLocked(cp, err)
+				}
+				rep.Attempts++
+				s.publish(Event{Kind: RearrangeStarted, Steps: len(plan.Steps)})
+				cells0 := s.engine.Stats.CellsRelocated
+				rep.Moves = rep.Moves[:0]
+				rep.CLBsMoved = 0
+				if err = s.executeDefragPlanLocked(plan, byID, pol.MaxStep, rep); err == nil {
+					err = s.finishOpLocked()
+				}
+				if err == nil {
+					rep.Freed = plan.Target
+					rep.CellsRelocated = s.engine.Stats.CellsRelocated - cells0
+					rep.FragAfter = s.area.Fragmentation()
+					s.publish(Event{Kind: RearrangeFinished, Steps: len(plan.Steps), CLBs: rep.CellsRelocated})
+					return nil
+				}
+			}
+			return err
+		})
+	switch {
+	case err == nil:
 		return rep, nil
+	case rep.Attempts > 0:
+		return nil, fmt.Errorf("rlm: all %d rearrangement plans failed physically, last: %w", rep.Attempts, err)
 	}
-	s.journalAbortLocked()
-	s.quarantineSweepLocked()
-	return nil, fmt.Errorf("rlm: all %d rearrangement plans failed physically, last: %w",
-		rep.Attempts, lastErr)
+	return nil, err
 }
 
 // defragCompactLocked slides every design west/north best-effort. Each
@@ -179,33 +178,31 @@ func (s *System) defragCompactLocked(pol DefragPolicy) (*DefragReport, error) {
 			continue
 		}
 		from := s.designs[name].Region
-		snap, err := s.checkpointLocked()
-		if err != nil {
-			return nil, err
-		}
-		// Each slide is its own journal op: a completed slide must never be
-		// rolled back (see above), so it seals individually.
-		if err := s.journalBeginLocked(snap, "defrag-slide", name, st.To, ""); err != nil {
-			s.releaseCheckpointLocked(snap)
-			return nil, err
-		}
-		slideErr := s.defragStepLocked(name, st.To, pol.MaxStep)
-		if slideErr == nil {
-			// Each slide owns its checkpoint, so its stream is harvested
-			// before the checkpoint is released (a later harvest could not
-			// roll the slide back any more).
-			slideErr = s.finishOpLocked(snap)
-		}
-		if slideErr != nil {
-			rep.Attempts++
-			s.restoreLocked(snap, fmt.Errorf("rlm: compaction slide %s -> %v: %w", name, st.To, slideErr))
-			s.journalAbortLocked()
-			s.quarantineSweepLocked()
-		} else {
+		// Each slide is its own transaction: a completed slide must never be
+		// rolled back (see above), so it seals individually. The slide is
+		// harvested in the body, so a harvest failure carries the slide in
+		// its rollback cause too.
+		ran := false
+		err := s.txLocked("defrag-slide", name, st.To, "", func(*checkpoint) error {
+			ran = true
+			err := s.defragStepLocked(name, st.To, pol.MaxStep)
+			if err == nil {
+				err = s.finishOpLocked()
+			}
+			if err != nil {
+				return fmt.Errorf("rlm: compaction slide %s -> %v: %w", name, st.To, err)
+			}
+			return nil
+		})
+		switch {
+		case err == nil:
 			rep.Moves = append(rep.Moves, DesignMove{Design: name, From: from, To: st.To})
 			rep.CLBsMoved += from.Area()
+		case ran:
+			rep.Attempts++ // rolled back and skipped
+		default:
+			return nil, err
 		}
-		s.releaseCheckpointLocked(snap)
 	}
 	rep.CellsRelocated = s.engine.Stats.CellsRelocated - cells0
 	rep.Freed = s.area.MaxFreeRect()

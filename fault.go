@@ -61,11 +61,15 @@ func (s *System) armRetryLadder() {
 	s.engine.Tool.Retry = s.retryDeliveryLocked
 }
 
-// finishOpLocked is the success epilogue shared by every journaled facade
-// operation: harvest the batched stream (the retry ladder fires inside the
-// await when armed), then seal the commit. The caller rolls back and seals
-// an abort when it returns an error.
-func (s *System) finishOpLocked(cp *checkpoint) error {
+// finishOpLocked is txLocked's success epilogue: harvest the batched stream
+// while the checkpoint can still roll it back (a transport failure of the
+// background shift-out belongs to this operation, and the retry ladder fires
+// inside the await when armed), then seal the commit. A load streams nothing
+// through the port (placement, the warm splice and template capture write
+// the device directly, after draining the stream), so for a load only the
+// seal does work. The caller rolls back and seals an abort when it returns
+// an error; a second call after a successful one is a no-op.
+func (s *System) finishOpLocked() error {
 	if err := s.engine.Tool.Flush(); err != nil {
 		return err
 	}
@@ -75,20 +79,6 @@ func (s *System) finishOpLocked(cp *checkpoint) error {
 	return s.journalCommitLocked()
 }
 
-// finishLoadLocked is Load's epilogue. Without a journal and without a
-// retry policy, Load keeps the two-stage commit pipeline: the burst goes on
-// shifting out in the background after Load returns, and a stale transport
-// error surfaces at the next operation's drain — safe under write-through
-// staging, and the overlap is the pipeline's point. With either armed the
-// op needs a harvest point of its own (the journal's commit barrier, or a
-// fault boundary the ladder can own), so it finishes like every other.
-func (s *System) finishLoadLocked(cp *checkpoint) error {
-	if s.jrnl == nil && (s.retry == nil || s.retry.MaxRetries <= 0) {
-		return nil
-	}
-	return s.finishOpLocked(cp)
-}
-
 // retryDeliveryLocked is the bounded re-delivery ladder, installed as the
 // frame tool's Retry delegate: cause surfaced at an AwaitStream and addrs is
 // the unharvested frame set. It runs under the operation's lock (every tool
@@ -96,8 +86,8 @@ func (s *System) finishLoadLocked(cp *checkpoint) error {
 // never happened (the port meter charges the retry traffic to its retry
 // class, not the foreground). On exhaustion a final readback-verify
 // condemns the frames that still fail, parks them in s.pendingBad for the
-// failed operation's post-rollback quarantine sweep, and the returned error
-// wraps ErrRetriesExhausted.
+// quarantine sweep that ends the operation's transaction, and the returned
+// error wraps ErrRetriesExhausted.
 func (s *System) retryDeliveryLocked(cause error, addrs []fabric.FrameAddr) error {
 	pol := *s.retry
 	s.engine.Stats.FaultsDetected++
@@ -231,10 +221,10 @@ func (s *System) charge(c bitstream.Class, fn func() error) error {
 	return fn()
 }
 
-// quarantineSweepLocked consumes the verified-bad frames a failed operation
-// left in s.pendingBad — after its rollback and abort seal, so the sweep's
-// own journaled operations (evacuations) open on a sealed journal. No-op
-// when nothing is pending.
+// quarantineSweepLocked consumes the verified-bad frames left in
+// s.pendingBad. txLocked runs it on every exit of every operation, after the
+// commit or abort seal, so the sweep's own journaled operations
+// (evacuations) open on a sealed journal. No-op when nothing is pending.
 func (s *System) quarantineSweepLocked() {
 	bad := s.pendingBad
 	s.pendingBad = nil
@@ -250,8 +240,8 @@ func (s *System) quarantineSweepLocked() {
 	}
 	if added {
 		s.evacuateLocked()
-		// The mask changed outside any journaled op (the failed op already
-		// sealed its abort); seal the new mask so a crash cannot lose it.
+		// The mask changed outside any journaled op (the operation already
+		// sealed); seal the new mask so a crash cannot lose it.
 		s.journalHealthLocked()
 	}
 }
@@ -276,14 +266,17 @@ func (s *System) quarantineColumnLocked(addr fabric.FrameAddr) {
 
 // evacuateLocked relocates every design whose region now overlaps
 // quarantined logic space to healthy space, best-effort and in name order.
-// Each evacuation is its own journaled operation; a fault during one engages
-// the ladder like any other delivery, but a failed evacuation never sweeps
-// again from its own error path (sweeps run only from top-level operation
-// epilogues), so the quarantine cannot recurse. A design with no healthy
-// placement stays where it is (its configuration is still host-coherent;
-// only its physical substrate is suspect), which the caller's event stream
-// makes observable.
+// It runs from the quarantine sweep and from a scrub-driven quarantine.
+// Each evacuation is its own transaction; a fault during one engages the
+// ladder like any other delivery, but evacuations never sweep (s.evacuating
+// holds for the whole pass): what they condemn stays pending for the next
+// operation's sweep, so the quarantine cannot recurse. A design with no
+// healthy placement stays where it is (its configuration is still
+// host-coherent; only its physical substrate is suspect), which the
+// caller's event stream makes observable.
 func (s *System) evacuateLocked() {
+	s.evacuating = true
+	defer func() { s.evacuating = false }()
 	names := make([]string, 0, len(s.designs))
 	for name := range s.designs {
 		names = append(names, name)
@@ -299,38 +292,10 @@ func (s *System) evacuateLocked() {
 		if !ok {
 			continue
 		}
-		if err := s.evacuateOneLocked(name, to); err == nil {
+		err := s.txLocked("evacuate", name, to, "", func(*checkpoint) error { return s.moveRaw(name, to) })
+		if err == nil {
 			s.engine.Stats.DesignsEvacuated++
 			s.publish(Event{Kind: DesignEvacuated, Design: name, From: from, Region: to})
 		}
 	}
-}
-
-// evacuateOneLocked performs one evacuation move as a self-contained
-// journaled operation.
-func (s *System) evacuateOneLocked(name string, to fabric.Rect) error {
-	snap, err := s.checkpointLocked()
-	if err != nil {
-		return err
-	}
-	defer s.releaseCheckpointLocked(snap)
-	if err := s.journalBeginLocked(snap, "evacuate", name, to, ""); err != nil {
-		return err
-	}
-	err = s.moveRaw(name, to)
-	if err == nil {
-		err = s.engine.Tool.Flush()
-	}
-	if err == nil {
-		err = s.engine.Tool.AwaitStream()
-	}
-	if err == nil {
-		err = s.journalCommitLocked()
-	}
-	if err != nil {
-		s.restoreLocked(snap, err)
-		s.journalAbortLocked()
-		return err
-	}
-	return nil
 }

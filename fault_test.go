@@ -8,10 +8,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/area"
 	"repro/internal/bitstream"
 	"repro/internal/fabric"
 	"repro/internal/faultport"
 	"repro/internal/jtag"
+	"repro/internal/rearrange"
 )
 
 // faultSystem builds a system on a fault-injecting port, returning the
@@ -125,8 +127,24 @@ func condemnColumns(t *testing.T, dev *fabric.Device, flaky *faultport.Port, col
 // are quarantined out of the logic space, and the design resident on them
 // is evacuated to healthy space — after which explicit placement into the
 // condemned columns is refused (ErrQuarantined) and auto-placement avoids
-// them.
+// them. The staged move fails in a hop, and must quarantine like the direct
+// one.
 func TestPersistentFaultQuarantinesAndEvacuates(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		move func(sys *System, to fabric.Rect) error
+	}{
+		{"Move", func(sys *System, to fabric.Rect) error { return sys.Move("vic", to) }},
+		{"MoveStaged-1", func(sys *System, to fabric.Rect) error { return sys.MoveStaged("vic", to, 1) }},
+		{"MoveStaged-4", func(sys *System, to fabric.Rect) error { return sys.MoveStaged("vic", to, 4) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			testPersistentFaultQuarantines(t, tc.move)
+		})
+	}
+}
+
+func testPersistentFaultQuarantines(t *testing.T, move func(sys *System, to fabric.Rect) error) {
 	sys, flaky := faultSystem(t, 11, WithRetryPolicy(RetryPolicy{MaxRetries: 2, VerifyAfter: 1}))
 	home := fabric.Rect{Row: 0, Col: 0, H: 2, W: 2}
 	if _, err := sys.Load(mkCounter("vic"), home); err != nil {
@@ -136,7 +154,7 @@ func TestPersistentFaultQuarantinesAndEvacuates(t *testing.T) {
 	defer cancel()
 
 	condemned := condemnColumns(t, sys.Device(), flaky, 0, 1)
-	err := sys.Move("vic", fabric.Rect{Row: 4, Col: 0, H: 2, W: 2})
+	err := move(sys, fabric.Rect{Row: 4, Col: 0, H: 2, W: 2})
 	if !errors.Is(err, ErrRetriesExhausted) {
 		t.Fatalf("move across condemned columns: %v, want ErrRetriesExhausted", err)
 	}
@@ -197,6 +215,104 @@ func TestPersistentFaultQuarantinesAndEvacuates(t *testing.T) {
 	// The evacuated design is still live: it moves on healthy fabric.
 	if err := sys.Move("vic", fabric.Rect{Row: 0, Col: 8, H: 2, W: 2}); err != nil {
 		t.Fatalf("post-evacuation move: %v", err)
+	}
+}
+
+// fixedPlanner proposes a fixed list of rearrangement plans, in order.
+type fixedPlanner []*rearrange.Plan
+
+func (fixedPlanner) Name() string { return "fixed" }
+
+func (p fixedPlanner) Plan(*area.Manager, int, int) (*rearrange.Plan, bool) { return p[0], true }
+
+func (p fixedPlanner) Plans(*area.Manager, int, int) []*rearrange.Plan { return p }
+
+// TestPersistentFaultInFailedDefragCandidate: a Need-mode defragmentation
+// whose first candidate exhausts the retry ladder on condemned columns and
+// whose second succeeds still quarantines the columns the first condemned,
+// and evacuates the design resident on them.
+func TestPersistentFaultInFailedDefragCandidate(t *testing.T) {
+	sys, flaky := faultSystem(t, 11, WithRetryPolicy(RetryPolicy{MaxRetries: 2, VerifyAfter: 1}))
+	for _, l := range []struct {
+		name   string
+		region fabric.Rect
+	}{
+		{"a", fabric.Rect{Row: 0, Col: 0, H: 2, W: 2}},
+		{"b", fabric.Rect{Row: 0, Col: 8, H: 2, W: 2}},
+	} {
+		if _, err := sys.Load(mkCounter(l.name), l.region); err != nil {
+			t.Fatal(err)
+		}
+	}
+	condemned := condemnColumns(t, sys.Device(), flaky, 0, 1)
+	aID, _ := sys.Allocation("a")
+	aFrom, _ := sys.Region("a")
+	bRegion, _ := sys.Region("b")
+	// The second candidate moves nothing: moving b would fail too, since
+	// its pad-entry input net routes through the condemned columns.
+	planner := fixedPlanner{
+		{Steps: []rearrange.Step{{ID: aID, From: aFrom, To: fabric.Rect{Row: 4, Col: 0, H: 2, W: 2}}}, Target: aFrom},
+		{Target: bRegion},
+	}
+	rep, err := sys.Defragment(DefragPolicy{Planner: planner, NeedH: 2, NeedW: 2})
+	if err != nil {
+		t.Fatalf("defragment: %v", err)
+	}
+	if rep.Attempts != 2 {
+		t.Fatalf("Attempts = %d, want 2", rep.Attempts)
+	}
+	st := sys.Stats()
+	if st.RetriesExhausted != 1 {
+		t.Fatalf("RetriesExhausted = %d, want 1", st.RetriesExhausted)
+	}
+	if st.FramesQuarantined != condemned {
+		t.Fatalf("FramesQuarantined = %d, want %d", st.FramesQuarantined, condemned)
+	}
+	if st.DesignsEvacuated != 1 {
+		t.Fatalf("DesignsEvacuated = %d, want 1", st.DesignsEvacuated)
+	}
+	if region, _ := sys.Region("a"); sys.Area().QuarantineOverlaps(region) {
+		t.Fatalf("a left on quarantined space: %v", region)
+	}
+}
+
+// TestPersistentFaultInEvacuationWaitsForNextSweep: evacuations never
+// sweep, so a quarantine cannot recurse. An evacuation that exhausts the
+// ladder on further failing columns leaves what it condemned pending, and
+// the next operation's sweep quarantines it, even when that operation
+// succeeds.
+func TestPersistentFaultInEvacuationWaitsForNextSweep(t *testing.T) {
+	sys, flaky := faultSystem(t, 11, WithRetryPolicy(RetryPolicy{MaxRetries: 2, VerifyAfter: 1}))
+	home := fabric.Rect{Row: 0, Col: 0, H: 2, W: 2}
+	if _, err := sys.Load(mkCounter("vic"), home); err != nil {
+		t.Fatal(err)
+	}
+	// The first evacuation goes to the best fit once the home columns are
+	// masked; condemn its columns too.
+	m := sys.Area().Clone()
+	m.Quarantine(fabric.Rect{Row: 0, Col: 0, H: sys.Device().Rows, W: 2})
+	refuge, ok := m.FindPlacement(home.H, home.W, area.BestFit)
+	if !ok {
+		t.Fatal("no healthy placement for the evacuation")
+	}
+	perPair := condemnColumns(t, sys.Device(), flaky, 0, 1)
+	condemnColumns(t, sys.Device(), flaky, refuge.Col, refuge.Col+1)
+
+	if err := sys.Move("vic", fabric.Rect{Row: 4, Col: 0, H: 2, W: 2}); !errors.Is(err, ErrRetriesExhausted) {
+		t.Fatalf("move across condemned columns: %v, want ErrRetriesExhausted", err)
+	}
+	st := sys.Stats()
+	if st.RetriesExhausted != 2 || st.FramesQuarantined != perPair || st.DesignsEvacuated != 0 {
+		t.Fatalf("after the move and its failed evacuation to %v: RetriesExhausted %d, FramesQuarantined %d, DesignsEvacuated %d; want 2, %d, 0",
+			refuge, st.RetriesExhausted, st.FramesQuarantined, st.DesignsEvacuated, perPair)
+	}
+
+	if _, err := sys.Load(mkCounter("x"), fabric.Rect{Row: 6, Col: 10, H: 2, W: 2}); err != nil {
+		t.Fatalf("load on healthy columns: %v", err)
+	}
+	if st := sys.Stats(); st.FramesQuarantined <= perPair || !sys.Area().QuarantineOverlaps(refuge) {
+		t.Fatalf("after the next load: FramesQuarantined %d, refuge %v quarantined %v; want more than %d, true",
+			st.FramesQuarantined, refuge, sys.Area().QuarantineOverlaps(refuge), perPair)
 	}
 }
 

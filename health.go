@@ -141,12 +141,13 @@ func (s *System) releaseColumnLocked(major int) {
 
 // journalHealthLocked seals the current health/quarantine state into the
 // journal as a standalone committed mini-operation. Health transitions
-// driven by the scrubber or a post-abort sweep happen outside any journaled
-// operation, and until now were only persisted by the NEXT committed op's
-// Post record — a crash in between would recover a stale mask. The mini-op
-// closes that window: Begin("health") + Post(full state) + Commit, with no
-// frame deliveries of its own. No-op without a journal, inside an active
-// operation (its Post will carry the state), or during recovery replay.
+// driven by the scrubber or by the quarantine sweep that ends a transaction
+// happen outside any journaled operation, and until now were only persisted
+// by the NEXT committed op's Post record — a crash in between would recover
+// a stale mask. The mini-op closes that window: Begin("health") + Post(full
+// state) + Commit, with no frame deliveries of its own. No-op without a
+// journal, inside an active operation (its Post will carry the state), or
+// during recovery replay.
 func (s *System) journalHealthLocked() {
 	js := s.jrnl
 	if js == nil || js.active || s.restoring {

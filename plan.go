@@ -113,36 +113,19 @@ func (p *Plan) Commit() error {
 	if err := s.validatePlanLocked(p.ops); err != nil {
 		return err
 	}
-	snap, err := s.checkpointLocked()
-	if err != nil {
-		return err
-	}
-	defer s.releaseCheckpointLocked(snap)
-	if err := s.journalBeginLocked(snap, "plan", "", fabric.Rect{}, p.describe()); err != nil {
-		return err
-	}
-	execErr := s.engine.Tool.InBatch(func() error {
-		for i, op := range p.ops {
-			if err := s.executeOpLocked(op); err != nil {
-				return fmt.Errorf("rlm: plan op %d (%s): %w", i, op, err)
+	// Ops overlap their planning with earlier ops' streams; the
+	// transaction's harvest makes a transport failure anywhere in the plan
+	// fail the whole of it, unless the retry ladder re-delivers it.
+	return s.txLocked("plan", "", fabric.Rect{}, p.describe(), func(*checkpoint) error {
+		return s.engine.Tool.InBatch(func() error {
+			for i, op := range p.ops {
+				if err := s.executeOpLocked(op); err != nil {
+					return fmt.Errorf("rlm: plan op %d (%s): %w", i, op, err)
+				}
 			}
-		}
-		return nil
+			return nil
+		})
 	})
-	if execErr == nil {
-		// Harvest the pipelined shift-out before the commit is declared
-		// done: ops overlapped their planning with earlier ops' streams,
-		// and a transport failure anywhere in the plan fails the whole
-		// transaction — unless the retry ladder re-delivers it.
-		execErr = s.finishOpLocked(snap)
-	}
-	if execErr != nil {
-		s.restoreLocked(snap, execErr)
-		s.journalAbortLocked()
-		s.quarantineSweepLocked()
-		return execErr
-	}
-	return nil
 }
 
 // describe renders the op list for the journal's intent record.

@@ -84,9 +84,15 @@ type System struct {
 	// Always non-nil; the zero policy keeps every automatic transition off,
 	// reproducing the legacy permanent-quarantine behaviour.
 	health *health.Tracker
-	// pendingBad holds frames the retry ladder's final verify condemned,
-	// consumed by quarantineSweepLocked after the failed op rolls back.
+	// pendingBad holds frames the retry ladder's final verify condemned. The
+	// ladder can condemn frames in an operation that still succeeds (a failed
+	// Defragment candidate followed by a good one), so txLocked sweeps them on
+	// every exit, once the operation is sealed.
 	pendingBad []fabric.FrameAddr
+	// evacuating is set for the length of an evacuation pass; its moves
+	// leave what they condemn pending instead of sweeping, so a quarantine
+	// cannot recurse.
+	evacuating bool
 
 	// Scrubber state (see scrub.go): the cached frame address space, the
 	// round-robin cursor, and the background goroutine's lifecycle.
@@ -345,48 +351,27 @@ func (s *System) loadLocked(nl *netlist.Netlist, region fabric.Rect) (*place.Des
 	if err != nil {
 		return nil, err
 	}
-	// Checkpoint so a partial placement (pads and cells are written before
-	// routing can still fail) never leaks onto the fabric.
-	snap, err := s.checkpointLocked()
-	if err != nil {
-		return nil, err
-	}
-	defer s.releaseCheckpointLocked(snap)
-	if err := s.journalBeginLocked(snap, "load", nl.Name, region, ""); err != nil {
-		return nil, err
-	}
-	if s.tmpl != nil {
-		d, handled, err := s.tryWarmLoadLocked(nl, region)
-		if err != nil {
-			s.restoreLocked(snap, err)
-			s.journalAbortLocked()
-			return nil, err
-		}
-		if handled {
-			if err := s.finishLoadLocked(snap); err != nil {
-				s.restoreLocked(snap, err)
-				s.journalAbortLocked()
-				s.quarantineSweepLocked()
-				return nil, err
+	// The transaction's checkpoint keeps a partial placement (pads and cells
+	// are written before routing can still fail) off the fabric.
+	var d *place.Design
+	err = s.txLocked("load", nl.Name, region, "", func(*checkpoint) error {
+		var err error
+		if s.tmpl != nil {
+			var handled bool
+			if d, handled, err = s.tryWarmLoadLocked(nl, region); err != nil || handled {
+				return err
 			}
-			return d, nil
+			// Cache miss (or clean pre-write fallback): cold path below.
 		}
-		// Cache miss (or clean pre-write fallback): cold path below.
-	}
-	d, err := s.loadRaw(nl, region)
+		if d, err = s.loadRaw(nl, region); err != nil {
+			return err
+		}
+		if s.tmpl != nil {
+			s.captureTemplateLocked(d)
+		}
+		return nil
+	})
 	if err != nil {
-		s.restoreLocked(snap, err)
-		s.journalAbortLocked()
-		s.quarantineSweepLocked()
-		return nil, err
-	}
-	if s.tmpl != nil {
-		s.captureTemplateLocked(d)
-	}
-	if err := s.finishLoadLocked(snap); err != nil {
-		s.restoreLocked(snap, err)
-		s.journalAbortLocked()
-		s.quarantineSweepLocked()
 		return nil, err
 	}
 	return d, nil
@@ -499,28 +484,12 @@ func (s *System) findRegionLocked(nl *netlist.Netlist) (fabric.Rect, bool) {
 func (s *System) Unload(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.designs[name]; !ok {
+	d, ok := s.designs[name]
+	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownDesign, name)
 	}
-	snap, err := s.checkpointLocked()
+	err := s.txLocked("unload", name, d.Region, "", func(*checkpoint) error { return s.unloadRaw(name) })
 	if err != nil {
-		return err
-	}
-	defer s.releaseCheckpointLocked(snap)
-	if err := s.journalBeginLocked(snap, "unload", name, s.designs[name].Region, ""); err != nil {
-		return err
-	}
-	err = s.unloadRaw(name)
-	if err == nil {
-		// Harvest the batched stream before the checkpoint closes: a
-		// transport failure of the background shift-out belongs to this
-		// operation — the retry ladder engages here when armed.
-		err = s.finishOpLocked(snap)
-	}
-	if err != nil {
-		s.restoreLocked(snap, err)
-		s.journalAbortLocked()
-		s.quarantineSweepLocked()
 		return fmt.Errorf("rlm: unloading %q: %w", name, err)
 	}
 	return nil
@@ -609,25 +578,7 @@ func (s *System) moveLocked(name string, to fabric.Rect) error {
 	if err := s.checkMoveLocked(name, to); err != nil {
 		return err
 	}
-	snap, err := s.checkpointLocked()
-	if err != nil {
-		return err
-	}
-	defer s.releaseCheckpointLocked(snap)
-	if err := s.journalBeginLocked(snap, "move", name, to, ""); err != nil {
-		return err
-	}
-	err = s.moveRaw(name, to)
-	if err == nil {
-		err = s.finishOpLocked(snap) // harvest before the checkpoint closes
-	}
-	if err != nil {
-		s.restoreLocked(snap, err)
-		s.journalAbortLocked()
-		s.quarantineSweepLocked()
-		return err
-	}
-	return nil
+	return s.txLocked("move", name, to, "", func(*checkpoint) error { return s.moveRaw(name, to) })
 }
 
 // checkMoveLocked validates a move without touching anything.
@@ -742,30 +693,14 @@ func (s *System) moveStagedLocked(name string, to fabric.Rect, maxStep int) erro
 	if err != nil {
 		return err
 	}
-	snap, err := s.checkpointLocked()
-	if err != nil {
-		return err
-	}
-	defer s.releaseCheckpointLocked(snap)
-	if err := s.journalBeginLocked(snap, "move-staged", name, to, fmt.Sprintf("maxStep=%d", maxStep)); err != nil {
-		return err
-	}
-	for _, next := range hops {
-		if err := s.moveRaw(name, next); err != nil {
-			err = fmt.Errorf("rlm: staged move via %v: %w", next, err)
-			s.restoreLocked(snap, err)
-			s.journalAbortLocked()
-			return err
+	return s.txLocked("move-staged", name, to, fmt.Sprintf("maxStep=%d", maxStep), func(*checkpoint) error {
+		for _, next := range hops {
+			if err := s.moveRaw(name, next); err != nil {
+				return fmt.Errorf("rlm: staged move via %v: %w", next, err)
+			}
 		}
-	}
-	err = s.finishOpLocked(snap)
-	if err != nil {
-		s.restoreLocked(snap, err)
-		s.journalAbortLocked()
-		s.quarantineSweepLocked()
-		return err
-	}
-	return nil
+		return nil
+	})
 }
 
 // stagedHopsLocked computes the hop sequence and dry-runs it on the live
@@ -861,6 +796,37 @@ func (s *System) notifyShadowDelivered() {
 		}
 	}
 	s.onDelivered(updates)
+}
+
+// txLocked runs body as one transaction on the complete configuration copy:
+// it arms a checkpoint, journals the intent, runs body, then harvests the
+// stream and seals the commit (finishOpLocked), or rolls the device and
+// book-keeping back and seals an abort. Either way it ends with the
+// quarantine sweep of the frames the retry ladder condemned, once the
+// operation is sealed, so the sweep's evacuations open on a sealed journal;
+// an evacuation pass never sweeps, so a quarantine cannot recurse. A
+// checkpoint or intent failure returns before body runs. Every mutating
+// facade operation is its validation plus one txLocked call.
+func (s *System) txLocked(op, design string, region fabric.Rect, detail string, body func(*checkpoint) error) error {
+	cp, err := s.checkpointLocked()
+	if err != nil {
+		return err
+	}
+	defer s.releaseCheckpointLocked(cp)
+	if err := s.journalBeginLocked(cp, op, design, region, detail); err != nil {
+		return err
+	}
+	if err = body(cp); err == nil {
+		err = s.finishOpLocked()
+	}
+	if err != nil {
+		s.restoreLocked(cp, err)
+		s.journalAbortLocked()
+	}
+	if !s.evacuating {
+		s.quarantineSweepLocked()
+	}
+	return err
 }
 
 // checkpoint captures everything a rollback needs, all of it copy-on-write:
