@@ -9,7 +9,10 @@ race:
 # Mirrors the CI crash- and fault-torture steps (keep the -run patterns in
 # sync with .github/workflows/ci.yml): journaled crash/recovery at every
 # boundary, a recovered system routing its next load like its never-crashed
-# twin, then the transport fault-tolerance properties under race.
+# twin (TestRecoverRoutesNextLoadLikeTwin), a checked-in journal with the
+# retired "nets" and "pads" keys recovering clean
+# (TestRecoverReadsRetiredStateKeys), then the transport fault-tolerance
+# properties under race.
 torture:
 	go test -race -run 'TestCrashConsistency|TestRecover|TestCompressedDelivery|TestCompressionFig7' repro
 	go test -race -run 'TestChaosRetry|TestPersistentFault|TestScrub|TestBackgroundScrubber|TestCrashDuringRetry' repro

@@ -495,32 +495,6 @@ func (m *Manager) String() string {
 	return b.String()
 }
 
-// CopyFrom overwrites this manager's state with src's, preserving the
-// receiver's identity: holders of the pointer (schedulers, observers) see
-// the restored state instead of silently diverging on an orphaned copy.
-// The grids must have equal dimensions.
-func (m *Manager) CopyFrom(src *Manager) {
-	if m.Rows != src.Rows || m.Cols != src.Cols {
-		panic(fmt.Sprintf("area: CopyFrom %dx%d into %dx%d", src.Rows, src.Cols, m.Rows, m.Cols))
-	}
-	if m.marks > 0 {
-		// A wholesale overwrite cannot be expressed on the undo log; epochs
-		// must be rewound or released first.
-		panic("area: CopyFrom into a manager with outstanding marks")
-	}
-	copy(m.occ, src.occ)
-	m.allocs = make(map[int]fabric.Rect, len(src.allocs))
-	for id, r := range src.allocs {
-		m.allocs[id] = r
-	}
-	m.next = src.next
-	if src.quar != nil {
-		m.quar = append([]bool{}, src.quar...)
-	} else {
-		m.quar = nil
-	}
-}
-
 // Alloc is one allocation in an exported occupancy snapshot.
 type Alloc struct {
 	ID   int
@@ -540,10 +514,11 @@ func (m *Manager) Export() ([]Alloc, int) {
 	return out, m.next
 }
 
-// Restore overwrites the manager with an exported occupancy state, in place
-// (pointer holders see the restored state, as with CopyFrom). Overlapping or
-// out-of-bounds allocations are rejected; like CopyFrom it must not be
-// called with outstanding marks. The quarantine mask is not part of the
+// Restore overwrites the manager with an exported occupancy state, in place:
+// holders of the pointer (schedulers, observers) see the restored state.
+// Overlapping or out-of-bounds allocations are rejected, and it must not be
+// called with outstanding marks, since a wholesale overwrite cannot be
+// expressed on the undo log. The quarantine mask is not part of the
 // exported state and survives a Restore untouched — the recovery path
 // re-applies it from the journal's own quarantine record.
 func (m *Manager) Restore(allocs []Alloc, next int) error {

@@ -191,9 +191,6 @@ func (c *Controller) Stats() Stats { return c.stats }
 // duration (AsyncPort's contract serialises all other access).
 func (c *Controller) SetRedelivery(on bool) { c.redelivery = on }
 
-// ResetStats zeroes the traffic counters.
-func (c *Controller) ResetStats() { c.stats = Stats{} }
-
 // Device returns the attached device.
 func (c *Controller) Device() *fabric.Device { return c.dev }
 

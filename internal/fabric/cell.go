@@ -186,6 +186,3 @@ func OrLUT(ins ...int) uint16 {
 // Encode packs the cell configuration into its 32-bit configuration word
 // (exported for tools that splice cell configs into frames).
 func (cc CellConfig) Encode() uint32 { return cc.encode() }
-
-// DecodeCellConfig is the inverse of Encode.
-func DecodeCellConfig(v uint32) CellConfig { return decodeCell(v) }

@@ -198,9 +198,6 @@ func (d *Device) PadEnabledSources(p PadRef) []NodeID {
 // for tools that splice pad configs into frames).
 func (pc PadConfig) Encode() uint32 { return pc.encode() }
 
-// DecodePadConfig is the inverse of Encode.
-func DecodePadConfig(v uint32) PadConfig { return decodePad(v) }
-
 // PadBitAddr exposes the frame location of a pad's configuration byte.
 func (d *Device) PadBitAddr(p PadRef) (major, minor, bit int) {
 	return d.padBitAddr(p)

@@ -8,7 +8,6 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/netlist"
 	"repro/internal/relocate"
-	"repro/internal/route"
 )
 
 // Init is the journal's opening record: everything needed to rebuild a
@@ -67,9 +66,12 @@ type Seal struct {
 	Seq uint64 `json:"seq"`
 }
 
-// DesignState serialises one loaded design's complete book-keeping: the
-// netlist content, the placement tables and the routed nets. Maps keyed by
-// integer ids marshal deterministically (encoding/json sorts keys).
+// DesignState serialises one loaded design's book-keeping: the netlist
+// content and the placement tables. Its routing is not here: configuration
+// memory is the one record of which PIPs are on, and recovery reads it back
+// (journals written before the routed nets left carry them under "nets",
+// which decoding ignores). Maps keyed by integer ids marshal
+// deterministically (encoding/json sorts keys).
 type DesignState struct {
 	Name     string                        `json:"name"`
 	Region   fabric.Rect                   `json:"region"`
@@ -78,7 +80,6 @@ type DesignState struct {
 	CellOf   map[netlist.ID]fabric.CellRef `json:"cell_of"`
 	PadOf    map[netlist.ID]fabric.PadRef  `json:"pad_of,omitempty"`
 	SourceOf map[netlist.ID]fabric.NodeID  `json:"source_of,omitempty"`
-	Nets     []route.RoutedNet             `json:"nets,omitempty"`
 }
 
 // Alloc is one area-manager allocation.
@@ -88,17 +89,17 @@ type Alloc struct {
 }
 
 // State is the complete host book-keeping at a committed operation
-// boundary: designs, pad reservations, area occupancy, and the accounting
-// counters (engine statistics, the port meter's per-class usage, engine
-// tick cursor) that make a recovered system's TCK accounting bit-identical
-// to a never-crashed twin's.
+// boundary: designs, area occupancy, and the accounting counters (engine
+// statistics, the port meter's per-class usage, engine tick cursor) that
+// make a recovered system's TCK accounting bit-identical to a never-crashed
+// twin's. Pad reservations are the designs' PadOf tables; journals that
+// also list them under "pads" decode with that key ignored.
 type State struct {
-	Seq       uint64          `json:"seq"`
-	Designs   []DesignState   `json:"designs,omitempty"`
-	Pads      []fabric.PadRef `json:"pads,omitempty"`
-	Allocs    []Alloc         `json:"allocs,omitempty"`
-	NextAlloc int             `json:"next_alloc"`
-	Stats     relocate.Stats  `json:"stats"`
+	Seq       uint64         `json:"seq"`
+	Designs   []DesignState  `json:"designs,omitempty"`
+	Allocs    []Alloc        `json:"allocs,omitempty"`
+	NextAlloc int            `json:"next_alloc"`
+	Stats     relocate.Stats `json:"stats"`
 	// Port is the port meter's reading, one Usage per bitstream.Class.
 	Port     []bitstream.Usage `json:"port,omitempty"`
 	LastTick float64           `json:"last_tick"`

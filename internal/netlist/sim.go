@@ -209,12 +209,6 @@ func (s *Sim) Value(id ID) bool { return s.val[id] }
 // State returns the stored state of an FF or latch.
 func (s *Sim) State(id ID) bool { return s.state[id] }
 
-// SetState forces the stored state of an FF or latch (tests only).
-func (s *Sim) SetState(id ID, v bool) {
-	s.state[id] = v
-	s.val[id] = v
-}
-
 // RAMContents returns the contents of a RAM node.
 func (s *Sim) RAMContents(id ID) uint16 { return s.ram[id] }
 

@@ -31,21 +31,20 @@ type Design struct {
 	// SourceOf maps each value-producing netlist node to the fabric node
 	// that carries its value (cell output or input pad).
 	SourceOf map[netlist.ID]fabric.NodeID
-	// Nets are the routed signal nets.
+	// Nets are the routed signal nets as Place routed them. The run-time
+	// manager neither maintains nor persists them: a warm load or a
+	// recovery leaves them empty and a move leaves them stale, because
+	// configuration memory is the one record of a design's routing.
 	Nets []route.RoutedNet
 }
 
 // Options controls placement.
 type Options struct {
 	// Region places the design into this rectangle; the zero value
-	// auto-sizes a region anchored at (0,0).
+	// auto-sizes a region anchored at (0,0) at half utilisation.
 	Region fabric.Rect
-	// Utilisation is the target fraction of logic cells used inside the
-	// region when auto-sizing (default 0.5; lower is easier to route).
-	Utilisation float64
-	// InputSide and OutputSide select the pad edges (default West/East).
-	InputSide, OutputSide fabric.Dir
-	// ReservePads skips pads already used by other designs.
+	// ReservePads skips pads already used by other designs. Inputs bind on
+	// the west edge and outputs on the east.
 	ReservePads map[fabric.PadRef]bool
 	// Router to use, already blocked with the occupancy the placement must
 	// avoid (the run-time manager passes relocate.Engine.FreeRouter); nil
@@ -144,16 +143,10 @@ func Place(dev *fabric.Device, nl *netlist.Netlist, opts Options) (*Design, erro
 	if err := nl.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.Utilisation == 0 {
-		opts.Utilisation = 0.5
-	}
-	if opts.InputSide == opts.OutputSide {
-		opts.InputSide, opts.OutputSide = fabric.West, fabric.East
-	}
 	region := opts.Region
 	if region.Area() == 0 {
 		var err error
-		region, err = AutoRegion(dev, nl, 0, 0, opts.Utilisation)
+		region, err = AutoRegion(dev, nl, 0, 0, 0.5)
 		if err != nil {
 			return nil, err
 		}
@@ -210,7 +203,7 @@ func Place(dev *fabric.Device, nl *netlist.Netlist, opts Options) (*Design, erro
 	}
 
 	// Bind pads.
-	if err := d.bindPads(opts); err != nil {
+	if err := d.bindPads(opts.ReservePads); err != nil {
 		return fail(err)
 	}
 
@@ -242,8 +235,7 @@ func Place(dev *fabric.Device, nl *netlist.Netlist, opts Options) (*Design, erro
 	return d, nil
 }
 
-func (d *Design) bindPads(opts Options) error {
-	used := opts.ReservePads
+func (d *Design) bindPads(used map[fabric.PadRef]bool) error {
 	if used == nil {
 		used = map[fabric.PadRef]bool{}
 	}
@@ -254,7 +246,7 @@ func (d *Design) bindPads(opts Options) error {
 		return fabric.PadRef{}, fmt.Errorf("place: out of pads on side %v", side)
 	}
 	for _, id := range d.NL.Inputs() {
-		p, err := alloc(opts.InputSide)
+		p, err := alloc(fabric.West)
 		if err != nil {
 			return err
 		}
@@ -263,7 +255,7 @@ func (d *Design) bindPads(opts Options) error {
 		d.SourceOf[id] = d.Dev.PadNodeID(p)
 	}
 	for _, id := range d.NL.Outputs() {
-		p, err := alloc(opts.OutputSide)
+		p, err := alloc(fabric.East)
 		if err != nil {
 			return err
 		}
@@ -432,8 +424,8 @@ func SortNets(nets []route.Net) {
 	})
 }
 
-// UsedNodes returns every routing node owned by the design (for blocking in
-// other routers).
+// UsedNodes returns every routing node of the design's Nets (for blocking in
+// other routers); like Nets, it describes the routing Place made.
 func (d *Design) UsedNodes() []fabric.NodeID {
 	var out []fabric.NodeID
 	seen := map[fabric.NodeID]bool{}

@@ -115,11 +115,6 @@ type CellMove struct {
 	// associated to the parallel interconnections shall be the longer of
 	// the two paths").
 	MaxParallelDelayNs float64
-	// TouchedFrames is the distinct set of configuration frames the
-	// relocation wrote, in first-touched order. The run-time manager sizes
-	// its checkpoints from this: rollback state covers exactly these
-	// frames, not the whole device.
-	TouchedFrames []fabric.FrameAddr
 }
 
 // Engine performs dynamic relocation through a configuration port.
@@ -141,10 +136,6 @@ type Engine struct {
 	// does not ensure that the CLB replica captures the correct state
 	// information"). Ablation/testing only.
 	ForcePlainProcedure bool
-	// PrePhase2, when set, runs right before the replica outputs are
-	// paralleled with the original's: the instant at which original and
-	// replica state must agree. Verification harnesses assert it there.
-	PrePhase2 func(from, to fabric.CellRef) error
 
 	Stats Stats
 
@@ -291,7 +282,6 @@ func (e *Engine) RelocateCell(from, to fabric.CellRef) (*CellMove, error) {
 	}
 	start := e.Tool.Port().Elapsed()
 	frames0 := e.Tool.FramesWritten()
-	e.Tool.MarkTouched()
 
 	overlapped := e.Tool.StreamInFlight() // planning overlaps that stream
 	planStart := time.Now()
@@ -323,13 +313,12 @@ func (e *Engine) RelocateCell(from, to fabric.CellRef) (*CellMove, error) {
 		e.Stats.AuxCircuits++
 	}
 	mv := &CellMove{
-		From:          from,
-		To:            to,
-		Aux:           plan.aux,
-		UsedAux:       plan.needsAux,
-		Frames:        e.Tool.FramesWritten() - frames0,
-		Seconds:       e.Tool.Port().Elapsed() - start,
-		TouchedFrames: e.Tool.TouchedFrames(),
+		From:    from,
+		To:      to,
+		Aux:     plan.aux,
+		UsedAux: plan.needsAux,
+		Frames:  e.Tool.FramesWritten() - frames0,
+		Seconds: e.Tool.Port().Elapsed() - start,
 	}
 	mv.MaxParallelDelayNs = plan.maxParallelDelay(e.Dev)
 	e.Stats.FramesWritten = e.Tool.FramesWritten()

@@ -59,9 +59,6 @@ type FrameTool struct {
 	pending    []fabric.FrameAddr
 	pendingSet map[fabric.FrameAddr]bool
 
-	touched  []fabric.FrameAddr
-	touchSet map[fabric.FrameAddr]bool
-
 	// async is the port's background-delivery interface (nil when the port
 	// cannot stream). streamingSet tracks every frame of every UNDELIVERED
 	// burst: a new write targeting one of them must first drain the queue,
@@ -184,7 +181,6 @@ func NewFrameTool(dev *fabric.Device, port bitstream.Port) (*FrameTool, error) {
 	return &FrameTool{
 		dev: dev, port: port, shadow: shadow, genSeen: dev.Generation(),
 		pendingSet:   make(map[fabric.FrameAddr]bool),
-		touchSet:     make(map[fabric.FrameAddr]bool),
 		async:        async,
 		streamingSet: make(map[fabric.FrameAddr]bool),
 		lastSent:     make(map[fabric.FrameAddr][]uint32),
@@ -368,10 +364,6 @@ func (ft *FrameTool) stage(addr fabric.FrameAddr, data []uint32) error {
 		ft.sink.FrameChanged(addr, old, data)
 	}
 	ft.frames++
-	if !ft.touchSet[addr] {
-		ft.touchSet[addr] = true
-		ft.touched = append(ft.touched, addr)
-	}
 	if !ft.pendingSet[addr] {
 		ft.pendingSet[addr] = true
 		ft.pending = append(ft.pending, addr)
@@ -697,24 +689,6 @@ func (ft *FrameTool) InBatch(fn func() error) error {
 func (ft *FrameTool) AbortPending() {
 	ft.pending = nil
 	ft.pendingSet = make(map[fabric.FrameAddr]bool)
-}
-
-// MarkTouched resets the touched-frame recording and returns. The engine
-// brackets each relocation with MarkTouched/TouchedFrames so every CellMove
-// reports exactly the frame set it wrote.
-func (ft *FrameTool) MarkTouched() {
-	ft.touched = ft.touched[:0]
-	for addr := range ft.touchSet {
-		delete(ft.touchSet, addr)
-	}
-}
-
-// TouchedFrames returns a copy of the distinct frames staged since the last
-// MarkTouched, in first-touched order.
-func (ft *FrameTool) TouchedFrames() []fabric.FrameAddr {
-	out := make([]fabric.FrameAddr, len(ft.touched))
-	copy(out, ft.touched)
-	return out
 }
 
 // BeginSnapshot synchronises the shadow with the device and opens a

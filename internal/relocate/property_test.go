@@ -269,31 +269,10 @@ func TestPartialCheckpointBitIdentical(t *testing.T) {
 				}
 			}
 
-			// The restored system keeps working: the same move succeeds —
-			// and the engine's reported frame set is exactly the dirty set
-			// a checkpoint must cover (the two mechanisms agree).
-			check, err := eng.Tool.BeginSnapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			mv, err := eng.RelocateCell(from, to)
-			if err != nil {
+			// The restored system keeps working: the same move succeeds.
+			if _, err := eng.RelocateCell(from, to); err != nil {
 				t.Fatalf("style=%v budget=%d: post-restore relocation: %v", style, budget, err)
 			}
-			reported := map[fabric.FrameAddr]bool{}
-			for _, addr := range mv.TouchedFrames {
-				reported[addr] = true
-			}
-			dirty := check.Frames()
-			if len(dirty) == 0 || len(dirty) != len(reported) {
-				t.Fatalf("snapshot dirty set %d frames, engine reported %d", len(dirty), len(reported))
-			}
-			for _, addr := range dirty {
-				if !reported[addr] {
-					t.Fatalf("frame %v dirtied but not in CellMove.TouchedFrames", addr)
-				}
-			}
-			check.Release()
 		}
 	}
 }

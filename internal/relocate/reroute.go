@@ -45,8 +45,10 @@ func (m *NetMove) FuzzinessNs() float64 {
 // original path is then disconnected and released for reuse ("the
 // interconnections involved are first duplicated in order to establish an
 // alternative path, and then disconnected, becoming available to be
-// reused"). The old path's exclusive portion returns to the free pool.
-func (e *Engine) RerouteSink(sinkTile fabric.Coord, sinkLocal int) (*NetMove, error) {
+// reused"). The old path's exclusive portion returns to the free pool. The
+// replica path uses no single or hex wire of the avoid tiles, so a caller
+// can force a detour around a corridor it wants cleared.
+func (e *Engine) RerouteSink(sinkTile fabric.Coord, sinkLocal int, avoid ...fabric.Coord) (*NetMove, error) {
 	e.view.refresh()
 	start := e.Tool.Port().Elapsed()
 	frames0 := e.Tool.FramesWritten()
@@ -58,7 +60,16 @@ func (e *Engine) RerouteSink(sinkTile fabric.Coord, sinkLocal int) (*NetMove, er
 	sink := e.Dev.NodeIDAt(sinkTile, sinkLocal)
 
 	// Route the replica path with free resources only.
-	routed, err := e.FreeRouter().RouteDisjoint([]route.Net{{Name: "reroute", Source: driver, Sinks: []fabric.NodeID{sink}}})
+	r := e.FreeRouter()
+	for _, c := range avoid {
+		for local := 0; local < fabric.NodeSlots; local++ {
+			kind, _, _ := fabric.DecodeLocal(local)
+			if kind == fabric.KindSingle || kind == fabric.KindHex {
+				r.Block(e.Dev.NodeIDAt(c, local))
+			}
+		}
+	}
+	routed, err := r.RouteDisjoint([]route.Net{{Name: "reroute", Source: driver, Sinks: []fabric.NodeID{sink}}})
 	if err != nil {
 		return nil, fmt.Errorf("relocate: no free path for reroute: %w", err)
 	}
@@ -80,79 +91,15 @@ func (e *Engine) RerouteSink(sinkTile fabric.Coord, sinkLocal int) (*NetMove, er
 		return nil, err
 	}
 	// Disconnect the original path: sink hop first, then the exclusive
-	// wires back towards the shared trunk.
-	suffix := e.view.exclusiveSuffix(oldChain)
-	// The sink itself now has two drivers; drop only the old one.
-	if len(suffix) >= 2 {
-		if err := e.freeChain(suffix); err != nil {
-			return nil, err
-		}
-	} else if len(oldChain) >= 2 {
-		if err := e.Tool.SetPIP(oldChain[len(oldChain)-2], sink, false); err != nil {
-			return nil, err
-		}
+	// wires back towards the shared trunk. The sink itself now has two
+	// drivers; the suffix (at least the old sink hop) drops only the old one.
+	if err := e.freeChain(e.view.exclusiveSuffix(oldChain)); err != nil {
+		return nil, err
 	}
 	if err := e.tick(0); err != nil {
 		return nil, err
 	}
 
-	e.Stats.NetsRelocated++
-	mv.Frames = e.Tool.FramesWritten() - frames0
-	mv.Seconds = e.Tool.Port().Elapsed() - start
-	return mv, nil
-}
-
-// RerouteSinkVia is RerouteSink with a detour requirement: the replica path
-// must pass through the given region's boundary (used by defragmentation to
-// clear a corridor). An empty avoid set degenerates to RerouteSink.
-func (e *Engine) RerouteSinkVia(sinkTile fabric.Coord, sinkLocal int, avoid []fabric.Coord) (*NetMove, error) {
-	if len(avoid) == 0 {
-		return e.RerouteSink(sinkTile, sinkLocal)
-	}
-	e.view.refresh()
-	start := e.Tool.Port().Elapsed()
-	frames0 := e.Tool.FramesWritten()
-
-	driver, oldChain, err := e.view.terminalDriver(sinkTile, sinkLocal)
-	if err != nil {
-		return nil, err
-	}
-	sink := e.Dev.NodeIDAt(sinkTile, sinkLocal)
-	r := e.FreeRouter()
-	// Block every wire of the avoided tiles.
-	for _, c := range avoid {
-		for local := 0; local < fabric.NodeSlots; local++ {
-			kind, _, _ := fabric.DecodeLocal(local)
-			if kind == fabric.KindSingle || kind == fabric.KindHex {
-				r.Block(e.Dev.NodeIDAt(c, local))
-			}
-		}
-	}
-	routed, err := r.RouteDisjoint([]route.Net{{Name: "detour", Source: driver, Sinks: []fabric.NodeID{sink}}})
-	if err != nil {
-		return nil, fmt.Errorf("relocate: no detour path: %w", err)
-	}
-	newPath := routed[0].Paths[sink]
-	mv := &NetMove{
-		Sink:       sink,
-		OldDelayNs: route.PathDelayNs(e.Dev, oldChain),
-		NewDelayNs: route.PathDelayNs(e.Dev, newPath),
-	}
-	if err := e.Tool.SetPath(newPath, true); err != nil {
-		return nil, err
-	}
-	if err := e.tick(1); err != nil {
-		return nil, err
-	}
-	suffix := e.view.exclusiveSuffix(oldChain)
-	if len(suffix) >= 2 {
-		if err := e.freeChain(suffix); err != nil {
-			return nil, err
-		}
-	}
-	if err := e.tick(0); err != nil {
-		return nil, err
-	}
 	e.Stats.NetsRelocated++
 	mv.Frames = e.Tool.FramesWritten() - frames0
 	mv.Seconds = e.Tool.Port().Elapsed() - start

@@ -101,7 +101,7 @@ func TestRerouteViaDetourAvoidsRegion(t *testing.T) {
 	for r := 0; r < dev.Rows; r++ {
 		avoid = append(avoid, fabric.Coord{Row: r, Col: 5})
 	}
-	mv, err := h.eng.RerouteSinkVia(ref.Coord, local, avoid)
+	mv, err := h.eng.RerouteSink(ref.Coord, local, avoid...)
 	if err != nil {
 		t.Fatalf("detour reroute: %v", err)
 	}

@@ -49,11 +49,6 @@ func (e *Engine) executePlain(p *cellPlan) error {
 	}
 	// Phase 2: parallel the outputs, overlap for at least one clock, then
 	// disconnect the original — outputs first, inputs last.
-	if e.PrePhase2 != nil {
-		if err := e.PrePhase2(p.from, p.to); err != nil {
-			return err
-		}
-	}
 	if err := e.enableOutputParallels(p); err != nil {
 		return err
 	}
@@ -180,11 +175,6 @@ func (e *Engine) executeGated(p *cellPlan) error {
 	_ = dev
 
 	// Step 7: "Place CLB outputs in parallel."
-	if e.PrePhase2 != nil {
-		if err := e.PrePhase2(p.from, p.to); err != nil {
-			return err
-		}
-	}
 	if err := e.enableOutputParallels(p); err != nil {
 		return err
 	}

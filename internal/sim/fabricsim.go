@@ -362,17 +362,6 @@ func (s *FabricSim) CellQ(ref fabric.CellRef) Val {
 	return Undriven
 }
 
-// SetCellQ forces a storage element's state (tests and power-up modelling).
-func (s *FabricSim) SetCellQ(ref fabric.CellRef, v Val) { s.q[ref] = v }
-
-// ActiveCells returns the currently configured cells.
-func (s *FabricSim) ActiveCells() []fabric.CellRef {
-	s.syncActive(false)
-	out := make([]fabric.CellRef, len(s.active))
-	copy(out, s.active)
-	return out
-}
-
 // PinValue exposes pin resolution (used by the relocation engine to check
 // signal continuity).
 func (s *FabricSim) PinValue(ref fabric.CellRef, local int) Val {

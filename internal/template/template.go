@@ -18,7 +18,6 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/netlist"
 	"repro/internal/place"
-	"repro/internal/route"
 )
 
 // Key identifies a template: what circuit, in what region shape, on what
@@ -69,19 +68,12 @@ type CellImage struct {
 	Cfg fabric.CellConfig
 }
 
-// IntPath is one source-to-sink path of an interior net.
-type IntPath struct {
-	Sink RelNode
-	Path []RelNode // full path, source first, sink last
-}
-
 // IntNet is a fully region-contained routed net: its driver and every path
 // to a pin sink lie inside the region. (A branch of the same driver feeding
 // an output pad is boundary routing and lives in Outputs instead.)
 type IntNet struct {
-	Canon  int32 // canonical id of the driver node (for naming at load)
 	Source RelNode
-	Paths  []IntPath
+	Paths  [][]RelNode // one per pin sink: source first, sink last
 }
 
 // BoundaryIn describes one primary input's interior contract, indexed by
@@ -224,11 +216,6 @@ func Capture(dev *fabric.Device, d *place.Design, canon netlist.Canon) (*Templat
 			return nil, false // driver outside its own region: not capturable
 		}
 		in := IntNet{Source: src}
-		drv, ok := driverID(d, rn.Source)
-		if !ok {
-			return nil, false
-		}
-		in.Canon = canon.Index[drv]
 		for _, sink := range rn.Sinks {
 			if k, isPad := padOut[sink]; isPad {
 				// Boundary branch: the pad-side path is re-routed at load;
@@ -241,8 +228,7 @@ func Capture(dev *fabric.Device, d *place.Design, canon netlist.Canon) (*Templat
 			if !ok {
 				return nil, false // interior routing escapes the region
 			}
-			r, _ := relNodeOf(dev, region, sink)
-			in.Paths = append(in.Paths, IntPath{Sink: r, Path: rp})
+			in.Paths = append(in.Paths, rp)
 		}
 		if len(in.Paths) > 0 {
 			t.Nets = append(t.Nets, in)
@@ -294,16 +280,6 @@ func Capture(dev *fabric.Device, d *place.Design, canon netlist.Canon) (*Templat
 	return t, true
 }
 
-// driverID finds the netlist node whose value a fabric source node carries.
-func driverID(d *place.Design, src fabric.NodeID) (netlist.ID, bool) {
-	for id, n := range d.SourceOf {
-		if n == src && d.NL.Nodes[id].Kind != netlist.KindOutput {
-			return id, true
-		}
-	}
-	return 0, false
-}
-
 // buildUsed computes the sorted interior node set of the image: every node
 // on an interior path plus the output nodes of every configured cell (a
 // configured cell's outputs are occupancy even when unrouted).
@@ -318,7 +294,7 @@ func (t *Template) buildUsed() {
 	for i := range t.Nets {
 		add(t.Nets[i].Source)
 		for _, p := range t.Nets[i].Paths {
-			for _, r := range p.Path {
+			for _, r := range p {
 				add(r)
 			}
 		}
@@ -349,35 +325,20 @@ func (t *Template) HasRAM() bool {
 	return false
 }
 
-// InteriorNets materialises the image's interior nets at a concrete region
-// as routed nets (names resolved through the target netlist via the
-// canonical order), ready to merge into a Design's net list.
-func (t *Template) InteriorNets(dev *fabric.Device, region fabric.Rect, nl *netlist.Netlist, canon netlist.Canon) []route.RoutedNet {
-	out := make([]route.RoutedNet, 0, len(t.Nets))
+// InteriorPaths translates the image's interior routing to a concrete
+// region: every path of every interior net, source first, in capture order
+// (t.Nets, then each net's paths), so whoever enables their PIPs does so in
+// one deterministic order.
+func (t *Template) InteriorPaths(dev *fabric.Device, region fabric.Rect) [][]fabric.NodeID {
+	var out [][]fabric.NodeID
 	for i := range t.Nets {
-		in := &t.Nets[i]
-		rn := route.RoutedNet{
-			Net: route.Net{
-				Name:   nl.Nodes[canon.Order[in.Canon]].Name,
-				Source: in.Source.At(dev, region),
-			},
-			Paths: make(map[fabric.NodeID][]fabric.NodeID, len(in.Paths)),
-		}
-		seen := map[fabric.NodeID]bool{}
-		for _, p := range in.Paths {
-			sink := p.Sink.At(dev, region)
-			rn.Sinks = append(rn.Sinks, sink)
-			abs := make([]fabric.NodeID, len(p.Path))
-			for j, r := range p.Path {
+		for _, p := range t.Nets[i].Paths {
+			abs := make([]fabric.NodeID, len(p))
+			for j, r := range p {
 				abs[j] = r.At(dev, region)
-				if !seen[abs[j]] {
-					seen[abs[j]] = true
-					rn.Tree = append(rn.Tree, abs[j])
-				}
 			}
-			rn.Paths[sink] = abs
+			out = append(out, abs)
 		}
-		out = append(out, rn)
 	}
 	return out
 }

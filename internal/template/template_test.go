@@ -85,26 +85,24 @@ func TestUsedAtTranslates(t *testing.T) {
 
 func TestInteriorNetsTranslate(t *testing.T) {
 	region := fabric.Rect{Row: 4, Col: 6, H: 4, W: 4}
-	dev, d, canon, tpl := capture(t, genCfg(17), region)
+	dev, _, _, tpl := capture(t, genCfg(17), region)
 	there := fabric.Rect{Row: 1, Col: 2, H: 4, W: 4}
-	nets := tpl.InteriorNets(dev, there, d.NL, canon)
-	if len(nets) != len(tpl.Nets) {
-		t.Fatalf("%d routed nets from %d image nets", len(nets), len(tpl.Nets))
+	paths := tpl.InteriorPaths(dev, there)
+	want := 0
+	for i := range tpl.Nets {
+		want += len(tpl.Nets[i].Paths)
 	}
-	for i := range nets {
-		if nets[i].Name == "" {
-			t.Fatal("interior net lost its name binding")
+	if len(paths) == 0 || len(paths) != want {
+		t.Fatalf("%d translated paths from %d image paths", len(paths), want)
+	}
+	for k, path := range paths {
+		if len(path) < 2 {
+			t.Fatalf("path %d: degenerate path", k)
 		}
-		for _, sink := range nets[i].Sinks {
-			path := nets[i].Paths[sink]
-			if len(path) < 2 {
-				t.Fatalf("net %s: degenerate path", nets[i].Name)
-			}
-			for _, n := range path {
-				c, _, ok := dev.SplitNode(n)
-				if !ok || !there.Contains(c) {
-					t.Fatalf("net %s: translated path escapes the target region", nets[i].Name)
-				}
+		for _, n := range path {
+			c, _, ok := dev.SplitNode(n)
+			if !ok || !there.Contains(c) {
+				t.Fatalf("path %d: translated path escapes the target region", k)
 			}
 		}
 	}
@@ -114,8 +112,12 @@ func TestInteriorNetsTranslate(t *testing.T) {
 	for _, ci := range tpl.Cells {
 		dev.WriteCell(ci.At.At(there), ci.Cfg)
 	}
-	if err := route.Apply(dev, nets); err != nil {
-		t.Fatalf("translated interior nets did not apply: %v", err)
+	for k, path := range paths {
+		for i := 1; i < len(path); i++ {
+			if err := route.EnablePathPIP(dev, path[i-1], path[i]); err != nil {
+				t.Fatalf("translated interior path %d did not apply: %v", k, err)
+			}
+		}
 	}
 }
 

@@ -14,10 +14,12 @@ import (
 // sysJournal is the facade's write-ahead journal state. Each mutating facade
 // operation journals Begin (intent) right after its checkpoint arms, Undo
 // records (frame pre-images from the checkpoint's copy-on-write snapshot)
-// before every flush delivers frames through the port, Post (the complete
-// host book-keeping plus dirty-frame digests) once the operation's stream
-// has fully shifted out, and a Commit or Abort seal. Recovery (rlm.Recover)
-// reconciles an unsealed tail against device readback.
+// before every flush delivers frames through the port, Post (the host
+// book-keeping of journalStateLocked plus dirty-frame digests) once the
+// operation's stream has fully shifted out, and a Commit or Abort seal.
+// Recovery (rlm.Recover) reconciles an unsealed tail against device
+// readback; a design's routing is read from configuration memory, never
+// from the journal.
 type sysJournal struct {
 	j      *journal.Journal
 	seq    uint64
@@ -153,8 +155,8 @@ func (s *System) journalBeginLocked(cp *checkpoint, op, design string, region fa
 
 // journalCommitLocked seals the active operation as committed: any straggler
 // frames flush (their undo records journal through the barrier), the stream
-// drains, then the full post-operation state and the dirty-frame digests
-// land, then the commit seal. An error leaves the operation unsealed; the
+// drains, then the post-operation state and the dirty-frame digests land,
+// then the commit seal. An error leaves the operation unsealed; the
 // caller rolls back physically and seals with journalAbortLocked, keeping
 // journal and fabric in agreement.
 func (s *System) journalCommitLocked() error {
@@ -257,7 +259,11 @@ func crcFrame(words []uint32) uint32 {
 	return crc32.ChecksumIEEE(buf)
 }
 
-// journalStateLocked serialises the complete host book-keeping.
+// journalStateLocked serialises the host book-keeping a Post carries: each
+// resident design's netlist and placement tables, the area allocations, the
+// health ledger and the accounting counters. Routing is left out, since
+// configuration memory records it, and so are pad reservations, which are
+// the designs' PadOf tables.
 func (s *System) journalStateLocked() journal.State {
 	st := journal.State{
 		Stats:    s.engine.Stats,
@@ -282,23 +288,9 @@ func (s *System) journalStateLocked() journal.State {
 			CellOf:   d.CellOf,
 			PadOf:    d.PadOf,
 			SourceOf: d.SourceOf,
-			Nets:     d.Nets,
 		}
 		st.Designs = append(st.Designs, ds)
 	}
-	for p := range s.pads {
-		st.Pads = append(st.Pads, p)
-	}
-	sort.Slice(st.Pads, func(i, j int) bool {
-		a, b := st.Pads[i], st.Pads[j]
-		if a.Side != b.Side {
-			return a.Side < b.Side
-		}
-		if a.Pos != b.Pos {
-			return a.Pos < b.Pos
-		}
-		return a.K < b.K
-	})
 	st.Allocs = make([]journal.Alloc, 0)
 	allocs, next := s.area.Export()
 	for _, a := range allocs {

@@ -239,7 +239,9 @@ func sealTail(j *journal.Journal, t journal.RecType, seq uint64) error {
 
 // installState rebuilds the host book-keeping from a journaled state and
 // validates it against the (already reconciled) device: every design the
-// state claims must still show its cells in the readback.
+// state claims must still show its cells in the readback. A recovered
+// design's Nets stay empty: its routing is in configuration memory, where
+// the occupancy view reads it.
 func (s *System) installState(st *journal.State) error {
 	for _, ds := range st.Designs {
 		nl, err := netlist.FromNodes(ds.Name, ds.Nodes)
@@ -264,7 +266,6 @@ func (s *System) installState(st *journal.State) error {
 			CellOf:   ds.CellOf,
 			PadOf:    ds.PadOf,
 			SourceOf: ds.SourceOf,
-			Nets:     ds.Nets,
 		}
 		if d.CellOf == nil {
 			d.CellOf = map[netlist.ID]fabric.CellRef{}
@@ -277,9 +278,6 @@ func (s *System) installState(st *journal.State) error {
 		}
 		s.designs[ds.Name] = d
 		s.regions[ds.Name] = ds.Alloc
-	}
-	for _, p := range st.Pads {
-		s.pads[p] = true
 	}
 	// A zero-valued state (nothing ever committed) leaves the fresh area
 	// manager alone; NextAlloc is 1 from the first commit on.

@@ -54,7 +54,6 @@ type System struct {
 	// traffic, and charge names the class they go to.
 	meter *bitstream.Meter
 
-	pads    map[fabric.PadRef]bool
 	designs map[string]*place.Design
 	regions map[string]int // design name -> area allocation id
 
@@ -203,7 +202,6 @@ func newSystem(cfg *config, dev *fabric.Device) (*System, error) {
 		port:    port,
 		engine:  eng,
 		area:    area.NewManagerFor(dev),
-		pads:    map[fabric.PadRef]bool{},
 		designs: map[string]*place.Design{},
 		regions: map[string]int{},
 		tmpl:    tmpl,
@@ -419,11 +417,11 @@ func (s *System) loadRaw(nl *netlist.Netlist, region fabric.Rect) (*place.Design
 	// failed attempt wrote the same cells and pads the retry rewrites
 	// identically, and no PIPs: routing fails before route.Apply. Each
 	// attempt routes on the engine's router, freshly blocked from the
-	// configuration memory.
+	// configuration memory, and binds pads into a fresh reservation map.
 	contain := s.tmpl != nil
 	d, err := place.Place(s.dev, nl, place.Options{
 		Region:      region,
-		ReservePads: s.pads, // Place reserves into this map directly
+		ReservePads: s.padsInUseLocked(),
 		Router:      s.engine.FreeRouter(),
 		Contain:     contain,
 	})
@@ -435,22 +433,19 @@ func (s *System) loadRaw(nl *netlist.Netlist, region fabric.Rect) (*place.Design
 		}
 		d, err = place.Place(s.dev, nl, place.Options{
 			Region:      region,
-			ReservePads: s.pads,
+			ReservePads: s.padsInUseLocked(),
 			Router:      s.engine.FreeRouter(),
 		})
 	}
 	if err != nil {
-		return nil, err // Place released its pad reservations itself
+		return nil, err
 	}
-	// Journal the inverse before anything else can fail: the pads are
-	// reserved from here on, and the design may be half-registered.
+	// Journal the inverse before anything else can fail: the design may be
+	// half-registered.
 	name := nl.Name
 	s.noteUndoLocked(func(s *System) {
 		delete(s.designs, name)
 		delete(s.regions, name)
-		for _, p := range d.PadOf {
-			delete(s.pads, p)
-		}
 	})
 	id, err := s.area.AllocateAt(region)
 	if err != nil {
@@ -466,6 +461,20 @@ func (s *System) loadRaw(nl *netlist.Netlist, region fabric.Rect) (*place.Design
 	}
 	s.publish(Event{Kind: DesignLoaded, Design: nl.Name, Region: region})
 	return d, nil
+}
+
+// padsInUseLocked returns a fresh reservation map holding every resident
+// design's pads: the pads a load must not bind. The designs' PadOf tables
+// are the one record of pad use, so a load that fails leaves nothing to
+// release.
+func (s *System) padsInUseLocked() map[fabric.PadRef]bool {
+	used := map[fabric.PadRef]bool{}
+	for _, d := range s.designs {
+		for _, p := range d.PadOf {
+			used[p] = true
+		}
+	}
+	return used
 }
 
 // findRegionLocked auto-sizes and places a region using the area manager.
@@ -496,31 +505,23 @@ func (s *System) Unload(name string) error {
 }
 
 // unloadRaw performs the unload without checkpointing; the caller owns
-// rollback. The pad and area book-keeping are consistent on success. The
-// engine writes run in one coalescing batch, so the whole decommission
-// streams as a single partial bitstream instead of one per frame.
+// rollback. The area book-keeping is consistent on success, and the
+// design's pads are free once it leaves s.designs. The engine writes run in
+// one coalescing batch, so the whole decommission streams as a single
+// partial bitstream instead of one per frame.
 func (s *System) unloadRaw(name string) error {
 	// The unload never rewrites the design's tables, so the inverse is just
 	// re-registering the same object (the configuration side is the frame
 	// snapshot's business).
-	{
-		d, id := s.designs[name], s.regions[name]
-		s.noteUndoLocked(func(s *System) {
-			s.designs[name] = d
-			s.regions[name] = id
-			for _, p := range d.PadOf {
-				s.pads[p] = true
-			}
-		})
-	}
+	d, id := s.designs[name], s.regions[name]
+	s.noteUndoLocked(func(s *System) {
+		s.designs[name] = d
+		s.regions[name] = id
+	})
 	if err := s.unloadFabricBatched(name); err != nil {
 		return err
 	}
-	d := s.designs[name]
-	for _, p := range d.PadOf {
-		delete(s.pads, p)
-	}
-	if err := s.area.Free(s.regions[name]); err != nil {
+	if err := s.area.Free(id); err != nil {
 		return err
 	}
 	region := d.Region

@@ -126,27 +126,21 @@ func (s *System) tryWarmLoadLocked(nl *netlist.Netlist, region fabric.Rect) (*pl
 			return nil, false, nil
 		}
 	}
-	// Bind pads (inputs west, outputs east) by the placer's own rule.
+	// Bind pads (inputs west, outputs east) by the placer's own rule, into a
+	// fresh reservation map, so a fallback has nothing to release.
 	padOf := map[netlist.ID]fabric.PadRef{}
-	var newPads []fabric.PadRef
-	releasePads := func() {
-		for _, p := range newPads {
-			delete(s.pads, p)
-		}
-	}
+	reserved := s.padsInUseLocked()
 	bind := func(ids []netlist.ID, side fabric.Dir) bool {
 		for _, id := range ids {
-			p, ok := place.ReservePad(s.dev, s.pads, side)
+			p, ok := place.ReservePad(s.dev, reserved, side)
 			if !ok {
 				return false
 			}
 			padOf[id] = p
-			newPads = append(newPads, p)
 		}
 		return true
 	}
 	if !bind(nl.Inputs(), fabric.West) || !bind(nl.Outputs(), fabric.East) {
-		releasePads()
 		s.tmpl.NoteFallback()
 		return nil, false, nil
 	}
@@ -157,7 +151,6 @@ func (s *System) tryWarmLoadLocked(nl *netlist.Netlist, region fabric.Rect) (*pl
 	r.Greedy = boundaryGreedy
 	routed, err := r.RouteDisjoint(bnets)
 	if err != nil {
-		releasePads()
 		s.tmpl.NoteFallback()
 		return nil, false, nil
 	}
@@ -169,16 +162,16 @@ func (s *System) tryWarmLoadLocked(nl *netlist.Netlist, region fabric.Rect) (*pl
 	s.noteUndoLocked(func(s *System) {
 		delete(s.designs, name)
 		delete(s.regions, name)
-		for _, p := range newPads {
-			delete(s.pads, p)
-		}
 	})
 	for _, ci := range tpl.Cells {
 		s.dev.WriteCell(ci.At.At(region), ci.Cfg)
 	}
-	interior := tpl.InteriorNets(s.dev, region, nl, canon)
-	if err := route.Apply(s.dev, interior); err != nil {
-		return nil, true, err
+	for _, path := range tpl.InteriorPaths(s.dev, region) {
+		for i := 1; i < len(path); i++ {
+			if err := route.EnablePathPIP(s.dev, path[i-1], path[i]); err != nil {
+				return nil, true, err
+			}
+		}
 	}
 	for _, id := range nl.Inputs() {
 		s.dev.WritePad(padOf[id], fabric.PadConfig{Input: true})
@@ -204,7 +197,6 @@ func (s *System) tryWarmLoadLocked(nl *netlist.Netlist, region fabric.Rect) (*pl
 	for _, id := range nl.Inputs() {
 		d.SourceOf[id] = s.dev.PadNodeID(padOf[id])
 	}
-	d.Nets = append(interior, routed...)
 	id, err := s.area.AllocateAt(region)
 	if err != nil {
 		return nil, true, fmt.Errorf("%w: %v", ErrRegionBusy, err)
@@ -338,9 +330,6 @@ func (s *System) tryTranslateMoveLocked(name string, to fabric.Rect) (bool, erro
 		return false, err
 	}
 	s.noteDesignLocked(d)
-	oldNets := d.Nets
-	s.noteUndoLocked(func(*System) { d.Nets = oldNets })
-	interior := tpl.InteriorNets(s.dev, to, d.NL, canon)
 	err = s.engine.Tool.InBatch(func() error {
 		// Cut: release the routing and clear the cells through the port.
 		// Pads keep their configuration; the boundary patch re-drives them.
@@ -377,11 +366,9 @@ func (s *System) tryTranslateMoveLocked(name string, to fabric.Rect) (bool, erro
 			}
 			return nil
 		}
-		for i := range interior {
-			for _, sink := range interior[i].Sinks {
-				if err := enable(interior[i].Paths[sink]); err != nil {
-					return err
-				}
+		for _, path := range tpl.InteriorPaths(s.dev, to) {
+			if err := enable(path); err != nil {
+				return err
 			}
 		}
 		for i := range routed {
@@ -418,7 +405,6 @@ func (s *System) tryTranslateMoveLocked(name string, to fabric.Rect) (bool, erro
 	d.CellOf = newCellOf
 	d.SourceOf = newSourceOf
 	d.Region = to
-	d.Nets = append(interior, routed...)
 	if err := s.area.Move(s.regions[name], to); err != nil {
 		return false, err
 	}
