@@ -20,9 +20,11 @@ torture:
 # Mirrors the CI "Router differential (race)" step (keep the -run pattern in
 # sync with .github/workflows/ci.yml): routes node-for-node equal to the
 # reference router's, the bucketed open set popping what a binary heap pops,
-# the fanout tables equal to FanoutOf, and a search that queues no dead end.
+# the fanout tables equal to FanoutOf, a search that queues no dead end, and
+# a session's blocked set read from its base in place with Block and Unblock
+# stamped on top.
 router-diff:
-	go test -race -run 'TestRouterMatchesReference|TestOpenSet|TestFanoutTemplate|TestSearchQueuesNoDeadEnds' ./internal/route ./internal/fabric
+	go test -race -run 'TestRouterMatchesReference|TestOpenSet|TestFanoutTemplate|TestSearchQueuesNoDeadEnds|TestResetReadsBaseInPlace' ./internal/route ./internal/fabric
 
 # Mirrors the CI "Port differential (race)" step (keep the -run pattern in
 # sync with .github/workflows/ci.yml): the word-stepping Boundary-Scan port
@@ -44,7 +46,8 @@ replay-diff:
 # resource it configures, and the engine's occupancy view equal to a rescan
 # of the configuration memory, with no change undeclared, after every facade
 # operation, every engine-level write, a failed partial recovery and a pad
-# OutMask clear.
+# OutMask clear; after every engine-level write, FreeRouter blocks exactly
+# the nodes the rescan shows in use.
 view-diff:
 	go test -race -run 'TestViewMatchesRescan|TestViewAfterFailedPartialRecovery|TestViewAfterPadOutMaskClear|TestAuditView|TestOwnerOfBit' repro ./internal/relocate ./internal/fabric
 

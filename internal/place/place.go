@@ -391,10 +391,6 @@ func (d *Design) buildNets() ([]route.Net, error) {
 	return nets, nil
 }
 
-// SortNets orders a routing problem the way the placer does — descending
-// fanout, then name. The warm-load and translation paths route boundary
-// nets through the same ordering so that the frames they produce are
-// reproducible and mutually bit-identical.
 // containNets bounds every cell-driven net to the region so its interior
 // routing cannot escape. Pad sinks of a bounded net are moved to the end of
 // the sink list: the net's tree stays fully region-contained while the
@@ -415,6 +411,10 @@ func containNets(dev *fabric.Device, nets []route.Net, region fabric.Rect) {
 	}
 }
 
+// SortNets orders a routing problem the way the placer does — descending
+// fanout, then name. The warm-load and translation paths route boundary
+// nets through the same ordering so that the frames they produce are
+// reproducible and mutually bit-identical.
 func SortNets(nets []route.Net) {
 	sort.Slice(nets, func(i, j int) bool {
 		if len(nets[i].Sinks) != len(nets[j].Sinks) {
@@ -422,22 +422,6 @@ func SortNets(nets []route.Net) {
 		}
 		return nets[i].Name < nets[j].Name
 	})
-}
-
-// UsedNodes returns every routing node of the design's Nets (for blocking in
-// other routers); like Nets, it describes the routing Place made.
-func (d *Design) UsedNodes() []fabric.NodeID {
-	var out []fabric.NodeID
-	seen := map[fabric.NodeID]bool{}
-	for i := range d.Nets {
-		for _, n := range d.Nets[i].Tree {
-			if !seen[n] {
-				seen[n] = true
-				out = append(out, n)
-			}
-		}
-	}
-	return out
 }
 
 // OccupiedCells returns every logic cell used by the design, in

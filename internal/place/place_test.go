@@ -219,7 +219,9 @@ func TestTwoDesignsCoexist(t *testing.T) {
 	}
 	// Share occupancy: block A's routing in B's router.
 	rB := route.NewRouter(dev)
-	rB.Block(dA.UsedNodes()...)
+	for _, rn := range dA.Nets {
+		rB.Block(rn.Tree...)
+	}
 	dB, err := place.Place(dev, nlB, place.Options{
 		Region:      fabric.Rect{Row: 8, Col: 8, H: 4, W: 4},
 		ReservePads: reserve,

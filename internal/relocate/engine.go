@@ -166,17 +166,16 @@ func NewEngine(dev *fabric.Device, port bitstream.Port) (*Engine, error) {
 
 // FreeRouter returns the engine's router reset to a fresh session, with
 // Greedy at its default and every node the configuration memory shows in use
-// blocked: the free routing resources. A caller may block or unblock more
-// nodes and set Greedy before it routes; the next call discards all of it, so
-// no route depends on an earlier operation's search or negotiation state.
+// blocked: the free routing resources. The router reads the occupancy view in
+// place, so a write staged after this call shows through; every caller routes
+// before it writes. A caller may block or unblock more nodes and set Greedy
+// before it routes; the next call discards all of it, so no route depends on
+// an earlier operation's search or negotiation state.
 func (e *Engine) FreeRouter() *route.Router {
 	e.view.refresh()
 	r := e.router
-	r.Reset()
+	r.Reset(e.view.used)
 	r.Greedy = 0
-	for n := range e.view.used {
-		r.Block(n)
-	}
 	return r
 }
 

@@ -261,7 +261,6 @@ func sortedNodeKeysSinks(m map[fabric.NodeID][]terminalSink) []fabric.NodeID {
 // the terminal-sink PIPs (each sink keeps its replica-side driver), then the
 // old distribution tree.
 func (e *Engine) disconnectOriginalOutputs(p *cellPlan) error {
-	dev := e.Dev
 	// Phase-1 self-feedback parallels hang off the original's outputs; the
 	// replica pins now also have replica-side drivers, so the whole
 	// original-side path goes away (sink hop first).
@@ -273,27 +272,30 @@ func (e *Engine) disconnectOriginalOutputs(p *cellPlan) error {
 		}
 	}
 	for _, orig := range sortedNodeKeysSinks(p.outSinks) {
-		sinks := p.outSinks[orig]
-		for _, s := range sinks {
-			if err := e.Tool.SetPIP(s.lastSrc, s.node, false); err != nil {
-				return err
-			}
+		if err := e.releaseCone(p.outSinks[orig], p.outTree[orig]); err != nil {
+			return err
 		}
-		// Free the old tree: disable every enabled PIP between tree nodes.
-		tree := p.outTree[orig]
-		inTree := map[fabric.NodeID]bool{}
-		for _, n := range tree {
-			inTree[n] = true
+	}
+	return nil
+}
+
+// releaseCone disables a forward cone's PIPs: each terminal sink's hop, in
+// order, then every enabled PIP between two tree nodes, in FanoutOf order.
+func (e *Engine) releaseCone(sinks []terminalSink, tree []fabric.NodeID) error {
+	for _, s := range sinks {
+		if err := e.Tool.SetPIP(s.lastSrc, s.node, false); err != nil {
+			return err
 		}
-		for _, n := range tree {
-			for _, edge := range dev.FanoutOf(n) {
-				if !inTree[edge.Sink] {
-					continue
-				}
-				if dev.PIPMask(edge.SinkTile, edge.SinkLocal)>>edge.Bit&1 == 1 {
-					if err := e.Tool.SetPIP(n, edge.Sink, false); err != nil {
-						return err
-					}
+	}
+	inTree := map[fabric.NodeID]bool{}
+	for _, n := range tree {
+		inTree[n] = true
+	}
+	for _, n := range tree {
+		for _, edge := range e.Dev.FanoutOf(n) {
+			if inTree[edge.Sink] && e.Dev.PIPMask(edge.SinkTile, edge.SinkLocal)>>edge.Bit&1 == 1 {
+				if err := e.Tool.SetPIP(n, edge.Sink, false); err != nil {
+					return err
 				}
 			}
 		}
@@ -369,29 +371,7 @@ func (e *Engine) RelocateCLB(from, to fabric.Coord) ([]*CellMove, error) {
 // O(device).
 func (e *Engine) ReleaseTree(src fabric.NodeID) error {
 	e.view.refresh()
-	sinks, tree := e.view.forwardCone(src)
-	for _, s := range sinks {
-		if err := e.Tool.SetPIP(s.lastSrc, s.node, false); err != nil {
-			return err
-		}
-	}
-	inTree := map[fabric.NodeID]bool{}
-	for _, n := range tree {
-		inTree[n] = true
-	}
-	for _, n := range tree {
-		for _, edge := range e.Dev.FanoutOf(n) {
-			if !inTree[edge.Sink] {
-				continue
-			}
-			if e.Dev.PIPMask(edge.SinkTile, edge.SinkLocal)>>edge.Bit&1 == 1 {
-				if err := e.Tool.SetPIP(n, edge.Sink, false); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
+	return e.releaseCone(e.view.forwardCone(src))
 }
 
 // ConeNodes returns the forward cone of a source as a flat node set: every

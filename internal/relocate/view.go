@@ -35,9 +35,13 @@ type view struct {
 	dev *fabric.Device
 	gen uint64
 
-	used    map[fabric.NodeID]bool
-	inUse   map[fabric.CellRef]bool
-	freeCLB map[fabric.Coord]bool
+	// used marks, by NodeID (pads included), every node the configuration
+	// memory shows in use. The engine's router reads it in place as its
+	// base blocked set, so it is cleared, never reallocated.
+	used []bool
+	// freeCLB marks, by Device.TileIndex, every CLB with no configured cell
+	// and no enabled sink PIP.
+	freeCLB []bool
 	// freePerRow is the row-bucketed spatial index over freeCLB: the number
 	// of free CLBs per array row, maintained by the same deltas that keep
 	// freeCLB current. findFreeCLB's expanding-ring lookup uses it to skip
@@ -48,18 +52,23 @@ type view struct {
 }
 
 func newView(dev *fabric.Device) *view {
-	v := &view{dev: dev}
+	v := &view{
+		dev:        dev,
+		used:       make([]bool, int(dev.PadBase())+dev.NumPads()),
+		freeCLB:    make([]bool, dev.Rows*dev.Cols),
+		freePerRow: make([]int, dev.Rows),
+	}
 	v.rescan()
 	return v
 }
 
-// rescan rebuilds the occupancy picture from the configuration memory.
+// rescan rebuilds the occupancy picture from the configuration memory, in
+// place.
 func (v *view) rescan() {
 	v.gen = v.dev.Generation()
-	v.used = map[fabric.NodeID]bool{}
-	v.inUse = map[fabric.CellRef]bool{}
-	v.freeCLB = map[fabric.Coord]bool{}
-	v.freePerRow = make([]int, v.dev.Rows)
+	clear(v.used)
+	clear(v.freeCLB)
+	clear(v.freePerRow)
 	v.freeCount = 0
 	dev := v.dev
 	for row := 0; row < dev.Rows; row++ {
@@ -67,9 +76,7 @@ func (v *view) rescan() {
 			c := fabric.Coord{Row: row, Col: col}
 			clbFree := true
 			for cell := 0; cell < fabric.CellsPerCLB; cell++ {
-				ref := fabric.CellRef{Coord: c, Cell: cell}
-				if dev.ReadCell(ref).InUse() {
-					v.inUse[ref] = true
+				if dev.ReadCell(fabric.CellRef{Coord: c, Cell: cell}).InUse() {
 					clbFree = false
 					v.used[dev.NodeIDAt(c, fabric.LocalOutX(cell))] = true
 					v.used[dev.NodeIDAt(c, fabric.LocalOutXQ(cell))] = true
@@ -91,7 +98,7 @@ func (v *view) rescan() {
 				clbFree = false
 			}
 			if clbFree {
-				v.freeCLB[c] = true
+				v.freeCLB[dev.TileIndex(c)] = true
 				v.freePerRow[row]++
 				v.freeCount++
 			}
@@ -115,9 +122,9 @@ func (v *view) rescan() {
 // generation is a disagreement by itself: some change was never declared,
 // and a reader would have rescanned it away. Otherwise it rebuilds the
 // picture from scratch and returns the first disagreement in the used nodes,
-// the occupied cells, the free CLBs, the per-row free counts or the free
-// total; nil means the incrementally kept view is exact. It costs a full
-// rescan: an audit, not a read path.
+// the free CLBs, the per-row free counts or the free total; nil means the
+// incrementally kept view is exact. It costs a full rescan: an audit, not a
+// read path.
 func (e *Engine) AuditView() error {
 	v := e.view
 	if g := v.dev.Generation(); g != v.gen {
@@ -127,16 +134,16 @@ func (e *Engine) AuditView() error {
 	mismatch := func(what string, inView bool) error {
 		return fmt.Errorf("relocate: view audit: %s: %t in the view, %t in configuration memory", what, inView, !inView)
 	}
-	if n, ok := firstDiff(v.used, fresh.used, func(a, b fabric.NodeID) bool { return a < b }); ok {
-		return mismatch(fmt.Sprintf("node %d used", n), v.used[n])
+	for n, used := range v.used {
+		if used != fresh.used[n] {
+			return mismatch(fmt.Sprintf("node %d used", n), used)
+		}
 	}
-	if c, ok := firstDiff(v.inUse, fresh.inUse, func(a, b fabric.CellRef) bool {
-		return coordLess(a.Coord, b.Coord) || a.Coord == b.Coord && a.Cell < b.Cell
-	}); ok {
-		return mismatch(fmt.Sprintf("cell %v/%d in use", c.Coord, c.Cell), v.inUse[c])
-	}
-	if c, ok := firstDiff(v.freeCLB, fresh.freeCLB, coordLess); ok {
-		return mismatch(fmt.Sprintf("CLB %v free", c), v.freeCLB[c])
+	for i, free := range v.freeCLB {
+		if free != fresh.freeCLB[i] {
+			c := fabric.Coord{Row: i / v.dev.Cols, Col: i % v.dev.Cols}
+			return mismatch(fmt.Sprintf("CLB %v free", c), free)
+		}
 	}
 	for row, n := range fresh.freePerRow {
 		if v.freePerRow[row] != n {
@@ -149,27 +156,6 @@ func (e *Engine) AuditView() error {
 			v.freeCount, fresh.freeCount)
 	}
 	return nil
-}
-
-// firstDiff returns the least key, by less, that is in exactly one of two
-// sets.
-func firstDiff[K comparable](a, b map[K]bool, less func(x, y K) bool) (K, bool) {
-	var first K
-	found := false
-	note := func(x, y map[K]bool) {
-		for k := range x {
-			if !y[k] && (!found || less(k, first)) {
-				first, found = k, true
-			}
-		}
-	}
-	note(a, b)
-	note(b, a)
-	return first, found
-}
-
-func coordLess(a, b fabric.Coord) bool {
-	return a.Row < b.Row || a.Row == b.Row && a.Col < b.Col
 }
 
 // refresh rescans the view when the configuration moved with no
@@ -258,26 +244,9 @@ func (v *view) fedByPad(n fabric.NodeID) bool {
 	return false
 }
 
-// markNode re-derives one node and updates the used set (markUsed/markFree
-// folded into one recompute, so callers only say WHAT may have changed).
-func (v *view) markNode(n fabric.NodeID) {
-	if v.nodeInUse(n) {
-		v.used[n] = true
-	} else {
-		delete(v.used, n)
-	}
-}
-
-// markCell re-derives one cell's occupancy and its output nodes.
-func (v *view) markCell(ref fabric.CellRef) {
-	if v.dev.ReadCell(ref).InUse() {
-		v.inUse[ref] = true
-	} else {
-		delete(v.inUse, ref)
-	}
-	v.markNode(v.dev.NodeIDAt(ref.Coord, fabric.LocalOutX(ref.Cell)))
-	v.markNode(v.dev.NodeIDAt(ref.Coord, fabric.LocalOutXQ(ref.Cell)))
-}
+// markNode re-derives one node's entry in the used set, so callers only say
+// WHAT may have changed.
+func (v *view) markNode(n fabric.NodeID) { v.used[n] = v.nodeInUse(n) }
 
 // markTileFree re-derives whether a CLB is wholly free (no configured cell,
 // no enabled sink PIP).
@@ -294,18 +263,17 @@ func (v *view) markTileFree(c fabric.Coord) {
 			free = false
 		}
 	}
-	if free == v.freeCLB[c] {
+	i := dev.TileIndex(c)
+	if free == v.freeCLB[i] {
 		return
 	}
+	v.freeCLB[i] = free
+	d := -1
 	if free {
-		v.freeCLB[c] = true
-		v.freePerRow[c.Row]++
-		v.freeCount++
-	} else {
-		delete(v.freeCLB, c)
-		v.freePerRow[c.Row]--
-		v.freeCount--
+		d = 1
 	}
+	v.freePerRow[c.Row] += d
+	v.freeCount += d
 }
 
 // FrameChanged re-derives what one adopted frame changed (ViewSink). Each
@@ -328,7 +296,8 @@ func (v *view) FrameChanged(addr fabric.FrameAddr, old, new []uint32) {
 			last = o
 			switch o.Kind {
 			case fabric.BitCell:
-				v.markCell(fabric.CellRef{Coord: o.Tile, Cell: o.Local})
+				v.markNode(dev.NodeIDAt(o.Tile, fabric.LocalOutX(o.Local)))
+				v.markNode(dev.NodeIDAt(o.Tile, fabric.LocalOutXQ(o.Local)))
 			case fabric.BitPIP:
 				v.markNode(dev.NodeIDAt(o.Tile, o.Local))
 				if src := dev.PIPSource(o.Tile, o.Local, o.PIP); src != fabric.InvalidNode {
@@ -517,7 +486,7 @@ func (v *view) findFreeCLB(near fabric.Coord, exclude ...fabric.Coord) (fabric.C
 				break
 			}
 		}
-		if !dup && v.freeCLB[c] {
+		if !dup && v.freeCLB[v.dev.TileIndex(c)] {
 			free--
 		}
 	}
@@ -528,7 +497,7 @@ func (v *view) findFreeCLB(near fabric.Coord, exclude ...fabric.Coord) (fabric.C
 				return false
 			}
 			c := fabric.Coord{Row: row, Col: col}
-			if !v.freeCLB[c] {
+			if !v.freeCLB[dev.TileIndex(c)] {
 				return false
 			}
 			for _, e := range exclude {

@@ -23,8 +23,9 @@ func TestFindFreeCLBMatchesFullScan(t *testing.T) {
 		}
 		best := fabric.Coord{Row: -1}
 		bestDist := 1 << 30
-		for c := range v.freeCLB {
-			if ex[c] {
+		for i, free := range v.freeCLB {
+			c := fabric.Coord{Row: i / dev.Cols, Col: i % dev.Cols}
+			if !free || ex[c] {
 				continue
 			}
 			d := c.ManhattanDist(near)

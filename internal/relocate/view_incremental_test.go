@@ -1,8 +1,8 @@
 package relocate
 
 import (
-	"maps"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -37,24 +37,27 @@ func TestViewMatchesRescanUnderRandomOps(t *testing.T) {
 		t.Helper()
 		eng.view.refresh()
 		fresh := newView(dev)
-		if !maps.Equal(eng.view.used, fresh.used) {
-			for n := range fresh.used {
-				if !eng.view.used[n] {
+		if !slices.Equal(eng.view.used, fresh.used) {
+			for n, used := range fresh.used {
+				if used && !eng.view.used[n] {
 					t.Errorf("%s: node %d used on device, missing from view", ctx, n)
 				}
-			}
-			for n := range eng.view.used {
-				if !fresh.used[n] {
+				if !used && eng.view.used[n] {
 					t.Errorf("%s: node %d in view, free on device", ctx, n)
 				}
 			}
-			t.Fatalf("%s: used sets diverged (view %d, rescan %d)", ctx, len(eng.view.used), len(fresh.used))
+			t.Fatalf("%s: used sets diverged", ctx)
 		}
-		if !maps.Equal(eng.view.inUse, fresh.inUse) {
-			t.Fatalf("%s: inUse sets diverged (view %d, rescan %d)", ctx, len(eng.view.inUse), len(fresh.inUse))
+		if !slices.Equal(eng.view.freeCLB, fresh.freeCLB) {
+			t.Fatalf("%s: freeCLB sets diverged", ctx)
 		}
-		if !maps.Equal(eng.view.freeCLB, fresh.freeCLB) {
-			t.Fatalf("%s: freeCLB sets diverged (view %d, rescan %d)", ctx, len(eng.view.freeCLB), len(fresh.freeCLB))
+		// The router reads the view in place: it blocks exactly the nodes
+		// the configuration memory shows in use.
+		r := eng.FreeRouter()
+		for n, used := range fresh.used {
+			if r.Blocked(fabric.NodeID(n)) != used {
+				t.Fatalf("%s: FreeRouter blocks node %d: %t, configuration memory uses it: %t", ctx, n, !used, used)
+			}
 		}
 	}
 
@@ -204,7 +207,7 @@ func TestViewMatchesRescanUnderRandomOps(t *testing.T) {
 }
 
 // TestAuditViewNamesEachDisagreement pins the audit itself: an exact view
-// passes, and a view wrong in any one of its five parts, or behind a
+// passes, and a view wrong in any one of its four parts, or behind a
 // configuration change that was never declared, is reported.
 func TestAuditViewNamesEachDisagreement(t *testing.T) {
 	dev := fabric.NewDevice(fabric.TestDevice)
@@ -223,19 +226,19 @@ func TestAuditViewNamesEachDisagreement(t *testing.T) {
 	if err := eng.AuditView(); err != nil {
 		t.Fatalf("exact view: %v", err)
 	}
-	ref := d.OccupiedCells()[0]
+	node := d.SourceOf[0] // an input's pad node
 	free, err := eng.view.findFreeCLB(fabric.Coord{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tile := dev.TileIndex(free)
 	for _, tc := range []struct {
 		part  string
 		spoil func(v *view)
 		mend  func(v *view)
 	}{
-		{"node", func(v *view) { delete(v.used, d.UsedNodes()[0]) }, func(v *view) { v.used[d.UsedNodes()[0]] = true }},
-		{"cell", func(v *view) { delete(v.inUse, ref) }, func(v *view) { v.inUse[ref] = true }},
-		{"CLB", func(v *view) { delete(v.freeCLB, free) }, func(v *view) { v.freeCLB[free] = true }},
+		{"node", func(v *view) { v.used[node] = false }, func(v *view) { v.used[node] = true }},
+		{"CLB", func(v *view) { v.freeCLB[tile] = false }, func(v *view) { v.freeCLB[tile] = true }},
 		{"row", func(v *view) { v.freePerRow[free.Row]++ }, func(v *view) { v.freePerRow[free.Row]-- }},
 		{"free CLBs", func(v *view) { v.freeCount++ }, func(v *view) { v.freeCount-- }},
 		// A raw write that bypasses the tool: a reader would rescan it away,

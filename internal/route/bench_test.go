@@ -30,7 +30,7 @@ func BenchmarkRouteAcrossDevice(b *testing.B) {
 	r := warmRouter(b, dev, nets)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Reset()
+		r.Reset(nil)
 		if _, err := r.RouteAll(nets); err != nil {
 			b.Fatal(err)
 		}
@@ -49,7 +49,7 @@ func BenchmarkRouteFanout16(b *testing.B) {
 	r := warmRouter(b, dev, nets)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Reset()
+		r.Reset(nil)
 		if _, err := r.RouteAll(nets); err != nil {
 			b.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func BenchmarkRouteAll(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Reset()
+		r.Reset(nil)
 		if _, err := r.RouteAll(nets); err != nil {
 			b.Fatal(err)
 		}

@@ -35,7 +35,7 @@ func (p *routerPair) unblock(nodes ...fabric.NodeID) {
 }
 
 func (p *routerPair) reset() {
-	p.got.Reset()
+	p.got.Reset(nil)
 	p.want.Reset()
 }
 

@@ -71,7 +71,9 @@ func nodeDelay(dev *fabric.Device, n fabric.NodeID) float64 {
 // A Router is built once and reused: all per-session state (blocked nodes,
 // congestion history, usage counts) and the per-search cost and predecessor
 // tables live in epoch-stamped arrays indexed by NodeID, so Reset and every
-// search start are O(1) instead of reallocating device-sized tables. The A*
+// search start are O(1) instead of reallocating device-sized tables. A
+// session's blocked set is a base the caller owns (Reset's argument, read in
+// place) with the session's Block and Unblock stamped on top. The A*
 // open set is a bucketed queue (pq) reused across searches: a search start
 // truncates it and clears its 64-word bitmap. Neighbours come from the
 // fabric's translation-invariant fanout template, compiled once per router
@@ -96,11 +98,13 @@ type Router struct {
 	padHops [][]hop
 
 	// Session state, valid while its stamp equals epoch (Reset bumps the
-	// epoch, invalidating everything at once). The congestion arrays
-	// (history, present, owner) are allocated by the first RouteAll: only
-	// negotiation writes them, and until then every node reads as unused
-	// and history-free.
+	// epoch, invalidating everything at once). A node is blocked while
+	// blockedAt holds epoch, or while base marks it and blockedAt does not
+	// hold epoch|unblocked. The congestion arrays (history, present, owner)
+	// are allocated by the first RouteAll: only negotiation writes them, and
+	// until then every node reads as unused and history-free.
 	epoch     uint64
+	base      []bool
 	blockedAt []uint64
 	history   []float64 // PathFinder history cost
 	historyAt []uint64
@@ -168,7 +172,7 @@ func compileHop(dRow, dCol, sinkLocal int, delta int32) hop {
 	return h
 }
 
-// NewRouter creates a router over a device.
+// NewRouter creates a router over a device, in a session with no base.
 func NewRouter(dev *fabric.Device) *Router {
 	n := int(dev.PadBase()) + dev.NumPads()
 	r := &Router{
@@ -221,26 +225,38 @@ func (r *Router) padFanout(n fabric.NodeID, i int) []hop {
 	return hs
 }
 
-// Reset returns the router to its freshly-constructed state — no blocked
-// nodes, no congestion history — in O(1).
-func (r *Router) Reset() { r.epoch++ }
+// unblocked marks an Unblock stamp: blockedAt[n] == epoch|unblocked frees n
+// for the session even where the base blocks it.
+const unblocked = 1 << 63
 
-// Block marks nodes as unusable (owned by other circuitry).
+// Reset starts a fresh session in O(1): no congestion history, and blocked
+// exactly the nodes used marks (indexed by NodeID; nil blocks nothing). The
+// router reads used in place as the session's base, so a later change to it
+// shows through; Block and Unblock never write it.
+func (r *Router) Reset(used []bool) {
+	r.epoch++
+	r.base = used
+}
+
+// Block marks nodes as unusable (owned by other circuitry) for the session.
 func (r *Router) Block(nodes ...fabric.NodeID) {
 	for _, n := range nodes {
 		r.blockedAt[n] = r.epoch
 	}
 }
 
-// Unblock releases nodes.
+// Unblock releases nodes for the session, base nodes included.
 func (r *Router) Unblock(nodes ...fabric.NodeID) {
 	for _, n := range nodes {
-		r.blockedAt[n] = 0
+		r.blockedAt[n] = r.epoch | unblocked
 	}
 }
 
 // Blocked reports whether a node is blocked.
-func (r *Router) Blocked(n fabric.NodeID) bool { return r.blockedAt[n] == r.epoch }
+func (r *Router) Blocked(n fabric.NodeID) bool {
+	s := r.blockedAt[n]
+	return s == r.epoch || int(n) < len(r.base) && r.base[n] && s != r.epoch|unblocked
+}
 
 func (r *Router) historyOf(n fabric.NodeID) float64 {
 	if r.historyAt[n] == r.epoch {
@@ -504,10 +520,10 @@ func (r *Router) routeOne(seeds []fabric.NodeID, sink fabric.NodeID,
 //
 // The relaxation walks the compiled fanout template: per edge, one box test
 // (the box is clamped to the device, so it also rejects template offsets
-// that leave the array), the dead-end tests, the blocked stamp and the cost
-// stamp. The congestion terms are read only in an epoch in which RouteAll
-// ran: only RouteAll stamps them, so in any other epoch they read as exact
-// zeros, and skipping them leaves costs bit-identical.
+// that leave the array), the dead-end tests, the blocked stamp and base, and
+// the cost stamp. The congestion terms are read only in an epoch in which
+// RouteAll ran: only RouteAll stamps them, so in any other epoch they read as
+// exact zeros, and skipping them leaves costs bit-identical.
 //
 // Dead-end pruning is exact too. A pruned node's expansion would relax
 // nothing (a terminal has no fanout; every hop of the pruned wire fails the
@@ -564,7 +580,7 @@ func (r *Router) searchOne(seeds []fabric.NodeID, sink fabric.NodeID,
 		r.searchAt[n], r.best[n], r.prev[n] = se, 0, fabric.InvalidNode
 	}
 
-	epoch := r.epoch
+	epoch, freed, base := r.epoch, r.epoch|unblocked, r.base
 	negotiating := r.negotiatedAt == epoch
 	padBase := dev.PadBase()
 	cols := dev.Cols
@@ -616,8 +632,10 @@ func (r *Router) searchOne(seeds []fabric.NodeID, sink fabric.NodeID,
 				}
 				// The target itself may be "in use" (an already-driven pin
 				// being connected in PARALLEL — the relocation procedure's
-				// core move); only intermediate nodes must be free.
-				if r.blockedAt[nxt] == epoch {
+				// core move); only intermediate nodes must be free. The
+				// length test admits a nil base and spares the bounds
+				// check.
+				if s := r.blockedAt[nxt]; s == epoch || int(nxt) < len(base) && base[nxt] && s != freed {
 					continue
 				}
 			}

@@ -240,6 +240,75 @@ func TestBlockedNodesAvoided(t *testing.T) {
 	}
 }
 
+// TestResetReadsBaseInPlace pins a session's blocked set: the base Reset
+// takes is read in place, Block and Unblock stamp the session's changes on
+// top of it without writing it, and the next Reset drops those changes.
+func TestResetReadsBaseInPlace(t *testing.T) {
+	d := dev(t)
+	src := d.NodeIDAt(fabric.Coord{Row: 2, Col: 2}, fabric.LocalOutX(0))
+	sink := d.NodeIDAt(fabric.Coord{Row: 2, Col: 4}, fabric.LocalPinI(0, 0))
+	nets := []Net{{Name: "n", Source: src, Sinks: []fabric.NodeID{sink}}}
+	r := NewRouter(d)
+	route := func() []fabric.NodeID {
+		t.Helper()
+		routed, err := r.RouteAll(nets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return routed[0].Paths[sink]
+	}
+	blocked := func(what string, want bool, nodes ...fabric.NodeID) {
+		t.Helper()
+		for _, n := range nodes {
+			if r.Blocked(n) != want {
+				t.Fatalf("%s: node %d blocked %t, want %t", what, n, !want, want)
+			}
+		}
+	}
+
+	base := make([]bool, int(d.PadBase())+d.NumPads())
+	r.Reset(base)
+	free := route()
+	mid := free[1 : len(free)-1]
+	if len(mid) < 2 {
+		t.Fatalf("path %v has fewer than two intermediate nodes", free)
+	}
+
+	r.Reset(base)
+	for _, n := range mid {
+		base[n] = true
+	}
+	blocked("base set after Reset", true, mid...)
+	for _, n := range route() {
+		if slices.Contains(mid, n) {
+			t.Fatalf("route through base node %d", n)
+		}
+	}
+	r.Unblock(mid...)
+	blocked("Unblock of base nodes", false, mid...)
+	for _, n := range mid {
+		if !base[n] {
+			t.Fatalf("Unblock wrote the base at node %d", n)
+		}
+	}
+	r.Block(mid[0])
+	blocked("Block after Unblock", true, mid[0])
+	blocked("Unblock after another node's Block", false, mid[1:]...)
+
+	r.Reset(base)
+	blocked("Unblock across Reset", true, mid...)
+	r.Unblock(mid...)
+	if got := route(); !slices.Equal(got, free) {
+		t.Fatalf("with the base unblocked the route is %v, want %v", got, free)
+	}
+
+	r.Reset(nil)
+	blocked("Reset(nil)", false, mid...)
+	if got := route(); !slices.Equal(got, free) {
+		t.Fatalf("with no base the route is %v, want %v", got, free)
+	}
+}
+
 func TestRouteFailsWhenFullyBlocked(t *testing.T) {
 	d := dev(t)
 	src := d.NodeIDAt(fabric.Coord{Row: 2, Col: 2}, fabric.LocalOutX(0))
@@ -396,7 +465,7 @@ func TestSearchQueuesNoDeadEnds(t *testing.T) {
 			src = edgePad()
 			sink = pin(near(r.tileOf(src)))
 		}
-		r.Reset()
+		r.Reset(nil)
 		routed, err := r.RouteDisjoint([]Net{{Name: "n", Source: src, Sinks: []fabric.NodeID{sink}}})
 		if err != nil {
 			t.Fatalf("net %d (%d -> %d): %v", i, src, sink, err)

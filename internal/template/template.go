@@ -80,7 +80,6 @@ type IntNet struct {
 // input declaration position: the terminal pin sinks its freshly bound pad
 // must be routed to at load time.
 type BoundaryIn struct {
-	Canon int32
 	Sinks []RelNode
 }
 
@@ -88,7 +87,6 @@ type BoundaryIn struct {
 // output declaration position: the interior driver node its freshly bound
 // pad hangs off.
 type BoundaryOut struct {
-	Canon  int32
 	Source RelNode
 }
 
@@ -184,14 +182,8 @@ func Capture(dev *fabric.Device, d *place.Design, canon netlist.Canon) (*Templat
 	}
 
 	t.Inputs = make([]BoundaryIn, len(inIDs))
-	for k, id := range inIDs {
-		t.Inputs[k].Canon = canon.Index[id]
-	}
 	t.Outputs = make([]BoundaryOut, len(outIDs))
 	outBound := make([]bool, len(outIDs))
-	for k, id := range outIDs {
-		t.Outputs[k].Canon = canon.Index[id]
-	}
 
 	for i := range d.Nets {
 		rn := &d.Nets[i]
