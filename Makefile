@@ -1,4 +1,4 @@
-.PHONY: test race bench bench-baseline bench-module cover lint fuzz torture soak router-diff port-diff replay-diff view-diff surfaces
+.PHONY: test race bench bench-baseline bench-module cover lint fuzz torture soak router-diff port-diff replay-diff view-diff pipeline-diff surfaces
 
 test:
 	go build ./... && go test ./...
@@ -50,6 +50,16 @@ replay-diff:
 # the nodes the rescan shows in use.
 view-diff:
 	go test -race -run 'TestViewMatchesRescan|TestViewAfterFailedPartialRecovery|TestViewAfterPadOutMaskClear|TestAuditView|TestOwnerOfBit' repro ./internal/relocate ./internal/fabric
+
+# Mirrors the CI "Pipeline differential (race)" step (keep the -run pattern
+# in sync with .github/workflows/ci.yml): pipelined facade operations leave
+# configuration memory and cycle counts bit-identical to a serial-commit
+# twin and roll back a mid-stream port failure, and on a port that retires
+# bursts only at a harvest the frame tool's stage gate alone keeps every
+# relocation off the frames still streaming, with the engine's overlap and
+# serial-fallback counters reporting what it did.
+pipeline-diff:
+	go test -race -run 'TestPipelined|TestStageGateIsTheOnlyStreamGate' repro ./internal/relocate
 
 # The self-healing chaos soak at full length (CI runs the short-mode variant
 # inside the fault-torture step): background scrubber + fault plan +

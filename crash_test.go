@@ -59,10 +59,12 @@ func captureState(s *System) hostState {
 		lastTick: s.engine.LastTick(),
 	}
 	// PlanSeconds is wall-clock host time, and the overlapped/serial
-	// counters depend on how far the background shift-out happened to get
-	// when planning started — all three journal and recover faithfully, but
-	// two runs of the same script legitimately differ, so the twin
-	// comparison masks them. Everything else is bit-compared.
+	// counters depend on how far the background shift-out happened to get:
+	// whether a stream was still in flight when planning started, and
+	// whether a write found its frame still streaming at the stage gate —
+	// all three journal and recover faithfully, but two runs of the same
+	// script legitimately differ, so the twin comparison masks them.
+	// Everything else is bit-compared.
 	st.stats.PlanSeconds = 0
 	st.stats.OverlappedOps = 0
 	st.stats.SerialFallbacks = 0

@@ -14,15 +14,14 @@ import (
 // This file is the facade's transport fault-tolerance ladder. With a
 // RetryPolicy armed, the ladder installs itself as the frame tool's Retry
 // delegate: every transport fault of the batched pipeline surfaces at a
-// Tool.AwaitStream — an operation's end-of-op harvest, the stage gate's
-// serial drain, or the engine's disjointness fallback — and the delegate
-// re-delivers the unharvested frames from the host shadow (the paper's
-// complete configuration copy), escalating to per-frame readback-verify.
-// Only when every attempt fails does the operation roll back — and the
-// columns of the frames the final verify condemned are quarantined in the
-// health ledger, which masks them out of the frame tool's delivery and (for
-// CLB columns) out of the area manager's logic space, and resident designs
-// are evacuated to healthy space.
+// Tool.AwaitStream — an operation's end-of-op harvest or the stage gate's
+// serial drain — and the delegate re-delivers the unharvested frames from
+// the host shadow (the paper's complete configuration copy), escalating to
+// per-frame readback-verify. Only when every attempt fails does the
+// operation roll back — and the columns of the frames the final verify
+// condemned are quarantined in the health ledger, which masks them out of
+// the frame tool's delivery and (for CLB columns) out of the area manager's
+// logic space, and resident designs are evacuated to healthy space.
 //
 // The write-through staging model makes the re-delivery set well-defined
 // even though the port cannot say WHICH burst failed (its drain continues

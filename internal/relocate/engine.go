@@ -69,9 +69,10 @@ type Stats struct {
 	PlanSeconds float64
 	// OverlappedOps counts relocations whose planning ran while a previous
 	// operation's bitstream was still shifting out — the two-stage
-	// pipeline's win; SerialFallbacks counts relocations that had to drain
-	// the stream before executing (frame sets not disjoint, or a
-	// conflicting write hit the stage-time gate). In serial-commit mode
+	// pipeline's win; SerialFallbacks counts relocations whose execution
+	// drained the stream at least once, because a write hit the frame
+	// tool's stage gate (it restaged a frame an in-flight burst carries),
+	// whether the relocation then succeeded or failed. In serial-commit mode
 	// both stay zero.
 	OverlappedOps   int
 	SerialFallbacks int
@@ -270,8 +271,8 @@ type cellPlan struct {
 // pipeline: the previous operation's partial bitstream may still be shifting
 // out while this cell's relocation is planned and routed (pure host compute
 // against the stage-time-current view), and execution overlaps the remaining
-// shift when the two operations' frame sets are disjoint — otherwise the
-// stream drains first (serial fallback), so configuration memory stays
+// shift. A write to a frame that an in-flight burst still carries drains the
+// stream first, at the frame tool's stage gate, so configuration memory stays
 // bit-identical to fully serial delivery. A transport error of a stream left
 // in flight by this call surfaces at the next Tool.AwaitStream (the run-time
 // manager harvests one before releasing each operation's checkpoint).
@@ -292,19 +293,15 @@ func (e *Engine) RelocateCell(from, to fabric.CellRef) (*CellMove, error) {
 		return nil, err
 	}
 	e.Stats.PlanSeconds += time.Since(planStart).Seconds()
-	if e.Tool.StreamInFlight() && !e.Tool.StreamDisjoint(e.planFrames(plan)) {
-		// The remaining shift covers frames this relocation will write:
-		// serial fallback, exactly as the real port would require.
-		e.Stats.SerialFallbacks++
-		overlapped = false
-		if err := e.Tool.AwaitStream(); err != nil {
-			return nil, err
-		}
-	}
 	if overlapped {
 		e.Stats.OverlappedOps++
 	}
-	if err := e.execute(plan); err != nil {
+	drains := e.Tool.gateDrains
+	err = e.execute(plan)
+	if e.Tool.gateDrains != drains {
+		e.Stats.SerialFallbacks++
+	}
+	if err != nil {
 		return nil, err
 	}
 	e.Stats.CellsRelocated++
@@ -648,78 +645,6 @@ func (e *Engine) routePlan(p *cellPlan) error {
 		}
 	}
 	return nil
-}
-
-// planFrames conservatively predicts the configuration frames executing a
-// plan will write: the source, destination and aux cells' slot ranges, and —
-// because PIP toggles are encoded at the sink side — the PIP slot range of
-// every sink node appearing in any path, chain or tree of the plan, plus the
-// config frame of every pad touched. The overlap gate compares this set with
-// the in-flight stream; over-approximation only costs a serial fallback,
-// while the stage-time conflict gate in the tool backstops any write the
-// prediction might miss.
-func (e *Engine) planFrames(p *cellPlan) []fabric.FrameAddr {
-	dev := e.Dev
-	seen := map[fabric.FrameAddr]bool{}
-	var out []fabric.FrameAddr
-	add := func(addrs ...fabric.FrameAddr) {
-		for _, a := range addrs {
-			if !seen[a] {
-				seen[a] = true
-				out = append(out, a)
-			}
-		}
-	}
-	cell := func(ref fabric.CellRef) {
-		start, width := dev.CellSlotRange(ref.Cell)
-		add(dev.TouchedFrames(ref.Coord, [2]int{start, width})...)
-	}
-	node := func(n fabric.NodeID) {
-		if pad, ok := dev.PadOfNode(n); ok {
-			add(dev.PadConfigFrame(pad))
-			return
-		}
-		c, local, ok := dev.SplitNode(n)
-		if !ok || !fabric.IsLocalSink(local) {
-			return
-		}
-		start, width := dev.PIPSlotRange(local)
-		add(dev.TouchedFrames(c, [2]int{start, width})...)
-	}
-	paths := func(ps ...[]fabric.NodeID) {
-		for _, path := range ps {
-			for _, n := range path {
-				node(n)
-			}
-		}
-	}
-
-	cell(p.from)
-	cell(p.to)
-	if p.needsAux {
-		for c := 0; c < fabric.CellsPerCLB; c++ {
-			cell(fabric.CellRef{Coord: p.aux, Cell: c})
-		}
-	}
-	for i := range p.inputs {
-		paths(p.inputs[i].newPath, p.inputs[i].oldChain)
-	}
-	paths(p.ceNewPath, p.bxNewPath, p.orToCE, p.muxToBX, p.ceOldChain, p.bxOldChain)
-	for _, ps := range p.auxPaths {
-		paths(ps)
-	}
-	for _, outPaths := range p.newOut {
-		paths(outPaths...)
-	}
-	for _, tree := range p.outTree {
-		paths(tree)
-	}
-	for _, sinks := range p.outSinks {
-		for _, s := range sinks {
-			node(s.node)
-		}
-	}
-	return out
 }
 
 func pathsOf(rn route.RoutedNet) [][]fabric.NodeID {

@@ -69,19 +69,22 @@ type FrameTool struct {
 	// the moment its burst has fully shifted out — no blocking await
 	// needed. A frame appears in at most one unpruned burst: staging it
 	// again while its burst is live is exactly what the gate serialises.
+	// gateDrains counts the gate's drains; the engine reads it to count
+	// the relocations that waited on the port.
 	async        bitstream.AsyncPort
 	streamBursts [][]fabric.FrameAddr
 	burstsDone   uint64
 	streamingSet map[fabric.FrameAddr]bool
+	gateDrains   int
 
 	// Retry, when set, is the transport fault-tolerance delegate: every
 	// stream error surfacing at AwaitStream is handed to it together with
 	// the unharvested frame set, and a nil return absorbs the fault. The
 	// run-time manager's re-delivery ladder hangs here — AwaitStream is the
 	// single point transport faults of the batched pipeline surface, whether
-	// at an operation's harvest, the stage gate's serial drain, or the
-	// engine's disjointness fallback. The delegate must not call back into
-	// AwaitStream (it re-delivers through the port directly).
+	// at an operation's harvest or the stage gate's serial drain. The
+	// delegate must not call back into AwaitStream (it re-delivers through
+	// the port directly).
 	Retry func(cause error, addrs []fabric.FrameAddr) error
 	// StallTimeout, when positive, arms a watchdog on every harvest: if the
 	// port's AwaitStream has not returned within the deadline the harvest
@@ -180,11 +183,12 @@ func NewFrameTool(dev *fabric.Device, port bitstream.Port) (*FrameTool, error) {
 	async, _ := port.(bitstream.AsyncPort)
 	return &FrameTool{
 		dev: dev, port: port, shadow: shadow, genSeen: dev.Generation(),
-		pendingSet:   make(map[fabric.FrameAddr]bool),
-		async:        async,
-		streamingSet: make(map[fabric.FrameAddr]bool),
-		lastSent:     make(map[fabric.FrameAddr][]uint32),
-		confirmed:    make(map[fabric.FrameAddr][]uint32),
+		pendingSet:     make(map[fabric.FrameAddr]bool),
+		async:          async,
+		streamingSet:   make(map[fabric.FrameAddr]bool),
+		unharvestedSet: make(map[fabric.FrameAddr]bool),
+		lastSent:       make(map[fabric.FrameAddr][]uint32),
+		confirmed:      make(map[fabric.FrameAddr][]uint32),
 	}, nil
 }
 
@@ -335,14 +339,15 @@ func (ft *FrameTool) Apply(edits []Edit) error {
 // Writing a frame that is part of an in-flight background stream first
 // drains the stream (serial fallback): the queued burst carries the frame's
 // previous staged content, and delivering it after this write would roll the
-// configuration back to stale data. This gate is what makes the pipelined
-// commit bit-identical to serial mode for ANY operation mix — the engine's
-// disjointness pre-check merely avoids hitting it mid-procedure.
+// configuration back to stale data. This gate sees every write, so it alone
+// makes the pipelined commit bit-identical to serial mode for ANY operation
+// mix.
 func (ft *FrameTool) stage(addr fabric.FrameAddr, data []uint32) error {
 	if len(ft.streamingSet) > 0 && ft.streamingSet[addr] {
 		ft.pruneStreams()
 	}
 	if len(ft.streamingSet) > 0 && ft.streamingSet[addr] {
+		ft.gateDrains++
 		if err := ft.AwaitStream(); err != nil {
 			return err
 		}
@@ -439,9 +444,6 @@ func (ft *FrameTool) Flush() error {
 		for _, addr := range addrs {
 			ft.streamingSet[addr] = true
 			if !ft.unharvestedSet[addr] {
-				if ft.unharvestedSet == nil {
-					ft.unharvestedSet = make(map[fabric.FrameAddr]bool)
-				}
 				ft.unharvestedSet[addr] = true
 				ft.unharvested = append(ft.unharvested, addr)
 			}
@@ -490,10 +492,22 @@ func (ft *FrameTool) drainSuperseded() {
 	ft.Retry = retry
 	// The superseded content is confirmed-or-overwritten either way; the
 	// unharvested set must not leak into a later fault's re-delivery.
+	ft.dropUnharvested()
+}
+
+// retireStreams forgets every enqueued burst once the port's queue has
+// drained: no frame gates a write any more.
+func (ft *FrameTool) retireStreams() {
+	ft.streamBursts = nil
+	ft.burstsDone = ft.async.CompletedBursts()
+	clear(ft.streamingSet)
+}
+
+// dropUnharvested empties the re-delivery superset: every burst it covered
+// is confirmed, superseded or past answering for.
+func (ft *FrameTool) dropUnharvested() {
 	ft.unharvested = nil
-	if len(ft.unharvestedSet) > 0 {
-		clear(ft.unharvestedSet)
-	}
+	clear(ft.unharvestedSet)
 }
 
 // pruneStreams retires the frames of every burst the background worker has
@@ -525,11 +539,7 @@ func (ft *FrameTool) AwaitStream() error {
 		return nil
 	}
 	err := ft.harvest()
-	ft.streamBursts = nil
-	ft.burstsDone = ft.async.CompletedBursts()
-	if len(ft.streamingSet) > 0 {
-		clear(ft.streamingSet)
-	}
+	ft.retireStreams()
 	if err != nil && ft.Retry != nil {
 		err = ft.Retry(err, ft.unharvested)
 	}
@@ -541,10 +551,7 @@ func (ft *FrameTool) AwaitStream() error {
 				ft.confirmed[addr] = data
 			}
 		}
-		ft.unharvested = nil
-		if len(ft.unharvestedSet) > 0 {
-			clear(ft.unharvestedSet)
-		}
+		ft.dropUnharvested()
 	}
 	return err
 }
@@ -619,37 +626,14 @@ func (ft *FrameTool) HarvestPending() {
 		ft.awaitCh = nil
 	}
 	_ = ft.async.AwaitStream()
-	ft.streamBursts = nil
-	ft.burstsDone = ft.async.CompletedBursts()
-	if len(ft.streamingSet) > 0 {
-		clear(ft.streamingSet)
-	}
-	ft.unharvested = nil
-	if len(ft.unharvestedSet) > 0 {
-		clear(ft.unharvestedSet)
-	}
+	ft.retireStreams()
+	ft.dropUnharvested()
 }
 
 // StreamInFlight reports whether a background stream is still shifting out.
 func (ft *FrameTool) StreamInFlight() bool {
 	ft.pruneStreams()
 	return len(ft.streamBursts) > 0
-}
-
-// StreamDisjoint reports whether none of the given frames is part of an
-// in-flight stream — the engine's overlap rule: op N+1 may start executing
-// while op N's stream shifts out only if their frame sets are disjoint.
-func (ft *FrameTool) StreamDisjoint(addrs []fabric.FrameAddr) bool {
-	ft.pruneStreams()
-	if len(ft.streamingSet) == 0 {
-		return true
-	}
-	for _, addr := range addrs {
-		if ft.streamingSet[addr] {
-			return false
-		}
-	}
-	return true
 }
 
 // BeginBatch opens (or nests) a coalescing batch: staged frames accumulate

@@ -82,10 +82,14 @@ type Router struct {
 	dev *fabric.Device
 	// MaxIters bounds the negotiation rounds.
 	MaxIters int
-	// Greedy scales the A* heuristic. The admissible default (1) finds
-	// delay-optimal paths but, with the true lower bound sitting far below
-	// real per-tile cost, expands close to the whole bounding box per sink.
-	// Values above 1 trade optimality for focus — the warm-load and
+	// Greedy scales the A* heuristic. The default (1) is not admissible:
+	// searchOne estimates a node from the tile its wire starts in, while the
+	// node's cost already covers the wire's delay to its far tile, so the
+	// estimate can overshoot and a sink can be reached by a path dearer than
+	// the cheapest (see heuristicPerTile and ROADMAP's "Delay-optimal
+	// routing with fewer knobs"). Even so, with the per-tile bound far
+	// below real per-tile cost, it expands close to the whole bounding box
+	// per sink. Values above 1 trade path cost for focus — the warm-load and
 	// translation boundary patches use it: their few pad nets don't need
 	// delay-optimal trees, they need O(path) search. Zero means 1.
 	Greedy float64
@@ -488,8 +492,14 @@ func (r *Router) tileOf(n fabric.NodeID) fabric.Coord {
 
 // heuristicPerTile underestimates the cheapest per-tile cost: a hex wire
 // covers six tiles for 1.10 ns of wire delay plus the 0.01 per-hop bias, so
-// no expansion can cover a tile for less. Keeping it tight keeps A* focused;
-// keeping it a true lower bound keeps it admissible.
+// no expansion can cover a tile for less. Keeping it tight keeps A* focused.
+// It does not make the search admissible: searchOne multiplies it by the
+// distance from the tile a node's wire starts in (nr, nc), but the node's
+// cost already includes that wire's delay to its far tile, so the estimate
+// counts those tiles twice and can exceed the true remaining cost. On the
+// Tab. 2 relocations 90 of 545 sinks had a cheaper path than the one found;
+// ROADMAP's "Delay-optimal routing with fewer knobs" item estimates from
+// the far tile instead.
 const heuristicPerTile = (1.10 + 0.01) / 6
 
 // searchMargins are the staged bounding-box inflations of a sink search: the

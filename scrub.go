@@ -25,8 +25,8 @@ type ScrubReport struct {
 	// Repairs lists the frames found diverging and rewritten.
 	Repairs []fabric.FrameAddr
 	// Skipped reports that the pass yielded without checking anything
-	// because a foreground operation's stream was in flight (the frame-set
-	// conflict gate: the scrubber must not race the port with a live burst).
+	// because a foreground operation's stream was in flight: the scrubber
+	// must not race the port with a live burst.
 	Skipped bool
 }
 
