@@ -1,4 +1,4 @@
-.PHONY: test race bench bench-baseline bench-module cover lint fuzz torture soak router-diff port-diff replay-diff view-diff pipeline-diff surfaces
+.PHONY: test race bench bench-baseline bench-module cover lint fuzz torture soak router-diff port-diff replay-diff view-diff pipeline-diff facade-diff surfaces
 
 test:
 	go build ./... && go test ./...
@@ -60,6 +60,17 @@ view-diff:
 # serial-fallback counters reporting what it did.
 pipeline-diff:
 	go test -race -run 'TestPipelined|TestStageGateIsTheOnlyStreamGate' repro ./internal/relocate
+
+# Mirrors the CI "Facade paths (race)" step (keep the -run pattern in sync
+# with .github/workflows/ci.yml): every mutating facade entry point checks
+# its operation with one dry run and executes it with one runner, so a
+# target on condemned logic space is refused with ErrQuarantined by all
+# nine entry points and leaves the system unchanged, and a one-op Plan
+# leaves what the single call leaves, with the template cache off and on;
+# plans, staged moves, defragmentation and the persistent-fault ladder run
+# the same path.
+facade-diff:
+	go test -race -run 'TestEveryEntryPointRefusesQuarantine|TestOneOpPlanMatchesCall|TestPlan|TestMoveStaged|TestDefragment|TestPersistentFault' repro
 
 # The self-healing chaos soak at full length (CI runs the short-mode variant
 # inside the fault-torture step): background scrubber + fault plan +

@@ -61,10 +61,11 @@ func captureState(s *System) hostState {
 	// PlanSeconds is wall-clock host time, and the overlapped/serial
 	// counters depend on how far the background shift-out happened to get:
 	// whether a stream was still in flight when planning started, and
-	// whether a write found its frame still streaming at the stage gate —
-	// all three journal and recover faithfully, but two runs of the same
-	// script legitimately differ, so the twin comparison masks them.
-	// Everything else is bit-compared.
+	// whether a write found its frame still streaming at the stage gate.
+	// The journal carries all three as zero, so a recovered system restarts
+	// them at zero while the never-crashed twin's keep counting, and two
+	// runs of the same script legitimately differ anyway: the twin
+	// comparison masks them. Everything else is bit-compared.
 	st.stats.PlanSeconds = 0
 	st.stats.OverlappedOps = 0
 	st.stats.SerialFallbacks = 0

@@ -174,7 +174,7 @@ func (s *System) defragCompactLocked(pol DefragPolicy) (*DefragReport, error) {
 			continue
 		}
 		// Earlier skipped slides can leave this step's target occupied.
-		if !s.area.CanMove(st.ID, st.To) {
+		if _, err := s.checkOpsLocked([]planOp{{kind: opMove, name: name, region: st.To}}); err != nil {
 			continue
 		}
 		from := s.designs[name].Region
@@ -245,16 +245,15 @@ func (s *System) executeDefragPlanLocked(plan *rearrange.Plan, byID map[int]stri
 // defragStepLocked executes one planned design move, staged when the
 // policy asks for it and the hop corridor is free, direct otherwise.
 func (s *System) defragStepLocked(name string, to fabric.Rect, maxStep int) error {
-	d := s.designs[name]
 	if maxStep > 0 {
-		if hops, err := s.stagedHopsLocked(name, d.Region, to, maxStep); err == nil {
-			for _, next := range hops {
-				if err := s.moveRaw(name, next); err != nil {
-					return err
-				}
-			}
-			return nil
+		ops := []planOp{{kind: opMoveStaged, name: name, region: to, maxStep: maxStep}}
+		if _, err := s.checkOpsLocked(ops); err == nil {
+			return s.runOpLocked(ops[0])
 		}
 	}
-	return s.moveRaw(name, to)
+	ops := []planOp{{kind: opMove, name: name, region: to}}
+	if _, err := s.checkOpsLocked(ops); err != nil {
+		return err
+	}
+	return s.runOpLocked(ops[0])
 }

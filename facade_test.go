@@ -6,9 +6,11 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/bitstream"
 	"repro/internal/fabric"
 	"repro/internal/itc99"
 	"repro/internal/netlist"
+	"repro/internal/relocate"
 	"repro/internal/sim"
 )
 
@@ -427,4 +429,112 @@ func TestStatsFramesWrittenTracksTool(t *testing.T) {
 	if s.Stats().FramesWritten == 0 {
 		t.Fatal("no frames counted")
 	}
+}
+
+// TestOneOpPlanMatchesCall: every facade operation has one check and one
+// runner, so a one-op Plan does exactly what the single call of the same
+// name does. Each row runs the call on one system and the same op as a
+// one-op Plan on a twin, validated first; both must leave equal frames,
+// design tables, area maps and template statistics, with the template cache
+// off and on.
+func TestOneOpPlanMatchesCall(t *testing.T) {
+	rA := fabric.Rect{Row: 2, Col: 2, H: 4, W: 4}
+	rB := fabric.Rect{Row: 10, Col: 16, H: 4, W: 4}
+	circuit := func(name string) *netlist.Netlist {
+		return itc99.Generate(genCfg(name, 101, itc99.FreeRunning))
+	}
+	load := func(name string) func(*System) error {
+		return func(s *System) error { _, err := s.Load(circuit(name), rA); return err }
+	}
+	unload := func(name string) func(*System) error {
+		return func(s *System) error { return s.Unload(name) }
+	}
+	for _, tc := range []struct {
+		name  string
+		cache bool
+		setup []func(*System) error
+		call  func(*System) error
+		plan  func(*Plan) *Plan
+		// served names the cache path the call must take: "hit" for a warm
+		// load, "translation" for a translated move.
+		served string
+	}{
+		{name: "cold-load", call: load("p"),
+			plan: func(p *Plan) *Plan { return p.Load(circuit("p"), rA) }},
+		{name: "cold-load", cache: true, call: load("p"),
+			plan: func(p *Plan) *Plan { return p.Load(circuit("p"), rA) }},
+		{name: "warm-load", cache: true, setup: []func(*System) error{load("a"), unload("a")}, call: load("p"),
+			plan: func(p *Plan) *Plan { return p.Load(circuit("p"), rA) }, served: "hit"},
+		{name: "unload", setup: []func(*System) error{load("p")}, call: unload("p"),
+			plan: func(p *Plan) *Plan { return p.Unload("p") }},
+		{name: "unload", cache: true, setup: []func(*System) error{load("p")}, call: unload("p"),
+			plan: func(p *Plan) *Plan { return p.Unload("p") }},
+		{name: "replica-move", setup: []func(*System) error{load("p")},
+			call: func(s *System) error { return s.Move("p", rB) },
+			plan: func(p *Plan) *Plan { return p.Move("p", rB) }},
+		{name: "translated-move", cache: true, setup: []func(*System) error{load("p")},
+			call:   func(s *System) error { return s.Move("p", rB) },
+			plan:   func(p *Plan) *Plan { return p.Move("p", rB) },
+			served: "translation"},
+		{name: "move-staged", setup: []func(*System) error{load("p")},
+			call: func(s *System) error { return s.MoveStaged("p", rB, 4) },
+			plan: func(p *Plan) *Plan { return p.MoveStaged("p", rB, 4) }},
+		{name: "move-staged", cache: true, setup: []func(*System) error{load("p")},
+			call:   func(s *System) error { return s.MoveStaged("p", rB, 4) },
+			plan:   func(p *Plan) *Plan { return p.MoveStaged("p", rB, 4) },
+			served: "translation"},
+	} {
+		t.Run(fmt.Sprintf("%s/cache=%v", tc.name, tc.cache), func(t *testing.T) {
+			build := func() *System {
+				var s *System
+				if tc.cache {
+					s = newCachedSys(t, 8)
+				} else {
+					s = newSys(t)
+				}
+				for i, step := range tc.setup {
+					if err := step(s); err != nil {
+						t.Fatalf("setup step %d: %v", i, err)
+					}
+				}
+				return s
+			}
+			called, planned := build(), build()
+			if err := tc.call(called); err != nil {
+				t.Fatalf("call: %v", err)
+			}
+			// Validate dry-runs the same check on the live book-keeping and
+			// must leave the twin untouched before it commits.
+			plan, before := tc.plan(planned.Plan()), opState(planned)
+			if err := plan.Validate(); err != nil {
+				t.Fatalf("validating the one-op plan: %v", err)
+			}
+			if diffs := diffStates(opState(planned), before); len(diffs) > 0 {
+				t.Fatalf("Validate changed the system, first: %s", diffs[0])
+			}
+			if err := plan.Commit(); err != nil {
+				t.Fatalf("one-op plan: %v", err)
+			}
+			got, _ := planned.TemplateStats()
+			want, _ := called.TemplateStats()
+			switch {
+			case tc.served == "hit" && want.Hits == 0, tc.served == "translation" && want.Translations == 0:
+				t.Fatalf("the call did not take the %s path: %+v", tc.served, want)
+			case got != want:
+				t.Fatalf("TemplateStats: plan %+v, call %+v", got, want)
+			}
+			if diffs := diffStates(opState(planned), opState(called)); len(diffs) > 0 {
+				t.Fatalf("plan diverges from the call (%d diffs), first: %s", len(diffs), diffs[0])
+			}
+		})
+	}
+}
+
+// opState is what a facade operation leaves behind: configuration frames,
+// design tables and the area book-keeping. Port timing and engine counters
+// are left out, since a plan streams its ops in one batch.
+func opState(s *System) hostState {
+	st := captureState(s)
+	st.stats, st.cycles, st.traffic, st.lastTick = relocate.Stats{}, 0, bitstream.Traffic{}, 0
+	return st
 }

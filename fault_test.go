@@ -218,6 +218,68 @@ func testPersistentFaultQuarantines(t *testing.T, move func(sys *System, to fabr
 	}
 }
 
+// TestEveryEntryPointRefusesQuarantine: every entry point that can target
+// logic space checks it with the same dry run, so a target on columns the
+// retry ladder condemned is refused with ErrQuarantined (a busy-region error
+// would be misleading: the space can never free up), plan rows also wrap
+// ErrPlanInvalid, and nothing changes: not the frames, the design tables nor
+// the area map.
+func TestEveryEntryPointRefusesQuarantine(t *testing.T) {
+	sys, flaky := faultSystem(t, 11, WithRetryPolicy(RetryPolicy{MaxRetries: 2, VerifyAfter: 1}))
+	if _, err := sys.Load(mkCounter("vic"), fabric.Rect{Row: 0, Col: 0, H: 2, W: 2}); err != nil {
+		t.Fatal(err)
+	}
+	condemnColumns(t, sys.Device(), flaky, 0, 1)
+	if err := sys.Move("vic", fabric.Rect{Row: 4, Col: 0, H: 2, W: 2}); !errors.Is(err, ErrRetriesExhausted) {
+		t.Fatalf("move across condemned columns: %v, want ErrRetriesExhausted", err)
+	}
+	condemned := fabric.Rect{Row: 6, Col: 0, H: 2, W: 2}
+	if !sys.Area().QuarantineOverlaps(condemned) {
+		t.Fatal("the ladder quarantined nothing")
+	}
+	// MoveStaged's step reaches the target in one hop, so the refused hop is
+	// the condemned target itself.
+	const step = 100
+	ops := []struct {
+		name string
+		plan func(*Plan) *Plan
+	}{
+		{"load", func(p *Plan) *Plan { return p.Load(mkCounter("x"), condemned) }},
+		{"move", func(p *Plan) *Plan { return p.Move("vic", condemned) }},
+		{"move-staged", func(p *Plan) *Plan { return p.MoveStaged("vic", condemned, step) }},
+	}
+	type row struct {
+		name string
+		call func() error
+		plan bool
+	}
+	rows := []row{
+		{"Load", func() error { _, err := sys.Load(mkCounter("x"), condemned); return err }, false},
+		{"Move", func() error { return sys.Move("vic", condemned) }, false},
+		{"MoveStaged", func() error { return sys.MoveStaged("vic", condemned, step) }, false},
+	}
+	for _, op := range ops {
+		rows = append(rows,
+			row{"Plan.Validate/" + op.name, func() error { return op.plan(sys.Plan()).Validate() }, true},
+			row{"Plan.Commit/" + op.name, func() error { return op.plan(sys.Plan()).Commit() }, true})
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			before := captureState(sys)
+			err := row.call()
+			if !errors.Is(err, ErrQuarantined) {
+				t.Errorf("%v, want ErrQuarantined", err)
+			}
+			if row.plan && !errors.Is(err, ErrPlanInvalid) {
+				t.Errorf("%v, want ErrPlanInvalid", err)
+			}
+			if diffs := diffStates(captureState(sys), before); len(diffs) > 0 {
+				t.Errorf("refused call changed the system (%d diffs), first: %s", len(diffs), diffs[0])
+			}
+		})
+	}
+}
+
 // fixedPlanner proposes a fixed list of rearrangement plans, in order.
 type fixedPlanner []*rearrange.Plan
 

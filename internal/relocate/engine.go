@@ -364,17 +364,6 @@ func (e *Engine) plan(from, to fabric.CellRef) (*cellPlan, error) {
 	// --- inputs ---------------------------------------------------------
 	origOutX := dev.NodeIDAt(from.Coord, fabric.LocalOutX(from.Cell))
 	origOutXQ := dev.NodeIDAt(from.Coord, fabric.LocalOutXQ(from.Cell))
-	replOutX := dev.NodeIDAt(to.Coord, fabric.LocalOutX(to.Cell))
-	replOutXQ := dev.NodeIDAt(to.Coord, fabric.LocalOutXQ(to.Cell))
-	remap := func(n fabric.NodeID) (fabric.NodeID, bool) {
-		switch n {
-		case origOutX:
-			return replOutX, true
-		case origOutXQ:
-			return replOutXQ, true
-		}
-		return n, false
-	}
 
 	addInput := func(local int) error {
 		if dev.PIPMask(from.Coord, local) == 0 {
@@ -388,8 +377,8 @@ func (e *Engine) plan(from, to fabric.CellRef) (*cellPlan, error) {
 		// paralleled from the ORIGINAL's output in phase 1 — that is how
 		// the replica acquires the same state — and handed over to the
 		// replica's own output during phase-2 output paralleling.
-		_, self := remap(drv)
-		replicaLocal := replicaPinLocal(local, from.Cell, to.Cell)
+		_, self := remapNode(drv, p, dev)
+		replicaLocal := replicaPinLocal(local, to.Cell)
 		p.inputs = append(p.inputs, inputPlan{
 			driver:    drv,
 			oldChain:  chain,
@@ -417,7 +406,7 @@ func (e *Engine) plan(from, to fabric.CellRef) (*cellPlan, error) {
 		if err != nil {
 			return nil, err
 		}
-		d, _ := remap(drv)
+		d, _ := remapNode(drv, p, dev)
 		p.ceDriver = d
 		p.ceOldChain = chain
 	}
@@ -461,7 +450,7 @@ func (e *Engine) plan(from, to fabric.CellRef) (*cellPlan, error) {
 
 // replicaPinLocal maps a pin local id of the source cell to the equivalent
 // pin of the destination cell.
-func replicaPinLocal(local, fromCell, toCell int) int {
+func replicaPinLocal(local, toCell int) int {
 	kind, _, idx := fabric.DecodeLocal(local)
 	switch kind {
 	case fabric.KindPinI:
@@ -471,7 +460,6 @@ func replicaPinLocal(local, fromCell, toCell int) int {
 	case fabric.KindPinCE:
 		return fabric.LocalPinCE(toCell)
 	}
-	_ = fromCell
 	return local
 }
 
@@ -694,15 +682,20 @@ func (e *Engine) checkRAMColumns(p *cellPlan) error {
 	for _, ps := range p.auxPaths {
 		noteAll(ps)
 	}
+	return e.RAMFreeColumns(cols)
+}
+
+// RAMFreeColumns is the one statement of the rule that no frame write may
+// touch an array column holding live distributed RAM: a column rewrite would
+// corrupt it. It returns an error wrapping ErrRAMInColumn naming the first
+// such cell found in cols. The cell relocation and the facade's relocation
+// by translation both check their columns with it.
+func (e *Engine) RAMFreeColumns(cols map[int]bool) error {
 	for col := range cols {
 		for row := 0; row < e.Dev.Rows; row++ {
 			for cell := 0; cell < fabric.CellsPerCLB; cell++ {
 				ref := fabric.CellRef{Coord: fabric.Coord{Row: row, Col: col}, Cell: cell}
-				if ref == p.from {
-					continue
-				}
-				cc := e.Dev.ReadCell(ref)
-				if cc.RAM && cc.InUse() {
+				if cc := e.Dev.ReadCell(ref); cc.RAM && cc.InUse() {
 					return fmt.Errorf("%w: RAM at %v, column %d", ErrRAMInColumn, ref, col)
 				}
 			}

@@ -2,7 +2,8 @@ package relocate
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/fabric"
 )
@@ -67,8 +68,6 @@ func (e *Engine) executePlain(p *cellPlan) error {
 // executeGated is the full Fig. 4 flow with the auxiliary relocation
 // circuit of Fig. 3, used for gated-clock FFs and asynchronous latches.
 func (e *Engine) executeGated(p *cellPlan) error {
-	dev := e.Dev
-
 	// Step 1: "Connect signals to the auxiliary relocation circuit; place
 	// CLB input signals in parallel."
 	// 1a. Configure the aux CLB: OR gate, transfer mux, two inactive
@@ -172,7 +171,6 @@ func (e *Engine) executeGated(p *cellPlan) error {
 			return err
 		}
 	}
-	_ = dev
 
 	// Step 7: "Place CLB outputs in parallel."
 	if err := e.enableOutputParallels(p); err != nil {
@@ -229,7 +227,7 @@ func (e *Engine) enableInputParallels(p *cellPlan) error {
 // enableOutputParallels connects the replica outputs in parallel with the
 // original's to every terminal sink (phase 2 of Fig. 2).
 func (e *Engine) enableOutputParallels(p *cellPlan) error {
-	for _, src := range sortedNodeKeysPaths(p.newOut) {
+	for _, src := range slices.Sorted(maps.Keys(p.newOut)) {
 		for _, path := range p.newOut[src] {
 			if err := e.Tool.SetPath(path, true); err != nil {
 				return err
@@ -237,24 +235,6 @@ func (e *Engine) enableOutputParallels(p *cellPlan) error {
 		}
 	}
 	return nil
-}
-
-func sortedNodeKeysPaths(m map[fabric.NodeID][][]fabric.NodeID) []fabric.NodeID {
-	keys := make([]fabric.NodeID, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
-
-func sortedNodeKeysSinks(m map[fabric.NodeID][]terminalSink) []fabric.NodeID {
-	keys := make([]fabric.NodeID, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
 }
 
 // disconnectOriginalOutputs drops the original's output connections: first
@@ -271,7 +251,7 @@ func (e *Engine) disconnectOriginalOutputs(p *cellPlan) error {
 			}
 		}
 	}
-	for _, orig := range sortedNodeKeysSinks(p.outSinks) {
+	for _, orig := range slices.Sorted(maps.Keys(p.outSinks)) {
 		if err := e.releaseCone(p.outSinks[orig], p.outTree[orig]); err != nil {
 			return err
 		}

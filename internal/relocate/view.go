@@ -202,7 +202,7 @@ func (v *view) nodeInUse(n fabric.NodeID) bool {
 // padCandidate returns the one pad whose OutMask could select the wire: the
 // wire must be a single leaving the array from a border tile, and the pad
 // sits at the position it exits towards. This is the single encoding of the
-// wire-to-pad border rule — fedByPad and padsFedBy both build on it.
+// wire-to-pad border rule — fedByPad and forwardCone both build on it.
 func (v *view) padCandidate(n fabric.NodeID) (fabric.PadRef, bool) {
 	dev := v.dev
 	c, local, ok := dev.SplitNode(n)
@@ -224,9 +224,7 @@ func (v *view) padCandidate(n fabric.NodeID) (fabric.PadRef, bool) {
 	return fabric.PadRef{Side: side, Pos: pos, K: idx % fabric.PadsPerEdgeTile}, true
 }
 
-// fedByPad reports whether an output pad's enabled OutMask selects the wire
-// — the allocation-free counterpart of padsFedBy, for the per-node
-// re-derivation path.
+// fedByPad reports whether an output pad's enabled OutMask selects the wire.
 func (v *view) fedByPad(n fabric.NodeID) bool {
 	p, ok := v.padCandidate(n)
 	if !ok {
@@ -391,28 +389,15 @@ func (v *view) forwardCone(src fabric.NodeID) (sinks []terminalSink, tree []fabr
 				walk(e.Sink)
 			}
 		}
-		// Output pads fed by this node.
-		if _, local, ok := dev.SplitNode(n); ok {
-			kind, _, _ := fabric.DecodeLocal(local)
-			if kind == fabric.KindSingle {
-				for _, p := range v.padsFedBy(n) {
-					sinks = append(sinks, terminalSink{node: dev.PadNodeID(p), lastSrc: n})
-				}
-			}
+		// The output pad fed by this node, if any: the candidate pad at the
+		// wire's exit position.
+		if v.fedByPad(n) {
+			p, _ := v.padCandidate(n)
+			sinks = append(sinks, terminalSink{node: dev.PadNodeID(p), lastSrc: n})
 		}
 	}
 	walk(src)
 	return sinks, tree
-}
-
-// padsFedBy finds output pads whose enabled OutMask selects the given wire
-// (at most one: the candidate pad at the wire's exit position).
-func (v *view) padsFedBy(n fabric.NodeID) []fabric.PadRef {
-	if !v.fedByPad(n) {
-		return nil
-	}
-	p, _ := v.padCandidate(n)
-	return []fabric.PadRef{p}
 }
 
 func edgeOf(dev *fabric.Device, out fabric.Coord) (fabric.Dir, int) {

@@ -883,32 +883,3 @@ func EnablePathPIP(dev *fabric.Device, src, dst fabric.NodeID) error {
 	dev.SetPIPMask(c, local, dev.PIPMask(c, local)|1<<bit)
 	return nil
 }
-
-// DisablePathPIP turns off the PIP connecting src to dst.
-func DisablePathPIP(dev *fabric.Device, src, dst fabric.NodeID) error {
-	if pad, ok := dev.PadOfNode(dst); ok {
-		srcs := dev.PadOutSourceNodes(pad)
-		for b, n := range srcs {
-			if n == src {
-				pc := dev.ReadPad(pad)
-				pc.OutMask &^= 1 << b
-				if pc.OutMask == 0 {
-					pc.Output = false
-				}
-				dev.WritePad(pad, pc)
-				return nil
-			}
-		}
-		return fmt.Errorf("node %d does not feed pad %v", src, pad)
-	}
-	c, local, ok := dev.SplitNode(dst)
-	if !ok || !fabric.IsLocalSink(local) {
-		return fmt.Errorf("node %d is not a configurable sink", dst)
-	}
-	bit, ok := dev.PIPBitFor(c, local, src)
-	if !ok {
-		return fmt.Errorf("no PIP from %d to %d", src, dst)
-	}
-	dev.SetPIPMask(c, local, dev.PIPMask(c, local)&^(1<<bit))
-	return nil
-}

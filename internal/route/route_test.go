@@ -140,28 +140,6 @@ func TestApplyEnablesPIPs(t *testing.T) {
 	}
 }
 
-func TestDisablePathPIP(t *testing.T) {
-	d := dev(t)
-	src := d.NodeIDAt(fabric.Coord{Row: 1, Col: 1}, fabric.LocalOutX(0))
-	sink := d.NodeIDAt(fabric.Coord{Row: 1, Col: 2}, fabric.LocalPinI(0, 0))
-	r := NewRouter(d)
-	nets, err := r.RouteAll([]Net{{Name: "n", Source: src, Sinks: []fabric.NodeID{sink}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	Apply(d, nets)
-	path := nets[0].Paths[sink]
-	for i := 1; i < len(path); i++ {
-		if err := DisablePathPIP(d, path[i-1], path[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c, local, _ := d.SplitNode(sink)
-	if n := d.EnabledSourceNodes(c, local); len(n) != 0 {
-		t.Errorf("sink still driven after disable: %v", n)
-	}
-}
-
 func TestDisjointRoutingNeverShares(t *testing.T) {
 	d := dev(t)
 	var nets []Net

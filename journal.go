@@ -263,13 +263,18 @@ func crcFrame(words []uint32) uint32 {
 // resident design's netlist and placement tables, the area allocations, the
 // health ledger and the accounting counters. Routing is left out, since
 // configuration memory records it, and so are pad reservations, which are
-// the designs' PadOf tables.
+// the designs' PadOf tables. The host timing counters are journaled as zero:
+// PlanSeconds is wall-clock time and OverlappedOps/SerialFallbacks depend on
+// how far the shift-out got, so a recovered host restarts them at zero, like
+// any restarted process, and the journal repeats byte for byte at a fixed
+// input.
 func (s *System) journalStateLocked() journal.State {
 	st := journal.State{
 		Stats:    s.engine.Stats,
 		LastTick: s.engine.LastTick(),
 	}
 	st.Stats.FramesWritten = s.engine.Tool.FramesWritten()
+	st.Stats.PlanSeconds, st.Stats.OverlappedOps, st.Stats.SerialFallbacks = 0, 0, 0
 	if s.meter != nil {
 		st.Port = s.meter.Usages()
 	}

@@ -2,6 +2,7 @@ package rlm
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/area"
@@ -13,7 +14,10 @@ import (
 // Plan is a transaction: an ordered sequence of load / unload / move
 // operations that is dry-run against the area book-keeping as a whole
 // before a single frame is streamed, and rolled back to the pre-commit
-// configuration checkpoint if any step fails physically.
+// configuration checkpoint if any step fails physically. Each op is checked
+// and run exactly as the single call of the same name: a load takes the
+// template cache's warm path and is captured, and a target on condemned
+// logic space is refused with ErrQuarantined.
 //
 //	err := sys.Plan().
 //		Unload("b02").
@@ -36,12 +40,17 @@ const (
 	opMoveStaged
 )
 
+// planOp is one facade operation. The single calls, Plan and Defragment all
+// build planOps, dry-run them with checkOpsLocked (which resolves an
+// auto-sized load's region and a move's hops) and execute them with
+// runOpLocked.
 type planOp struct {
 	kind    planOpKind
 	nl      *netlist.Netlist
 	name    string
 	region  fabric.Rect
 	maxStep int
+	hops    []fabric.Rect
 }
 
 func (op planOp) String() string {
@@ -85,16 +94,16 @@ func (p *Plan) MoveStaged(name string, to fabric.Rect, maxStep int) *Plan {
 	return p
 }
 
-// Ops returns the number of scheduled operations.
-func (p *Plan) Ops() int { return len(p.ops) }
-
-// Validate dry-runs the whole transaction against the current area
-// book-keeping without touching the fabric. The returned error wraps
-// ErrPlanInvalid plus the underlying sentinel for the failing operation.
+// Validate dry-runs the whole transaction without touching the fabric: the
+// same check Commit runs first. The dry run applies the ops to the live area
+// book-keeping and rewinds them, so Validate takes the system's write lock.
+// The returned error wraps ErrPlanInvalid plus the underlying sentinel for
+// the failing operation.
 func (p *Plan) Validate() error {
-	p.sys.mu.RLock()
-	defer p.sys.mu.RUnlock()
-	return p.sys.validatePlanLocked(p.ops)
+	p.sys.mu.Lock()
+	defer p.sys.mu.Unlock()
+	_, err := p.checkLocked()
+	return err
 }
 
 // Commit validates and then executes the transaction under the system
@@ -110,7 +119,8 @@ func (p *Plan) Commit() error {
 	s := p.sys
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.validatePlanLocked(p.ops); err != nil {
+	ops, err := p.checkLocked()
+	if err != nil {
 		return err
 	}
 	// Ops overlap their planning with earlier ops' streams; the
@@ -118,14 +128,25 @@ func (p *Plan) Commit() error {
 	// fail the whole of it, unless the retry ladder re-delivers it.
 	return s.txLocked("plan", "", fabric.Rect{}, p.describe(), func(*checkpoint) error {
 		return s.engine.Tool.InBatch(func() error {
-			for i, op := range p.ops {
-				if err := s.executeOpLocked(op); err != nil {
+			for i, op := range ops {
+				if err := s.runOpLocked(op); err != nil {
 					return fmt.Errorf("rlm: plan op %d (%s): %w", i, op, err)
 				}
 			}
 			return nil
 		})
 	})
+}
+
+// checkLocked dry-runs a copy of the plan's ops and returns the checked
+// copy; the plan keeps its zero (auto-sized) regions, so a Validate leaves a
+// later Commit to resolve them afresh.
+func (p *Plan) checkLocked() ([]planOp, error) {
+	ops := slices.Clone(p.ops)
+	if i, err := p.sys.checkOpsLocked(ops); err != nil {
+		return nil, fmt.Errorf("%w: op %d (%s): %w", ErrPlanInvalid, i, p.ops[i], err)
+	}
+	return ops, nil
 }
 
 // describe renders the op list for the journal's intent record.
@@ -137,128 +158,147 @@ func (p *Plan) describe() string {
 	return strings.Join(parts, "; ")
 }
 
-func (s *System) executeOpLocked(op planOp) error {
-	switch op.kind {
-	case opLoad:
-		region, err := s.checkLoadLocked(op.nl, op.region)
-		if err != nil {
-			return err
+// checkOpsLocked is the facade's one validation: it dry-runs ops in order on
+// the live area manager, under an undo-log mark it rewinds and releases
+// before returning, so nothing is touched and nothing is cloned. It resolves
+// each load's region (auto-sized when zero) and each move's hops in place: a
+// direct move is one hop, even onto its own region, and a staged move steps
+// at most maxStep CLBs per hop. On a refusal it returns the failing op's
+// index and an error wrapping the sentinel.
+func (s *System) checkOpsLocked(ops []planOp) (int, error) {
+	mk := s.area.Mark()
+	defer func() {
+		s.area.Rewind(mk)
+		s.area.Release(mk)
+	}()
+	// The ops' own effects on the design tables, over the resident ones.
+	type entry struct {
+		id     int
+		region fabric.Rect
+		gone   bool
+	}
+	shadow := map[string]entry{}
+	lookup := func(name string) (entry, bool) {
+		if e, ok := shadow[name]; ok {
+			return e, !e.gone
 		}
-		_, err = s.loadRaw(op.nl, region)
-		return err
-	case opUnload:
-		if _, ok := s.designs[op.name]; !ok {
-			return fmt.Errorf("%w: %q", ErrUnknownDesign, op.name)
-		}
-		return s.unloadRaw(op.name)
-	case opMove:
-		if err := s.checkMoveLocked(op.name, op.region); err != nil {
-			return err
-		}
-		return s.moveRaw(op.name, op.region)
-	case opMoveStaged:
-		d, ok := s.designs[op.name]
+		d, ok := s.designs[name]
 		if !ok {
-			return fmt.Errorf("%w: %q", ErrUnknownDesign, op.name)
+			return entry{}, false
 		}
-		hops, err := s.stagedHopsLocked(op.name, d.Region, op.region, op.maxStep)
-		if err != nil {
-			return err
+		return entry{id: s.regions[name], region: d.Region}, true
+	}
+	for i := range ops {
+		op := &ops[i]
+		if op.kind == opLoad {
+			if _, dup := lookup(op.name); dup {
+				return i, fmt.Errorf("%w: %q", ErrDuplicateDesign, op.name)
+			}
+			// Degraded-mode admission: a load is refused outright while
+			// healthy capacity is below the watermark.
+			if err := s.admitLocked(); err != nil {
+				return i, err
+			}
+			if op.region.Area() == 0 {
+				proto, err := place.AutoRegion(s.dev, op.nl, 0, 0, 0.4)
+				ok := err == nil
+				if ok {
+					op.region, ok = s.area.FindPlacement(proto.H, proto.W, area.BestFit)
+				}
+				if !ok {
+					return i, fmt.Errorf("%w: auto-sizing %q", ErrNoSpace, op.name)
+				}
+			}
+			id, err := s.area.AllocateAt(op.region)
+			if err != nil {
+				return i, fmt.Errorf("%w: %v for %q", s.refusalLocked(op.region), op.region, op.name)
+			}
+			shadow[op.name] = entry{id: id, region: op.region}
+			continue
 		}
-		for _, next := range hops {
-			if err := s.moveRaw(op.name, next); err != nil {
-				return err
+		e, ok := lookup(op.name)
+		if !ok {
+			return i, fmt.Errorf("%w: %q", ErrUnknownDesign, op.name)
+		}
+		if op.kind == opUnload {
+			if err := s.area.Free(e.id); err != nil {
+				return i, err
+			}
+			shadow[op.name] = entry{gone: true}
+			continue
+		}
+		if op.region.H != e.region.H || op.region.W != e.region.W {
+			return i, fmt.Errorf("%w: target %v, design %v", ErrRegionMismatch, op.region, e.region)
+		}
+		op.hops = []fabric.Rect{op.region}
+		if op.kind == opMoveStaged {
+			op.hops = nil
+			step := max(op.maxStep, 1)
+			for cur := e.region; cur != op.region; {
+				cur.Row += clampStep(op.region.Row-cur.Row, step)
+				cur.Col += clampStep(op.region.Col-cur.Col, step)
+				op.hops = append(op.hops, cur)
 			}
 		}
-		return nil
+		for _, hop := range op.hops {
+			if err := s.area.Move(e.id, hop); err != nil {
+				return i, fmt.Errorf("%w: hop %v", s.refusalLocked(hop), hop)
+			}
+		}
+		shadow[op.name] = entry{id: e.id, region: op.region}
 	}
-	return fmt.Errorf("rlm: unknown plan op")
+	return -1, nil
 }
 
-// validatePlanLocked simulates the whole op sequence on a clone of the
-// area manager plus shadow name/shape tables.
-func (s *System) validatePlanLocked(ops []planOp) error {
-	clone := s.area.Clone()
-	ids := make(map[string]int, len(s.regions))
-	shapes := make(map[string]fabric.Rect, len(s.designs))
-	for name, id := range s.regions {
-		ids[name] = id
+// refusalLocked names why a rectangle the dry run could not take is refused:
+// condemned logic space is permanent, a busy region is not.
+func (s *System) refusalLocked(rect fabric.Rect) error {
+	if s.area.QuarantineOverlaps(rect) {
+		return ErrQuarantined
 	}
-	for name, d := range s.designs {
-		shapes[name] = d.Region
+	return ErrRegionBusy
+}
+
+func clampStep(d, max int) int {
+	if d > max {
+		return max
 	}
-	invalid := func(i int, op planOp, cause error) error {
-		return fmt.Errorf("%w: op %d (%s): %w", ErrPlanInvalid, i, op, cause)
+	if d < -max {
+		return -max
 	}
-	for i, op := range ops {
-		switch op.kind {
-		case opLoad:
-			if op.nl == nil {
-				return invalid(i, op, fmt.Errorf("nil netlist"))
+	return d
+}
+
+// runOpLocked executes one op checked by checkOpsLocked inside the caller's
+// transaction, which owns rollback. A load takes the template cache's warm
+// path when it can, and otherwise the cold path, whose result the cache
+// captures; a move runs its checked hops.
+func (s *System) runOpLocked(op planOp) error {
+	switch op.kind {
+	case opLoad:
+		if s.tmpl != nil {
+			if handled, err := s.tryWarmLoadLocked(op.nl, op.region); err != nil || handled {
+				return err
 			}
-			if _, dup := shapes[op.name]; dup {
-				return invalid(i, op, ErrDuplicateDesign)
+			// Cache miss (or clean pre-write fallback): cold path below.
+		}
+		d, err := s.loadRaw(op.nl, op.region)
+		if err != nil {
+			return err
+		}
+		if s.tmpl != nil {
+			s.captureTemplateLocked(d)
+		}
+		return nil
+	case opUnload:
+		return s.unloadRaw(op.name)
+	}
+	for _, hop := range op.hops {
+		if err := s.moveRaw(op.name, hop); err != nil {
+			if op.kind == opMoveStaged {
+				return fmt.Errorf("rlm: staged move via %v: %w", hop, err)
 			}
-			// Degraded-mode admission: a plan that adds load is refused
-			// outright while healthy capacity is below the watermark.
-			if err := s.admitLocked(); err != nil {
-				return invalid(i, op, err)
-			}
-			region := op.region
-			if region.Area() == 0 {
-				proto, err := place.AutoRegion(s.dev, op.nl, 0, 0, 0.4)
-				if err != nil {
-					return invalid(i, op, fmt.Errorf("%w: %v", ErrNoSpace, err))
-				}
-				var ok bool
-				region, ok = clone.FindPlacement(proto.H, proto.W, area.BestFit)
-				if !ok {
-					return invalid(i, op, ErrNoSpace)
-				}
-			} else if !clone.Fits(region) {
-				return invalid(i, op, ErrRegionBusy)
-			}
-			id, err := clone.AllocateAt(region)
-			if err != nil {
-				return invalid(i, op, ErrRegionBusy)
-			}
-			ids[op.name], shapes[op.name] = id, region
-		case opUnload:
-			id, ok := ids[op.name]
-			if !ok {
-				return invalid(i, op, ErrUnknownDesign)
-			}
-			if err := clone.Free(id); err != nil {
-				return invalid(i, op, err)
-			}
-			delete(ids, op.name)
-			delete(shapes, op.name)
-		case opMove, opMoveStaged:
-			id, ok := ids[op.name]
-			if !ok {
-				return invalid(i, op, ErrUnknownDesign)
-			}
-			cur := shapes[op.name]
-			if op.region.H != cur.H || op.region.W != cur.W {
-				return invalid(i, op, ErrRegionMismatch)
-			}
-			maxStep := op.maxStep
-			if op.kind == opMove {
-				// A direct move is a single unbounded hop.
-				maxStep = 1 << 30
-			} else if maxStep < 1 {
-				maxStep = 1
-			}
-			for cur != op.region {
-				dr := clampStep(op.region.Row-cur.Row, maxStep)
-				dc := clampStep(op.region.Col-cur.Col, maxStep)
-				next := fabric.Rect{Row: cur.Row + dr, Col: cur.Col + dc, H: cur.H, W: cur.W}
-				if err := clone.Move(id, next); err != nil {
-					return invalid(i, op, fmt.Errorf("%w: hop %v", ErrRegionBusy, next))
-				}
-				cur = next
-			}
-			shapes[op.name] = op.region
+			return err
 		}
 	}
 	return nil

@@ -1,7 +1,6 @@
 package rlm
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/bitstream"
@@ -183,7 +182,8 @@ func (s *System) probeFrameLocked(fa fabric.FrameAddr, golden []uint32) bool {
 }
 
 // scrubAddrsLocked returns the device's full frame address space in address
-// order, built once and cached (the geometry never changes).
+// order (the loops below visit it major by major, minor by minor), built once
+// and cached (the geometry never changes).
 func (s *System) scrubAddrsLocked() []fabric.FrameAddr {
 	if s.scrubAddrs != nil {
 		return s.scrubAddrs
@@ -198,12 +198,6 @@ func (s *System) scrubAddrsLocked() []fabric.FrameAddr {
 			addrs = append(addrs, fabric.FrameAddr{Major: major, Minor: minor})
 		}
 	}
-	sort.Slice(addrs, func(i, j int) bool {
-		if addrs[i].Major != addrs[j].Major {
-			return addrs[i].Major < addrs[j].Major
-		}
-		return addrs[i].Minor < addrs[j].Minor
-	})
 	s.scrubAddrs = addrs
 	return addrs
 }

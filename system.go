@@ -341,64 +341,17 @@ func (s *System) Traffic() bitstream.Traffic {
 func (s *System) Load(nl *netlist.Netlist, region fabric.Rect) (*place.Design, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.loadLocked(nl, region)
-}
-
-func (s *System) loadLocked(nl *netlist.Netlist, region fabric.Rect) (*place.Design, error) {
-	region, err := s.checkLoadLocked(nl, region)
-	if err != nil {
+	ops := []planOp{{kind: opLoad, nl: nl, name: nl.Name, region: region}}
+	if _, err := s.checkOpsLocked(ops); err != nil {
 		return nil, err
 	}
 	// The transaction's checkpoint keeps a partial placement (pads and cells
 	// are written before routing can still fail) off the fabric.
-	var d *place.Design
-	err = s.txLocked("load", nl.Name, region, "", func(*checkpoint) error {
-		var err error
-		if s.tmpl != nil {
-			var handled bool
-			if d, handled, err = s.tryWarmLoadLocked(nl, region); err != nil || handled {
-				return err
-			}
-			// Cache miss (or clean pre-write fallback): cold path below.
-		}
-		if d, err = s.loadRaw(nl, region); err != nil {
-			return err
-		}
-		if s.tmpl != nil {
-			s.captureTemplateLocked(d)
-		}
-		return nil
-	})
+	err := s.txLocked("load", nl.Name, ops[0].region, "", func(*checkpoint) error { return s.runOpLocked(ops[0]) })
 	if err != nil {
 		return nil, err
 	}
-	return d, nil
-}
-
-// checkLoadLocked validates a load and resolves an auto-sized region,
-// touching nothing.
-func (s *System) checkLoadLocked(nl *netlist.Netlist, region fabric.Rect) (fabric.Rect, error) {
-	if _, dup := s.designs[nl.Name]; dup {
-		return region, fmt.Errorf("%w: %q", ErrDuplicateDesign, nl.Name)
-	}
-	if err := s.admitLocked(); err != nil {
-		return region, err
-	}
-	if region.Area() == 0 {
-		var ok bool
-		region, ok = s.findRegionLocked(nl)
-		if !ok {
-			return region, fmt.Errorf("%w: auto-sizing %q", ErrNoSpace, nl.Name)
-		}
-	} else if !s.area.Fits(region) {
-		// Fail fast before anything touches the fabric; name the cause —
-		// condemned logic space is permanent, a busy region is not.
-		if s.area.QuarantineOverlaps(region) {
-			return region, fmt.Errorf("%w: %v for %q", ErrQuarantined, region, nl.Name)
-		}
-		return region, fmt.Errorf("%w: %v for %q", ErrRegionBusy, region, nl.Name)
-	}
-	return region, nil
+	return s.designs[nl.Name], nil
 }
 
 // loadRaw performs the placement and book-keeping; the caller has validated
@@ -477,15 +430,6 @@ func (s *System) padsInUseLocked() map[fabric.PadRef]bool {
 	return used
 }
 
-// findRegionLocked auto-sizes and places a region using the area manager.
-func (s *System) findRegionLocked(nl *netlist.Netlist) (fabric.Rect, bool) {
-	proto, err := place.AutoRegion(s.dev, nl, 0, 0, 0.4)
-	if err != nil {
-		return fabric.Rect{}, false
-	}
-	return s.area.FindPlacement(proto.H, proto.W, area.BestFit)
-}
-
 // Unload decommissions a design: all its routing and cells are released
 // through the configuration port, its pads disabled, its region freed. A
 // mid-stream engine failure rolls the device and book-keeping back to the
@@ -493,11 +437,11 @@ func (s *System) findRegionLocked(nl *netlist.Netlist) (fabric.Rect, bool) {
 func (s *System) Unload(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	d, ok := s.designs[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownDesign, name)
+	ops := []planOp{{kind: opUnload, name: name}}
+	if _, err := s.checkOpsLocked(ops); err != nil {
+		return err
 	}
-	err := s.txLocked("unload", name, d.Region, "", func(*checkpoint) error { return s.unloadRaw(name) })
+	err := s.txLocked("unload", name, s.designs[name].Region, "", func(*checkpoint) error { return s.runOpLocked(ops[0]) })
 	if err != nil {
 		return fmt.Errorf("rlm: unloading %q: %w", name, err)
 	}
@@ -572,32 +516,11 @@ func (s *System) unloadFabricBatched(name string) error {
 func (s *System) Move(name string, to fabric.Rect) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.moveLocked(name, to)
-}
-
-func (s *System) moveLocked(name string, to fabric.Rect) error {
-	if err := s.checkMoveLocked(name, to); err != nil {
+	ops := []planOp{{kind: opMove, name: name, region: to}}
+	if _, err := s.checkOpsLocked(ops); err != nil {
 		return err
 	}
-	return s.txLocked("move", name, to, "", func(*checkpoint) error { return s.moveRaw(name, to) })
-}
-
-// checkMoveLocked validates a move without touching anything.
-func (s *System) checkMoveLocked(name string, to fabric.Rect) error {
-	d, ok := s.designs[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownDesign, name)
-	}
-	if to.H != d.Region.H || to.W != d.Region.W {
-		return fmt.Errorf("%w: target %v, design %v", ErrRegionMismatch, to, d.Region)
-	}
-	if !s.area.CanMove(s.regions[name], to) {
-		if s.area.QuarantineOverlaps(to) {
-			return fmt.Errorf("%w: %v", ErrQuarantined, to)
-		}
-		return fmt.Errorf("%w: %v", ErrRegionBusy, to)
-	}
-	return nil
+	return s.txLocked("move", name, to, "", func(*checkpoint) error { return s.runOpLocked(ops[0]) })
 }
 
 // moveRaw performs the physical relocation and book-keeping; the caller has
@@ -674,71 +597,20 @@ func (s *System) moveRaw(name string, to fabric.Rect) error {
 // intermediate regions. The paper: "the relocation of a complete function
 // may take place in several stages, to avoid an excessive increase in path
 // delays during the relocation interval". The whole hop corridor is
-// validated against the area book-keeping before any frame is streamed;
-// every intermediate region must be free.
+// dry-run against the area book-keeping, by the same check as every other
+// operation, before any frame is streamed: every intermediate region must be
+// free, and a hop is refused with ErrQuarantined when it overlaps condemned
+// logic space, ErrRegionBusy otherwise. A hop that fails physically is
+// reported as "staged move via" that hop.
 func (s *System) MoveStaged(name string, to fabric.Rect, maxStep int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.moveStagedLocked(name, to, maxStep)
-}
-
-func (s *System) moveStagedLocked(name string, to fabric.Rect, maxStep int) error {
-	d, ok := s.designs[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownDesign, name)
-	}
-	if to.H != d.Region.H || to.W != d.Region.W {
-		return fmt.Errorf("%w: target %v, design %v", ErrRegionMismatch, to, d.Region)
-	}
-	hops, err := s.stagedHopsLocked(name, d.Region, to, maxStep)
-	if err != nil {
+	ops := []planOp{{kind: opMoveStaged, name: name, region: to, maxStep: maxStep}}
+	if _, err := s.checkOpsLocked(ops); err != nil {
 		return err
 	}
-	return s.txLocked("move-staged", name, to, fmt.Sprintf("maxStep=%d", maxStep), func(*checkpoint) error {
-		for _, next := range hops {
-			if err := s.moveRaw(name, next); err != nil {
-				return fmt.Errorf("rlm: staged move via %v: %w", next, err)
-			}
-		}
-		return nil
-	})
-}
-
-// stagedHopsLocked computes the hop sequence and dry-runs it on the live
-// area manager under an undo-log mark (rewound before returning), so an
-// occupied intermediate region is rejected before any frame is streamed —
-// without cloning the grid.
-func (s *System) stagedHopsLocked(name string, from, to fabric.Rect, maxStep int) (hops []fabric.Rect, err error) {
-	if maxStep < 1 {
-		maxStep = 1
-	}
-	id := s.regions[name]
-	mk := s.area.Mark()
-	defer func() {
-		s.area.Rewind(mk)
-		s.area.Release(mk)
-	}()
-	for cur := from; cur != to; {
-		dr := clampStep(to.Row-cur.Row, maxStep)
-		dc := clampStep(to.Col-cur.Col, maxStep)
-		next := fabric.Rect{Row: cur.Row + dr, Col: cur.Col + dc, H: cur.H, W: cur.W}
-		if err := s.area.Move(id, next); err != nil {
-			return nil, fmt.Errorf("%w: staged hop %v: %v", ErrRegionBusy, next, err)
-		}
-		hops = append(hops, next)
-		cur = next
-	}
-	return hops, nil
-}
-
-func clampStep(d, max int) int {
-	if d > max {
-		return max
-	}
-	if d < -max {
-		return -max
-	}
-	return d
+	return s.txLocked("move-staged", name, to, fmt.Sprintf("maxStep=%d", maxStep),
+		func(*checkpoint) error { return s.runOpLocked(ops[0]) })
 }
 
 // Recover restores the device to the tool's shadow copy of the
@@ -807,7 +679,8 @@ func (s *System) notifyShadowDelivered() {
 // operation is sealed, so the sweep's evacuations open on a sealed journal;
 // an evacuation pass never sweeps, so a quarantine cannot recurse. A
 // checkpoint or intent failure returns before body runs. Every mutating
-// facade operation is its validation plus one txLocked call.
+// facade operation is one checkOpsLocked dry run plus one txLocked call
+// whose body runs the checked ops with runOpLocked.
 func (s *System) txLocked(op, design string, region fabric.Rect, detail string, body func(*checkpoint) error) error {
 	cp, err := s.checkpointLocked()
 	if err != nil {

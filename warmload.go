@@ -97,22 +97,42 @@ func templateBoundaryNets(dev *fabric.Device, tpl *template.Template, region fab
 	return nets
 }
 
+// templateTables derives a design's cell and source tables at a region from
+// a template, re-bound through the canonical numbering (the netlist may name
+// and number its nodes differently from the one the template was captured
+// from), with each primary input sourced at its pad.
+func templateTables(dev *fabric.Device, tpl *template.Template, canon netlist.Canon, nl *netlist.Netlist,
+	region fabric.Rect, padOf map[netlist.ID]fabric.PadRef) (map[netlist.ID]fabric.CellRef, map[netlist.ID]fabric.NodeID) {
+	cellOf := make(map[netlist.ID]fabric.CellRef, len(tpl.CellOf))
+	for _, cb := range tpl.CellOf {
+		cellOf[canon.Order[cb.Canon]] = cb.At.At(region)
+	}
+	sourceOf := make(map[netlist.ID]fabric.NodeID, len(tpl.SourceOf))
+	for _, sb := range tpl.SourceOf {
+		sourceOf[canon.Order[sb.Canon]] = sb.At.At(dev, region)
+	}
+	for _, id := range nl.Inputs() {
+		sourceOf[id] = dev.PadNodeID(padOf[id])
+	}
+	return cellOf, sourceOf
+}
+
 // tryWarmLoadLocked attempts the warm path for a load whose region has been
 // validated and whose checkpoint is armed. Returns handled=false (and no
 // error) on a cache miss or a clean pre-write fallback — the caller then
 // runs the cold path. A non-nil error means the operation must roll back.
-func (s *System) tryWarmLoadLocked(nl *netlist.Netlist, region fabric.Rect) (*place.Design, bool, error) {
+func (s *System) tryWarmLoadLocked(nl *netlist.Netlist, region fabric.Rect) (bool, error) {
 	canon := nl.Canonical()
 	key := template.KeyFor(s.dev, region, canon.Digest)
 	tpl, ok := s.tmpl.Get(key)
 	if !ok {
 		s.publish(Event{Kind: TemplateMiss, Design: nl.Name})
-		return nil, false, nil
+		return false, nil
 	}
 	// Drain any in-flight stream: the warm path reads the engine's occupancy
 	// view, which must reflect all delivered frames.
 	if err := s.engine.Tool.AwaitStream(); err != nil {
-		return nil, false, err
+		return false, err
 	}
 	// The image splices only into untouched interconnect: another design's
 	// routing may legally pass through a region the area manager reports
@@ -123,7 +143,7 @@ func (s *System) tryWarmLoadLocked(nl *netlist.Netlist, region fabric.Rect) (*pl
 	for _, n := range used {
 		if r.Blocked(n) {
 			s.tmpl.NoteFallback()
-			return nil, false, nil
+			return false, nil
 		}
 	}
 	// Bind pads (inputs west, outputs east) by the placer's own rule, into a
@@ -142,7 +162,7 @@ func (s *System) tryWarmLoadLocked(nl *netlist.Netlist, region fabric.Rect) (*pl
 	}
 	if !bind(nl.Inputs(), fabric.West) || !bind(nl.Outputs(), fabric.East) {
 		s.tmpl.NoteFallback()
-		return nil, false, nil
+		return false, nil
 	}
 	// Route only the boundary nets, over ground-truth occupancy plus the
 	// image — zero interior routing.
@@ -152,7 +172,7 @@ func (s *System) tryWarmLoadLocked(nl *netlist.Netlist, region fabric.Rect) (*pl
 	routed, err := r.RouteDisjoint(bnets)
 	if err != nil {
 		s.tmpl.NoteFallback()
-		return nil, false, nil
+		return false, nil
 	}
 	// Commit through the designer path, exactly as a cold place-and-route
 	// writes: the splice costs no port traffic, and the Sync below takes
@@ -169,7 +189,7 @@ func (s *System) tryWarmLoadLocked(nl *netlist.Netlist, region fabric.Rect) (*pl
 	for _, path := range tpl.InteriorPaths(s.dev, region) {
 		for i := 1; i < len(path); i++ {
 			if err := route.EnablePathPIP(s.dev, path[i-1], path[i]); err != nil {
-				return nil, true, err
+				return true, err
 			}
 		}
 	}
@@ -177,29 +197,13 @@ func (s *System) tryWarmLoadLocked(nl *netlist.Netlist, region fabric.Rect) (*pl
 		s.dev.WritePad(padOf[id], fabric.PadConfig{Input: true})
 	}
 	if err := route.Apply(s.dev, routed); err != nil {
-		return nil, true, err
+		return true, err
 	}
-	// Re-bind the design's book-keeping through the canonical numbering:
-	// this netlist may name and number its nodes differently from the one
-	// the template was captured from.
-	d := &place.Design{
-		Name: name, Dev: s.dev, NL: nl, Region: region,
-		CellOf:   map[netlist.ID]fabric.CellRef{},
-		PadOf:    padOf,
-		SourceOf: map[netlist.ID]fabric.NodeID{},
-	}
-	for _, cb := range tpl.CellOf {
-		d.CellOf[canon.Order[cb.Canon]] = cb.At.At(region)
-	}
-	for _, sb := range tpl.SourceOf {
-		d.SourceOf[canon.Order[sb.Canon]] = sb.At.At(s.dev, region)
-	}
-	for _, id := range nl.Inputs() {
-		d.SourceOf[id] = s.dev.PadNodeID(padOf[id])
-	}
+	d := &place.Design{Name: name, Dev: s.dev, NL: nl, Region: region, PadOf: padOf}
+	d.CellOf, d.SourceOf = templateTables(s.dev, tpl, canon, nl, region, padOf)
 	id, err := s.area.AllocateAt(region)
 	if err != nil {
-		return nil, true, fmt.Errorf("%w: %v", ErrRegionBusy, err)
+		return true, fmt.Errorf("%w: %v", ErrRegionBusy, err)
 	}
 	s.designs[name] = d
 	s.regions[name] = id
@@ -207,11 +211,11 @@ func (s *System) tryWarmLoadLocked(nl *netlist.Netlist, region fabric.Rect) (*pl
 	// re-derives only the bits the splice changed, so the splice stays
 	// O(frame-I/O) on the host side too.
 	if err := s.engine.Tool.Sync(); err != nil {
-		return nil, true, err
+		return true, err
 	}
 	s.publish(Event{Kind: TemplateHit, Design: name, Region: region})
 	s.publish(Event{Kind: DesignLoaded, Design: name, Region: region})
-	return d, true, nil
+	return true, nil
 }
 
 // tryTranslateMoveLocked attempts to serve a validated whole-design move by
@@ -284,10 +288,9 @@ func (s *System) tryTranslateMoveLocked(name string, to fabric.Rect) (bool, erro
 		s.tmpl.NoteFallback()
 		return false, nil
 	}
-	// Foreign-RAM guard, mirroring the replica path's column check: every
-	// column this move rewrites (cut, paste, boundary patch) must be free of
-	// other designs' distributed RAM — a column rewrite would corrupt it.
-	// The design itself has none (checked above).
+	// Foreign-RAM guard, the replica path's column rule: every column this
+	// move rewrites (cut, paste, boundary patch) must be free of other
+	// designs' distributed RAM. The design itself has none (checked above).
 	cols := map[int]bool{}
 	addCol := func(c fabric.Coord) { cols[c.Col] = true }
 	for c := 0; c < from.W; c++ {
@@ -313,16 +316,9 @@ func (s *System) tryTranslateMoveLocked(name string, to fabric.Rect) (bool, erro
 			}
 		}
 	}
-	for col := range cols {
-		for row := 0; row < s.dev.Rows; row++ {
-			for cell := 0; cell < fabric.CellsPerCLB; cell++ {
-				cc := s.dev.ReadCell(fabric.CellRef{Coord: fabric.Coord{Row: row, Col: col}, Cell: cell})
-				if cc.InUse() && cc.RAM {
-					s.tmpl.NoteFallback()
-					return false, nil
-				}
-			}
-		}
+	if s.engine.RAMFreeColumns(cols) != nil {
+		s.tmpl.NoteFallback()
+		return false, nil
 	}
 	// Commit. Baseline the wait accounting first, so the cycles charged to
 	// this relocation cover exactly its own port traffic.
@@ -389,21 +385,7 @@ func (s *System) tryTranslateMoveLocked(name string, to fabric.Rect) (bool, erro
 	if err := s.engine.Tick(1); err != nil {
 		return false, err
 	}
-	// Host book-keeping: re-bind the tables through the canonical numbering
-	// at the target region.
-	newCellOf := make(map[netlist.ID]fabric.CellRef, len(d.CellOf))
-	for _, cb := range tpl.CellOf {
-		newCellOf[canon.Order[cb.Canon]] = cb.At.At(to)
-	}
-	newSourceOf := make(map[netlist.ID]fabric.NodeID, len(d.SourceOf))
-	for _, sb := range tpl.SourceOf {
-		newSourceOf[canon.Order[sb.Canon]] = sb.At.At(s.dev, to)
-	}
-	for _, id := range d.NL.Inputs() {
-		newSourceOf[id] = s.dev.PadNodeID(d.PadOf[id])
-	}
-	d.CellOf = newCellOf
-	d.SourceOf = newSourceOf
+	d.CellOf, d.SourceOf = templateTables(s.dev, tpl, canon, d.NL, to, d.PadOf)
 	d.Region = to
 	if err := s.area.Move(s.regions[name], to); err != nil {
 		return false, err
