@@ -1,4 +1,4 @@
-.PHONY: test race bench bench-baseline bench-module cover lint fuzz torture soak router-diff port-diff replay-diff view-diff pipeline-diff facade-diff surfaces
+.PHONY: test race bench bench-baseline bench-module cover lint fuzz torture soak router-diff port-diff replay-diff view-diff pipeline-diff facade-diff alloc-diff surfaces
 
 test:
 	go build ./... && go test ./...
@@ -71,6 +71,16 @@ pipeline-diff:
 # the same path.
 facade-diff:
 	go test -race -run 'TestEveryEntryPointRefusesQuarantine|TestOneOpPlanMatchesCall|TestPlan|TestMoveStaged|TestDefragment|TestPersistentFault' repro
+
+# Mirrors the CI "Allocation gates" step (keep the -run pattern in
+# sync with .github/workflows/ci.yml): the relocation cone walks range the
+# fabric's fanout without building it, so ranging Device.Fanout over every
+# node of an interior and a corner tile and over every pad allocates nothing
+# and yields FanoutOf's edges; the repacking planner's scans allocate per
+# plan, not per candidate window; and no planner proposes a target or a move
+# on quarantined space.
+alloc-diff:
+	go test -race -run 'TestFanoutAllocatesNothing|TestLocalRepackingAllocatesPerPlan|TestPlannersAvoidQuarantine' ./internal/fabric ./internal/rearrange
 
 # The self-healing chaos soak at full length (CI runs the short-mode variant
 # inside the fault-torture step): background scrubber + fault plan +

@@ -3,6 +3,8 @@ package rlm
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"testing"
 
@@ -12,6 +14,7 @@ import (
 	"repro/internal/netlist"
 	"repro/internal/relocate"
 	"repro/internal/sim"
+	"repro/internal/template"
 )
 
 // mkCounter builds a tiny free-running sequential design.
@@ -287,24 +290,80 @@ func TestPlanCommit(t *testing.T) {
 	}
 }
 
+// TestPlanValidateLeavesSystemUntouched validates plans on a system that
+// holds a resident design: an overlapping plan is refused with
+// ErrPlanInvalid wrapping ErrRegionBusy, a valid one returns nil, and
+// neither call changes the designs, their regions, the area map, the
+// engine's or the template cache's statistics, or any device frame.
+// Committing the overlapping plan is refused the same way and streams
+// nothing.
 func TestPlanValidateLeavesSystemUntouched(t *testing.T) {
 	s := newSys(t)
 	nlA, _ := itc99.Get("b01")
 	nlB, _ := itc99.Get("b02")
-	frames0 := s.Stats().FramesWritten
-	err := s.Plan().
-		Load(nlA, fabric.Rect{Row: 0, Col: 0, H: 4, W: 4}).
-		Load(nlB, fabric.Rect{Row: 2, Col: 2, H: 4, W: 4}). // overlaps the first
-		Commit()
+	nlC, _ := itc99.Get("b03")
+	if _, err := s.Load(nlA, fabric.Rect{Row: 0, Col: 0, H: 4, W: 4}); err != nil {
+		t.Fatal(err)
+	}
+	type view struct {
+		designs []string
+		regions map[string]fabric.Rect
+		areaMap string
+		stats   relocate.Stats
+		tmpl    template.Stats
+		frames  map[fabric.FrameAddr][]uint32
+	}
+	look := func() view {
+		v := view{designs: s.Designs(), regions: map[string]fabric.Rect{}, areaMap: s.Map(), stats: s.Stats(), frames: dumpFrames(s.Device())}
+		for _, name := range v.designs {
+			v.regions[name], _ = s.Region(name)
+		}
+		v.tmpl, _ = s.TemplateStats()
+		return v
+	}
+	before := look()
+	unchanged := func(what string) {
+		t.Helper()
+		after := look()
+		switch {
+		case !slices.Equal(after.designs, before.designs):
+			t.Errorf("%s: designs %v, want %v", what, after.designs, before.designs)
+		case !maps.Equal(after.regions, before.regions):
+			t.Errorf("%s: regions %v, want %v", what, after.regions, before.regions)
+		case after.areaMap != before.areaMap:
+			t.Errorf("%s: area map\n%s\nwant\n%s", what, after.areaMap, before.areaMap)
+		case after.stats != before.stats:
+			t.Errorf("%s: stats %+v, want %+v", what, after.stats, before.stats)
+		case after.tmpl != before.tmpl:
+			t.Errorf("%s: template stats %+v, want %+v", what, after.tmpl, before.tmpl)
+		case !maps.EqualFunc(after.frames, before.frames, frameWordsEqual):
+			t.Errorf("%s: device frames changed", what)
+		}
+	}
+	overlapping := s.Plan().
+		Load(nlB, fabric.Rect{Row: 6, Col: 6, H: 4, W: 4}).
+		Load(nlC, fabric.Rect{Row: 8, Col: 8, H: 4, W: 4}) // overlaps the first
+	err := overlapping.Validate()
 	if !errors.Is(err, ErrPlanInvalid) || !errors.Is(err, ErrRegionBusy) {
-		t.Fatalf("want ErrPlanInvalid wrapping ErrRegionBusy, got %v", err)
+		t.Fatalf("Validate: want ErrPlanInvalid wrapping ErrRegionBusy, got %v", err)
+	}
+	unchanged("Validate of an overlapping plan")
+	valid := s.Plan().
+		Load(nlB, fabric.Rect{Row: 0, Col: 6, H: 4, W: 4}).
+		Move("b01", fabric.Rect{Row: 8, Col: 8, H: 4, W: 4})
+	if err := valid.Validate(); err != nil {
+		t.Fatalf("Validate of a valid plan: %v", err)
+	}
+	unchanged("Validate of a valid plan")
+	frames0 := s.Stats().FramesWritten
+	err = overlapping.Commit()
+	if !errors.Is(err, ErrPlanInvalid) || !errors.Is(err, ErrRegionBusy) {
+		t.Fatalf("Commit: want ErrPlanInvalid wrapping ErrRegionBusy, got %v", err)
 	}
 	if got := s.Stats().FramesWritten; got != frames0 {
 		t.Errorf("invalid plan streamed %d frames", got-frames0)
 	}
-	if len(s.Designs()) != 0 {
-		t.Errorf("designs = %v", s.Designs())
-	}
+	unchanged("Commit of an overlapping plan")
 }
 
 // TestPlanRollbackMidPlan forces a physical failure that the dry-run

@@ -188,6 +188,55 @@ func TestFanoutTemplateMatchesFanoutOf(t *testing.T) {
 	}
 }
 
+// TestFanoutAllocatesNothing pins the cone walks' fanout iterator on XCV50:
+// ranging Fanout over every local id of an interior and a corner tile, and
+// over every pad, allocates nothing, and yields FanoutOf's edges in order,
+// also when the loop breaks after any prefix.
+func TestFanoutAllocatesNothing(t *testing.T) {
+	d := NewDevice(XCV50)
+	var nodes []NodeID
+	for _, c := range []Coord{{Row: d.Rows / 2, Col: d.Cols / 2}, {Row: 0, Col: 0}} {
+		for local := 0; local < NodeSlots; local++ {
+			nodes = append(nodes, d.NodeIDAt(c, local))
+		}
+	}
+	for i := 0; i < d.NumPads(); i++ {
+		nodes = append(nodes, d.PadNodeID(d.PadByIndex(i)))
+	}
+	edges := 0
+	for _, n := range nodes {
+		want := d.FanoutOf(n)
+		edges += len(want)
+		walked := 0
+		if allocs := testing.AllocsPerRun(20, func() {
+			walked = 0
+			for range d.Fanout(n) {
+				walked++
+			}
+		}); allocs != 0 {
+			t.Fatalf("node %d: ranging Fanout allocated %.1f times per walk", n, allocs)
+		}
+		if walked != len(want) {
+			t.Fatalf("node %d: Fanout yielded %d edges, FanoutOf %d", n, walked, len(want))
+		}
+		for k := 0; k <= len(want); k++ {
+			var got []PIPEdge
+			for e := range d.Fanout(n) {
+				if len(got) == k {
+					break
+				}
+				got = append(got, e)
+			}
+			if !slices.Equal(got, want[:k]) {
+				t.Fatalf("node %d: Fanout broken off after %d edges yielded %v, FanoutOf %v", n, k, got, want)
+			}
+		}
+	}
+	if edges == 0 {
+		t.Fatal("no node fans out")
+	}
+}
+
 // TestFanoutTemplateOneTilePerLocal pins the invariant the router's
 // dead-end pruning rests on: all fanout of one local id lands in a single
 // tile offset (a single's in the next tile, a hex's six tiles on, a cell

@@ -1,6 +1,10 @@
 package fabric
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+	"slices"
+)
 
 // PIPMask returns the enabled-source bitmask of a sink. Bit b corresponds to
 // SinkSources(sinkLocal)[b]. More than one bit may be set: the fabric then
@@ -244,32 +248,52 @@ type PIPEdge struct {
 	Sink      NodeID
 }
 
-// FanoutOf enumerates every PIP whose source is the given node: where a
-// signal on this node can go next. Pad nodes fan out into the border tile's
-// inward single wires; other nodes use the reverse sink templates.
-func (d *Device) FanoutOf(n NodeID) []PIPEdge {
+// FanoutOf lists every PIP whose source is the given node: where a signal on
+// this node can go next. It collects Fanout, so it yields the same edges in
+// the same order; hot walks range Fanout instead and build no list.
+func (d *Device) FanoutOf(n NodeID) []PIPEdge { return slices.Collect(d.Fanout(n)) }
+
+// Fanout yields every PIP whose source is the given node. Pad nodes fan out
+// into the border tile's inward single wires, in wire index order; other
+// nodes use the reverse sink templates, in template order, keeping the
+// edges whose sink tile lies inside the array. The edges are geometry
+// alone: Fanout reads no configuration, so a caller may enable or disable
+// PIPs while it ranges. It stays a one-line wrapper so that it inlines at
+// each range loop and the loop body does not escape to the heap.
+func (d *Device) Fanout(n NodeID) iter.Seq[PIPEdge] {
+	return func(yield func(PIPEdge) bool) { d.fanout(n, yield) }
+}
+
+// fanout is Fanout's walker.
+func (d *Device) fanout(n NodeID, yield func(PIPEdge) bool) {
 	if n >= d.PadBase() {
 		pad, ok := d.PadOfNode(n)
 		if !ok {
-			return nil
+			return
 		}
-		return d.padFanout(pad)
+		tile, inward := d.padBorderTile(pad)
+		for i := 0; i < SinglesPerDir; i++ {
+			if i%PadsPerEdgeTile != pad.K {
+				continue
+			}
+			sink := LocalSingle(inward, i)
+			bit, ok := d.PIPBitFor(tile, sink, n)
+			if ok && !yield(PIPEdge{SinkTile: tile, SinkLocal: sink, Bit: bit, Sink: d.NodeIDAt(tile, sink)}) {
+				return
+			}
+		}
+		return
 	}
 	c, local, _ := d.SplitNode(n)
-	var out []PIPEdge
 	for _, fr := range fanoutTemplate[local] {
 		st := Coord{Row: c.Row + fr.DRow, Col: c.Col + fr.DCol}
 		if !d.InBounds(st) {
 			continue
 		}
-		out = append(out, PIPEdge{
-			SinkTile:  st,
-			SinkLocal: fr.SinkLocal,
-			Bit:       fr.Bit,
-			Sink:      d.NodeIDAt(st, fr.SinkLocal),
-		})
+		if !yield(PIPEdge{SinkTile: st, SinkLocal: fr.SinkLocal, Bit: fr.Bit, Sink: d.NodeIDAt(st, fr.SinkLocal)}) {
+			return
+		}
 	}
-	return out
 }
 
 // HasEnabledFanout reports whether any PIP whose source is the given node is
@@ -323,23 +347,6 @@ func (d *Device) HasEnabledFanout(n NodeID) bool {
 		}
 	}
 	return false
-}
-
-// padFanout lists the border-tile sinks a pad input can drive.
-func (d *Device) padFanout(pad PadRef) []PIPEdge {
-	tile, inward := d.padBorderTile(pad)
-	padNode := d.PadNodeID(pad)
-	var out []PIPEdge
-	for i := 0; i < SinglesPerDir; i++ {
-		if i%PadsPerEdgeTile != pad.K {
-			continue
-		}
-		sink := LocalSingle(inward, i)
-		if bit, ok := d.PIPBitFor(tile, sink, padNode); ok {
-			out = append(out, PIPEdge{SinkTile: tile, SinkLocal: sink, Bit: bit, Sink: d.NodeIDAt(tile, sink)})
-		}
-	}
-	return out
 }
 
 // padBorderTile returns the array tile adjacent to a pad and the direction

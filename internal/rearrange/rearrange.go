@@ -6,10 +6,10 @@
 package rearrange
 
 import (
-	"fmt"
 	"math"
+	"slices"
 	"sort"
-	"strings"
+	"strconv"
 
 	"repro/internal/area"
 	"repro/internal/fabric"
@@ -83,12 +83,10 @@ func (OrderedCompaction) Plan(m *area.Manager, h, w int) (*Plan, bool) {
 		rect, _ := clone.Rect(id)
 		best := rect
 		for c := 0; c < rect.Col; c++ {
+			// Sliding left may overlap the task's own cells, which CanMove
+			// counts as free.
 			cand := fabric.Rect{Row: rect.Row, Col: c, H: rect.H, W: rect.W}
-			// Sliding left may overlap the task's own cells; test on a
-			// scratch copy with the task removed.
-			scratch := clone.Clone()
-			scratch.Free(id)
-			if _, err := scratch.AllocateAt(cand); err == nil {
+			if clone.CanMove(id, cand) {
 				best = cand
 				break
 			}
@@ -135,6 +133,12 @@ func (LocalRepacking) Plans(m *area.Manager, h, w int) []*Plan {
 	return repackPlans(m, h, w, 0)
 }
 
+// repackPlans scores every h x w window by the area of the tasks that
+// overlap it, then evicts them window by window in (cost, row, col) order,
+// keeping one plan per distinct evicted set. A window on condemned
+// (quarantined) space is skipped: no eviction can ever free it. The scans
+// reuse one owner set and one scratch copy of the manager, so they allocate
+// per plan, not per candidate window.
 func repackPlans(m *area.Manager, h, w, limit int) []*Plan {
 	if rect, ok := m.FindPlacement(h, w, area.FirstFit); ok {
 		return []*Plan{{Target: rect}}
@@ -143,19 +147,19 @@ func repackPlans(m *area.Manager, h, w, limit int) []*Plan {
 		window fabric.Rect
 		cost   int
 	}
-	var cands []cand
+	var (
+		cands  []cand
+		owners ownerSet
+	)
 	for r := 0; r+h <= m.Rows; r++ {
 		for c := 0; c+w <= m.Cols; c++ {
 			window := fabric.Rect{Row: r, Col: c, H: h, W: w}
+			if m.QuarantineOverlaps(window) {
+				continue
+			}
 			cost := 0
 			feasiblySmall := true
-			seen := map[int]bool{}
-			for _, cc := range window.Coords() {
-				id := m.OwnerAt(cc)
-				if id == 0 || seen[id] {
-					continue
-				}
-				seen[id] = true
+			for _, id := range owners.collect(m, window) {
 				rect, _ := m.Rect(id)
 				cost += rect.Area()
 				if rect.Area() >= h*w*2 {
@@ -176,18 +180,32 @@ func repackPlans(m *area.Manager, h, w, limit int) []*Plan {
 		}
 		return cands[a].window.Col < cands[b].window.Col
 	})
-	var plans []*Plan
-	seenSets := map[string]bool{}
+	var (
+		plans    []*Plan
+		seenSets = map[string]bool{}
+		scratch  = m.Clone()
+		steps    []Step
+		key      []byte
+	)
 	for _, cd := range cands {
-		plan, ok := tryEvict(m, cd.window)
+		mk := scratch.Mark()
+		var ok bool
+		steps, ok = tryEvict(scratch, cd.window, &owners, steps[:0])
+		scratch.Rewind(mk)
+		scratch.Release(mk)
 		if !ok {
 			continue
 		}
-		key := evictKey(plan)
-		if seenSets[key] {
+		// tryEvict moved exactly the window's owners, which the set holds.
+		key = owners.key(key[:0])
+		if seenSets[string(key)] {
 			continue
 		}
-		seenSets[key] = true
+		seenSets[string(key)] = true
+		plan := &Plan{Steps: slices.Clone(steps), Target: cd.window}
+		for _, s := range steps {
+			plan.CostCLBs += s.From.Area()
+		}
 		plans = append(plans, plan)
 		if limit > 0 && len(plans) >= limit {
 			break
@@ -196,68 +214,82 @@ func repackPlans(m *area.Manager, h, w, limit int) []*Plan {
 	return plans
 }
 
-// evictKey identifies the set of tasks a plan moves.
-func evictKey(p *Plan) string {
-	ids := make([]int, 0, len(p.Steps))
-	for _, s := range p.Steps {
-		ids = append(ids, s.ID)
-	}
-	sort.Ints(ids)
-	var b strings.Builder
-	for _, id := range ids {
-		fmt.Fprintf(&b, "%d,", id)
-	}
-	return b.String()
+// ownerSet collects the distinct allocation ids under a rectangle. A scan
+// reuses one set for every rectangle it tests.
+type ownerSet struct {
+	ids   []int // the ids collected, in row-major order of first appearance
+	stamp []int // stamp[id] == epoch: id is in ids
+	epoch int
 }
 
-// tryEvict plans moves for every task overlapping the window to somewhere
-// outside it, simulating the moves IN EXECUTION ORDER so the plan is
-// feasible step by step on the live device.
-func tryEvict(m *area.Manager, window fabric.Rect) (*Plan, bool) {
-	clone := m.Clone()
-	// Identify overlapping tasks, biggest first (hardest to re-place).
-	var ids []int
-	seen := map[int]bool{}
-	for _, c := range window.Coords() {
-		if id := clone.OwnerAt(c); id != 0 && !seen[id] {
-			seen[id] = true
-			ids = append(ids, id)
+// collect returns the distinct allocation ids covering rect. The result
+// aliases the set and holds until the next collect.
+func (s *ownerSet) collect(m *area.Manager, rect fabric.Rect) []int {
+	s.ids = s.ids[:0]
+	s.epoch++
+	for r := rect.Row; r < rect.Row+rect.H; r++ {
+		for c := rect.Col; c < rect.Col+rect.W; c++ {
+			id := m.OwnerAt(fabric.Coord{Row: r, Col: c})
+			if id == 0 {
+				continue
+			}
+			if id >= len(s.stamp) {
+				s.stamp = append(s.stamp, make([]int, id+1-len(s.stamp))...)
+			}
+			if s.stamp[id] != s.epoch {
+				s.stamp[id] = s.epoch
+				s.ids = append(s.ids, id)
+			}
 		}
 	}
-	sort.Slice(ids, func(a, b int) bool {
-		ra, _ := clone.Rect(ids[a])
-		rb, _ := clone.Rect(ids[b])
+	return s.ids
+}
+
+// key appends the collected ids to dst in ascending order, naming the set.
+// It reorders the ids.
+func (s *ownerSet) key(dst []byte) []byte {
+	slices.Sort(s.ids)
+	for _, id := range s.ids {
+		dst = strconv.AppendInt(dst, int64(id), 10)
+		dst = append(dst, ',')
+	}
+	return dst
+}
+
+// tryEvict appends to steps the moves of every task overlapping the window
+// to somewhere outside it, biggest task first (hardest to re-place). It
+// carries the moves out on m IN EXECUTION ORDER, so the plan is feasible
+// step by step on the live device; the caller rewinds m.
+func tryEvict(m *area.Manager, window fabric.Rect, owners *ownerSet, steps []Step) ([]Step, bool) {
+	ids := owners.collect(m, window)
+	slices.SortFunc(ids, func(a, b int) int {
+		ra, _ := m.Rect(a)
+		rb, _ := m.Rect(b)
 		if ra.Area() != rb.Area() {
-			return ra.Area() > rb.Area()
+			return rb.Area() - ra.Area()
 		}
-		return ids[a] < ids[b]
+		return a - b
 	})
-	plan := &Plan{Target: window}
 	for _, id := range ids {
-		old, _ := clone.Rect(id)
-		to, ok := findOutside(clone, id, old.H, old.W, window)
+		old, _ := m.Rect(id)
+		to, ok := findOutside(m, id, old.H, old.W, window)
 		if !ok {
-			return nil, false
+			return steps, false
 		}
-		if err := clone.Move(id, to); err != nil {
-			return nil, false
+		if err := m.Move(id, to); err != nil {
+			return steps, false
 		}
-		plan.Steps = append(plan.Steps, Step{ID: id, From: old, To: to})
-		plan.CostCLBs += old.Area()
+		steps = append(steps, Step{ID: id, From: old, To: to})
 	}
 	// After the ordered moves the window must be completely free.
-	for _, c := range window.Coords() {
-		if clone.Occupied(c) {
-			return nil, false
-		}
-	}
-	return plan, true
+	return steps, m.Fits(window)
 }
 
-// findOutside finds a free H x W rectangle not overlapping the window and
-// not overlapping any cell of other tasks (the moving task's own cells do
-// not count, but targets overlapping its old position are rejected to keep
-// the physical staged move simple).
+// findOutside finds the H x W target nearest the task's current rectangle
+// that does not overlap the window and Fits: in bounds, clear of
+// quarantine, and free of every task, the moving one included (a target
+// overlapping the task's old cells is rejected to keep the physical staged
+// move simple).
 func findOutside(m *area.Manager, id, h, w int, window fabric.Rect) (fabric.Rect, bool) {
 	old, _ := m.Rect(id)
 	best := fabric.Rect{}
@@ -265,17 +297,7 @@ func findOutside(m *area.Manager, id, h, w int, window fabric.Rect) (fabric.Rect
 	for r := 0; r+h <= m.Rows; r++ {
 		for c := 0; c+w <= m.Cols; c++ {
 			rect := fabric.Rect{Row: r, Col: c, H: h, W: w}
-			if rect.Overlaps(window) {
-				continue
-			}
-			free := true
-			for _, cc := range rect.Coords() {
-				if owner := m.OwnerAt(cc); owner != 0 {
-					free = false
-					break
-				}
-			}
-			if !free {
+			if rect.Overlaps(window) || !m.Fits(rect) {
 				continue
 			}
 			// Prefer the position nearest the task's current rectangle:

@@ -192,3 +192,109 @@ func TestRearrangementBeatsNone(t *testing.T) {
 		t.Errorf("compaction served %d, none served %d — rearrangement should win", comp, none)
 	}
 }
+
+// quarantinedLayouts returns grids with quarantined blocks: an 8x12 layout
+// whose only unoccupied 4x4 window lies mostly on condemned columns, then
+// seeded layouts whose blocks land on free space and on tasks alike.
+func quarantinedLayouts() []*area.Manager {
+	probe := area.NewManager(8, 12)
+	probe.AllocateAt(fabric.Rect{Row: 0, Col: 0, H: 4, W: 3})
+	probe.AllocateAt(fabric.Rect{Row: 0, Col: 4, H: 4, W: 3})
+	probe.AllocateAt(fabric.Rect{Row: 4, Col: 0, H: 4, W: 12})
+	probe.Quarantine(fabric.Rect{Row: 0, Col: 8, H: 4, W: 4})
+	ms := []*area.Manager{probe}
+	for seed := uint64(1); seed <= 40; seed++ {
+		m := area.NewManager(10, 12)
+		s := seed*0x9E3779B97F4A7C15 + 1
+		next := func(n int) int {
+			s = s*6364136223846793005 + 1442695040888963407
+			return int(s>>33) % n
+		}
+		for i := 0; i < 9; i++ {
+			m.Allocate(1+next(3), 1+next(3), area.Policy(next(3)))
+		}
+		for i := 0; i < 1+next(2); i++ {
+			m.Quarantine(fabric.Rect{Row: next(10), Col: next(12), H: 1 + next(4), W: 1 + next(4)})
+		}
+		ms = append(ms, m)
+	}
+	return ms
+}
+
+// TestPlannersAvoidQuarantine runs every planner over layouts with
+// quarantined blocks: no plan may target condemned space or move a task
+// onto it, and every plan must execute in order.
+func TestPlannersAvoidQuarantine(t *testing.T) {
+	planners := map[string]func(m *area.Manager, h, w int) []*Plan{
+		"OrderedCompaction": func(m *area.Manager, h, w int) []*Plan {
+			p, ok := OrderedCompaction{}.Plan(m, h, w)
+			if !ok {
+				return nil
+			}
+			return []*Plan{p}
+		},
+		"LocalRepacking.Plan": func(m *area.Manager, h, w int) []*Plan {
+			p, ok := LocalRepacking{}.Plan(m, h, w)
+			if !ok {
+				return nil
+			}
+			return []*Plan{p}
+		},
+		"LocalRepacking.Plans": LocalRepacking{}.Plans,
+		"Compact":              func(m *area.Manager, _, _ int) []*Plan { return []*Plan{Compact(m)} },
+	}
+	for name, plan := range planners {
+		t.Run(name, func(t *testing.T) {
+			planned := 0
+			for i, m := range quarantinedLayouts() {
+				for _, req := range [][2]int{{4, 4}, {3, 3}, {2, 5}} {
+					for _, p := range plan(m, req[0], req[1]) {
+						planned++
+						if m.QuarantineOverlaps(p.Target) {
+							t.Fatalf("layout %d, %dx%d: target %v overlaps quarantine\n%s", i, req[0], req[1], p.Target, m)
+						}
+						for _, s := range p.Steps {
+							if m.QuarantineOverlaps(s.To) {
+								t.Fatalf("layout %d, %dx%d: step %+v moves onto quarantine\n%s", i, req[0], req[1], s, m)
+							}
+						}
+						if err := Execute(m.Clone(), p); err != nil {
+							t.Fatalf("layout %d, %dx%d: plan does not execute: %v", i, req[0], req[1], err)
+						}
+					}
+				}
+			}
+			if planned == 0 {
+				t.Fatal("no layout yielded a plan")
+			}
+		})
+	}
+}
+
+// TestLocalRepackingAllocatesPerPlan pins the repacking scans on an
+// XCV800-sized grid: a band of 2x2 tasks under rows of giants leaves
+// hundreds of candidate windows, each tested against thousands of targets,
+// yet Plans allocates a few times per plan it returns, not per window or
+// target it tests.
+func TestLocalRepackingAllocatesPerPlan(t *testing.T) {
+	m := area.NewManager(56, 84)
+	for r := 0; r+12 <= 48; r += 12 {
+		for c := 0; c+12 <= 84; c += 12 {
+			m.AllocateAt(fabric.Rect{Row: r, Col: c, H: 12, W: 12})
+		}
+	}
+	for c := 3; c+2 <= 84; c += 5 {
+		m.AllocateAt(fabric.Rect{Row: 51, Col: c, H: 2, W: 2})
+	}
+	if m.CanFit(5, 5) {
+		t.Fatal("setup: 5x5 should not fit")
+	}
+	plans := LocalRepacking{}.Plans(m, 5, 5)
+	if len(plans) < 2 {
+		t.Fatalf("setup: %d plans, want alternatives", len(plans))
+	}
+	bound := 64 + 4*len(plans)
+	if allocs := testing.AllocsPerRun(2, func() { LocalRepacking{}.Plans(m, 5, 5) }); allocs > float64(bound) {
+		t.Errorf("Plans allocated %.0f times for %d plans, bound %d", allocs, len(plans), bound)
+	}
+}

@@ -260,7 +260,7 @@ func (e *Engine) disconnectOriginalOutputs(p *cellPlan) error {
 }
 
 // releaseCone disables a forward cone's PIPs: each terminal sink's hop, in
-// order, then every enabled PIP between two tree nodes, in FanoutOf order.
+// order, then every enabled PIP between two tree nodes, in Fanout order.
 func (e *Engine) releaseCone(sinks []terminalSink, tree []fabric.NodeID) error {
 	for _, s := range sinks {
 		if err := e.Tool.SetPIP(s.lastSrc, s.node, false); err != nil {
@@ -272,7 +272,7 @@ func (e *Engine) releaseCone(sinks []terminalSink, tree []fabric.NodeID) error {
 		inTree[n] = true
 	}
 	for _, n := range tree {
-		for _, edge := range e.Dev.FanoutOf(n) {
+		for edge := range e.Dev.Fanout(n) {
 			if inTree[edge.Sink] && e.Dev.PIPMask(edge.SinkTile, edge.SinkLocal)>>edge.Bit&1 == 1 {
 				if err := e.Tool.SetPIP(n, edge.Sink, false); err != nil {
 					return err

@@ -377,7 +377,7 @@ func (v *view) forwardCone(src fabric.NodeID) (sinks []terminalSink, tree []fabr
 		}
 		seen[n] = true
 		tree = append(tree, n)
-		for _, e := range dev.FanoutOf(n) {
+		for e := range dev.Fanout(n) {
 			if dev.PIPMask(e.SinkTile, e.SinkLocal)>>e.Bit&1 != 1 {
 				continue
 			}
@@ -427,7 +427,7 @@ func (v *view) exclusiveSuffix(chain []fabric.NodeID) []fabric.NodeID {
 	for i := len(chain) - 2; i >= 1; i-- {
 		n := chain[i]
 		shared := false
-		for _, e := range dev.FanoutOf(n) {
+		for e := range dev.Fanout(n) {
 			if dev.PIPMask(e.SinkTile, e.SinkLocal)>>e.Bit&1 != 1 {
 				continue
 			}
