@@ -57,9 +57,13 @@ view-diff:
 # twin and roll back a mid-stream port failure, and on a port that retires
 # bursts only at a harvest the frame tool's stage gate alone keeps every
 # relocation off the frames still streaming, with the engine's overlap and
-# serial-fallback counters reporting what it did.
+# serial-fallback counters reporting what it did. On a port whose completed
+# bursts the test steps by hand, the gate follows bursts that complete one
+# at a time, hands the Retry delegate the frames enqueued since the last
+# clean harvest, and keeps counting right after the stall watchdog abandons
+# a harvest.
 pipeline-diff:
-	go test -race -run 'TestPipelined|TestStageGateIsTheOnlyStreamGate' repro ./internal/relocate
+	go test -race -run 'TestPipelined|TestStageGateIsTheOnlyStreamGate|TestStageGateTracksPartialCompletion|TestBurstCompletionAfterAbandonedHarvest' repro ./internal/relocate
 
 # Mirrors the CI "Facade paths (race)" step (keep the -run pattern in sync
 # with .github/workflows/ci.yml): every mutating facade entry point checks

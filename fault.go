@@ -2,6 +2,7 @@ package rlm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -152,12 +153,7 @@ func (s *System) noteFaultEvidenceLocked(addrs []fabric.FrameAddr) {
 // carrying instead of whole frames.
 func (s *System) redeliverySetLocked(unharvested []fabric.FrameAddr) []bitstream.FrameUpdate {
 	addrs := append([]fabric.FrameAddr(nil), unharvested...)
-	sort.Slice(addrs, func(i, j int) bool {
-		if addrs[i].Major != addrs[j].Major {
-			return addrs[i].Major < addrs[j].Major
-		}
-		return addrs[i].Minor < addrs[j].Minor
-	})
+	slices.SortFunc(addrs, fabric.FrameAddr.Compare)
 	updates := make([]bitstream.FrameUpdate, 0, len(addrs))
 	for _, a := range addrs {
 		if s.masked(a.Major) {

@@ -145,20 +145,20 @@ func (s *System) releaseColumnLocked(major int) {
 // happen outside any journaled operation, and until now were only persisted
 // by the NEXT committed op's Post record — a crash in between would recover
 // a stale mask. The mini-op closes that window: Begin("health") + Post(full
-// state) + Commit, with no frame deliveries of its own. No-op without a
-// journal, inside an active operation (its Post will carry the state), or
-// during recovery replay.
+// state) + Commit, with no frame deliveries of its own, over a checkpoint of
+// its own (no other is armed: txLocked releases its checkpoint before the
+// sweep). No-op without a journal or inside an active operation (its Post
+// will carry the state).
 func (s *System) journalHealthLocked() {
 	js := s.jrnl
-	if js == nil || js.active || s.restoring {
+	if js == nil || js.active {
 		return
 	}
-	snap, err := s.checkpointLocked()
-	if err != nil {
+	if _, err := s.checkpointLocked(); err != nil {
 		return
 	}
-	defer s.releaseCheckpointLocked(snap)
-	if err := s.journalBeginLocked(snap, "health", "", fabric.Rect{}, ""); err != nil {
+	defer s.releaseCheckpointLocked()
+	if err := s.journalBeginLocked("health", "", fabric.Rect{}, ""); err != nil {
 		return
 	}
 	if err := s.journalCommitLocked(); err != nil {

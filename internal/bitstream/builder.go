@@ -278,10 +278,10 @@ func (s *Shadow) NoteOwned(addr fabric.FrameAddr, data []uint32) {
 	s.data[addr] = data
 }
 
-// Clone returns an independent copy of the shadow. The run-time manager
-// checkpoints the configuration this way before a multi-step operation so a
-// mid-sequence failure can be rolled back to the pre-operation state (the
-// tool's own shadow tracks the CURRENT configuration, frame by frame).
+// Clone returns an independent deep copy of the shadow: a full O(device)
+// checkpoint. The run-time manager does not checkpoint this way (it opens a
+// copy-on-write Snapshot with Begin); the clone is the full-copy reference
+// the snapshot is checked against (TestPartialCheckpointBitIdentical).
 func (s *Shadow) Clone() *Shadow {
 	cp := &Shadow{
 		frameWords: s.frameWords,

@@ -1,7 +1,7 @@
 package bitstream
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/fabric"
 )
@@ -64,12 +64,7 @@ func (sn *Snapshot) Frames() []fabric.FrameAddr {
 	for addr := range sn.saved {
 		out = append(out, addr)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Major != out[j].Major {
-			return out[i].Major < out[j].Major
-		}
-		return out[i].Minor < out[j].Minor
-	})
+	slices.SortFunc(out, fabric.FrameAddr.Compare)
 	return out
 }
 

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 	"sync"
@@ -330,6 +331,10 @@ func (d *Device) InBounds(c Coord) bool {
 	return c.Row >= 0 && c.Row < d.Rows && c.Col >= 0 && c.Col < d.Cols
 }
 
+// FrameIndex returns the linear index of a valid frame address: frames
+// number 0..TotalFrames()-1 in frame-address order.
+func (d *Device) FrameIndex(a FrameAddr) int { return d.frameBase[a.Major] + a.Minor }
+
 // TileIndex returns the linear index of a tile.
 func (d *Device) TileIndex(c Coord) int { return c.Row*d.Cols + c.Col }
 
@@ -458,3 +463,9 @@ type FrameAddr struct {
 }
 
 func (f FrameAddr) String() string { return fmt.Sprintf("F%d.%d", f.Major, f.Minor) }
+
+// Compare orders frame addresses by major, then minor: the order a partial
+// bitstream writes them in, so consecutive frames share FDRI bursts.
+func (f FrameAddr) Compare(g FrameAddr) int {
+	return cmp.Or(cmp.Compare(f.Major, g.Major), cmp.Compare(f.Minor, g.Minor))
+}

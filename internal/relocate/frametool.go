@@ -3,7 +3,7 @@ package relocate
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/bitstream"
@@ -28,6 +28,13 @@ var ErrPortStalled = errors.New("relocate: configuration port stalled")
 // whole batch when the caller brackets several operations with
 // BeginBatch/EndBatch. A frame staged twice in one batch streams once, with
 // its final content.
+//
+// Besides the shadow, the tool keeps one record per configuration frame
+// (frameState): the frame's delta baselines, whether it is pending, and the
+// number of the last burst that carried it. That number is all the stream
+// tracking there is: bursts are numbered in enqueue order, so a frame may
+// still be streaming exactly when its number is above the port's
+// CompletedBursts.
 type FrameTool struct {
 	dev    *fabric.Device
 	port   bitstream.Port
@@ -52,30 +59,33 @@ type FrameTool struct {
 	frames  int
 	genSeen uint64
 
+	// states holds one record per configuration frame, indexed by
+	// Device.FrameIndex and built on first use (see state).
+	states []frameState
+
 	batchDepth int
-	// pending is the set of frames staged but not yet streamed; content is
-	// not kept here — Flush reads each frame from the shadow, which always
-	// holds the latest staged (and designer-reconciled) data.
-	pending    []fabric.FrameAddr
-	pendingSet map[fabric.FrameAddr]bool
+	// pending lists the frames staged but not yet streamed, in first-staged
+	// order (each one's record is marked pending); content is not kept here
+	// — Flush reads each frame from the shadow, which always holds the
+	// latest staged (and designer-reconciled) data.
+	pending []fabric.FrameAddr
 
 	// async is the port's background-delivery interface (nil when the port
-	// cannot stream). streamingSet tracks every frame of every UNDELIVERED
-	// burst: a new write targeting one of them must first drain the queue,
-	// because on a real part the in-flight stream and the new write would
-	// race on the configuration port. streamBursts holds the per-burst
-	// frame lists in enqueue order; finished bursts are pruned lazily
-	// against the port's completed-burst counter, so a frame stops gating
-	// the moment its burst has fully shifted out — no blocking await
-	// needed. A frame appears in at most one unpruned burst: staging it
-	// again while its burst is live is exactly what the gate serialises.
-	// gateDrains counts the gate's drains; the engine reads it to count
-	// the relocations that waited on the port.
-	async        bitstream.AsyncPort
-	streamBursts [][]fabric.FrameAddr
-	burstsDone   uint64
-	streamingSet map[fabric.FrameAddr]bool
-	gateDrains   int
+	// cannot stream). Flush numbers the bursts it enqueues 1, 2, ... —
+	// enqueued is the last number, and since the tool is the port's only
+	// streamer it matches the port's own count — and stamps each frame's
+	// record with its burst. retired trails the port's CompletedBursts, read
+	// only when a frame's burst is above it, in StreamInFlight and after a
+	// harvest. A new write to a frame whose burst is above CompletedBursts
+	// must first drain the queue, because on a real part the in-flight stream
+	// and the new write would race on the configuration port; a frame stops
+	// gating the moment its burst has fully shifted out — no blocking await
+	// needed. gateDrains counts the gate's drains; the engine reads it to
+	// count the relocations that waited on the port.
+	async      bitstream.AsyncPort
+	enqueued   uint64
+	retired    uint64
+	gateDrains int
 
 	// Retry, when set, is the transport fault-tolerance delegate: every
 	// stream error surfacing at AwaitStream is handed to it together with
@@ -98,15 +108,17 @@ type FrameTool struct {
 	// second awaiter (the port serializes awaits on one condition variable,
 	// but two awaiters would race to consume the sticky error).
 	awaitCh chan error
-	// unharvested accumulates the distinct frames of every burst enqueued
-	// since the last clean AwaitStream — the conservative re-delivery
-	// superset: the drain counts failed bursts completed, so a sticky
-	// stream error cannot name the burst it belongs to, but every burst
-	// with an unconfirmed outcome is in this set. Under write-through
-	// staging, re-sending the whole set from the shadow is correct (an
-	// already-delivered frame gets a glitch-free identical rewrite).
-	unharvested    []fabric.FrameAddr
-	unharvestedSet map[fabric.FrameAddr]bool
+	// unharvested lists the distinct frames of every burst enqueued since
+	// the last clean AwaitStream, in first-enqueued order — the
+	// conservative re-delivery superset: the drain counts failed bursts
+	// completed, so a sticky stream error cannot name the burst it belongs
+	// to, but every burst with an unconfirmed outcome is in this list. Under
+	// write-through staging, re-sending the whole list from the shadow is
+	// correct (an already-delivered frame gets a glitch-free identical
+	// rewrite). harvested is the enqueue count when the list was last
+	// emptied, so a frame is listed exactly when its burst is above it.
+	unharvested []fabric.FrameAddr
+	harvested   uint64
 
 	// Masked, when set, reports the configuration columns (by frame-address
 	// major) that are condemned memory: staged writes to their frames still
@@ -117,21 +129,6 @@ type FrameTool struct {
 	// manager points it at its column health ledger; nil masks nothing.
 	Masked func(major int) bool
 
-	// Delta baselines for compressed delivery. lastSent holds, per frame,
-	// the content most recently handed to the port (captured lazily from the
-	// pre-staging shadow on a frame's first-ever stage, so the initial
-	// baseline is what the fabric held at power-up); Flush diffs each
-	// delivery against it. confirmed trails lastSent: it only advances when
-	// a delivery's outcome is confirmed (a clean harvest, a synchronous
-	// write, a designer-path reconciliation), and it is the baseline the
-	// facade's re-delivery ladder diffs against — a failed burst's frames
-	// genuinely re-ship their changed runs. Both maps alias shadow slices
-	// (the shadow replaces slices wholesale, never mutates in place), and a
-	// stale entry is always safe: under write-through staging a too-old
-	// baseline only enlarges the shipped delta.
-	lastSent  map[fabric.FrameAddr][]uint32
-	confirmed map[fabric.FrameAddr][]uint32
-
 	sink ViewSink
 
 	// barrier, when set, observes the flush ordering: PreDeliver fires
@@ -141,6 +138,40 @@ type FrameTool struct {
 	// hangs here — undo records must be durable before the device-visible
 	// write they cover.
 	barrier DeliveryBarrier
+}
+
+// frameState is the frame tool's one record of a configuration frame.
+//
+// lastSent and confirmed are the frame's delta baselines for compressed
+// delivery. lastSent is the content most recently handed to the port
+// (captured from the pre-staging shadow on the frame's first-ever stage, so
+// the initial baseline is what the fabric held at power-up); Flush diffs each
+// delivery against it. confirmed trails lastSent: it only advances when a
+// delivery's outcome is confirmed (a clean harvest, a synchronous write, a
+// designer-path reconciliation), and it is the baseline the facade's
+// re-delivery ladder diffs against — a failed burst's frames genuinely
+// re-ship their changed runs. Both are nil until the frame is first adopted
+// or staged, and both alias shadow slices (the shadow replaces slices
+// wholesale, never mutates in place); a stale baseline is always safe: under
+// write-through staging a too-old baseline only enlarges the shipped delta.
+//
+// pending marks a frame on the tool's pending list. burst is the number of
+// the last burst that carried the frame: 0 until one does, and always 0 in
+// serial mode or on a synchronous port, where nothing streams.
+type frameState struct {
+	lastSent, confirmed []uint32
+	burst               uint64
+	pending             bool
+}
+
+// state returns a frame's record. The table is built on first use, so a tool
+// that never adopts or stages a frame (a recovery that only rolls forward)
+// never pays for it.
+func (ft *FrameTool) state(addr fabric.FrameAddr) *frameState {
+	if ft.states == nil {
+		ft.states = make([]frameState, ft.dev.TotalFrames())
+	}
+	return &ft.states[ft.dev.FrameIndex(addr)]
 }
 
 // DeliveryBarrier observes the points at which frames become part of the
@@ -181,15 +212,7 @@ func NewFrameTool(dev *fabric.Device, port bitstream.Port) (*FrameTool, error) {
 		return nil, err
 	}
 	async, _ := port.(bitstream.AsyncPort)
-	return &FrameTool{
-		dev: dev, port: port, shadow: shadow, genSeen: dev.Generation(),
-		pendingSet:     make(map[fabric.FrameAddr]bool),
-		async:          async,
-		streamingSet:   make(map[fabric.FrameAddr]bool),
-		unharvestedSet: make(map[fabric.FrameAddr]bool),
-		lastSent:       make(map[fabric.FrameAddr][]uint32),
-		confirmed:      make(map[fabric.FrameAddr][]uint32),
-	}, nil
+	return &FrameTool{dev: dev, port: port, shadow: shadow, genSeen: dev.Generation(), async: async}, nil
 }
 
 // Sync adopts configuration that changed through a path other than this
@@ -221,8 +244,8 @@ func (ft *FrameTool) Sync() error {
 		}
 		// Designer-path content is already on the fabric: it is the delta
 		// baseline of the next port delivery of these frames.
-		ft.lastSent[addr] = data
-		ft.confirmed[addr] = data
+		st := ft.state(addr)
+		st.lastSent, st.confirmed = data, data
 		if updates != nil {
 			updates = append(updates, bitstream.FrameUpdate{Addr: addr, Data: data})
 		}
@@ -343,22 +366,22 @@ func (ft *FrameTool) Apply(edits []Edit) error {
 // makes the pipelined commit bit-identical to serial mode for ANY operation
 // mix.
 func (ft *FrameTool) stage(addr fabric.FrameAddr, data []uint32) error {
-	if len(ft.streamingSet) > 0 && ft.streamingSet[addr] {
-		ft.pruneStreams()
-	}
-	if len(ft.streamingSet) > 0 && ft.streamingSet[addr] {
-		ft.gateDrains++
-		if err := ft.AwaitStream(); err != nil {
-			return err
+	st := ft.state(addr)
+	if st.burst > ft.retired {
+		ft.retired = ft.async.CompletedBursts()
+		if st.burst > ft.retired {
+			ft.gateDrains++
+			if err := ft.AwaitStream(); err != nil {
+				return err
+			}
 		}
 	}
 	old, _ := ft.shadow.Frame(addr)
-	if _, ok := ft.lastSent[addr]; !ok {
+	if st.lastSent == nil {
 		// First-ever stage of this frame: the pre-staging shadow content is
 		// what the fabric has held since power-up — the initial delta
 		// baseline for compressed delivery.
-		ft.lastSent[addr] = old
-		ft.confirmed[addr] = old
+		st.lastSent, st.confirmed = old, old
 	}
 	ft.shadow.NoteOwned(addr, data)
 	if err := ft.dev.WriteFrame(addr.Major, addr.Minor, data); err != nil {
@@ -369,8 +392,8 @@ func (ft *FrameTool) stage(addr fabric.FrameAddr, data []uint32) error {
 		ft.sink.FrameChanged(addr, old, data)
 	}
 	ft.frames++
-	if !ft.pendingSet[addr] {
-		ft.pendingSet[addr] = true
+	if !st.pending {
+		st.pending = true
 		ft.pending = append(ft.pending, addr)
 	}
 	return nil
@@ -400,25 +423,18 @@ func (ft *FrameTool) Flush() error {
 	}
 	addrs := ft.pending
 	ft.pending = nil
-	ft.pendingSet = make(map[fabric.FrameAddr]bool)
-	sort.Slice(addrs, func(i, j int) bool {
-		if addrs[i].Major != addrs[j].Major {
-			return addrs[i].Major < addrs[j].Major
+	slices.SortFunc(addrs, fabric.FrameAddr.Compare)
+	kept := addrs[:0]
+	for _, addr := range addrs {
+		ft.state(addr).pending = false
+		if ft.Masked == nil || !ft.Masked(addr.Major) {
+			kept = append(kept, addr)
 		}
-		return addrs[i].Minor < addrs[j].Minor
-	})
-	if ft.Masked != nil {
-		kept := addrs[:0]
-		for _, addr := range addrs {
-			if !ft.Masked(addr.Major) {
-				kept = append(kept, addr)
-			}
-		}
-		if addrs = kept; len(addrs) == 0 {
-			// Everything staged was condemned memory; the device model took
-			// the writes at stage time and nothing ships.
-			return nil
-		}
+	}
+	if addrs = kept; len(addrs) == 0 {
+		// Everything staged was condemned memory; the device model took
+		// the writes at stage time and nothing ships.
+		return nil
 	}
 	updates := make([]bitstream.FrameUpdate, 0, len(addrs))
 	for _, addr := range addrs {
@@ -426,7 +442,7 @@ func (ft *FrameTool) Flush() error {
 		if !ok {
 			return fmt.Errorf("relocate: pending frame %v missing from shadow", addr)
 		}
-		updates = append(updates, bitstream.FrameUpdate{Addr: addr, Data: data, Prev: ft.lastSent[addr]})
+		updates = append(updates, bitstream.FrameUpdate{Addr: addr, Data: data, Prev: ft.state(addr).lastSent})
 	}
 	if ft.barrier != nil {
 		// The journal's ordering contract: undo records for every frame of
@@ -439,21 +455,19 @@ func (ft *FrameTool) Flush() error {
 		// Stage-stream: the burst shifts out in the background. The words
 		// are built from the shadow's current slices at enqueue time (the
 		// stream copies the data), so later staging cannot mutate an
-		// in-flight burst. Every frame gates conflicting writes until the
-		// burst completes (pruneStreams) or the stream is awaited.
-		for _, addr := range addrs {
-			ft.streamingSet[addr] = true
-			if !ft.unharvestedSet[addr] {
-				ft.unharvestedSet[addr] = true
-				ft.unharvested = append(ft.unharvested, addr)
-			}
-		}
-		ft.streamBursts = append(ft.streamBursts, addrs)
+		// in-flight burst. Every frame carries the burst's number, and gates
+		// conflicting writes until the port has completed that many bursts.
 		// The burst's content is fixed at enqueue: it is the delta baseline
 		// of the next delivery, whatever the shift-out's outcome (confirmed
 		// only advances at a clean harvest).
+		ft.enqueued++
 		for _, u := range updates {
-			ft.lastSent[u.Addr] = u.Data
+			st := ft.state(u.Addr)
+			if st.burst <= ft.harvested {
+				ft.unharvested = append(ft.unharvested, u.Addr)
+			}
+			st.burst = ft.enqueued
+			st.lastSent = u.Data
 		}
 		ft.async.StreamUpdates(updates)
 		if ft.barrier != nil {
@@ -468,8 +482,8 @@ func (ft *FrameTool) Flush() error {
 		return err
 	}
 	for _, u := range updates {
-		ft.lastSent[u.Addr] = u.Data
-		ft.confirmed[u.Addr] = u.Data
+		st := ft.state(u.Addr)
+		st.lastSent, st.confirmed = u.Data, u.Data
 	}
 	if ft.barrier != nil {
 		ft.barrier.Delivered(updates)
@@ -491,55 +505,32 @@ func (ft *FrameTool) drainSuperseded() {
 	_ = ft.AwaitStream()
 	ft.Retry = retry
 	// The superseded content is confirmed-or-overwritten either way; the
-	// unharvested set must not leak into a later fault's re-delivery.
+	// unharvested list must not leak into a later fault's re-delivery.
 	ft.dropUnharvested()
-}
-
-// retireStreams forgets every enqueued burst once the port's queue has
-// drained: no frame gates a write any more.
-func (ft *FrameTool) retireStreams() {
-	ft.streamBursts = nil
-	ft.burstsDone = ft.async.CompletedBursts()
-	clear(ft.streamingSet)
 }
 
 // dropUnharvested empties the re-delivery superset: every burst it covered
 // is confirmed, superseded or past answering for.
 func (ft *FrameTool) dropUnharvested() {
 	ft.unharvested = nil
-	clear(ft.unharvestedSet)
-}
-
-// pruneStreams retires the frames of every burst the background worker has
-// finished shifting out since the last check — the non-blocking side of the
-// in-flight tracking.
-func (ft *FrameTool) pruneStreams() {
-	if ft.async == nil || len(ft.streamBursts) == 0 {
-		return
-	}
-	done := ft.async.CompletedBursts()
-	for ft.burstsDone < done && len(ft.streamBursts) > 0 {
-		for _, addr := range ft.streamBursts[0] {
-			delete(ft.streamingSet, addr)
-		}
-		ft.streamBursts = ft.streamBursts[1:]
-		ft.burstsDone++
-	}
+	ft.harvested = ft.enqueued
 }
 
 // AwaitStream blocks until every burst Flush enqueued has shifted out and
-// returns the first transport error among them, clearing the streaming set
-// either way. A stream error is first offered to the Retry delegate (when
-// one is installed) with the unharvested frame set; a clean harvest —
-// including one the delegate salvaged — confirms every enqueued burst and
-// empties the set. A no-op on a synchronous port or when nothing is in
-// flight.
+// returns the first transport error among them. Either way, frames stop
+// gating writes up to the port's completed-burst count: after a drain that is
+// every burst, and after a harvest the stall watchdog abandoned, the bursts
+// still shifting keep their frames gated. A stream error is first offered to
+// the Retry delegate (when one is installed) with the unharvested frame
+// list; a clean harvest — including one the delegate salvaged — confirms
+// every enqueued burst and empties the list. A no-op on a synchronous port
+// or when nothing is in flight.
 func (ft *FrameTool) AwaitStream() error {
 	if ft.async == nil {
 		return nil
 	}
 	err := ft.harvest()
-	ft.retireStreams()
+	ft.retired = ft.async.CompletedBursts()
 	if err != nil && ft.Retry != nil {
 		err = ft.Retry(err, ft.unharvested)
 	}
@@ -547,9 +538,8 @@ func (ft *FrameTool) AwaitStream() error {
 		// Every enqueued burst is confirmed on the fabric (directly or
 		// salvaged by the delegate): advance the confirmed delta baseline.
 		for _, addr := range ft.unharvested {
-			if data, ok := ft.lastSent[addr]; ok {
-				ft.confirmed[addr] = data
-			}
+			st := ft.state(addr)
+			st.confirmed = st.lastSent
 		}
 		ft.dropUnharvested()
 	}
@@ -559,9 +549,10 @@ func (ft *FrameTool) AwaitStream() error {
 // ConfirmedBaseline returns the last frame content whose port delivery was
 // confirmed — the delta baseline the facade's re-delivery ladder diffs
 // against, so a failed burst's frames genuinely re-ship their changed runs.
+// It reports false for a frame the tool has never adopted or staged.
 func (ft *FrameTool) ConfirmedBaseline(addr fabric.FrameAddr) ([]uint32, bool) {
-	data, ok := ft.confirmed[addr]
-	return data, ok
+	data := ft.state(addr).confirmed
+	return data, data != nil
 }
 
 // harvest performs the blocking port await, under the stall watchdog when
@@ -626,14 +617,18 @@ func (ft *FrameTool) HarvestPending() {
 		ft.awaitCh = nil
 	}
 	_ = ft.async.AwaitStream()
-	ft.retireStreams()
+	ft.retired = ft.async.CompletedBursts()
 	ft.dropUnharvested()
 }
 
-// StreamInFlight reports whether a background stream is still shifting out.
+// StreamInFlight reports whether a background stream is still shifting out:
+// whether the port has yet to complete the last burst the tool enqueued. It
+// asks the port only while an earlier answer left a burst outstanding.
 func (ft *FrameTool) StreamInFlight() bool {
-	ft.pruneStreams()
-	return len(ft.streamBursts) > 0
+	if ft.retired < ft.enqueued {
+		ft.retired = ft.async.CompletedBursts()
+	}
+	return ft.retired < ft.enqueued
 }
 
 // BeginBatch opens (or nests) a coalescing batch: staged frames accumulate
@@ -671,8 +666,10 @@ func (ft *FrameTool) InBatch(fn func() error) error {
 // still had queued (the device already took the staged writes, and the
 // recovery stream overwrites them).
 func (ft *FrameTool) AbortPending() {
+	for _, addr := range ft.pending {
+		ft.state(addr).pending = false
+	}
 	ft.pending = nil
-	ft.pendingSet = make(map[fabric.FrameAddr]bool)
 }
 
 // BeginSnapshot synchronises the shadow with the device and opens a
@@ -720,11 +717,11 @@ func (ft *FrameTool) CompleteRestore(snap *bitstream.Snapshot) {
 	}
 	snap.Rollback()
 	// The recovery stream physically re-delivered every dirty frame in full;
-	// the rolled-back shadow content is the new delta baseline for both maps.
+	// the rolled-back shadow content is the new value of both baselines.
 	for i, addr := range dirty {
 		if data, ok := ft.shadow.Frame(addr); ok {
-			ft.lastSent[addr] = data
-			ft.confirmed[addr] = data
+			st := ft.state(addr)
+			st.lastSent, st.confirmed = data, data
 			if ft.sink != nil {
 				ft.sink.FrameChanged(addr, before[i], data)
 			}

@@ -1,7 +1,11 @@
 package relocate_test
 
 import (
+	"errors"
+	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/bitstream"
 	"repro/internal/fabric"
@@ -148,4 +152,210 @@ func TestStageGateIsTheOnlyStreamGate(t *testing.T) {
 	if st := serial.Stats; st.SerialFallbacks != 0 || st.OverlappedOps != 0 {
 		t.Fatalf("serial twin: SerialFallbacks = %d, OverlappedOps = %d, want 0 and 0", st.SerialFallbacks, st.OverlappedOps)
 	}
+}
+
+// steppedPort is an asynchronous port whose bursts complete only when the
+// test says so: complete(n) marks the first n bursts shifted out, and
+// AwaitStream drains every burst and returns the fault armed by failNext.
+// While the port is held, AwaitStream parks until release, as on a hung
+// harvest. The burst words go nowhere: write-through staging leaves the
+// device holding every streamed frame already. The synchronous paths are the
+// embedded port's. awaits counts the harvests that reached the port.
+type steppedPort struct {
+	bitstream.Port
+
+	mu                  sync.Mutex
+	enqueued, completed uint64
+	awaits              int
+	fault               error
+	held                chan struct{}
+}
+
+var _ bitstream.AsyncPort = (*steppedPort)(nil)
+
+func newSteppedPort(dev *fabric.Device) *steppedPort {
+	return &steppedPort{Port: bitstream.NewParallelPort(bitstream.NewController(dev), 50e6)}
+}
+
+func (p *steppedPort) StreamUpdates([]bitstream.FrameUpdate) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.enqueued++
+}
+
+func (p *steppedPort) AwaitStream() error {
+	p.mu.Lock()
+	p.awaits++
+	p.mu.Unlock()
+	p.Fence()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	err := p.fault
+	p.fault = nil
+	return err
+}
+
+func (p *steppedPort) Fence() {
+	p.mu.Lock()
+	held := p.held
+	p.mu.Unlock()
+	if held != nil {
+		<-held
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.completed = p.enqueued
+}
+
+func (p *steppedPort) StreamInFlight() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.completed < p.enqueued
+}
+
+func (p *steppedPort) CompletedBursts() uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.completed
+}
+
+func (p *steppedPort) complete(n uint64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.completed = n
+}
+
+func (p *steppedPort) harvests() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.awaits
+}
+
+func (p *steppedPort) failNext(err error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.fault = err
+}
+
+func (p *steppedPort) hold() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.held = make(chan struct{})
+}
+
+func (p *steppedPort) release() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.held != nil {
+		close(p.held)
+		p.held = nil
+	}
+}
+
+// TestBurstCompletionAfterAbandonedHarvest pins the burst numbering across a
+// harvest the stall watchdog gives up on. Cell A's write streams as burst 1
+// and the harvest stalls, so burst 1 is still shifting: restaging A must
+// reach the stage gate (whose drain stalls in turn). Cell B, in another
+// column, then streams as burst 2, and the port completes burst 1 alone: the
+// tool must still report a stream in flight, since burst 2 is shifting.
+func TestBurstCompletionAfterAbandonedHarvest(t *testing.T) {
+	dev := fabric.NewDevice(fabric.XCV50)
+	port := newSteppedPort(dev)
+	ft, err := relocate.NewFrameTool(dev, port)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ft.StallTimeout = 20 * time.Millisecond
+	a := fabric.CellRef{Coord: fabric.Coord{Row: 2, Col: 12}}
+	b := fabric.CellRef{Coord: fabric.Coord{Row: 2, Col: 3}}
+
+	port.hold()
+	t.Cleanup(func() { port.release(); ft.HarvestPending() })
+	if err := ft.WriteCell(a, fabric.CellConfig{Used: true, LUT: fabric.LUTConst1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ft.AwaitStream(); !errors.Is(err, relocate.ErrPortStalled) {
+		t.Fatalf("held harvest: got %v, want ErrPortStalled", err)
+	}
+	if err := ft.WriteCell(a, fabric.CellConfig{Used: true, LUT: fabric.LUTConst0}); !errors.Is(err, relocate.ErrPortStalled) {
+		t.Fatalf("restaging A while burst 1 shifts: got %v, want the gate's drain to stall", err)
+	}
+	if err := ft.WriteCell(b, fabric.CellConfig{Used: true, LUT: fabric.LUTConst1}); err != nil {
+		t.Fatal(err)
+	}
+	port.complete(1)
+	inFlight := ft.StreamInFlight()
+	port.release()
+	ft.HarvestPending()
+	if !inFlight {
+		t.Fatal("burst 1 of 2 complete, yet StreamInFlight reports false")
+	}
+	if ft.StreamInFlight() {
+		t.Fatal("StreamInFlight reports true after HarvestPending drained the port")
+	}
+}
+
+// TestStageGateTracksPartialCompletion pins the stage gate against bursts
+// that complete one at a time, without a harvest. Cells A and B, in two
+// columns, stream as bursts 1 and 2, and the port completes burst 1 only:
+// restaging A must not drain, and restaging B must. That drain faults, and
+// the Retry delegate must receive exactly the distinct frames enqueued since
+// the last clean harvest, in first-enqueued order: A's frames before B's,
+// although A's column lies east of B's, and A's once, although it streamed
+// twice. A second round after the salvaged harvest starts the list afresh.
+func TestStageGateTracksPartialCompletion(t *testing.T) {
+	dev := fabric.NewDevice(fabric.XCV50)
+	port := newSteppedPort(dev)
+	ft, err := relocate.NewFrameTool(dev, port)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errInjected := errors.New("injected stream fault")
+	var retried [][]fabric.FrameAddr
+	ft.Retry = func(cause error, addrs []fabric.FrameAddr) error {
+		if !errors.Is(cause, errInjected) {
+			t.Errorf("Retry got cause %v, want the injected fault", cause)
+		}
+		retried = append(retried, slices.Clone(addrs))
+		return nil
+	}
+	a := fabric.CellRef{Coord: fabric.Coord{Row: 2, Col: 12}}
+	b := fabric.CellRef{Coord: fabric.Coord{Row: 2, Col: 3}}
+	framesOf := func(ref fabric.CellRef) []fabric.FrameAddr {
+		return slices.SortedFunc(slices.Values(dev.CellConfigFrames(ref)), fabric.FrameAddr.Compare)
+	}
+	lut := uint16(0)
+	write := func(ref fabric.CellRef, wantDrain bool) {
+		t.Helper()
+		lut++
+		awaits := port.harvests()
+		if err := ft.WriteCell(ref, fabric.CellConfig{Used: true, LUT: lut}); err != nil {
+			t.Fatal(err)
+		}
+		if drained := port.harvests() > awaits; drained != wantDrain {
+			t.Fatalf("write %d to %v: drained = %v, want %v", lut, ref, drained, wantDrain)
+		}
+	}
+	checkRetry := func(round int, want []fabric.FrameAddr) {
+		t.Helper()
+		if len(retried) != round {
+			t.Fatalf("Retry called %d times, want %d", len(retried), round)
+		}
+		if got := retried[round-1]; !slices.Equal(got, want) {
+			t.Fatalf("round %d: Retry got %v, want %v", round, got, want)
+		}
+	}
+
+	write(a, false) // burst 1
+	write(b, false) // burst 2
+	port.complete(1)
+	write(a, false) // burst 1 is done: no drain; burst 3
+	port.failNext(errInjected)
+	write(b, true) // burst 2 is still shifting: drain, then burst 4
+	checkRetry(1, append(framesOf(a), framesOf(b)...))
+
+	write(a, false) // burst 3 was harvested: no drain; burst 5
+	port.failNext(errInjected)
+	write(b, true) // burst 4 is still shifting
+	checkRetry(2, append(framesOf(b), framesOf(a)...))
 }

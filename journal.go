@@ -25,7 +25,6 @@ type sysJournal struct {
 	seq    uint64
 	active bool
 	op     string
-	cp     *checkpoint
 	// seen dedups undo records per operation: one pre-image per frame, the
 	// first one journaled (which is the checkpoint-epoch content — retries
 	// inside one op re-dirty frames without changing their epoch image).
@@ -43,11 +42,11 @@ type sysBarrier struct{ s *System }
 // PreDeliver journals the pre-image of every not-yet-covered frame of the
 // delivery and forces the records to stable storage — the write-ahead
 // contract: by the time the port can have changed the device, the journal
-// can undo it.
+// can undo it. The pre-images come from the armed checkpoint's snapshot.
 func (b sysBarrier) PreDeliver(addrs []fabric.FrameAddr) error {
 	s := b.s
 	js := s.jrnl
-	if js == nil || !js.active || s.restoring {
+	if js == nil || !js.active {
 		return nil
 	}
 	wrote := false
@@ -55,7 +54,7 @@ func (b sysBarrier) PreDeliver(addrs []fabric.FrameAddr) error {
 		if js.seen[addr] {
 			continue
 		}
-		pre, ok := js.cp.snap.Preimage(addr)
+		pre, ok := s.cp.snap.Preimage(addr)
 		if !ok {
 			// The frame did not change since the checkpoint epoch (an
 			// identical rewrite); nothing to undo.
@@ -125,11 +124,11 @@ func (s *System) journalInit(cfg *config) error {
 	return s.jrnl.j.Sync()
 }
 
-// journalBeginLocked opens one journaled operation over an armed checkpoint.
-// Returns nil (no-op) on an unjournaled system. An error means the intent
-// could not be made durable; the caller must fail the operation before any
-// physical work.
-func (s *System) journalBeginLocked(cp *checkpoint, op, design string, region fabric.Rect, detail string) error {
+// journalBeginLocked opens one journaled operation over the armed
+// checkpoint. Returns nil (no-op) on an unjournaled system. An error means
+// the intent could not be made durable; the caller must fail the operation
+// before any physical work.
+func (s *System) journalBeginLocked(op, design string, region fabric.Rect, detail string) error {
 	js := s.jrnl
 	if js == nil {
 		return nil
@@ -137,7 +136,6 @@ func (s *System) journalBeginLocked(cp *checkpoint, op, design string, region fa
 	js.seq++
 	js.active = true
 	js.op = op
-	js.cp = cp
 	js.seen = make(map[fabric.FrameAddr]bool)
 	err := js.j.Append(journal.RecBegin, journal.Begin{
 		Seq: js.seq, Op: op, Design: design, Region: region, Detail: detail,
@@ -172,7 +170,7 @@ func (s *System) journalCommitLocked() error {
 	}
 	state := s.journalStateLocked()
 	state.Seq = js.seq
-	dirty := js.cp.snap.Frames()
+	dirty := s.cp.snap.Frames()
 	digests := make([]journal.FrameDigest, 0, len(dirty))
 	for _, addr := range dirty {
 		if s.masked(addr.Major) {
@@ -202,7 +200,6 @@ func (s *System) journalCommitLocked() error {
 		return fmt.Errorf("rlm: sealing commit: %w", err)
 	}
 	js.active = false
-	js.cp = nil
 	js.seen = nil
 	s.crash("commit")
 	s.maybeRotateLocked()
@@ -243,7 +240,6 @@ func (s *System) journalAbortLocked() {
 		_ = js.j.Sync()
 	}
 	js.active = false
-	js.cp = nil
 	js.seen = nil
 	s.crash("abort")
 }

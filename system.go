@@ -62,11 +62,10 @@ type System struct {
 	// and relocations of cached designs go by address translation.
 	tmpl *template.Store
 
-	// cps is the stack of armed checkpoints; mutating operations journal
-	// inverse host-book-keeping ops into each of them (first-touch, so a
-	// checkpoint costs what the operation touches, not what is loaded).
-	cps       []*checkpoint
-	restoring bool // suppress journalling while a rollback replays the journal
+	// cp is the armed checkpoint, nil between operations; mutating
+	// operations journal inverse host-book-keeping ops into it (first-touch,
+	// so a checkpoint costs what the operation touches, not what is loaded).
+	cp *checkpoint
 
 	// jrnl is the durable operation journal (nil = journaling off); see
 	// journal.go for the write-ahead protocol and recover.go for the crash
@@ -540,7 +539,7 @@ func (s *System) moveRaw(name string, to fabric.Rect) error {
 	}
 	d := s.designs[name]
 	// First-touch clone of the tables the relocation rewrites (Region,
-	// CellOf, SourceOf) into every armed checkpoint.
+	// CellOf, SourceOf) into the armed checkpoint.
 	s.noteDesignLocked(d)
 	from := d.Region
 	coords := from.Coords()
@@ -674,20 +673,21 @@ func (s *System) notifyShadowDelivered() {
 // txLocked runs body as one transaction on the complete configuration copy:
 // it arms a checkpoint, journals the intent, runs body, then harvests the
 // stream and seals the commit (finishOpLocked), or rolls the device and
-// book-keeping back and seals an abort. Either way it ends with the
-// quarantine sweep of the frames the retry ladder condemned, once the
-// operation is sealed, so the sweep's evacuations open on a sealed journal;
-// an evacuation pass never sweeps, so a quarantine cannot recurse. A
-// checkpoint or intent failure returns before body runs. Every mutating
-// facade operation is one checkOpsLocked dry run plus one txLocked call
-// whose body runs the checked ops with runOpLocked.
+// book-keeping back and seals an abort. Either way it releases the
+// checkpoint and ends with the quarantine sweep of the frames the retry
+// ladder condemned, once the operation is sealed and its checkpoint
+// released, so the sweep's evacuations and its health mini-op each arm
+// their own on a sealed journal; an evacuation pass never sweeps, so a
+// quarantine cannot recurse. A checkpoint or intent failure returns before
+// body runs. Every mutating facade operation is one checkOpsLocked dry run
+// plus one txLocked call whose body runs the checked ops with runOpLocked.
 func (s *System) txLocked(op, design string, region fabric.Rect, detail string, body func(*checkpoint) error) error {
 	cp, err := s.checkpointLocked()
 	if err != nil {
 		return err
 	}
-	defer s.releaseCheckpointLocked(cp)
-	if err := s.journalBeginLocked(cp, op, design, region, detail); err != nil {
+	if err := s.journalBeginLocked(op, design, region, detail); err != nil {
+		s.releaseCheckpointLocked()
 		return err
 	}
 	if err = body(cp); err == nil {
@@ -697,6 +697,7 @@ func (s *System) txLocked(op, design string, region fabric.Rect, detail string, 
 		s.restoreLocked(cp, err)
 		s.journalAbortLocked()
 	}
+	s.releaseCheckpointLocked()
 	if !s.evacuating {
 		s.quarantineSweepLocked()
 	}
@@ -710,18 +711,18 @@ func (s *System) txLocked(op, design string, region fabric.Rect, detail string, 
 // journal of inverse host-book-keeping ops that mutations append first-touch
 // — so opening a checkpoint copies nothing, and its eventual size is
 // proportional to the designs the operation touches, not to every resident
-// design. Checkpoints must be released when the operation ends, whichever
-// way it ends — an unreleased snapshot would keep saving pre-images for
-// every later operation.
+// design. At most one checkpoint is armed (System.cp), and it must be
+// released exactly once when its operation ends, whichever way it ends — an
+// unreleased snapshot would keep saving pre-images for every later
+// operation.
 type checkpoint struct {
 	snap *bitstream.Snapshot
 	mark area.Mark
 	// undo holds inverse host ops, applied in reverse on restore. saved
 	// tracks designs whose mutable state is already journalled, so repeated
 	// relocations of one design cost one clone per checkpoint.
-	undo     []func(*System)
-	saved    map[*place.Design]bool
-	released bool
+	undo  []func(*System)
+	saved map[*place.Design]bool
 }
 
 // designState is the per-design mutable state a relocation rewrites.
@@ -738,58 +739,50 @@ func (s *System) checkpointLocked() (*checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	cp := &checkpoint{
+	s.cp = &checkpoint{
 		snap:  snap,
 		mark:  s.area.Mark(),
 		saved: map[*place.Design]bool{},
 	}
-	s.cps = append(s.cps, cp)
-	return cp, nil
+	return s.cp, nil
 }
 
-// noteUndoLocked journals an inverse host-book-keeping op into every armed
-// checkpoint. No-op while a rollback is replaying journals, and no-op when
-// no checkpoint is armed (engine-level callers manage their own recovery).
+// noteUndoLocked journals an inverse host-book-keeping op into the armed
+// checkpoint. No-op when no checkpoint is armed (engine-level callers manage
+// their own recovery).
 func (s *System) noteUndoLocked(fn func(*System)) {
-	if s.restoring {
-		return
-	}
-	for _, cp := range s.cps {
-		cp.undo = append(cp.undo, fn)
+	if s.cp != nil {
+		s.cp.undo = append(s.cp.undo, fn)
 	}
 }
 
 // noteDesignLocked journals a design's mutable state (region, cell and
-// source tables) into each armed checkpoint that has not saved it yet. This
-// is the host-side counterpart of the frame snapshot's copy-on-write: the
-// tables are cloned on first touch, driven by the operations that actually
-// rewrite them.
+// source tables) into the armed checkpoint, unless it has saved it already.
+// This is the host-side counterpart of the frame snapshot's copy-on-write:
+// the tables are cloned on first touch, driven by the operations that
+// actually rewrite them.
 func (s *System) noteDesignLocked(d *place.Design) {
-	if s.restoring {
+	cp := s.cp
+	if cp == nil || cp.saved[d] {
 		return
 	}
-	for _, cp := range s.cps {
-		if cp.saved[d] {
-			continue
-		}
-		cp.saved[d] = true
-		st := designState{
-			region:   d.Region,
-			cellOf:   make(map[netlist.ID]fabric.CellRef, len(d.CellOf)),
-			sourceOf: make(map[netlist.ID]fabric.NodeID, len(d.SourceOf)),
-		}
-		for id, ref := range d.CellOf {
-			st.cellOf[id] = ref
-		}
-		for id, node := range d.SourceOf {
-			st.sourceOf[id] = node
-		}
-		cp.undo = append(cp.undo, func(*System) {
-			d.Region = st.region
-			d.CellOf = st.cellOf
-			d.SourceOf = st.sourceOf
-		})
+	cp.saved[d] = true
+	st := designState{
+		region:   d.Region,
+		cellOf:   make(map[netlist.ID]fabric.CellRef, len(d.CellOf)),
+		sourceOf: make(map[netlist.ID]fabric.NodeID, len(d.SourceOf)),
 	}
+	for id, ref := range d.CellOf {
+		st.cellOf[id] = ref
+	}
+	for id, node := range d.SourceOf {
+		st.sourceOf[id] = node
+	}
+	cp.undo = append(cp.undo, func(*System) {
+		d.Region = st.region
+		d.CellOf = st.cellOf
+		d.SourceOf = st.sourceOf
+	})
 }
 
 // restoreLocked rolls the device and all book-keeping back to a checkpoint
@@ -845,32 +838,22 @@ func (s *System) restoreLocked(cp *checkpoint, cause error) {
 	// Area and host book-keeping rewind in place: Area() callers (e.g. a
 	// scheduler driving this system) keep a valid pointer across rollbacks.
 	s.area.Rewind(cp.mark)
-	s.restoring = true
 	for i := len(cp.undo) - 1; i >= 0; i-- {
 		cp.undo[i](s)
 	}
-	s.restoring = false
 	cp.undo = cp.undo[:0]
 	clear(cp.saved)
 	s.publish(Event{Kind: Recovered, Err: cause})
 }
 
-// releaseCheckpointLocked retires a checkpoint at the end of its operation
-// (success or final failure): the copy-on-write snapshot detaches and stops
-// accumulating pre-images, the area mark is released, and the checkpoint
-// leaves the armed stack. Safe to call after a restore — the snapshot
-// survives rollbacks so retry loops can reuse it — and safe to call twice.
-func (s *System) releaseCheckpointLocked(cp *checkpoint) {
-	if cp.released {
-		return
-	}
-	cp.released = true
-	cp.snap.Release()
-	s.area.Release(cp.mark)
-	for i, c := range s.cps {
-		if c == cp {
-			s.cps = append(s.cps[:i], s.cps[i+1:]...)
-			break
-		}
-	}
+// releaseCheckpointLocked retires the armed checkpoint at the end of its
+// operation (success or final failure): the copy-on-write snapshot detaches
+// and stops accumulating pre-images, the area mark is released, and nothing
+// is armed any more. Safe after a restore — the snapshot survives rollbacks
+// so retry loops can reuse it — but called exactly once per checkpoint:
+// area.Manager.Release is not idempotent.
+func (s *System) releaseCheckpointLocked() {
+	s.cp.snap.Release()
+	s.area.Release(s.cp.mark)
+	s.cp = nil
 }
