@@ -1,4 +1,4 @@
-.PHONY: test race bench bench-baseline bench-module cover lint fuzz torture soak router-diff port-diff replay-diff view-diff pipeline-diff facade-diff alloc-diff surfaces
+.PHONY: test race bench bench-baseline bench-module cover lint fuzz gate-check scenarios torture crash-torture fault-torture soak router-diff port-diff replay-diff view-diff pipeline-diff facade-diff alloc-diff surfaces
 
 test:
 	go build ./... && go test ./...
@@ -6,92 +6,144 @@ test:
 race:
 	go test -race ./...
 
-# Mirrors the CI crash- and fault-torture steps (keep the -run patterns in
-# sync with .github/workflows/ci.yml): journaled crash/recovery at every
-# boundary, a recovered system routing its next load like its never-crashed
-# twin (TestRecoverRoutesNextLoadLikeTwin), a checked-in journal with the
-# retired "nets" and "pads" keys recovering clean
-# (TestRecoverReadsRetiredStateKeys), then the transport fault-tolerance
-# properties under race.
-torture:
+# The test gates. CI runs each as its own step, by running its target here:
+# the -run pattern of a gate and the prose of what it pins live in this file
+# only. SHORT=-short runs the short mode of the scenario matrix and the soak,
+# as CI does.
+GATES = scenarios crash-torture fault-torture soak router-diff port-diff replay-diff view-diff pipeline-diff facade-diff alloc-diff
+
+# Every alternative of every gate's -run pattern must match at least one test
+# of that gate's packages (go test -list), so a renamed test cannot drop out
+# of its gate unseen.
+gate-check:
+	@sh scripts/gatecheck.sh $(GATES)
+
+# The scenario-diversity surface: every named scenario runs its profiled
+# stream on a live fabric with lock-step verification, against the
+# book-keeping twin, and every scenario netlist must place and route in its
+# own footprint.
+scenarios:
+	go test -race $(SHORT) -run 'TestScenarioMatrixDivergence|TestScenarioNetlistsSoundAndPlaceable' repro repro/internal/sched
+
+torture: crash-torture fault-torture
+
+# The journal/recovery property tests: a journaled system is crashed at every
+# journal/flush boundary and recovered against the device readback, and the
+# result must be bit-identical to a never-crashed twin, also with compressed
+# delivery. A recovered system must route its next load like its
+# never-crashed twin (TestRecoverRoutesNextLoadLikeTwin), and a checked-in
+# journal whose Posts still carry the retired "nets" and "pads" keys must
+# recover clean (TestRecoverReadsRetiredStateKeys).
+crash-torture:
 	go test -race -run 'TestCrashConsistency|TestRecover|TestCompressedDelivery|TestCompressionFig7' repro
+
+# The transport fault-tolerance property tests: chaos-injected transient
+# faults retried to a state bit-identical to a fault-free twin, persistent
+# faults quarantined with design evacuation (after a failed Move, a
+# MoveStaged failing in a hop, and a failed Defragment candidate followed by
+# a successful one; what a failed evacuation condemns waits for the next
+# operation's sweep), SEUs repaired by the scrubber (foreground and
+# background), and a crash inside the retry loop recovered from the journal.
+fault-torture:
 	go test -race -run 'TestChaosRetry|TestPersistentFault|TestScrub|TestBackgroundScrubber|TestCrashDuringRetry' repro
 
-# Mirrors the CI "Router differential (race)" step (keep the -run pattern in
-# sync with .github/workflows/ci.yml): routes node-for-node equal to the
-# reference router's, the bucketed open set popping what a binary heap pops,
-# the fanout tables equal to FanoutOf, a search that queues no dead end, and
-# a session's blocked set read from its base in place with Block and Unblock
-# stamped on top.
+# The frame-health lifecycle chaos soak: scrub-driven preemptive quarantine,
+# probe/release, stall watchdog and degraded-mode admission, with a mid-soak
+# crash recovery running concurrently; the soaked system must converge back
+# to full healthy capacity, bit-identical to a fault-free twin. Full length
+# by default; CI runs it with SHORT=-short.
+soak:
+	go test -race $(SHORT) -run 'TestChaosSoakSelfHealing|TestChaosSoakCompressed|TestScrubPreemptiveQuarantine|TestStallWatchdog|TestDegradedAdmission|TestCloseUnderLoad' repro
+
+# The router's exactness gate: over a seeded corpus it must return
+# node-for-node the routes of the reference router kept verbatim in
+# internal/route/reference_test.go, also past the open set's last bucket
+# (TestRouterMatchesReferencePastLastBucket), and the fanout tables it walks
+# must enumerate exactly the fabric's FanoutOf. The bucketed open set must
+# pop what the reference's binary heap pops (TestOpenSetMatchesBinaryHeap).
+# Routes cannot show the search's dead-end pruning, so
+# TestSearchQueuesNoDeadEnds pins it, and TestFanoutTemplateOneTilePerLocal
+# the invariant it rests on. A session's blocked set is the base Reset reads
+# in place plus the session's Block and Unblock stamps
+# (TestResetReadsBaseInPlace).
 router-diff:
 	go test -race -run 'TestRouterMatchesReference|TestOpenSet|TestFanoutTemplate|TestSearchQueuesNoDeadEnds|TestResetReadsBaseInPlace' ./internal/route ./internal/fabric
 
-# Mirrors the CI "Port differential (race)" step (keep the -run pattern in
-# sync with .github/workflows/ci.yml): the word-stepping Boundary-Scan port
-# equal to the bit-serial TAP model, and the table-driven CRC equal to the
+# The configuration port's exactness gate: over a seeded corpus the
+# Boundary-Scan port, which shifts whole words where the TAP allows, must
+# match a twin stepping every DR bit through Chain.Step (the bit-serial loops
+# kept in internal/jtag/wordshift_test.go) on TAP state, controller state,
+# device frames, TDO words and TCK counts, and the word step must apply only
+# on configuration-register words. The table-driven CRC must equal the
 # bit-serial fold.
 port-diff:
 	go test -race -run 'TestWordShiftMatchesBitSerial|TestWordStepAppliesOnlyOnConfigWords|TestCRCTableMatchesBitSerial' ./internal/jtag ./internal/bitstream
 
-# Mirrors the CI "Journal replay differential (race)" step (keep the -run
-# pattern in sync with .github/workflows/ci.yml): Replay equal to the eager
-# reference replay at every record boundary of seeded histories, its
-# allocations independent of the sealed history, and the seq-first record
-# contract with its fallback.
+# The journal replay's exactness gate: over seeded histories written by the
+# journal writer, cut at every record boundary, Replay (which decodes only
+# Init, the last committed Post and the open tail) must return exactly what
+# the eager replay kept verbatim in internal/journal/replay_reference_test.go
+# returns, and refuse what it refuses. Its allocations must not grow with the
+# sealed history, and every record the writer marshals must start with
+# {"seq":.
 replay-diff:
 	go test -race -run 'TestReplayMatchesEager|TestReplayAllocsIndependentOfHistory|TestRecordSeq' ./internal/journal
 
-# Mirrors the CI "View differential (race)" step (keep the -run pattern in
-# sync with .github/workflows/ci.yml): every frame bit decoded to the
-# resource it configures, and the engine's occupancy view equal to a rescan
-# of the configuration memory, with no change undeclared, after every facade
-# operation, every engine-level write, a failed partial recovery and a pad
-# OutMask clear; after every engine-level write, FreeRouter blocks exactly
-# the nodes the rescan shows in use.
+# The occupancy view's exactness gate: the view re-derives what each bit of
+# an adopted frame configures (Device.OwnerOfBit, checked against the frame
+# layout for every bit), and after every facade operation (cold and warm
+# loads, moves, unloads, refused operations that roll back) and after every
+# engine-level write it must equal a rescan of the configuration memory, with
+# no change left undeclared (Engine.AuditView). After every engine-level
+# write, Engine.FreeRouter, which reads the view in place, must block exactly
+# the nodes the rescan shows in use. A failed partial recovery and a pad
+# OutMask clear are pinned on their own.
 view-diff:
 	go test -race -run 'TestViewMatchesRescan|TestViewAfterFailedPartialRecovery|TestViewAfterPadOutMaskClear|TestAuditView|TestOwnerOfBit' repro ./internal/relocate ./internal/fabric
 
-# Mirrors the CI "Pipeline differential (race)" step (keep the -run pattern
-# in sync with .github/workflows/ci.yml): pipelined facade operations leave
-# configuration memory and cycle counts bit-identical to a serial-commit
-# twin and roll back a mid-stream port failure, and on a port that retires
-# bursts only at a harvest the frame tool's stage gate alone keeps every
-# relocation off the frames still streaming, with the engine's overlap and
-# serial-fallback counters reporting what it did. On a port whose completed
-# bursts the test steps by hand, the gate follows bursts that complete one
-# at a time, hands the Retry delegate the frames enqueued since the last
-# clean harvest, and keeps counting right after the stall watchdog abandons
-# a harvest.
+# The commit pipeline's exactness gate: a randomized mix of facade operations
+# on a pipelined Boundary-Scan system must leave configuration memory and TCK
+# cycles bit-identical to a serial-commit twin after every operation, and a
+# port failure in mid-stream must roll the transaction back (TestPipelined).
+# On a port that retires bursts only when they are harvested, the frame
+# tool's stage gate is the only thing that keeps a relocation off the frames
+# still streaming; the relocations must match a serial twin, and
+# Stats.SerialFallbacks and OverlappedOps must count the calls that waited on
+# the port and overlapped a stream (TestStageGateIsTheOnlyStreamGate). On a
+# port whose completed bursts the test steps by hand, the gate must drain for
+# a frame exactly while its burst is still shifting, hand the Retry delegate
+# the distinct frames enqueued since the last clean harvest in
+# first-enqueued order (TestStageGateTracksPartialCompletion), and keep
+# counting right after the stall watchdog abandons a harvest
+# (TestBurstCompletionAfterAbandonedHarvest).
 pipeline-diff:
 	go test -race -run 'TestPipelined|TestStageGateIsTheOnlyStreamGate|TestStageGateTracksPartialCompletion|TestBurstCompletionAfterAbandonedHarvest' repro ./internal/relocate
 
-# Mirrors the CI "Facade paths (race)" step (keep the -run pattern in sync
-# with .github/workflows/ci.yml): every mutating facade entry point checks
-# its operation with one dry run and executes it with one runner, so a
-# target on condemned logic space is refused with ErrQuarantined by all
-# nine entry points and leaves the system unchanged, and a one-op Plan
-# leaves what the single call leaves, with the template cache off and on;
+# The facade's one-path gate: Load, Unload, Move, MoveStaged, Plan.Validate,
+# Plan.Commit and Defragment all check their operations with one dry run on
+# the live area book-keeping and run them with one runner. A target on
+# columns the retry ladder condemned must be refused with ErrQuarantined by
+# every entry point (plans also wrap ErrPlanInvalid) and change nothing
+# (TestEveryEntryPointRefusesQuarantine); a one-op Plan must leave the
+# frames, design tables, area map and template statistics the single call
+# leaves, with the template cache off and on (TestOneOpPlanMatchesCall);
 # plans, staged moves, defragmentation and the persistent-fault ladder run
 # the same path.
 facade-diff:
 	go test -race -run 'TestEveryEntryPointRefusesQuarantine|TestOneOpPlanMatchesCall|TestPlan|TestMoveStaged|TestDefragment|TestPersistentFault' repro
 
-# Mirrors the CI "Allocation gates" step (keep the -run pattern in
-# sync with .github/workflows/ci.yml): the relocation cone walks range the
-# fabric's fanout without building it, so ranging Device.Fanout over every
-# node of an interior and a corner tile and over every pad allocates nothing
-# and yields FanoutOf's edges; the repacking planner's scans allocate per
-# plan, not per candidate window; and no planner proposes a target or a move
-# on quarantined space.
+# The hot walks' allocation gate: the relocation engine's cone walks
+# (forwardCone, exclusiveSuffix, releaseCone) range Device.Fanout, which must
+# allocate nothing and yield exactly FanoutOf's edges in order, also when a
+# loop breaks early (TestFanoutAllocatesNothing, every local id of an
+# interior and a corner XCV50 tile and every pad). LocalRepacking.Plans on
+# an XCV800-sized grid must allocate per plan it returns, not per candidate
+# window or target it tests (TestLocalRepackingAllocatesPerPlan), and no
+# planner may target or move a task onto quarantined space
+# (TestPlannersAvoidQuarantine). The counts are the same under the race
+# runtime, so the gate runs with -race like the others.
 alloc-diff:
 	go test -race -run 'TestFanoutAllocatesNothing|TestLocalRepackingAllocatesPerPlan|TestPlannersAvoidQuarantine' ./internal/fabric ./internal/rearrange
-
-# The self-healing chaos soak at full length (CI runs the short-mode variant
-# inside the fault-torture step): background scrubber + fault plan +
-# defragmentation + mid-soak crash recovery, converging to a state
-# bit-identical to a fault-free twin, under race.
-soak:
-	go test -race -run 'TestChaosSoakSelfHealing|TestChaosSoakCompressed|TestScrubPreemptiveQuarantine|TestStallWatchdog|TestDegradedAdmission|TestCloseUnderLoad' repro
 
 # Mirrors the CI "Documented surfaces" step: every command the verify notes
 # list under "Surfaces to drive" (keep the two lists in sync) and every

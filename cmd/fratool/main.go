@@ -45,7 +45,6 @@ import (
 	"repro/internal/journal"
 	"repro/internal/jtag"
 	"repro/internal/sim"
-	"repro/internal/template"
 	"repro/internal/workload"
 )
 
@@ -75,7 +74,6 @@ func main() {
 		portWidth  = flag.Int("width", 0, "SelectMAP data-port width in bits: 8, 16 or 32 (0 = 8; -port selectmap only)")
 		compress   = flag.Bool("compress", false, "ship delta/MFWR-compressed configuration streams")
 		verify     = flag.Bool("verify", true, "run the design in lock-step against its golden model during the relocation")
-		tmpl       = flag.Bool("tmpl", false, "enable the pre-routed template cache: -move-region relocates by address translation when possible (requires -verify=false; translation resets design state)")
 		list       = flag.Bool("list-benchmarks", false, "list available benchmark circuits")
 		showMap    = flag.Bool("map", false, "print the occupancy map after the operation")
 		progress   = flag.Bool("progress", true, "print the system's event stream while the tool works")
@@ -98,10 +96,6 @@ func main() {
 	if !ok {
 		fail(fmt.Errorf("unknown device %q", *deviceName))
 	}
-	if *tmpl && *verify {
-		fmt.Fprintln(os.Stderr, "fratool: -tmpl requires -verify=false (translation resets design state); template cache disabled")
-		*tmpl = false
-	}
 	portKind := rlm.BoundaryScan
 	switch *portName {
 	case "boundary-scan":
@@ -116,9 +110,6 @@ func main() {
 	}
 	if *compress {
 		opts = append(opts, rlm.WithCompression())
-	}
-	if *tmpl {
-		opts = append(opts, rlm.WithTemplateCache(&template.Policy{}))
 	}
 	sys, err := rlm.New(opts...)
 	fail(err)
@@ -234,10 +225,6 @@ func main() {
 	tr := sys.Traffic()
 	fmt.Printf("traffic: %d words shifted (%d uncompressed, %.2fx), %d frame deliveries\n",
 		tr.WordsShifted, tr.FullWords, tr.CompressionRatio(), tr.FramesDelivered)
-	if ts, ok := sys.TemplateStats(); ok {
-		fmt.Printf("templates: %d stored, %d translated moves, %d fallbacks\n",
-			ts.Stores, ts.Translations, ts.Fallbacks)
-	}
 	if *showMap {
 		fmt.Print(sys.Map())
 	}

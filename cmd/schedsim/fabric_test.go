@@ -53,10 +53,10 @@ func TestFabricSpaceWorkload(t *testing.T) {
 }
 
 // TestFabricSpaceTemplateCache runs a repeat-heavy stream with the template
-// cache enabled (verification off: translation resets design state) and
-// checks the cache actually serves warm loads.
+// cache enabled and lock-step verification on, and checks the cache
+// actually serves warm loads.
 func TestFabricSpaceTemplateCache(t *testing.T) {
-	space, err := newFabricSpace(fabric.XCV50, false, 16, 0, false)
+	space, err := newFabricSpace(fabric.XCV50, true, 16, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func main() {
 		verify     = flag.Bool("verify", true, "lock-step verify resident designs during relocations (-fabric)")
 		events     = flag.Bool("events", false, "print the system's event stream (-fabric)")
 		scenario   = flag.String("scenario", "", "run only the named scenario of the matrix (scenarios)")
-		tmpl       = flag.Int("tmpl", 0, "template cache capacity: warm loads + relocation-by-translation (0 = off; -fabric/scenarios)")
+		tmpl       = flag.Int("tmpl", 0, "template cache capacity: repeated loads take the warm path (0 = off; -fabric/scenarios)")
 		width      = flag.Int("width", 0, "use a wide SelectMAP port of this many data bits (8/16/32) instead of Boundary-Scan (0 = Boundary-Scan; -fabric/scenarios)")
 		compress   = flag.Bool("compress", false, "ship delta/MFWR-compressed configuration streams (-fabric/scenarios)")
 		pool       = flag.Int("pool", 0, "repeat-pool size: tasks draw shape+circuit from this many combos (0 = fresh draws)")
@@ -61,15 +61,6 @@ func main() {
 		replay     = flag.String("replay", "", "replay the task stream from this trace file instead of generating one (defrag/policies)")
 	)
 	flag.Parse()
-
-	if *tmpl > 0 && *verify {
-		// Translated relocations re-initialise storage elements (the replica
-		// path transfers live state), so lock-step verification of resident
-		// designs would flag every translated move as divergence.
-		fmt.Fprintln(os.Stderr,
-			"schedsim: -tmpl requires -verify=false (translation resets design state); template cache disabled")
-		*tmpl = 0
-	}
 
 	switch *experiment {
 	case "fig1":
@@ -301,8 +292,8 @@ func printTemplateStats(sys *rlm.System) {
 	if !ok {
 		return
 	}
-	fmt.Printf("  templates: %d hits / %d misses (%.0f%% warm), %d translated moves, %d fallbacks, %d evictions\n",
-		st.Hits, st.Misses, 100*st.HitRate(), st.Translations, st.Fallbacks, st.Evictions)
+	fmt.Printf("  templates: %d hits / %d misses (%.0f%% warm), %d fallbacks, %d evictions\n",
+		st.Hits, st.Misses, 100*st.HitRate(), st.Fallbacks, st.Evictions)
 }
 
 // policies compares the allocation policies under one planner.

@@ -37,10 +37,6 @@ const (
 	// TemplateEvicted: the cache dropped an entry to make room; Design
 	// holds the evicted key.
 	TemplateEvicted
-	// DesignTranslated: a whole-design relocation was served by address
-	// translation (frame image re-targeted to the new columns plus a
-	// boundary patch) instead of cell-by-cell replication.
-	DesignTranslated
 	// FaultDetected: a transport fault surfaced at an operation's harvest
 	// point and the retry ladder is engaging (Err is the fault).
 	FaultDetected
@@ -80,7 +76,6 @@ var eventKindNames = [...]string{
 	"design-loaded", "design-unloaded", "design-moved", "clb-relocated",
 	"rearrange-started", "rearrange-finished", "recovered",
 	"template-hit", "template-miss", "template-stored", "template-evicted",
-	"design-translated",
 	"fault-detected", "retry-succeeded", "retries-exhausted",
 	"frame-quarantined", "design-evacuated", "scrub-repair",
 	"frame-suspect", "quarantine-released", "probe-failed",
@@ -123,7 +118,7 @@ func (e Event) String() string {
 	switch e.Kind {
 	case DesignLoaded, DesignUnloaded:
 		return fmt.Sprintf("%s %s %v", e.Kind, e.Design, e.Region)
-	case DesignMoved, DesignTranslated:
+	case DesignMoved:
 		return fmt.Sprintf("%s %s %v -> %v", e.Kind, e.Design, e.From, e.Region)
 	case TemplateHit, TemplateMiss, TemplateStored, TemplateEvicted:
 		return fmt.Sprintf("%s %s", e.Kind, e.Design)

@@ -438,8 +438,8 @@ func TestEventStream(t *testing.T) {
 
 // TestStatsPortSecondsTracksPort: Stats().PortSeconds is the port's
 // foreground transport time after every kind of operation, not a snapshot
-// the engine last took inside a cell relocation (which a Load, an Unload or
-// a translated move would leave stale).
+// the engine last took inside a cell relocation (which a Load or an Unload
+// would leave stale).
 func TestStatsPortSecondsTracksPort(t *testing.T) {
 	s, err := New(WithDevice(fabric.TestDevice))
 	if err != nil {
@@ -465,8 +465,8 @@ func TestStatsPortSecondsTracksPort(t *testing.T) {
 
 // TestStatsFramesWrittenTracksTool: Stats().FramesWritten is the frame
 // tool's count after every kind of operation, not a snapshot the engine last
-// took inside a cell relocation (which an Unload, a translated move or a
-// defrag slide would leave stale).
+// took inside a cell relocation (which an Unload or a defrag slide would
+// leave stale).
 func TestStatsFramesWrittenTracksTool(t *testing.T) {
 	s := newSys(t)
 	steps := []struct {
@@ -515,7 +515,7 @@ func TestOneOpPlanMatchesCall(t *testing.T) {
 		call  func(*System) error
 		plan  func(*Plan) *Plan
 		// served names the cache path the call must take: "hit" for a warm
-		// load, "translation" for a translated move.
+		// load.
 		served string
 	}{
 		{name: "cold-load", call: load("p"),
@@ -531,17 +531,15 @@ func TestOneOpPlanMatchesCall(t *testing.T) {
 		{name: "replica-move", setup: []func(*System) error{load("p")},
 			call: func(s *System) error { return s.Move("p", rB) },
 			plan: func(p *Plan) *Plan { return p.Move("p", rB) }},
-		{name: "translated-move", cache: true, setup: []func(*System) error{load("p")},
-			call:   func(s *System) error { return s.Move("p", rB) },
-			plan:   func(p *Plan) *Plan { return p.Move("p", rB) },
-			served: "translation"},
+		{name: "replica-move", cache: true, setup: []func(*System) error{load("p")},
+			call: func(s *System) error { return s.Move("p", rB) },
+			plan: func(p *Plan) *Plan { return p.Move("p", rB) }},
 		{name: "move-staged", setup: []func(*System) error{load("p")},
 			call: func(s *System) error { return s.MoveStaged("p", rB, 4) },
 			plan: func(p *Plan) *Plan { return p.MoveStaged("p", rB, 4) }},
 		{name: "move-staged", cache: true, setup: []func(*System) error{load("p")},
-			call:   func(s *System) error { return s.MoveStaged("p", rB, 4) },
-			plan:   func(p *Plan) *Plan { return p.MoveStaged("p", rB, 4) },
-			served: "translation"},
+			call: func(s *System) error { return s.MoveStaged("p", rB, 4) },
+			plan: func(p *Plan) *Plan { return p.MoveStaged("p", rB, 4) }},
 	} {
 		t.Run(fmt.Sprintf("%s/cache=%v", tc.name, tc.cache), func(t *testing.T) {
 			build := func() *System {
@@ -577,7 +575,7 @@ func TestOneOpPlanMatchesCall(t *testing.T) {
 			got, _ := planned.TemplateStats()
 			want, _ := called.TemplateStats()
 			switch {
-			case tc.served == "hit" && want.Hits == 0, tc.served == "translation" && want.Translations == 0:
+			case tc.served == "hit" && want.Hits == 0:
 				t.Fatalf("the call did not take the %s path: %+v", tc.served, want)
 			case got != want:
 				t.Fatalf("TemplateStats: plan %+v, call %+v", got, want)

@@ -412,9 +412,8 @@ func containNets(dev *fabric.Device, nets []route.Net, region fabric.Rect) {
 }
 
 // SortNets orders a routing problem the way the placer does — descending
-// fanout, then name. The warm-load and translation paths route boundary
-// nets through the same ordering so that the frames they produce are
-// reproducible and mutually bit-identical.
+// fanout, then name. A warm load routes its boundary nets in the same
+// order, so the frames it produces are reproducible.
 func SortNets(nets []route.Net) {
 	sort.Slice(nets, func(i, j int) bool {
 		if len(nets[i].Sinks) != len(nets[j].Sinks) {

@@ -205,13 +205,6 @@ func (e *Engine) tick(minCycles int) error {
 	return nil
 }
 
-// Tick exposes the wait-point accounting to alternate relocation paths (the
-// facade's translation-based moves): pending batched frames flush, the port
-// time consumed since the last tick is converted into application clock
-// cycles, and the clock model steps — exactly as the cell-replication
-// procedures account their waits.
-func (e *Engine) Tick(minCycles int) error { return e.tick(minCycles) }
-
 // LastTick returns the port-time cursor of the wait-point accounting — part
 // of the state the journal persists.
 func (e *Engine) LastTick() float64 { return e.lastTick }
@@ -654,7 +647,9 @@ func remapNode(n fabric.NodeID, p *cellPlan, dev *fabric.Device) (fabric.NodeID,
 }
 
 // checkRAMColumns rejects relocations whose frame writes would touch a
-// column containing a LUT/RAM (paper §2).
+// column containing a LUT/RAM (paper §2): a column rewrite would corrupt
+// live distributed RAM. The error wraps ErrRAMInColumn and names the first
+// such cell found.
 func (e *Engine) checkRAMColumns(p *cellPlan) error {
 	cols := map[int]bool{p.from.Col: true, p.to.Col: true}
 	if p.needsAux {
@@ -682,15 +677,6 @@ func (e *Engine) checkRAMColumns(p *cellPlan) error {
 	for _, ps := range p.auxPaths {
 		noteAll(ps)
 	}
-	return e.RAMFreeColumns(cols)
-}
-
-// RAMFreeColumns is the one statement of the rule that no frame write may
-// touch an array column holding live distributed RAM: a column rewrite would
-// corrupt it. It returns an error wrapping ErrRAMInColumn naming the first
-// such cell found in cols. The cell relocation and the facade's relocation
-// by translation both check their columns with it.
-func (e *Engine) RAMFreeColumns(cols map[int]bool) error {
 	for col := range cols {
 		for row := 0; row < e.Dev.Rows; row++ {
 			for cell := 0; cell < fabric.CellsPerCLB; cell++ {

@@ -354,21 +354,6 @@ func (e *Engine) ReleaseTree(src fabric.NodeID) error {
 	return e.releaseCone(e.view.forwardCone(src))
 }
 
-// ConeNodes returns the forward cone of a source as a flat node set: every
-// tree node plus every terminal sink (pins and pads), read from the
-// configuration memory without touching it. The facade uses it to compute a
-// design's current fabric footprint before a translation-based relocation.
-func (e *Engine) ConeNodes(src fabric.NodeID) []fabric.NodeID {
-	e.view.refresh()
-	sinks, tree := e.view.forwardCone(src)
-	out := make([]fabric.NodeID, 0, len(tree)+len(sinks))
-	out = append(out, tree...)
-	for _, s := range sinks {
-		out = append(out, s.node)
-	}
-	return out
-}
-
 // ClearCell zeroes a cell's configuration through the port.
 func (e *Engine) ClearCell(ref fabric.CellRef) error {
 	return e.Tool.WriteCell(ref, fabric.CellConfig{})

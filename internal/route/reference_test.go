@@ -41,9 +41,9 @@ type refRouter struct {
 	// Greedy scales the A* heuristic. The admissible default (1) finds
 	// delay-optimal paths but, with the true lower bound sitting far below
 	// real per-tile cost, expands close to the whole bounding box per sink.
-	// Values above 1 trade optimality for focus — the warm-load and
-	// translation boundary patches use it: their few pad nets don't need
-	// delay-optimal trees, they need O(path) search. Zero means 1.
+	// Values above 1 trade optimality for focus — a warm load's boundary
+	// routing uses it: its few pad nets don't need delay-optimal trees, they
+	// need O(path) search. Zero means 1.
 	Greedy float64
 
 	adj [][]fabric.NodeID // lazy fanout cache, indexed by NodeID

@@ -89,9 +89,9 @@ type Router struct {
 	// the cheapest (see heuristicPerTile and ROADMAP's "Delay-optimal
 	// routing with fewer knobs"). Even so, with the per-tile bound far
 	// below real per-tile cost, it expands close to the whole bounding box
-	// per sink. Values above 1 trade path cost for focus — the warm-load and
-	// translation boundary patches use it: their few pad nets don't need
-	// delay-optimal trees, they need O(path) search. Zero means 1.
+	// per sink. Values above 1 trade path cost for focus — a warm load's
+	// boundary routing uses it: its few pad nets don't need delay-optimal
+	// trees, they need O(path) search. Zero means 1.
 	Greedy float64
 
 	// hops[local] is the fanout of every tile node with that local id, in

@@ -13,12 +13,11 @@ type Policy struct {
 }
 
 // Stats counts cache outcomes. Hits/Misses/Stores/Evictions are maintained
-// by the store; Translations/Fallbacks are relocation outcomes noted by the
-// run-time manager (a translated move, or a design that had to fall back to
-// cell-by-cell replication).
+// by the store; Fallbacks is noted by the run-time manager and counts only
+// warm loads that hit but fell back to the cold path (the image overlapped
+// occupied routing, or its pads or boundary nets could not be bound).
 type Stats struct {
-	Hits, Misses, Stores, Evictions int
-	Translations, Fallbacks         int
+	Hits, Misses, Stores, Evictions, Fallbacks int
 }
 
 // HitRate returns hits / (hits + misses), or 0 before any lookup.
@@ -59,20 +58,6 @@ func (s *Store) Get(k Key) (*Template, bool) {
 		return nil, false
 	}
 	s.stats.Hits++
-	s.lru.MoveToFront(el)
-	return el.Value.(*entry).t, true
-}
-
-// Lookup is Get without the hit/miss accounting (recency still refreshes).
-// The relocation path uses it, so the hit-rate statistic keeps meaning
-// "fraction of loads served warm" rather than mixing in move lookups.
-func (s *Store) Lookup(k Key) (*Template, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.entries[k]
-	if !ok {
-		return nil, false
-	}
 	s.lru.MoveToFront(el)
 	return el.Value.(*entry).t, true
 }
@@ -122,14 +107,7 @@ func (s *Store) Stats() Stats {
 	return s.stats
 }
 
-// NoteTranslation records a relocation served by address translation.
-func (s *Store) NoteTranslation() {
-	s.mu.Lock()
-	s.stats.Translations++
-	s.mu.Unlock()
-}
-
-// NoteFallback records a relocation that fell back to cell replication.
+// NoteFallback records a warm load that fell back to the cold path.
 func (s *Store) NoteFallback() {
 	s.mu.Lock()
 	s.stats.Fallbacks++

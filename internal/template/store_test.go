@@ -78,35 +78,11 @@ func TestStoreStatsAndHitRate(t *testing.T) {
 	if (Stats{}).HitRate() != 0 {
 		t.Fatal("empty hit rate not zero")
 	}
-	s.NoteTranslation()
 	s.NoteFallback()
 	s.NoteFallback()
 	st = s.Stats()
-	if st.Translations != 1 || st.Fallbacks != 2 {
+	if st.Fallbacks != 2 {
 		t.Fatalf("stats %+v", st)
-	}
-}
-
-// Lookup refreshes recency but never counts toward the hit rate: the hit
-// rate means "fraction of loads served warm", not "moves that found an
-// image".
-func TestStoreLookupNoStats(t *testing.T) {
-	s := NewStore(Policy{Capacity: 2})
-	s.Put(key(1), &Template{})
-	s.Put(key(2), &Template{})
-	if _, ok := s.Lookup(key(1)); !ok {
-		t.Fatal("lookup miss")
-	}
-	if _, ok := s.Lookup(key(9)); ok {
-		t.Fatal("phantom lookup")
-	}
-	st := s.Stats()
-	if st.Hits != 0 || st.Misses != 0 {
-		t.Fatalf("lookup counted in stats: %+v", st)
-	}
-	// The lookup refreshed k1: k2 is now the victim.
-	if ev := s.Put(key(3), &Template{}); len(ev) != 1 || ev[0] != key(2) {
-		t.Fatalf("evicted %v, want [k2]", ev)
 	}
 }
 

@@ -6,9 +6,10 @@
 // shape. The store keys images by canonical netlist digest plus region shape
 // (plus device preset, since frame geometry is per-preset), so a repeated
 // load of a popular design becomes frame splicing plus boundary-net routing
-// instead of a full place-and-route, and a relocation of such a design
-// becomes address translation plus a boundary patch instead of cell-by-cell
-// replication.
+// instead of a full place-and-route. A load starts its design from Init, so
+// a warm load is exact. An image carries configuration, not the flip-flop
+// state of a running design, so relocations never use it: they go cell by
+// cell through the replica path, which keeps live state.
 package template
 
 import (
@@ -305,16 +306,6 @@ func (t *Template) buildUsed() {
 		}
 		return a.Local < b.Local
 	})
-}
-
-// HasRAM reports whether the image configures any distributed RAM cell.
-func (t *Template) HasRAM() bool {
-	for _, ci := range t.Cells {
-		if ci.Cfg.RAM {
-			return true
-		}
-	}
-	return false
 }
 
 // InteriorPaths translates the image's interior routing to a concrete

@@ -59,20 +59,13 @@ func WithClock(hz float64) Option {
 }
 
 // WithTemplateCache enables the content-addressed template cache: cold
-// loads capture their pre-routed, translation-invariant frame image; a
+// loads capture their pre-routed, translation-invariant frame image, and a
 // later Load of a netlist hashing to the same circuit and region shape
 // takes the warm path (frame splicing plus boundary-net routing, zero
-// interior place/route), and whole-design relocations of cached designs
-// become address translation plus a boundary patch instead of cell-by-cell
-// replication. A nil policy leaves the cache off — behaviour is then
-// bit-identical to a system built without this option.
-//
-// Note the semantic trade the paper's replica path does not make: a
-// translated relocation re-initialises the design's storage elements at the
-// target (the frame image carries configuration, not state), whereas the
-// cell-by-cell procedure transfers live state. Designs whose state must
-// survive a move should be run on a cache-off system; RAM-bearing designs
-// always fall back to the replica path (which itself refuses them).
+// interior place/route). A load starts its design from Init, so a warm load
+// is exact. Moves never use the cache: every relocation is the cell-by-cell
+// replica path, which keeps live state. A nil policy leaves the cache off —
+// behaviour is then bit-identical to a system built without this option.
 func WithTemplateCache(p *template.Policy) Option {
 	return func(c *config) { c.tmplPolicy = p }
 }

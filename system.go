@@ -58,8 +58,8 @@ type System struct {
 	regions map[string]int // design name -> area allocation id
 
 	// tmpl is the content-addressed template cache (nil = disabled): cold
-	// loads capture pre-routed frame images, warm loads splice them back,
-	// and relocations of cached designs go by address translation.
+	// loads capture pre-routed frame images and warm loads splice them back.
+	// Moves do not read it: an image carries no flip-flop state.
 	tmpl *template.Store
 
 	// cp is the armed checkpoint, nil between operations; mutating
@@ -523,20 +523,11 @@ func (s *System) Move(name string, to fabric.Rect) error {
 }
 
 // moveRaw performs the physical relocation and book-keeping; the caller has
-// validated the move and owns rollback. With the template cache enabled and
-// a translation-safe image available, the move is served by address
-// translation (frame image re-targeted plus a boundary patch); otherwise it
-// falls through to the paper's cell-by-cell replication below.
+// validated the move and owns rollback. It is the paper's cell-by-cell
+// replication: each occupied CLB goes through the engine's two-phase
+// relocation, which carries its flip-flops' live state into the new cells,
+// so every completed step is a cell move.
 func (s *System) moveRaw(name string, to fabric.Rect) error {
-	if s.tmpl != nil {
-		handled, err := s.tryTranslateMoveLocked(name, to)
-		if err != nil {
-			return err
-		}
-		if handled {
-			return nil
-		}
-	}
 	d := s.designs[name]
 	// First-touch clone of the tables the relocation rewrites (Region,
 	// CellOf, SourceOf) into the armed checkpoint.

@@ -21,11 +21,10 @@ func auditView(s *System) error {
 
 // TestViewMatchesRescanAfterFacadeOps guards the footprint a load declares
 // instead of re-deriving the columns its placement dirtied: after every
-// facade operation — cold and warm loads, replica and translated moves,
-// unloads, and the refused loads and moves that roll back — the engine's
-// incrementally kept view must equal a rescan of the configuration memory.
-// A declaration that misses anything the placement wrote (a routed node, a
-// pad) fails it.
+// facade operation — cold and warm loads, moves, unloads, and the refused
+// loads and moves that roll back — the engine's incrementally kept view must
+// equal a rescan of the configuration memory. A declaration that misses
+// anything the placement wrote (a routed node, a pad) fails it.
 func TestViewMatchesRescanAfterFacadeOps(t *testing.T) {
 	for _, cached := range []bool{false, true} {
 		for seed := int64(1); seed <= 4; seed++ {
@@ -74,8 +73,8 @@ func TestViewMatchesRescanAfterFacadeOps(t *testing.T) {
 						t.Fatalf("op %d (%s): %v", op, what, err)
 					}
 				}
-				if st, ok := s.TemplateStats(); ok && (st.Hits == 0 || st.Translations == 0) {
-					t.Fatalf("the op mix missed the warm paths: %+v", st)
+				if st, ok := s.TemplateStats(); ok && st.Hits == 0 {
+					t.Fatalf("the op mix missed the warm path: %+v", st)
 				}
 			})
 		}

@@ -2,7 +2,6 @@ package rlm
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/fabric"
 	"repro/internal/netlist"
@@ -12,19 +11,20 @@ import (
 )
 
 // This file is the facade side of the template cache: capturing a cold
-// load's pre-routed image, splicing it back on a warm load, and serving
-// whole-design relocations by address translation plus a boundary patch.
-// Everything here is gated on s.tmpl != nil (WithTemplateCache); with the
-// cache off none of these paths run and the system behaves exactly as
-// before.
+// load's pre-routed image and splicing it back on a warm load. Everything
+// here is gated on s.tmpl != nil (WithTemplateCache); with the cache off
+// none of these paths run and the system behaves exactly as before. Moves
+// never read the cache: every relocation is the replica path, which carries
+// live state.
 
-// boundaryGreedy is the A* heuristic weight for boundary-patch routing (see
-// route.Router.Greedy). Warm loads and translations route a handful of pad
+// boundaryGreedy is the A* heuristic weight for a warm load's boundary
+// routing (see route.Router.Greedy). A warm load routes a handful of pad
 // nets over hard-blocked occupancy; the admissible heuristic would expand
 // nearly the whole search box per sink hunting a delay-optimal path nobody
-// needs, turning the O(frame-I/O) splice back into an O(region) search. Both
-// paths use the same weight — the translated image plus its boundary patch
-// must stay frame-bit-identical to an unload followed by a warm load.
+// needs, turning the O(frame-I/O) splice back into an O(region) search.
+// BenchmarkLoadWarmVsCold/warm (XCV50, six alternating runs per weight on a
+// 2-vCPU Xeon VM) read 1.38-1.65 ms per load at weight 3 and 5.49-6.15 ms
+// at weight 1.
 const boundaryGreedy = 3
 
 // TemplateStats returns the template cache statistics; ok is false when the
@@ -38,7 +38,8 @@ func (s *System) TemplateStats() (template.Stats, bool) {
 
 // captureTemplateLocked stores a freshly cold-loaded design's pre-routed
 // image. Designs whose routing escapes their region (or that wire an input
-// pad straight to an output pad) are not translation-safe and are skipped.
+// pad straight to an output pad) cannot be spliced elsewhere and are
+// skipped.
 func (s *System) captureTemplateLocked(d *place.Design) {
 	canon := d.NL.Canonical()
 	key := template.KeyFor(s.dev, d.Region, canon.Digest)
@@ -58,8 +59,7 @@ func (s *System) captureTemplateLocked(d *place.Design) {
 // templateBoundaryNets builds the routing problem for a template's boundary
 // nets at a region: each primary input's pad to its interior pin sinks, and
 // each interior output driver to its pad. Outputs sharing a driver merge
-// into one net. The ordering matches the placer's, so the warm-load and
-// translation paths route identically given identical occupancy.
+// into one net, and the nets are in the placer's order (place.SortNets).
 func templateBoundaryNets(dev *fabric.Device, tpl *template.Template, region fabric.Rect,
 	nl *netlist.Netlist, padOf map[netlist.ID]fabric.PadRef) []route.Net {
 	var nets []route.Net
@@ -215,183 +215,5 @@ func (s *System) tryWarmLoadLocked(nl *netlist.Netlist, region fabric.Rect) (boo
 	}
 	s.publish(Event{Kind: TemplateHit, Design: name, Region: region})
 	s.publish(Event{Kind: DesignLoaded, Design: name, Region: region})
-	return true, nil
-}
-
-// tryTranslateMoveLocked attempts to serve a validated whole-design move by
-// address translation: release the design's current routing and cells, write
-// the cached frame image at the target columns, and route only the boundary
-// nets back to the design's existing pads. Returns handled=false (no error)
-// when the move must fall back to cell-by-cell replication; a non-nil error
-// means frames were written and the caller must roll back.
-//
-// Unlike the replica path, translation does not transfer live state: the
-// design's storage elements re-initialise at the target (see
-// WithTemplateCache). RAM designs always fall back.
-func (s *System) tryTranslateMoveLocked(name string, to fabric.Rect) (bool, error) {
-	d := s.designs[name]
-	canon := d.NL.Canonical()
-	key := template.KeyFor(s.dev, d.Region, canon.Digest)
-	tpl, ok := s.tmpl.Lookup(key)
-	if !ok || tpl.HasRAM() {
-		s.tmpl.NoteFallback()
-		return false, nil
-	}
-	if err := s.engine.Tool.AwaitStream(); err != nil {
-		return false, err
-	}
-	from := d.Region
-	// The design's current fabric footprint: the forward cones of every
-	// signal source, the outputs of every occupied cell, and its pads. The
-	// target conflict check and the boundary routing both exclude it — the
-	// cut below frees it.
-	srcs := make([]fabric.NodeID, 0, len(d.SourceOf))
-	for _, src := range d.SourceOf {
-		srcs = append(srcs, src)
-	}
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
-	own := map[fabric.NodeID]bool{}
-	for _, src := range srcs {
-		for _, n := range s.engine.ConeNodes(src) {
-			own[n] = true
-		}
-	}
-	for _, ref := range d.OccupiedCells() {
-		own[s.dev.NodeIDAt(ref.Coord, fabric.LocalOutX(ref.Cell))] = true
-		own[s.dev.NodeIDAt(ref.Coord, fabric.LocalOutXQ(ref.Cell))] = true
-	}
-	for _, p := range d.PadOf {
-		own[s.dev.PadNodeID(p)] = true
-	}
-	// Post-cut occupancy, computed before a single frame moves: everything in
-	// use except the design's own footprint.
-	r := s.engine.FreeRouter()
-	for n := range own {
-		r.Unblock(n)
-	}
-	targetUsed := tpl.UsedAt(s.dev, to)
-	for _, n := range targetUsed {
-		if r.Blocked(n) {
-			s.tmpl.NoteFallback()
-			return false, nil
-		}
-	}
-	// Route the boundary patch against post-cut occupancy plus the translated
-	// image. The same construction and ordering as the warm path, so an
-	// unload followed by a warm load at the target produces bit-identical
-	// frames.
-	bnets := templateBoundaryNets(s.dev, tpl, to, d.NL, d.PadOf)
-	r.Block(targetUsed...)
-	r.Greedy = boundaryGreedy
-	routed, err := r.RouteDisjoint(bnets)
-	if err != nil {
-		s.tmpl.NoteFallback()
-		return false, nil
-	}
-	// Foreign-RAM guard, the replica path's column rule: every column this
-	// move rewrites (cut, paste, boundary patch) must be free of other
-	// designs' distributed RAM. The design itself has none (checked above).
-	cols := map[int]bool{}
-	addCol := func(c fabric.Coord) { cols[c.Col] = true }
-	for c := 0; c < from.W; c++ {
-		cols[from.Col+c] = true
-	}
-	for c := 0; c < to.W; c++ {
-		cols[to.Col+c] = true
-	}
-	for n := range own {
-		if c, _, ok := s.dev.SplitNode(n); ok {
-			addCol(c)
-		}
-	}
-	for _, n := range targetUsed {
-		if c, _, ok := s.dev.SplitNode(n); ok {
-			addCol(c)
-		}
-	}
-	for i := range routed {
-		for _, n := range routed[i].Tree {
-			if c, _, ok := s.dev.SplitNode(n); ok {
-				addCol(c)
-			}
-		}
-	}
-	if s.engine.RAMFreeColumns(cols) != nil {
-		s.tmpl.NoteFallback()
-		return false, nil
-	}
-	// Commit. Baseline the wait accounting first, so the cycles charged to
-	// this relocation cover exactly its own port traffic.
-	if err := s.engine.Tick(0); err != nil {
-		return false, err
-	}
-	s.noteDesignLocked(d)
-	err = s.engine.Tool.InBatch(func() error {
-		// Cut: release the routing and clear the cells through the port.
-		// Pads keep their configuration; the boundary patch re-drives them.
-		for _, src := range srcs {
-			if err := s.engine.ReleaseTree(src); err != nil {
-				return err
-			}
-		}
-		for _, ref := range d.OccupiedCells() {
-			if err := s.engine.ClearCell(ref); err != nil {
-				return err
-			}
-		}
-		// Paste: the translated cell image, then the interior and boundary
-		// PIPs, deduplicated across shared path prefixes so each frame bit
-		// is staged once.
-		for _, ci := range tpl.Cells {
-			if err := s.engine.Tool.WriteCell(ci.At.At(to), ci.Cfg); err != nil {
-				return err
-			}
-		}
-		type edge struct{ a, b fabric.NodeID }
-		seen := map[edge]bool{}
-		enable := func(path []fabric.NodeID) error {
-			for i := 1; i < len(path); i++ {
-				e := edge{path[i-1], path[i]}
-				if seen[e] {
-					continue
-				}
-				seen[e] = true
-				if err := s.engine.Tool.SetPIP(e.a, e.b, true); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		for _, path := range tpl.InteriorPaths(s.dev, to) {
-			if err := enable(path); err != nil {
-				return err
-			}
-		}
-		for i := range routed {
-			for _, sink := range routed[i].Sinks {
-				if err := enable(routed[i].Paths[sink]); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return false, err
-	}
-	if err := s.engine.Tool.AwaitStream(); err != nil {
-		return false, err
-	}
-	if err := s.engine.Tick(1); err != nil {
-		return false, err
-	}
-	d.CellOf, d.SourceOf = templateTables(s.dev, tpl, canon, d.NL, to, d.PadOf)
-	d.Region = to
-	if err := s.area.Move(s.regions[name], to); err != nil {
-		return false, err
-	}
-	s.tmpl.NoteTranslation()
-	s.publish(Event{Kind: DesignTranslated, Design: name, From: from, Region: to})
-	s.publish(Event{Kind: DesignMoved, Design: name, From: from, Region: to})
 	return true, nil
 }
