@@ -565,9 +565,10 @@ func BenchmarkLoadWarmVsCold(b *testing.B) {
 // BenchmarkCheckpoint measures opening and releasing a run-time-manager
 // checkpoint via a no-op operation (a staged move with zero hops), with
 // several designs resident. Checkpoints are copy-on-write on both sides —
-// frame snapshot and host book-keeping journal — so allocs/op here must not
-// scale with the resident design count (the old path cloned the area grid
-// plus every design's CellOf/SourceOf tables per checkpoint).
+// the frame tool's pre-images and the host book-keeping journal — so
+// allocs/op here must not scale with the resident design count (the old
+// path cloned the area grid plus every design's CellOf/SourceOf tables per
+// checkpoint).
 func BenchmarkCheckpoint(b *testing.B) {
 	sys, err := New(WithDevice(fabric.XCV50), WithPort(SelectMAP))
 	if err != nil {

@@ -63,7 +63,8 @@ func TestCheckpointAllocsIndependentOfResidentDesigns(t *testing.T) {
 		t.Errorf("checkpoint allocations scale with resident designs: %v allocs with 2 designs, %v with 8", few, many)
 	}
 	// Also pin the absolute cost: a no-op checkpoint is a handful of allocs
-	// (snapshot struct + map, area mark, checkpoint struct). This matters
+	// (the checkpoint struct and its design map; arming the frame tool and
+	// marking the area manager allocate nothing). This matters
 	// because BenchmarkCheckpoint's values sit below the CI mem gate's
 	// noise floors — a reintroduced fixed per-checkpoint clone would slip
 	// past benchdiff, so it must fail here instead.

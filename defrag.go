@@ -107,11 +107,11 @@ func (s *System) defragNeedLocked(pol DefragPolicy) (*DefragReport, error) {
 	// before it is accepted; a failed one rolls back before the next is
 	// tried, and the last one's rollback is the transaction's.
 	err := s.txLocked("defrag-need", "", fabric.Rect{H: pol.NeedH, W: pol.NeedW},
-		fmt.Sprintf("planner=%s", pol.Planner.Name()), func(cp *checkpoint) error {
+		fmt.Sprintf("planner=%s", pol.Planner.Name()), func() error {
 			var err error
 			for _, plan := range candidates {
 				if err != nil {
-					s.restoreLocked(cp, err)
+					s.restoreLocked(err)
 				}
 				rep.Attempts++
 				s.publish(Event{Kind: RearrangeStarted, Steps: len(plan.Steps)})
@@ -141,22 +141,24 @@ func (s *System) defragNeedLocked(pol DefragPolicy) (*DefragReport, error) {
 }
 
 // defragCompactLocked slides every design west/north best-effort. Each
-// slide is bracketed by a frame-granular snapshot: one that fails physically
-// (the west columns double as the pad-entry routing corridor, so they
-// congest first) is rolled back by replaying only the frames it dirtied and
-// skipped while the rest of the pass continues. The snapshot is released the
-// moment its slide completes, so exactly one checkpoint is alive at any
-// point of the pass, its configuration side proportional to the slide's
-// touched frames and its host side to the one design being slid — the
-// checkpoint journals the slid design's tables first-touch and marks the
-// area manager's undo log instead of cloning either.
+// slide is its own transaction over a frame-granular checkpoint: one that
+// fails physically (the west columns double as the pad-entry routing
+// corridor, so they congest first) is rolled back by replaying only the
+// frames it dirtied and skipped while the rest of the pass continues. The
+// checkpoint is released the moment its slide completes, so exactly one is
+// armed at any point of the pass, its configuration side proportional to
+// the slide's touched frames and its host side to the one design being
+// slid — the checkpoint journals the slid design's tables first-touch and
+// marks the area manager's undo log instead of cloning either.
 //
 // A slide that completed must NOT be rolled back later (no pass-level
 // rollback-and-replay): relocation moves live state, and rewinding the
 // configuration of a finished move would reset the restored cells to their
 // power-up Init values while the running application holds live data.
-// Rollback is therefore scoped to the failing slide, where the original
-// cells still hold the state.
+// Rollback is therefore scoped to the failing slide. It keeps the live
+// state only of the cell whose relocation failed, whose original still
+// holds it: the cells the slide had already relocated come back with stale
+// state (see restoreLocked and ROADMAP item 2).
 func (s *System) defragCompactLocked(pol DefragPolicy) (*DefragReport, error) {
 	rep := &DefragReport{FragBefore: s.area.Fragmentation(), Attempts: 1}
 	plan := rearrange.Compact(s.area)
@@ -183,7 +185,7 @@ func (s *System) defragCompactLocked(pol DefragPolicy) (*DefragReport, error) {
 		// harvested in the body, so a harvest failure carries the slide in
 		// its rollback cause too.
 		ran := false
-		err := s.txLocked("defrag-slide", name, st.To, "", func(*checkpoint) error {
+		err := s.txLocked("defrag-slide", name, st.To, "", func() error {
 			ran = true
 			err := s.defragStepLocked(name, st.To, pol.MaxStep)
 			if err == nil {

@@ -287,7 +287,7 @@ func (s *System) evacuateLocked() {
 		if !ok {
 			continue
 		}
-		err := s.txLocked("evacuate", name, to, "", func(*checkpoint) error { return s.moveRaw(name, to) })
+		err := s.txLocked("evacuate", name, to, "", func() error { return s.moveRaw(name, to) })
 		if err == nil {
 			s.engine.Stats.DesignsEvacuated++
 			s.publish(Event{Kind: DesignEvacuated, Design: name, From: from, Region: to})

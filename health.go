@@ -154,7 +154,7 @@ func (s *System) journalHealthLocked() {
 	if js == nil || js.active {
 		return
 	}
-	if _, err := s.checkpointLocked(); err != nil {
+	if err := s.checkpointLocked(); err != nil {
 		return
 	}
 	defer s.releaseCheckpointLocked()

@@ -209,6 +209,36 @@ func TestPartialBitstreamGroupsRuns(t *testing.T) {
 	}
 }
 
+func TestPartialStreamWordsExact(t *testing.T) {
+	dev := fabric.NewDevice(fabric.TestDevice)
+	fw := dev.FrameWords()
+	mk := func(addrs ...fabric.FrameAddr) []FrameUpdate {
+		out := make([]FrameUpdate, len(addrs))
+		for i, a := range addrs {
+			out[i] = FrameUpdate{Addr: a, Data: make([]uint32, fw)}
+		}
+		return out
+	}
+	cases := [][]FrameUpdate{
+		mk(fabric.FrameAddr{Major: 1, Minor: 0}),
+		mk(fabric.FrameAddr{Major: 1, Minor: 0}, fabric.FrameAddr{Major: 1, Minor: 1}),
+		mk(fabric.FrameAddr{Major: 1, Minor: 0}, fabric.FrameAddr{Major: 3, Minor: 5}),
+	}
+	// A run long enough to need a Type-2 FDRI header.
+	var big []FrameUpdate
+	for m := 0; m < fabric.FramesPerCLBColumn; m++ {
+		big = append(big, FrameUpdate{Addr: fabric.FrameAddr{Major: 2, Minor: m}, Data: make([]uint32, fw)})
+	}
+	cases = append(cases, big)
+	for i, updates := range cases {
+		want := len(Partial(dev, updates))
+		got := partialStreamWords(fw, updates)
+		if got != want {
+			t.Errorf("case %d: sized %d words, stream is %d", i, got, want)
+		}
+	}
+}
+
 func TestFullBitstreamRestoresDevice(t *testing.T) {
 	dev, _ := newDevCtl()
 	ref := fabric.CellRef{Coord: fabric.Coord{Row: 1, Col: 1}, Cell: 3}
@@ -253,23 +283,6 @@ func TestShadowRecovery(t *testing.T) {
 	}
 	if got := dev2.ReadCell(ref); got.LUT != 0xABCD {
 		t.Errorf("recovered LUT = %#x", got.LUT)
-	}
-}
-
-func TestShadowNote(t *testing.T) {
-	dev, _ := newDevCtl()
-	shadow, err := NewShadow(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := fabric.FrameAddr{Major: 3, Minor: 1}
-	data := make([]uint32, dev.FrameWords())
-	data[0] = 99
-	shadow.Note(addr, data)
-	data[0] = 0 // caller reuse must not corrupt the shadow
-	got, ok := shadow.Frame(addr)
-	if !ok || got[0] != 99 {
-		t.Errorf("shadow frame = %v, %v", got, ok)
 	}
 }
 

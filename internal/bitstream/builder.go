@@ -229,14 +229,14 @@ func Full(dev *fabric.Device) ([]uint32, error) {
 
 // Shadow mirrors the device configuration on the host. The paper's tool
 // "always keeps a complete copy of the current configuration, enabling
-// system recovery in case of failure"; Shadow is that copy. Frame slices in
-// the shadow are replaced wholesale on every note and never mutated in
-// place, which is what lets Snapshot share pre-images instead of copying.
+// system recovery in case of failure"; Shadow is that copy, a plain frame
+// store. Frame slices in the shadow are replaced wholesale on every note and
+// never mutated in place, which is what lets the frame tool's checkpoint
+// keep a replaced slice as a frame's pre-image instead of copying it.
 type Shadow struct {
 	frameWords int
 	columns    []fabric.Column
 	data       map[fabric.FrameAddr][]uint32
-	snaps      []*Snapshot // active copy-on-write checkpoints
 }
 
 // NewShadow captures the device's current full configuration.
@@ -258,42 +258,10 @@ func NewShadow(dev *fabric.Device) (*Shadow, error) {
 	return s, nil
 }
 
-// Note records a frame update in the shadow (called by the tool alongside
-// every frame it writes to the device). The data is copied.
-func (s *Shadow) Note(addr fabric.FrameAddr, data []uint32) {
-	cp := make([]uint32, len(data))
-	copy(cp, data)
-	s.NoteOwned(addr, cp)
-}
-
 // NoteOwned records a frame update taking ownership of the slice (the caller
-// must not mutate it afterwards). Pre-images flow into any active snapshots
-// before the overwrite.
+// must not mutate it afterwards).
 func (s *Shadow) NoteOwned(addr fabric.FrameAddr, data []uint32) {
-	if len(s.snaps) > 0 {
-		if old, ok := s.data[addr]; ok {
-			s.cow(addr, old)
-		}
-	}
 	s.data[addr] = data
-}
-
-// Clone returns an independent deep copy of the shadow: a full O(device)
-// checkpoint. The run-time manager does not checkpoint this way (it opens a
-// copy-on-write Snapshot with Begin); the clone is the full-copy reference
-// the snapshot is checked against (TestPartialCheckpointBitIdentical).
-func (s *Shadow) Clone() *Shadow {
-	cp := &Shadow{
-		frameWords: s.frameWords,
-		columns:    s.columns,
-		data:       make(map[fabric.FrameAddr][]uint32, len(s.data)),
-	}
-	for addr, f := range s.data {
-		d := make([]uint32, len(f))
-		copy(d, f)
-		cp.data[addr] = d
-	}
-	return cp
 }
 
 // Frame returns the shadowed content of a frame.

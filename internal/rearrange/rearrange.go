@@ -6,7 +6,6 @@
 package rearrange
 
 import (
-	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -117,7 +116,7 @@ func (LocalRepacking) Name() string { return "local-repacking" }
 
 // Plan implements Planner.
 func (LocalRepacking) Plan(m *area.Manager, h, w int) (*Plan, bool) {
-	plans := repackPlans(m, h, w, 1)
+	plans := repackPlans(m, h, w, 1, findOutside)
 	if len(plans) == 0 {
 		return nil, false
 	}
@@ -130,7 +129,7 @@ func (LocalRepacking) Plan(m *area.Manager, h, w int) (*Plan, bool) {
 // the book-keeping can still fail physically (routing congestion at the
 // chosen targets), and the next candidate evicts different tasks.
 func (LocalRepacking) Plans(m *area.Manager, h, w int) []*Plan {
-	return repackPlans(m, h, w, 0)
+	return repackPlans(m, h, w, 0, findOutside)
 }
 
 // repackPlans scores every h x w window by the area of the tasks that
@@ -138,8 +137,8 @@ func (LocalRepacking) Plans(m *area.Manager, h, w int) []*Plan {
 // keeping one plan per distinct evicted set. A window on condemned
 // (quarantined) space is skipped: no eviction can ever free it. The scans
 // reuse one owner set and one scratch copy of the manager, so they allocate
-// per plan, not per candidate window.
-func repackPlans(m *area.Manager, h, w, limit int) []*Plan {
+// per plan, not per candidate window. find picks each evicted task's target.
+func repackPlans(m *area.Manager, h, w, limit int, find finder) []*Plan {
 	if rect, ok := m.FindPlacement(h, w, area.FirstFit); ok {
 		return []*Plan{{Target: rect}}
 	}
@@ -190,7 +189,7 @@ func repackPlans(m *area.Manager, h, w, limit int) []*Plan {
 	for _, cd := range cands {
 		mk := scratch.Mark()
 		var ok bool
-		steps, ok = tryEvict(scratch, cd.window, &owners, steps[:0])
+		steps, ok = tryEvict(scratch, cd.window, &owners, steps[:0], find)
 		scratch.Rewind(mk)
 		scratch.Release(mk)
 		if !ok {
@@ -260,7 +259,7 @@ func (s *ownerSet) key(dst []byte) []byte {
 // to somewhere outside it, biggest task first (hardest to re-place). It
 // carries the moves out on m IN EXECUTION ORDER, so the plan is feasible
 // step by step on the live device; the caller rewinds m.
-func tryEvict(m *area.Manager, window fabric.Rect, owners *ownerSet, steps []Step) ([]Step, bool) {
+func tryEvict(m *area.Manager, window fabric.Rect, owners *ownerSet, steps []Step, find finder) ([]Step, bool) {
 	ids := owners.collect(m, window)
 	slices.SortFunc(ids, func(a, b int) int {
 		ra, _ := m.Rect(a)
@@ -272,7 +271,7 @@ func tryEvict(m *area.Manager, window fabric.Rect, owners *ownerSet, steps []Ste
 	})
 	for _, id := range ids {
 		old, _ := m.Rect(id)
-		to, ok := findOutside(m, id, old.H, old.W, window)
+		to, ok := find(m, id, old.H, old.W, window)
 		if !ok {
 			return steps, false
 		}
@@ -285,33 +284,42 @@ func tryEvict(m *area.Manager, window fabric.Rect, owners *ownerSet, steps []Ste
 	return steps, m.Fits(window)
 }
 
+// finder picks the target an evicted task moves to: findOutside, or a
+// reference it is checked against.
+type finder func(m *area.Manager, id, h, w int, window fabric.Rect) (fabric.Rect, bool)
+
 // findOutside finds the H x W target nearest the task's current rectangle
 // that does not overlap the window and Fits: in bounds, clear of
 // quarantine, and free of every task, the moving one included (a target
 // overlapping the task's old cells is rejected to keep the physical staged
 // move simple).
+//
+// Nearest is the smallest displacement of the origin: the smallest
+// path-delay increase during the relocation interval (the paper's reason
+// for staging long moves) and the best odds that the live engine can
+// re-route the task's nets at the target. The search walks rings of growing
+// Manhattan distance from the task's origin, each ring in row-major order,
+// and returns the first fit: the argmin of a full grid scan, with the same
+// row-major tie-break, without testing the positions beyond it.
 func findOutside(m *area.Manager, id, h, w int, window fabric.Rect) (fabric.Rect, bool) {
 	old, _ := m.Rect(id)
-	best := fabric.Rect{}
-	bestScore := math.MaxInt
-	for r := 0; r+h <= m.Rows; r++ {
-		for c := 0; c+w <= m.Cols; c++ {
-			rect := fabric.Rect{Row: r, Col: c, H: h, W: w}
-			if rect.Overlaps(window) || !m.Fits(rect) {
-				continue
-			}
-			// Prefer the position nearest the task's current rectangle:
-			// the smallest displacement means the smallest path-delay
-			// increase during the relocation interval (the paper's reason
-			// for staging long moves) and the best odds that the live
-			// engine can re-route the task's nets at the target.
-			score := abs(rect.Row-old.Row) + abs(rect.Col-old.Col)
-			if score < bestScore {
-				bestScore, best = score, rect
+	maxRow, maxCol := m.Rows-h, m.Cols-w
+	far := max(old.Row, maxRow-old.Row) + max(old.Col, maxCol-old.Col)
+	for d := 0; d <= far; d++ {
+		for r := max(0, old.Row-d); r <= min(maxRow, old.Row+d); r++ {
+			dc := d - abs(r-old.Row)
+			for _, c := range [2]int{old.Col - dc, old.Col + dc} {
+				rect := fabric.Rect{Row: r, Col: c, H: h, W: w}
+				if c >= 0 && c <= maxCol && !rect.Overlaps(window) && m.Fits(rect) {
+					return rect, true
+				}
+				if dc == 0 {
+					break
+				}
 			}
 		}
 	}
-	return best, bestScore < math.MaxInt
+	return fabric.Rect{}, false
 }
 
 func abs(x int) int {

@@ -30,11 +30,16 @@ var ErrPortStalled = errors.New("relocate: configuration port stalled")
 // its final content.
 //
 // Besides the shadow, the tool keeps one record per configuration frame
-// (frameState): the frame's delta baselines, whether it is pending, and the
-// number of the last burst that carried it. That number is all the stream
-// tracking there is: bursts are numbered in enqueue order, so a frame may
-// still be streaming exactly when its number is above the port's
-// CompletedBursts.
+// (frameState): the frame's delta baselines, whether it is pending, the
+// number of the last burst that carried it, and its pre-image under the
+// checkpoint. That number is all the stream tracking there is: bursts are
+// numbered in enqueue order, so a frame may still be streaming exactly when
+// its number is above the port's CompletedBursts.
+//
+// The tool also keeps the one rollback checkpoint (Arm .. Disarm). It sees
+// every write to the shadow, so the first write to a frame after Arm saves
+// the frame's pre-image in its record, and a rollback replays only what the
+// operation touched.
 type FrameTool struct {
 	dev    *fabric.Device
 	port   bitstream.Port
@@ -138,6 +143,12 @@ type FrameTool struct {
 	// hangs here — undo records must be durable before the device-visible
 	// write they cover.
 	barrier DeliveryBarrier
+
+	// armed marks an open checkpoint. dirty lists, in first-written order,
+	// the frames written since it was armed or last rolled back; each one's
+	// record holds its pre-image.
+	armed bool
+	dirty []fabric.FrameAddr
 }
 
 // frameState is the frame tool's one record of a configuration frame.
@@ -158,8 +169,13 @@ type FrameTool struct {
 // pending marks a frame on the tool's pending list. burst is the number of
 // the last burst that carried the frame: 0 until one does, and always 0 in
 // serial mode or on a synchronous port, where nothing streams.
+//
+// pre is the frame's content when the checkpoint was armed (or last rolled
+// back), saved on the frame's first write since; nil while the frame is not
+// on the dirty list. Like the baselines it aliases a shadow slice.
 type frameState struct {
 	lastSent, confirmed []uint32
+	pre                 []uint32
 	burst               uint64
 	pending             bool
 }
@@ -218,10 +234,11 @@ func NewFrameTool(dev *fabric.Device, port bitstream.Port) (*FrameTool, error) {
 // Sync adopts configuration that changed through a path other than this
 // tool (e.g. the development tool loading a new design) — the paper's tool
 // accepts "a complete configuration file" as input; this is the equivalent
-// import. Only the frames that actually changed are re-read; their
-// pre-images flow into any open snapshots, so a checkpoint covers
-// designer-path writes too, and the view sink gets each frame's shadow and
-// readback content. Every tool write starts with it.
+// import. Only the frames that actually changed are re-read; they go
+// through the tool's one shadow-write path, so an armed checkpoint saves
+// their pre-images and covers designer-path writes too, and the view sink
+// gets each frame's shadow and readback content. Every tool write starts
+// with it.
 func (ft *FrameTool) Sync() error {
 	g := ft.dev.Generation()
 	if g == ft.genSeen {
@@ -237,14 +254,13 @@ func (ft *FrameTool) Sync() error {
 		if err != nil {
 			return err
 		}
-		old, _ := ft.shadow.Frame(addr)
-		ft.shadow.NoteOwned(addr, data)
+		st := ft.state(addr)
+		old := ft.note(addr, st, data)
 		if ft.sink != nil {
 			ft.sink.FrameChanged(addr, old, data)
 		}
 		// Designer-path content is already on the fabric: it is the delta
 		// baseline of the next port delivery of these frames.
-		st := ft.state(addr)
 		st.lastSent, st.confirmed = data, data
 		if updates != nil {
 			updates = append(updates, bitstream.FrameUpdate{Addr: addr, Data: data})
@@ -261,6 +277,19 @@ func (ft *FrameTool) Sync() error {
 		ft.barrier.Delivered(updates)
 	}
 	return nil
+}
+
+// note is the tool's one shadow-write path: it takes data as the frame's
+// shadow content and returns the content it replaced. With the checkpoint
+// armed, the frame's first write since saves that content as its pre-image.
+func (ft *FrameTool) note(addr fabric.FrameAddr, st *frameState, data []uint32) []uint32 {
+	old, _ := ft.shadow.Frame(addr)
+	if ft.armed && st.pre == nil {
+		st.pre = old
+		ft.dirty = append(ft.dirty, addr)
+	}
+	ft.shadow.NoteOwned(addr, data)
+	return old
 }
 
 // Port returns the configuration port.
@@ -376,14 +405,13 @@ func (ft *FrameTool) stage(addr fabric.FrameAddr, data []uint32) error {
 			}
 		}
 	}
-	old, _ := ft.shadow.Frame(addr)
+	old := ft.note(addr, st, data)
 	if st.lastSent == nil {
 		// First-ever stage of this frame: the pre-staging shadow content is
 		// what the fabric has held since power-up — the initial delta
 		// baseline for compressed delivery.
 		st.lastSent, st.confirmed = old, old
 	}
-	ft.shadow.NoteOwned(addr, data)
 	if err := ft.dev.WriteFrame(addr.Major, addr.Minor, data); err != nil {
 		return err
 	}
@@ -410,8 +438,8 @@ func (ft *FrameTool) stage(addr fabric.FrameAddr, data []uint32) error {
 // batched plan, a Load places directly onto the device between two ops'
 // tool writes, possibly into frames that are also pending here (one frame
 // carries bits of every row of its column). So Flush first reconciles the
-// shadow with the device (capturing those writes' pre-images into any open
-// snapshots) and re-reads each pending frame from the reconciled shadow, so
+// shadow with the device (an armed checkpoint saves those writes'
+// pre-images) and re-reads each pending frame from the reconciled shadow, so
 // the port delivers the merged content and the generation cursor never
 // jumps over a write the flush did not itself produce.
 func (ft *FrameTool) Flush() error {
@@ -672,61 +700,100 @@ func (ft *FrameTool) AbortPending() {
 	ft.pending = nil
 }
 
-// BeginSnapshot synchronises the shadow with the device and opens a
-// frame-granular copy-on-write checkpoint: from here on the shadow saves the
-// pre-image of every frame that changes (tool writes and designer-path
-// writes alike — the latter are captured by the next sync), so a rollback
-// replays only what the operation touched.
-func (ft *FrameTool) BeginSnapshot() (*bitstream.Snapshot, error) {
-	if err := ft.Sync(); err != nil {
-		return nil, err
+// Arm synchronises the shadow with the device and opens the checkpoint:
+// from here on the first write to each frame — a staged write or a
+// designer-path adoption by Sync — saves the frame's pre-image in its
+// record, so a rollback replays only what the operation touched. One
+// checkpoint is open at a time: Arm panics when the tool is already armed.
+func (ft *FrameTool) Arm() error {
+	if ft.armed {
+		panic("relocate: FrameTool.Arm: a checkpoint is already armed")
 	}
-	return ft.shadow.Begin(), nil
+	if err := ft.Sync(); err != nil {
+		return err
+	}
+	ft.armed = true
+	return nil
 }
 
-// RecoveryWords builds the partial recovery stream for a snapshot taken with
-// BeginSnapshot. Any in-flight stream drains first — the rollback overwrites
-// frames the stream may cover. The drained stream's own error is discarded:
-// a rollback is already under way, and the recovery stream supersedes
-// whatever the failed delivery left behind. The drain is a harvest the stall
-// watchdog can abandon, so the caller fences (Fence) before feeding the
-// words to the controller the worker may still own. It then synchronises so
-// designer-path writes since the checkpoint are part of the dirty set.
-func (ft *FrameTool) RecoveryWords(snap *bitstream.Snapshot) ([]uint32, error) {
+// Disarm closes the checkpoint and drops its pre-images. A no-op when
+// nothing is armed.
+func (ft *FrameTool) Disarm() {
+	ft.clearDirty()
+	ft.armed = false
+}
+
+// clearDirty empties the dirty list and the pre-images it names.
+func (ft *FrameTool) clearDirty() {
+	for _, addr := range ft.dirty {
+		ft.state(addr).pre = nil
+	}
+	ft.dirty = ft.dirty[:0]
+}
+
+// Preimage returns a frame's content at the checkpoint, if the frame was
+// written since it was armed (or last rolled back).
+func (ft *FrameTool) Preimage(addr fabric.FrameAddr) ([]uint32, bool) {
+	pre := ft.state(addr).pre
+	return pre, pre != nil
+}
+
+// DirtyFrames returns the frames written since the checkpoint was armed (or
+// last rolled back), in frame-address order.
+func (ft *FrameTool) DirtyFrames() []fabric.FrameAddr {
+	addrs := slices.Clone(ft.dirty)
+	slices.SortFunc(addrs, fabric.FrameAddr.Compare)
+	return addrs
+}
+
+// RecoveryWords builds the partial recovery stream that restores every dirty
+// frame to its pre-image; nil when nothing is dirty. Any in-flight stream
+// drains first — the rollback overwrites frames the stream may cover. The
+// drained stream's own error is discarded: a rollback is already under way,
+// and the recovery stream supersedes whatever the failed delivery left
+// behind. The drain is a harvest the stall watchdog can abandon, so the
+// caller fences (Fence) before feeding the words to the controller the
+// worker may still own. It then synchronises so designer-path writes since
+// the checkpoint are part of the dirty set.
+func (ft *FrameTool) RecoveryWords() ([]uint32, error) {
 	ft.drainSuperseded()
 	if err := ft.Sync(); err != nil {
 		return nil, err
 	}
-	return snap.RecoveryWords(), nil
+	if len(ft.dirty) == 0 {
+		return nil, nil
+	}
+	addrs := ft.DirtyFrames()
+	updates := make([]bitstream.FrameUpdate, len(addrs))
+	for i, addr := range addrs {
+		updates[i] = bitstream.FrameUpdate{Addr: addr, Data: ft.state(addr).pre}
+	}
+	return bitstream.Partial(ft.dev, updates), nil
 }
 
 // CompleteRestore finishes a rollback after the recovery stream was fed to
 // the configuration logic: the pending (dead) stream of the failed operation
-// is dropped, the shadow rolls back to the checkpoint state, and the
-// generation cursor catches up with the recovery writes. The view sink gets
-// each dirty frame's content before and after the rollback, so it restores
-// its occupancy picture from exactly the bits the rollback changed. The
-// snapshot stays armed, so the same checkpoint can back another attempt.
-func (ft *FrameTool) CompleteRestore(snap *bitstream.Snapshot) {
+// is dropped, the shadow rolls back to the checkpoint, and the generation
+// cursor catches up with the recovery writes. The view sink gets each dirty
+// frame's content before and after the rollback, so it restores its
+// occupancy picture from exactly the bits the rollback changed. The tool
+// stays armed with nothing dirty, so the same checkpoint can back another
+// attempt.
+func (ft *FrameTool) CompleteRestore() {
 	ft.drainSuperseded() // see RecoveryWords: a rollback supersedes the stream
-	dirty := snap.Frames()
 	ft.AbortPending()
-	before := make([][]uint32, len(dirty))
-	for i, addr := range dirty {
-		before[i], _ = ft.shadow.Frame(addr)
-	}
-	snap.Rollback()
-	// The recovery stream physically re-delivered every dirty frame in full;
-	// the rolled-back shadow content is the new value of both baselines.
-	for i, addr := range dirty {
-		if data, ok := ft.shadow.Frame(addr); ok {
-			st := ft.state(addr)
-			st.lastSent, st.confirmed = data, data
-			if ft.sink != nil {
-				ft.sink.FrameChanged(addr, before[i], data)
-			}
+	for _, addr := range ft.DirtyFrames() {
+		st := ft.state(addr)
+		before, _ := ft.shadow.Frame(addr)
+		ft.shadow.NoteOwned(addr, st.pre)
+		// The recovery stream physically re-delivered the frame in full: the
+		// pre-image is the new value of both baselines.
+		st.lastSent, st.confirmed = st.pre, st.pre
+		if ft.sink != nil {
+			ft.sink.FrameChanged(addr, before, st.pre)
 		}
 	}
+	ft.clearDirty()
 	ft.genSeen = ft.dev.Generation()
 }
 

@@ -2,6 +2,7 @@ package relocate_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/bitstream"
@@ -189,11 +190,10 @@ func TestPartialCheckpointBitIdentical(t *testing.T) {
 			eng.MaxCyclesPerWait = 0
 
 			// Checkpoint both ways at the same instant: the full shadow
-			// clone is the reference, the snapshot is the system under
-			// test.
-			full := eng.Tool.Shadow().Clone()
-			snap, err := eng.Tool.BeginSnapshot()
-			if err != nil {
+			// copy is the reference, the tool's checkpoint is the system
+			// under test.
+			full := copyShadow(dev, eng.Tool.Shadow())
+			if err := eng.Tool.Arm(); err != nil {
 				t.Fatal(err)
 			}
 
@@ -225,7 +225,7 @@ func TestPartialCheckpointBitIdentical(t *testing.T) {
 
 			// Frame-granular restore: replay only the dirty pre-images.
 			port.budget = -1
-			words, err := eng.Tool.RecoveryWords(snap)
+			words, err := eng.Tool.RecoveryWords()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -234,8 +234,8 @@ func TestPartialCheckpointBitIdentical(t *testing.T) {
 					t.Fatalf("recovery stream rejected: %v", err)
 				}
 			}
-			eng.Tool.CompleteRestore(snap)
-			snap.Release()
+			eng.Tool.CompleteRestore()
+			eng.Tool.Disarm()
 
 			// Bit-identity against the full-shadow checkpoint, every frame
 			// of the device.
@@ -246,7 +246,7 @@ func TestPartialCheckpointBitIdentical(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, ok := full.Frame(addr)
+					want, ok := full[addr]
 					if !ok {
 						t.Fatalf("full shadow misses frame %v", addr)
 					}
@@ -277,6 +277,21 @@ func TestPartialCheckpointBitIdentical(t *testing.T) {
 	}
 }
 
+// copyShadow deep-copies every frame of a shadow: the full O(device)
+// checkpoint the frame tool's frame-granular one is checked against.
+func copyShadow(dev *fabric.Device, sh *bitstream.Shadow) map[fabric.FrameAddr][]uint32 {
+	full := map[fabric.FrameAddr][]uint32{}
+	for _, col := range dev.Columns() {
+		for m := 0; m < col.Frames; m++ {
+			addr := fabric.FrameAddr{Major: col.Major, Minor: m}
+			if f, ok := sh.Frame(addr); ok {
+				full[addr] = slices.Clone(f)
+			}
+		}
+	}
+	return full
+}
+
 // TestBatchFlushReconcilesDesignerWrites covers the batched-commit hazard:
 // designer-path writes landing between two tool writes of one batch (a
 // Load placing directly onto the device mid-plan) must (a) survive the
@@ -291,8 +306,7 @@ func TestBatchFlushReconcilesDesignerWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	ft := eng.Tool
-	snap, err := ft.BeginSnapshot()
-	if err != nil {
+	if err := ft.Arm(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -327,15 +341,15 @@ func TestBatchFlushReconcilesDesignerWrites(t *testing.T) {
 
 	// (b) Rollback reverts tool AND designer writes: the flush must not
 	// advance the sync cursor past generations it did not produce.
-	words, err := ft.RecoveryWords(snap)
+	words, err := ft.RecoveryWords()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := ctrl.Feed(words...); err != nil {
 		t.Fatal(err)
 	}
-	ft.CompleteRestore(snap)
-	snap.Release()
+	ft.CompleteRestore()
+	ft.Disarm()
 	for _, ref := range []fabric.CellRef{toolRef, sameColRef, otherRef} {
 		if got := dev.ReadCell(ref); got.Used {
 			t.Fatalf("cell %v survived rollback: %+v", ref, got)

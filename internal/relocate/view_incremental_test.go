@@ -14,7 +14,7 @@ import (
 
 // TestViewMatchesRescanUnderRandomOps is the O(change) contract's property
 // test: after ANY sequence of loads (designer-path writes), relocations,
-// tree releases, cell/pad clears, raw PIP pokes and snapshot rollbacks, the
+// tree releases, cell/pad clears, raw PIP pokes and checkpoint rollbacks, the
 // incrementally maintained view must be bit-identical to a fresh rescan of
 // the configuration memory.
 func TestViewMatchesRescanUnderRandomOps(t *testing.T) {
@@ -167,10 +167,9 @@ func TestViewMatchesRescanUnderRandomOps(t *testing.T) {
 			dev.SetPIPMask(c, local, mask^(1<<bit))
 			return "raw-pip"
 		default:
-			// Snapshot a few ops, roll them back through the recovery
+			// Checkpoint a few ops, roll them back through the recovery
 			// stream, and verify the view is restored from the dirty set.
-			snap, err := eng.Tool.BeginSnapshot()
-			if err != nil {
+			if err := eng.Tool.Arm(); err != nil {
 				t.Fatal(err)
 			}
 			for n := rng.Intn(3); n >= 0; n-- {
@@ -181,7 +180,7 @@ func TestViewMatchesRescanUnderRandomOps(t *testing.T) {
 					_ = eng.ReleaseTree(sources[rng.Intn(len(sources))])
 				}
 			}
-			words, err := eng.Tool.RecoveryWords(snap)
+			words, err := eng.Tool.RecoveryWords()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -190,8 +189,8 @@ func TestViewMatchesRescanUnderRandomOps(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			eng.Tool.CompleteRestore(snap)
-			snap.Release()
+			eng.Tool.CompleteRestore()
+			eng.Tool.Disarm()
 			return "rollback"
 		}
 	}
@@ -279,8 +278,7 @@ func TestViewAfterFailedPartialRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := eng.Tool.BeginSnapshot()
-	if err != nil {
+	if err := eng.Tool.Arm(); err != nil {
 		t.Fatal(err)
 	}
 	for _, ref := range d.OccupiedCells() {
@@ -288,10 +286,10 @@ func TestViewAfterFailedPartialRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := eng.Tool.RecoveryWords(snap); err != nil { // built, never fed
+	if _, err := eng.Tool.RecoveryWords(); err != nil { // built, never fed
 		t.Fatal(err)
 	}
-	eng.Tool.CompleteRestore(snap)
+	eng.Tool.CompleteRestore()
 	if err := ctrl.Feed(eng.Tool.Shadow().RecoveryBitstream()...); err != nil {
 		t.Fatal(err)
 	}

@@ -12,20 +12,25 @@ type Policy struct {
 	Capacity int
 }
 
-// Stats counts cache outcomes. Hits/Misses/Stores/Evictions are maintained
-// by the store; Fallbacks is noted by the run-time manager and counts only
-// warm loads that hit but fell back to the cold path (the image overlapped
-// occupied routing, or its pads or boundary nets could not be bound).
+// Stats counts cache outcomes. Every lookup counts once: as a hit (an image
+// was found and served warm), a miss (no image), or a fallback (an image was
+// found, but the warm load fell back to the cold path: the image overlapped
+// occupied routing, or its pads or boundary nets could not be bound). The
+// store counts hits and misses at Get; the run-time manager's NoteFallback
+// moves a lookup from Hits to Fallbacks. Stores and Evictions count Put's
+// insertions and the entries it evicted.
 type Stats struct {
 	Hits, Misses, Stores, Evictions, Fallbacks int
 }
 
-// HitRate returns hits / (hits + misses), or 0 before any lookup.
+// HitRate returns the share of lookups served warm, hits / (hits + misses +
+// fallbacks), or 0 before any lookup.
 func (s Stats) HitRate() float64 {
-	if s.Hits+s.Misses == 0 {
+	n := s.Hits + s.Misses + s.Fallbacks
+	if n == 0 {
 		return 0
 	}
-	return float64(s.Hits) / float64(s.Hits+s.Misses)
+	return float64(s.Hits) / float64(n)
 }
 
 type entry struct {
@@ -107,9 +112,11 @@ func (s *Store) Stats() Stats {
 	return s.stats
 }
 
-// NoteFallback records a warm load that fell back to the cold path.
+// NoteFallback records that the warm load of a lookup Get counted as a hit
+// fell back to the cold path: the lookup moves from Hits to Fallbacks.
 func (s *Store) NoteFallback() {
 	s.mu.Lock()
+	s.stats.Hits--
 	s.stats.Fallbacks++
 	s.mu.Unlock()
 }

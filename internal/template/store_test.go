@@ -86,6 +86,30 @@ func TestStoreStatsAndHitRate(t *testing.T) {
 	}
 }
 
+// TestHitRateCountsEachLookupOnce: a served lookup, a lookup whose warm load
+// fell back and a miss are three lookups, one of them served warm.
+func TestHitRateCountsEachLookupOnce(t *testing.T) {
+	s := NewStore(Policy{})
+	s.Put(key(1), &Template{})
+	if _, ok := s.Get(key(1)); !ok { // served warm
+		t.Fatal("miss after put")
+	}
+	if _, ok := s.Get(key(1)); !ok { // found, then fell back
+		t.Fatal("miss after put")
+	}
+	s.NoteFallback()
+	if _, ok := s.Get(key(2)); ok {
+		t.Fatal("phantom hit")
+	}
+	st := s.Stats()
+	if got := st.HitRate(); got != 1.0/3 {
+		t.Fatalf("hit rate %v, want 1/3 (stats %+v)", got, st)
+	}
+	if st.Hits != 1 || st.Fallbacks != 1 || st.Misses != 1 {
+		t.Fatalf("stats %+v, want one hit, one fallback, one miss", st)
+	}
+}
+
 func TestStorePutReplace(t *testing.T) {
 	s := NewStore(Policy{Capacity: 2})
 	a, b := &Template{}, &Template{}

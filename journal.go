@@ -13,8 +13,8 @@ import (
 
 // sysJournal is the facade's write-ahead journal state. Each mutating facade
 // operation journals Begin (intent) right after its checkpoint arms, Undo
-// records (frame pre-images from the checkpoint's copy-on-write snapshot)
-// before every flush delivers frames through the port, Post (the host
+// records (frame pre-images from the frame tool's armed checkpoint) before
+// every flush delivers frames through the port, Post (the host
 // book-keeping of journalStateLocked plus dirty-frame digests) once the
 // operation's stream has fully shifted out, and a Commit or Abort seal.
 // Recovery (rlm.Recover) reconciles an unsealed tail against device
@@ -42,7 +42,7 @@ type sysBarrier struct{ s *System }
 // PreDeliver journals the pre-image of every not-yet-covered frame of the
 // delivery and forces the records to stable storage — the write-ahead
 // contract: by the time the port can have changed the device, the journal
-// can undo it. The pre-images come from the armed checkpoint's snapshot.
+// can undo it. The pre-images come from the frame tool's armed checkpoint.
 func (b sysBarrier) PreDeliver(addrs []fabric.FrameAddr) error {
 	s := b.s
 	js := s.jrnl
@@ -54,10 +54,10 @@ func (b sysBarrier) PreDeliver(addrs []fabric.FrameAddr) error {
 		if js.seen[addr] {
 			continue
 		}
-		pre, ok := s.cp.snap.Preimage(addr)
+		pre, ok := s.engine.Tool.Preimage(addr)
 		if !ok {
-			// The frame did not change since the checkpoint epoch (an
-			// identical rewrite); nothing to undo.
+			// The frame was not written since the checkpoint armed;
+			// nothing to undo.
 			continue
 		}
 		js.seen[addr] = true
@@ -170,7 +170,7 @@ func (s *System) journalCommitLocked() error {
 	}
 	state := s.journalStateLocked()
 	state.Seq = js.seq
-	dirty := s.cp.snap.Frames()
+	dirty := s.engine.Tool.DirtyFrames()
 	digests := make([]journal.FrameDigest, 0, len(dirty))
 	for _, addr := range dirty {
 		if s.masked(addr.Major) {

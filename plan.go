@@ -126,7 +126,7 @@ func (p *Plan) Commit() error {
 	// Ops overlap their planning with earlier ops' streams; the
 	// transaction's harvest makes a transport failure anywhere in the plan
 	// fail the whole of it, unless the retry ladder re-delivers it.
-	return s.txLocked("plan", "", fabric.Rect{}, p.describe(), func(*checkpoint) error {
+	return s.txLocked("plan", "", fabric.Rect{}, p.describe(), func() error {
 		return s.engine.Tool.InBatch(func() error {
 			for i, op := range ops {
 				if err := s.runOpLocked(op); err != nil {

@@ -47,7 +47,7 @@ func (s *System) scrubLocked(maxFrames int) (*ScrubReport, error) {
 		rep.Skipped = true
 		return rep, nil
 	}
-	addrs := s.scrubAddrsLocked()
+	addrs := s.frameAddrsLocked()
 	if len(addrs) == 0 {
 		return rep, nil
 	}
@@ -181,12 +181,13 @@ func (s *System) probeFrameLocked(fa fabric.FrameAddr, golden []uint32) bool {
 	return true
 }
 
-// scrubAddrsLocked returns the device's full frame address space in address
-// order (the loops below visit it major by major, minor by minor), built once
-// and cached (the geometry never changes).
-func (s *System) scrubAddrsLocked() []fabric.FrameAddr {
-	if s.scrubAddrs != nil {
-		return s.scrubAddrs
+// frameAddrsLocked returns the device's full frame address space in address
+// order (major by major, minor by minor), built once and cached (the
+// geometry never changes). The scrubber walks it round-robin, and a full
+// recovery reports the shadow in this order.
+func (s *System) frameAddrsLocked() []fabric.FrameAddr {
+	if s.frameAddrs != nil {
+		return s.frameAddrs
 	}
 	var addrs []fabric.FrameAddr
 	for major := 0; major < s.dev.NumMajors(); major++ {
@@ -198,7 +199,7 @@ func (s *System) scrubAddrsLocked() []fabric.FrameAddr {
 			addrs = append(addrs, fabric.FrameAddr{Major: major, Minor: minor})
 		}
 	}
-	s.scrubAddrs = addrs
+	s.frameAddrs = addrs
 	return addrs
 }
 

@@ -92,9 +92,10 @@ type System struct {
 	// cannot recurse.
 	evacuating bool
 
-	// Scrubber state (see scrub.go): the cached frame address space, the
-	// round-robin cursor, and the background goroutine's lifecycle.
-	scrubAddrs  []fabric.FrameAddr
+	// The device's frame address space, cached (see frameAddrsLocked), and
+	// the scrubber's state (see scrub.go): its round-robin cursor and the
+	// background goroutine's lifecycle.
+	frameAddrs  []fabric.FrameAddr
 	scrubCursor int
 	scrubStop   chan struct{}
 	scrubDone   chan struct{}
@@ -346,7 +347,7 @@ func (s *System) Load(nl *netlist.Netlist, region fabric.Rect) (*place.Design, e
 	}
 	// The transaction's checkpoint keeps a partial placement (pads and cells
 	// are written before routing can still fail) off the fabric.
-	err := s.txLocked("load", nl.Name, ops[0].region, "", func(*checkpoint) error { return s.runOpLocked(ops[0]) })
+	err := s.txLocked("load", nl.Name, ops[0].region, "", func() error { return s.runOpLocked(ops[0]) })
 	if err != nil {
 		return nil, err
 	}
@@ -440,7 +441,7 @@ func (s *System) Unload(name string) error {
 	if _, err := s.checkOpsLocked(ops); err != nil {
 		return err
 	}
-	err := s.txLocked("unload", name, s.designs[name].Region, "", func(*checkpoint) error { return s.runOpLocked(ops[0]) })
+	err := s.txLocked("unload", name, s.designs[name].Region, "", func() error { return s.runOpLocked(ops[0]) })
 	if err != nil {
 		return fmt.Errorf("rlm: unloading %q: %w", name, err)
 	}
@@ -455,7 +456,7 @@ func (s *System) Unload(name string) error {
 func (s *System) unloadRaw(name string) error {
 	// The unload never rewrites the design's tables, so the inverse is just
 	// re-registering the same object (the configuration side is the frame
-	// snapshot's business).
+	// tool's checkpoint's business).
 	d, id := s.designs[name], s.regions[name]
 	s.noteUndoLocked(func(s *System) {
 		s.designs[name] = d
@@ -519,7 +520,7 @@ func (s *System) Move(name string, to fabric.Rect) error {
 	if _, err := s.checkOpsLocked(ops); err != nil {
 		return err
 	}
-	return s.txLocked("move", name, to, "", func(*checkpoint) error { return s.runOpLocked(ops[0]) })
+	return s.txLocked("move", name, to, "", func() error { return s.runOpLocked(ops[0]) })
 }
 
 // moveRaw performs the physical relocation and book-keeping; the caller has
@@ -600,7 +601,7 @@ func (s *System) MoveStaged(name string, to fabric.Rect, maxStep int) error {
 		return err
 	}
 	return s.txLocked("move-staged", name, to, fmt.Sprintf("maxStep=%d", maxStep),
-		func(*checkpoint) error { return s.runOpLocked(ops[0]) })
+		func() error { return s.runOpLocked(ops[0]) })
 }
 
 // Recover restores the device to the tool's shadow copy of the
@@ -646,16 +647,9 @@ func (s *System) notifyShadowDelivered() {
 		return
 	}
 	var updates []bitstream.FrameUpdate
-	for major := 0; major < s.dev.NumMajors(); major++ {
-		col, ok := s.dev.ColumnByMajor(major)
-		if !ok {
-			continue
-		}
-		for minor := 0; minor < col.Frames; minor++ {
-			addr := fabric.FrameAddr{Major: major, Minor: minor}
-			if data, ok := s.engine.Tool.Shadow().Frame(addr); ok {
-				updates = append(updates, bitstream.FrameUpdate{Addr: addr, Data: data})
-			}
+	for _, addr := range s.frameAddrsLocked() {
+		if data, ok := s.engine.Tool.Shadow().Frame(addr); ok {
+			updates = append(updates, bitstream.FrameUpdate{Addr: addr, Data: data})
 		}
 	}
 	s.onDelivered(updates)
@@ -672,20 +666,20 @@ func (s *System) notifyShadowDelivered() {
 // quarantine cannot recurse. A checkpoint or intent failure returns before
 // body runs. Every mutating facade operation is one checkOpsLocked dry run
 // plus one txLocked call whose body runs the checked ops with runOpLocked.
-func (s *System) txLocked(op, design string, region fabric.Rect, detail string, body func(*checkpoint) error) error {
-	cp, err := s.checkpointLocked()
-	if err != nil {
+func (s *System) txLocked(op, design string, region fabric.Rect, detail string, body func() error) error {
+	if err := s.checkpointLocked(); err != nil {
 		return err
 	}
 	if err := s.journalBeginLocked(op, design, region, detail); err != nil {
 		s.releaseCheckpointLocked()
 		return err
 	}
-	if err = body(cp); err == nil {
+	err := body()
+	if err == nil {
 		err = s.finishOpLocked()
 	}
 	if err != nil {
-		s.restoreLocked(cp, err)
+		s.restoreLocked(err)
 		s.journalAbortLocked()
 	}
 	s.releaseCheckpointLocked()
@@ -696,18 +690,16 @@ func (s *System) txLocked(op, design string, region fabric.Rect, detail string, 
 }
 
 // checkpoint captures everything a rollback needs, all of it copy-on-write:
-// a frame-granular snapshot of the pre-operation configuration (pre-images
-// are saved only for the frames the operation actually touches, reported by
-// the engine's write path), an undo-log epoch on the area manager, and a
-// journal of inverse host-book-keeping ops that mutations append first-touch
-// — so opening a checkpoint copies nothing, and its eventual size is
-// proportional to the designs the operation touches, not to every resident
-// design. At most one checkpoint is armed (System.cp), and it must be
-// released exactly once when its operation ends, whichever way it ends — an
-// unreleased snapshot would keep saving pre-images for every later
-// operation.
+// the frame tool's armed checkpoint of the pre-operation configuration (the
+// tool saves a pre-image only for each frame the operation actually writes),
+// an undo-log epoch on the area manager, and a journal of inverse
+// host-book-keeping ops that mutations append first-touch — so opening a
+// checkpoint copies nothing, and its eventual size is proportional to the
+// designs the operation touches, not to every resident design. At most one
+// checkpoint is armed (System.cp; the tool panics on a second Arm), and it
+// must be released exactly once when its operation ends, whichever way it
+// ends.
 type checkpoint struct {
-	snap *bitstream.Snapshot
 	mark area.Mark
 	// undo holds inverse host ops, applied in reverse on restore. saved
 	// tracks designs whose mutable state is already journalled, so repeated
@@ -723,19 +715,14 @@ type designState struct {
 	sourceOf map[netlist.ID]fabric.NodeID
 }
 
-func (s *System) checkpointLocked() (*checkpoint, error) {
-	// BeginSnapshot syncs the shadow (it lags behind designer-path writes
-	// until then) and opens the copy-on-write epoch; nothing is copied yet.
-	snap, err := s.engine.Tool.BeginSnapshot()
-	if err != nil {
-		return nil, err
+func (s *System) checkpointLocked() error {
+	// Arm syncs the shadow (it lags behind designer-path writes until then)
+	// and opens the tool's checkpoint; nothing is copied yet.
+	if err := s.engine.Tool.Arm(); err != nil {
+		return err
 	}
-	s.cp = &checkpoint{
-		snap:  snap,
-		mark:  s.area.Mark(),
-		saved: map[*place.Design]bool{},
-	}
-	return s.cp, nil
+	s.cp = &checkpoint{mark: s.area.Mark(), saved: map[*place.Design]bool{}}
+	return nil
 }
 
 // noteUndoLocked journals an inverse host-book-keeping op into the armed
@@ -749,7 +736,7 @@ func (s *System) noteUndoLocked(fn func(*System)) {
 
 // noteDesignLocked journals a design's mutable state (region, cell and
 // source tables) into the armed checkpoint, unless it has saved it already.
-// This is the host-side counterpart of the frame snapshot's copy-on-write:
+// This is the host-side counterpart of the frame checkpoint's pre-images:
 // the tables are cloned on first touch, driven by the operations that
 // actually rewrite them.
 func (s *System) noteDesignLocked(d *place.Design) {
@@ -776,29 +763,36 @@ func (s *System) noteDesignLocked(d *place.Design) {
 	})
 }
 
-// restoreLocked rolls the device and all book-keeping back to a checkpoint
-// after a failed operation: the pre-images of exactly the frames the
-// operation dirtied are streamed through the controller (the paper's
+// restoreLocked rolls the device and all book-keeping back to the armed
+// checkpoint after a failed operation: the pre-images of exactly the frames
+// the operation dirtied are streamed through the controller (the paper's
 // recovery path, proportional to the change instead of the device), the
 // area manager rewinds its undo log to the checkpoint's mark, and the host
 // journal replays its inverse ops in reverse. The checkpoint itself stays
 // armed — journal and dirty set emptied, mark kept — so one checkpoint can
 // back several rollbacks; Defragment retries alternative plans against the
 // same one. cause is reported on the event stream.
-func (s *System) restoreLocked(cp *checkpoint, cause error) {
+//
+// A rollback restores configuration, not live state. The cell whose
+// relocation failed still holds its state in its original, but a cell the
+// operation had already relocated carried its flip-flop state on into the
+// replica, and the pre-images bring back the original with stale state.
+// ROADMAP item 2 replaces that part of the rollback with compensating
+// relocations.
+func (s *System) restoreLocked(cause error) {
+	cp, tool := s.cp, s.engine.Tool
 	// RecoveryWords syncs first, so designer-path writes (a half-placed
 	// design) are part of the dirty set and cannot survive the rollback.
-	words, wordsErr := s.engine.Tool.RecoveryWords(cp.snap)
+	words, wordsErr := tool.RecoveryWords()
 	// The recovery stream bypasses the frame tool (it feeds the controller
 	// directly), so the delivered-configuration observer is notified here
 	// with the pre-images about to be restored — before CompleteRestore
-	// drains the snapshot they live in.
+	// drops them.
 	var restoredFrames []bitstream.FrameUpdate
 	if s.onDelivered != nil && wordsErr == nil && len(words) > 0 {
-		for _, addr := range cp.snap.Frames() {
-			if pre, ok := cp.snap.Preimage(addr); ok {
-				restoredFrames = append(restoredFrames, bitstream.FrameUpdate{Addr: addr, Data: pre})
-			}
+		for _, addr := range tool.DirtyFrames() {
+			pre, _ := tool.Preimage(addr)
+			restoredFrames = append(restoredFrames, bitstream.FrameUpdate{Addr: addr, Data: pre})
 		}
 	}
 	// Both recovery feeds below bypass the port, so each fences its worker
@@ -806,13 +800,13 @@ func (s *System) restoreLocked(cp *checkpoint, cause error) {
 	// abandoned returns while a superseded burst may still be shifting.
 	var feedErr error
 	if wordsErr == nil && len(words) > 0 {
-		s.engine.Tool.Fence()
+		tool.Fence()
 		feedErr = s.ctrl.Feed(words...)
 		if feedErr == nil && s.onDelivered != nil {
 			s.onDelivered(restoredFrames)
 		}
 	}
-	s.engine.Tool.CompleteRestore(cp.snap)
+	tool.CompleteRestore()
 	if wordsErr != nil || feedErr != nil {
 		// The partial recovery stream could not be built or delivered.
 		// The shadow now holds the pre-operation state (CompleteRestore
@@ -838,13 +832,13 @@ func (s *System) restoreLocked(cp *checkpoint, cause error) {
 }
 
 // releaseCheckpointLocked retires the armed checkpoint at the end of its
-// operation (success or final failure): the copy-on-write snapshot detaches
-// and stops accumulating pre-images, the area mark is released, and nothing
-// is armed any more. Safe after a restore — the snapshot survives rollbacks
-// so retry loops can reuse it — but called exactly once per checkpoint:
+// operation (success or final failure): the frame tool disarms and drops its
+// pre-images, the area mark is released, and nothing is armed any more.
+// Safe after a restore — the checkpoint survives rollbacks so retry loops
+// can reuse it — but called exactly once per checkpoint:
 // area.Manager.Release is not idempotent.
 func (s *System) releaseCheckpointLocked() {
-	s.cp.snap.Release()
+	s.engine.Tool.Disarm()
 	s.area.Release(s.cp.mark)
 	s.cp = nil
 }
