@@ -33,9 +33,13 @@ torture: crash-torture fault-torture
 # delivery. A recovered system must route its next load like its
 # never-crashed twin (TestRecoverRoutesNextLoadLikeTwin), and a checked-in
 # journal whose Posts still carry the retired "nets" and "pads" keys must
-# recover clean (TestRecoverReadsRetiredStateKeys).
+# recover clean (TestRecoverReadsRetiredStateKeys). Recover decodes the
+# journal while a helper goroutine builds the system, so the second line runs
+# concurrent recoveries ten times over: each must equal a sequential one,
+# and no goroutine may outlive Recover (TestRecoverConcurrently).
 crash-torture:
 	go test -race -run 'TestCrashConsistency|TestRecover|TestCompressedDelivery|TestCompressionFig7' repro
+	go test -race -count=10 -run 'TestRecoverConcurrently' repro
 
 # The transport fault-tolerance property tests: chaos-injected transient
 # faults retried to a state bit-identical to a fault-free twin, persistent
@@ -83,11 +87,13 @@ port-diff:
 # journal writer, cut at every record boundary, Replay (which decodes only
 # Init, the last committed Post and the open tail) must return exactly what
 # the eager replay kept verbatim in internal/journal/replay_reference_test.go
-# returns, and refuse what it refuses. Its allocations must not grow with the
-# sealed history, and every record the writer marshals must start with
-# {"seq":.
+# returns, and refuse what it refuses. Its two steps run apart, with the
+# scanned image cleared between Prepare and Decode, must replay exactly as
+# Replay does on an intact copy (TestPreparedOutlivesLog). Its allocations
+# must not grow with the sealed history, and every record the writer
+# marshals must start with {"seq":.
 replay-diff:
-	go test -race -run 'TestReplayMatchesEager|TestReplayAllocsIndependentOfHistory|TestRecordSeq' ./internal/journal
+	go test -race -run 'TestReplayMatchesEager|TestPreparedOutlivesLog|TestReplayAllocsIndependentOfHistory|TestRecordSeq' ./internal/journal
 
 # The occupancy view's exactness gate: the view re-derives what each bit of
 # an adopted frame configures (Device.OwnerOfBit, checked against the frame

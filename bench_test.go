@@ -905,48 +905,7 @@ func BenchmarkAblationDeviceScaling(b *testing.B) {
 // recover_ms rides through benchdiff as an informational column.
 func BenchmarkRecoverFromJournal(b *testing.B) {
 	dir := b.TempDir()
-	jpath := dir + "/op.journal"
-	sys, err := New(WithDevice(fabric.TestDevice), WithJournal(jpath))
-	if err != nil {
-		b.Fatal(err)
-	}
-	mirror := map[fabric.FrameAddr][]uint32{}
-	sys.onDelivered = func(updates []bitstream.FrameUpdate) {
-		for _, u := range updates {
-			mirror[u.Addr] = append([]uint32(nil), u.Data...)
-		}
-	}
-	var crash *crashPoint
-	sys.crashHook = func(stage string) {
-		if stage != "post" {
-			return
-		}
-		data, err := os.ReadFile(jpath)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if off := sys.jrnl.j.Offset(); int64(len(data)) > off {
-			data = data[:off]
-		}
-		crash = &crashPoint{stage: stage, seq: sys.jrnl.seq,
-			jdata: append([]byte(nil), data...), frames: cloneFrames(mirror)}
-	}
-	b01, err := itc99.Get("b01")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := sys.Load(b01, fabric.Rect{Row: 0, Col: 0, H: 4, W: 4}); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := sys.Load(mkCounter("c1"), fabric.Rect{Row: 0, Col: 8, H: 2, W: 2}); err != nil {
-		b.Fatal(err)
-	}
-	if err := sys.Move("c1", fabric.Rect{Row: 6, Col: 10, H: 2, W: 2}); err != nil {
-		b.Fatal(err)
-	}
-	if crash == nil {
-		b.Fatal("no post boundary fired")
-	}
+	crash := postCrash(b, dir+"/op.journal")
 	rebuild := func() (*fabric.Device, string) {
 		path := dir + "/crash.journal"
 		if err := os.WriteFile(path, crash.jdata, 0o644); err != nil {

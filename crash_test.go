@@ -2,12 +2,17 @@ package rlm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/bitstream"
 	"repro/internal/fabric"
@@ -585,7 +590,9 @@ func TestRecoverReadsRetiredStateKeys(t *testing.T) {
 
 // TestRecoverTypedErrors covers the refusal paths: empty journal, mid-file
 // corruption, device-geometry mismatch, and a journal whose committed designs
-// the device readback no longer shows.
+// the device readback no longer shows. It also pins their order: a payload
+// that fails to decode wins over a geometry mismatch and over a bad option,
+// and a port factory's panic reaches the caller.
 func TestRecoverTypedErrors(t *testing.T) {
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, "op.journal")
@@ -640,4 +647,200 @@ func TestRecoverTypedErrors(t *testing.T) {
 			t.Errorf("New over history: %v, want ErrExists", err)
 		}
 	})
+
+	// A crash at the post boundary of a move after two loads: a committed
+	// Post, then an open tail with Undos and its own Post. Each of the three
+	// payloads recovery decodes is cut after its leading {"seq":N, so it
+	// passes its CRC and the grammar pass but does not decode.
+	crash := postCrash(t, filepath.Join(dir, "tail.journal"))
+	log, err := journal.ScanBytes(crash.jdata)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := log.Records
+	last := func(tp journal.RecType, before int) int {
+		for i := before - 1; i > 0; i-- {
+			if recs[i].Type == tp {
+				return i
+			}
+		}
+		t.Fatalf("no %v record before record %d", tp, before)
+		return 0
+	}
+	tailBegin := last(journal.RecBegin, len(recs))
+	if recs[tailBegin+1].Type != journal.RecUndo || recs[len(recs)-1].Type != journal.RecPost {
+		t.Fatalf("the crash tail is not Begin, Undo..., Post")
+	}
+	malformed := map[string]string{}
+	for name, i := range map[string]int{
+		"committed-post": last(journal.RecPost, last(journal.RecCommit, len(recs))),
+		"tail-undo":      tailBegin + 1,
+		"tail-post":      len(recs) - 1,
+	} {
+		p := recs[i].Payload
+		path := filepath.Join(dir, name+".journal")
+		if err := os.WriteFile(path, withPayload(recs, i, p[:bytes.IndexByte(p, ',')+1]), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		malformed[name] = path
+	}
+	t.Run("malformed-replay-wins", func(t *testing.T) {
+		for name, path := range malformed {
+			for _, dev := range []*fabric.Device{deviceFromFrames(t, crash.frames), fabric.NewDevice(fabric.XCV50)} {
+				if _, _, err := Recover(dev, path); !errors.Is(err, journal.ErrMalformed) || errors.Is(err, ErrDeviceMismatch) {
+					t.Errorf("%s on %s: %v, want ErrMalformed alone", name, dev.Name, err)
+				}
+			}
+		}
+	})
+	t.Run("invalid-option", func(t *testing.T) {
+		_, want := New(WithDevice(fabric.TestDevice), WithPortWidth(16))
+		if want == nil {
+			t.Fatal("New accepted WithPortWidth(16) on Boundary-Scan")
+		}
+		if _, _, err := Recover(goodDev, jpath, WithPortWidth(16)); err == nil || err.Error() != want.Error() {
+			t.Errorf("WithPortWidth(16): %v, want %v", err, want)
+		}
+		dev := deviceFromFrames(t, crash.frames)
+		if _, _, err := Recover(dev, malformed["tail-post"], WithPortWidth(16)); !errors.Is(err, journal.ErrMalformed) {
+			t.Errorf("malformed tail with WithPortWidth(16): %v, want ErrMalformed", err)
+		}
+	})
+	t.Run("panicking-port-model", func(t *testing.T) {
+		type boom struct{}
+		defer func() {
+			if r := recover(); r != (boom{}) {
+				t.Errorf("recovered %v, want the factory's panic", r)
+			}
+		}()
+		Recover(goodDev, jpath, WithPortModel(func(*bitstream.Controller) bitstream.Port { panic(boom{}) }))
+		t.Error("Recover returned over a panicking port factory")
+	})
+}
+
+// postCrash runs a journaled workout at jpath (two loads, then a move) and
+// returns the crash captured at the move's post boundary: the shift has
+// landed and its Post is durable, but the seal is lost, so recovery rolls it
+// forward after reading back every dirty frame.
+func postCrash(tb testing.TB, jpath string) crashPoint {
+	tb.Helper()
+	sys, err := New(WithDevice(fabric.TestDevice), WithJournal(jpath))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer sys.Close()
+	mirror := map[fabric.FrameAddr][]uint32{}
+	sys.onDelivered = func(updates []bitstream.FrameUpdate) {
+		for _, u := range updates {
+			mirror[u.Addr] = append([]uint32(nil), u.Data...)
+		}
+	}
+	var crash *crashPoint
+	sys.crashHook = func(stage string) {
+		if stage != "post" {
+			return
+		}
+		data, err := os.ReadFile(jpath)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		crash = &crashPoint{stage: stage, seq: sys.jrnl.seq,
+			jdata: data[:sys.jrnl.j.Offset()], frames: cloneFrames(mirror)}
+	}
+	b01, err := itc99.Get("b01")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := sys.Load(b01, fabric.Rect{Row: 0, Col: 0, H: 4, W: 4}); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := sys.Load(mkCounter("c1"), fabric.Rect{Row: 0, Col: 8, H: 2, W: 2}); err != nil {
+		tb.Fatal(err)
+	}
+	if err := sys.Move("c1", fabric.Rect{Row: 6, Col: 10, H: 2, W: 2}); err != nil {
+		tb.Fatal(err)
+	}
+	if crash == nil {
+		tb.Fatal("no post boundary fired")
+	}
+	return *crash
+}
+
+// withPayload frames recs into a journal image, with payload in place of
+// record i's.
+func withPayload(recs []journal.Record, i int, payload []byte) []byte {
+	img := []byte(journal.Magic)
+	for k, rec := range recs {
+		p := rec.Payload
+		if k == i {
+			p = payload
+		}
+		img = append(img, byte(rec.Type))
+		img = binary.LittleEndian.AppendUint32(img, uint32(len(p)))
+		img = binary.LittleEndian.AppendUint32(img, crc32.ChecksumIEEE(p))
+		img = append(img, p...)
+	}
+	return img
+}
+
+// TestRecoverConcurrently recovers one crash capture from several goroutines
+// at once, each from its own copy of the journal onto its own device. Every
+// recovery must equal a sequential one (report, designs, frames and Stats),
+// and no goroutine Recover starts may outlive it. Run with -race.
+func TestRecoverConcurrently(t *testing.T) {
+	dir := t.TempDir()
+	crash := postCrash(t, filepath.Join(dir, "op.journal"))
+	recoverCopy := func(i int) (*System, *RecoverReport, error) {
+		path := filepath.Join(dir, fmt.Sprintf("crash-%d.journal", i))
+		if err := os.WriteFile(path, crash.jdata, 0o644); err != nil {
+			return nil, nil, err
+		}
+		dev := fabric.NewDevice(fabric.TestDevice)
+		for addr, words := range crash.frames {
+			if err := dev.WriteFrame(addr.Major, addr.Minor, words); err != nil {
+				return nil, nil, err
+			}
+		}
+		return Recover(dev, path)
+	}
+	ref, wantRep, err := recoverCopy(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := captureState(ref)
+	ref.Close()
+
+	const workers = 4
+	base := runtime.NumGoroutine()
+	systems := make([]*System, workers)
+	reps := make([]*RecoverReport, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for i := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			systems[i], reps[i], errs[i] = recoverCopy(i + 1)
+		}()
+	}
+	wg.Wait()
+	for i := range workers {
+		if errs[i] != nil {
+			t.Fatalf("recovery %d: %v", i, errs[i])
+		}
+		defer systems[i].Close()
+		if !reflect.DeepEqual(reps[i], wantRep) {
+			t.Errorf("recovery %d reported %+v, want %+v", i, reps[i], wantRep)
+		}
+		if diffs := diffStates(captureState(systems[i]), want); len(diffs) > 0 {
+			t.Errorf("recovery %d diverges from a sequential one: %s", i, diffs[0])
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines after the recoveries returned: %d, baseline %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 }

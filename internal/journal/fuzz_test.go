@@ -20,7 +20,8 @@ func fuzzRecord(t RecType, body []byte) []byte {
 // FuzzJournalScan feeds arbitrary bytes through the scanner and, when they
 // parse, through Replay. The invariants: no panic ever; Scan's ValidLen is a
 // re-scannable prefix yielding the same records; errors are always one of the
-// package's typed sentinels.
+// package's typed sentinels; and Replay's two steps, run on a copy of the
+// input that is cleared between them, replay exactly as Replay does.
 func FuzzJournalScan(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(Magic))
@@ -63,9 +64,15 @@ func FuzzJournalScan(f *testing.F) {
 			}
 		}
 		// Replay either succeeds or fails with a typed sentinel; no panic.
-		if _, err := Replay(log); err != nil &&
-			!errors.Is(err, ErrMalformed) && !errors.Is(err, ErrEmpty) {
+		want, err := Replay(log)
+		if err != nil && !errors.Is(err, ErrMalformed) && !errors.Is(err, ErrEmpty) {
 			t.Fatalf("replay error %v is not a typed sentinel", err)
+		}
+		// Its two steps apart, with the image cleared between them, replay
+		// exactly as the intact input did.
+		got, gotErr := replayApart(data)
+		if d := replayMismatch(got, gotErr, want, err); d != "" {
+			t.Fatalf("decoding after the image is cleared: %s", d)
 		}
 	})
 }

@@ -15,9 +15,16 @@
 // JSON payload. A crash can tear at most the final record; Scan tolerates a
 // torn tail (the incomplete record is dropped and reported) but treats a
 // checksum mismatch anywhere before the tail as corruption.
+//
+// Reading a journal back takes three steps: Scan checks the framing,
+// Prepare checks the record grammar and copies out the payloads still to
+// be decoded, and Decode decodes them. Replay runs the last two back to
+// back; a caller that has other work can drop the scanned Log after
+// Prepare and decode later.
 package journal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -105,6 +112,10 @@ type Journal struct {
 	// file may end in a partial record, so no later record may land behind
 	// it. Every later Append fails wrapping it.
 	broken error
+	// buf frames each record, its header first and then the payload enc
+	// encodes; both are reused from one Append to the next.
+	buf bytes.Buffer
+	enc *json.Encoder
 }
 
 // file is what a Journal needs of its file; *os.File satisfies it.
@@ -153,25 +164,33 @@ func OpenAppend(path string, validLen int64) (*Journal, error) {
 	return &Journal{f: f, off: validLen}, nil
 }
 
-// Append frames and writes one record. The payload is marshalled to JSON;
-// the record is not readable by Scan until the write fully lands, which is
-// exactly the torn-tail tolerance recovery relies on. A write that fails
-// part-way (a full disk, an I/O error) is truncated back to the last good
-// record, so the next append does not land behind a partial one and turn a
-// tolerated torn tail into mid-file corruption.
+// Append frames and writes one record. The payload is marshalled to JSON,
+// byte for byte what json.Marshal gives; the record is not readable by Scan
+// until the write fully lands, which is exactly the torn-tail tolerance
+// recovery relies on. A write that fails part-way (a full disk, an I/O
+// error) is truncated back to the last good record, so the next append does
+// not land behind a partial one and turn a tolerated torn tail into mid-file
+// corruption.
 func (j *Journal) Append(t RecType, payload any) error {
 	if j.broken != nil {
 		return fmt.Errorf("journal: appending %v after an untruncated failed append: %w", t, j.broken)
 	}
-	body, err := json.Marshal(payload)
-	if err != nil {
+	if j.enc == nil {
+		j.enc = json.NewEncoder(&j.buf)
+	}
+	j.buf.Reset()
+	var hdr [recHeaderLen]byte
+	j.buf.Write(hdr[:])
+	if err := j.enc.Encode(payload); err != nil {
 		return fmt.Errorf("journal: encoding %v: %w", t, err)
 	}
-	rec := make([]byte, recHeaderLen+len(body))
+	// Encode ends the value with a newline that json.Marshal does not write.
+	rec := j.buf.Bytes()
+	rec = rec[:len(rec)-1]
+	body := rec[recHeaderLen:]
 	rec[0] = byte(t)
 	binary.LittleEndian.PutUint32(rec[1:5], uint32(len(body)))
 	binary.LittleEndian.PutUint32(rec[5:9], crc32.ChecksumIEEE(body))
-	copy(rec[recHeaderLen:], body)
 	if _, err := j.f.Write(rec); err != nil {
 		err = fmt.Errorf("journal: appending %v: %w", t, err)
 		if terr := j.rewind(); terr != nil {

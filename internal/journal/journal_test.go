@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -75,6 +76,45 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if rs.LastSeq != 1 {
 		t.Errorf("LastSeq = %d, want 1", rs.LastSeq)
+	}
+}
+
+// TestAppendMatchesMarshal pins Append's bytes: each record is its header
+// and exactly the payload json.Marshal gives, HTML escaping included, for
+// one record of every type.
+func TestAppendMatchesMarshal(t *testing.T) {
+	name := `<b01 & "b02">`
+	recs := []struct {
+		tp RecType
+		v  any
+	}{
+		{RecInit, Init{Preset: "TEST12x8", Rows: 8, Cols: 12, Port: "jtag", ClockHz: 1e6}},
+		{RecBegin, Begin{Seq: 1, Op: "load", Design: name, Region: fabric.Rect{H: 2, W: 2}, Detail: "<&>"}},
+		{RecUndo, Undo{Seq: 1, Addr: fabric.FrameAddr{Major: 3, Minor: 7}, Words: []uint32{0, 1, 1 << 31}}},
+		{RecPost, Post{Seq: 1, State: State{Seq: 1, NextAlloc: 2, Designs: []DesignState{{Name: name, Alloc: 1}},
+			Allocs: []Alloc{{ID: 1, Rect: fabric.Rect{H: 2, W: 2}}}}, Dirty: []FrameDigest{{CRC: 9}}}},
+		{RecCommit, Seal{Seq: 1}},
+		{RecAbort, Seal{Seq: 2}},
+	}
+	want := []byte(Magic)
+	var apps []func(*Journal) error
+	for _, r := range recs {
+		body, err := json.Marshal(r.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, byte(r.tp))
+		want = binary.LittleEndian.AppendUint32(want, uint32(len(body)))
+		want = binary.LittleEndian.AppendUint32(want, crc32.ChecksumIEEE(body))
+		want = append(want, body...)
+		apps = append(apps, app(r.tp, r.v))
+	}
+	got, err := os.ReadFile(writeJournal(t, apps...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("appended records differ from header + json.Marshal:\n got %q\nwant %q", got, want)
 	}
 }
 

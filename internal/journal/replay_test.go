@@ -277,6 +277,72 @@ func TestReplayMatchesEager(t *testing.T) {
 	}
 }
 
+// replayApart replays a copy of img in Replay's two steps and clears every
+// byte of the copy between them, so Decode can read only what Prepare kept.
+func replayApart(img []byte) (*Replayed, error) {
+	scratch := append([]byte(nil), img...)
+	log, err := ScanBytes(scratch)
+	if err != nil {
+		return nil, err
+	}
+	p, err := Prepare(log)
+	if err != nil {
+		return nil, err
+	}
+	clear(scratch)
+	return p.Decode()
+}
+
+// replayMismatch describes how two replays of one journal differ: "" when
+// both return deep-equal results, or both fail matching the same sentinels.
+func replayMismatch(got *Replayed, gotErr error, want *Replayed, wantErr error) string {
+	if (gotErr == nil) != (wantErr == nil) {
+		return fmt.Sprintf("error %v, want %v", gotErr, wantErr)
+	}
+	for _, sentinel := range []error{ErrMalformed, ErrEmpty, ErrBadMagic, ErrChecksum} {
+		if errors.Is(gotErr, sentinel) != errors.Is(wantErr, sentinel) {
+			return fmt.Sprintf("error %v, want %v", gotErr, wantErr)
+		}
+	}
+	if gotErr == nil && !reflect.DeepEqual(got, want) {
+		return fmt.Sprintf("replayed\n got %+v\nwant %+v", got, want)
+	}
+	return ""
+}
+
+// TestPreparedOutlivesLog is the independence differential of Replay's two
+// steps: over TestReplayMatchesEager's corpus, cut at every record boundary,
+// a journal prepared from an image that is then cleared byte by byte must
+// decode to exactly what Replay returns on an intact copy, or fail as it
+// fails.
+func TestPreparedOutlivesLog(t *testing.T) {
+	seeds := 120
+	if testing.Short() {
+		seeds = 30
+	}
+	var decoded int
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		img := genJournal(t, seed)
+		for _, end := range recordEnds(img) {
+			log, err := ScanBytes(img[:end])
+			if err != nil {
+				t.Fatalf("seed %d cut at %d: %v", seed, end, err)
+			}
+			want, wantErr := Replay(log)
+			got, gotErr := replayApart(img[:end])
+			if d := replayMismatch(got, gotErr, want, wantErr); d != "" {
+				t.Errorf("seed %d cut at %d: decoding after the image is cleared: %s", seed, end, d)
+			}
+			if wantErr == nil && (want.Tail != nil || want.State.Seq != 0) {
+				decoded++
+			}
+		}
+	}
+	if decoded == 0 {
+		t.Fatal("corpus too narrow: no cut decodes a committed Post or a tail")
+	}
+}
+
 // TestReplayAllocsIndependentOfHistory pins Replay's cost to the open tail
 // and the live state: histories of 1, 16 and 256 sealed operations with the
 // same Post and the same open tail replay in the same number of allocations.

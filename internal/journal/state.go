@@ -170,30 +170,61 @@ type Replayed struct {
 // roll-forward candidate, and the digest comparison against device readback
 // decides whether it stands.
 //
-// Replay costs O(tail + live state), not O(history). One pass checks the
-// grammar of every record, reading the sequence number of each record after
-// Init from its leading {"seq":N (see recordSeq). Only Init, the last Post
-// of the last committed operation and the open tail's records are then
+// Replay is its two steps run back to back: Prepare, the grammar pass, then
+// Decode. A caller with other work to do can run them apart, and drop the
+// Log in between.
+func Replay(log *Log) (*Replayed, error) {
+	p, err := Prepare(log)
+	if err != nil {
+		return nil, err
+	}
+	return p.Decode()
+}
+
+// Prepared is a journal between Replay's two steps: every record has passed
+// the grammar pass and Init is decoded, and the payloads Decode reads are
+// copies, so a Prepared holds no reference to the scanned Log or its image.
+type Prepared struct {
+	// Init is the journal's opening record, decoded.
+	Init Init
+
+	lastSeq  uint64
+	torn     bool
+	validLen int64
+	// post is the last Post of the last committed operation (zero Type
+	// when none committed), and tail the open operation's records (nil
+	// when the journal ends sealed). Their payloads are slices of one slab.
+	// postSeq and seq are the two operations' sequence numbers.
+	post         Record
+	tail         []Record
+	postSeq, seq uint64
+}
+
+// Prepare is Replay's grammar pass. It decodes Init and checks every record
+// after it, reading each one's sequence number from its leading {"seq":N
+// (see recordSeq), then copies the payloads Decode reads into one slab.
+//
+// Replay costs O(tail + live state), not O(history): only Init, the last
+// Post of the last committed operation and the open tail's records are
 // decoded in full, and each decoded record must carry the sequence number
 // the pass read. The payload of a sealed, superseded record is therefore
 // covered by its CRC-32 alone: one that passes its checksum but is not
 // valid JSON, or carries a second seq key, replays.
-func Replay(log *Log) (*Replayed, error) {
+func Prepare(log *Log) (*Prepared, error) {
 	if log == nil || len(log.Records) == 0 {
 		return nil, ErrEmpty
 	}
 	recs := log.Records
-	out := &Replayed{Torn: log.Torn, ValidLen: log.ValidLen}
+	p := &Prepared{torn: log.Torn, validLen: log.ValidLen}
 	if recs[0].Type != RecInit {
 		return nil, fmt.Errorf("%w: first record is %v, want init", ErrMalformed, recs[0].Type)
 	}
-	if err := json.Unmarshal(recs[0].Payload, &out.Init); err != nil {
+	if err := json.Unmarshal(recs[0].Payload, &p.Init); err != nil {
 		return nil, fmt.Errorf("%w: init: %v", ErrMalformed, err)
 	}
 	// Record indices: the open operation's Begin and its last Post, and the
 	// last Post of the last committed operation (-1 for none).
 	begin, post, committed := -1, -1, -1
-	var seq, committedSeq uint64 // the open and the last committed op's seq
 	for i := 1; i < len(recs); i++ {
 		rec := recs[i]
 		switch rec.Type {
@@ -209,17 +240,17 @@ func Replay(log *Log) (*Replayed, error) {
 		}
 		if rec.Type == RecBegin {
 			if begin >= 0 {
-				return nil, fmt.Errorf("%w: begin inside open op %d", ErrMalformed, seq)
+				return nil, fmt.Errorf("%w: begin inside open op %d", ErrMalformed, p.seq)
 			}
-			begin, post, seq = i, -1, s
-			out.LastSeq = max(out.LastSeq, s)
+			begin, post, p.seq = i, -1, s
+			p.lastSeq = max(p.lastSeq, s)
 			continue
 		}
 		if begin < 0 {
 			return nil, fmt.Errorf("%w: %v outside op body", ErrMalformed, rec.Type)
 		}
-		if s != seq {
-			return nil, fmt.Errorf("%w: %v seq %d inside op %d", ErrMalformed, rec.Type, s, seq)
+		if s != p.seq {
+			return nil, fmt.Errorf("%w: %v seq %d inside op %d", ErrMalformed, rec.Type, s, p.seq)
 		}
 		switch rec.Type {
 		case RecPost:
@@ -228,33 +259,67 @@ func Replay(log *Log) (*Replayed, error) {
 			if post < 0 {
 				return nil, fmt.Errorf("%w: commit of op %d without post state", ErrMalformed, s)
 			}
-			committed, committedSeq, begin = post, s, -1
+			committed, p.postSeq, begin = post, s, -1
 		case RecAbort:
 			begin = -1
 		}
 	}
+	var tail []Record
+	if begin >= 0 {
+		tail = recs[begin:]
+	}
+	n := 0
 	if committed >= 0 {
-		var p Post
-		if err := decodeRecord(recs[committed], &p, &p.Seq, committedSeq); err != nil {
+		n += len(recs[committed].Payload)
+	}
+	for _, rec := range tail {
+		n += len(rec.Payload)
+	}
+	slab := make([]byte, 0, n)
+	clone := func(rec Record) Record {
+		at := len(slab)
+		slab = append(slab, rec.Payload...)
+		return Record{Type: rec.Type, Payload: slab[at:len(slab):len(slab)]}
+	}
+	if committed >= 0 {
+		p.post = clone(recs[committed])
+	}
+	if tail != nil {
+		p.tail = make([]Record, len(tail))
+		for i, rec := range tail {
+			p.tail[i] = clone(rec)
+		}
+	}
+	return p, nil
+}
+
+// Decode is Replay's second step: it decodes the last committed Post and
+// the open tail's records from the copies Prepare kept. Each call returns
+// a new Replayed.
+func (p *Prepared) Decode() (*Replayed, error) {
+	out := &Replayed{Init: p.Init, LastSeq: p.lastSeq, Torn: p.torn, ValidLen: p.validLen}
+	if p.post.Type == RecPost {
+		var post Post
+		if err := decodeRecord(p.post, &post, &post.Seq, p.postSeq); err != nil {
 			return nil, err
 		}
-		out.State = p.State
+		out.State = post.State
 	}
-	if begin >= 0 {
+	if p.tail != nil {
 		tail := &TailOp{}
-		for _, rec := range recs[begin:] {
+		for _, rec := range p.tail {
 			var err error
 			switch rec.Type {
 			case RecBegin:
-				err = decodeRecord(rec, &tail.Begin, &tail.Begin.Seq, seq)
+				err = decodeRecord(rec, &tail.Begin, &tail.Begin.Seq, p.seq)
 			case RecUndo:
 				var u Undo
-				err = decodeRecord(rec, &u, &u.Seq, seq)
+				err = decodeRecord(rec, &u, &u.Seq, p.seq)
 				tail.Undo = append(tail.Undo, u)
 			case RecPost:
-				p := new(Post)
-				err = decodeRecord(rec, p, &p.Seq, seq)
-				tail.Post = p
+				post := new(Post)
+				err = decodeRecord(rec, post, &post.Seq, p.seq)
+				tail.Post = post
 			}
 			if err != nil {
 				return nil, err
@@ -266,7 +331,7 @@ func Replay(log *Log) (*Replayed, error) {
 }
 
 // decodeRecord decodes rec's payload into v, whose sequence number lands in
-// *got, and checks it against want, the number Replay's grammar pass read.
+// *got, and checks it against want, the number Prepare's grammar pass read.
 // A payload that repeats its seq key with another value fails here.
 func decodeRecord(rec Record, v any, got *uint64, want uint64) error {
 	if err := json.Unmarshal(rec.Payload, v); err != nil {

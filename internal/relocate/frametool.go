@@ -136,6 +136,13 @@ type FrameTool struct {
 
 	sink ViewSink
 
+	// edits is the one list cellEdits, SetPIP, ClearSinkPIPs and writePad
+	// build their edits in. Reusing it is safe: Apply reads its edits only
+	// in its first loop, before it stages anything, so a write nested in
+	// staging (a drain's Retry delegate, a VerifyHook) cannot overwrite a
+	// list still being read.
+	edits []Edit
+
 	// barrier, when set, observes the flush ordering: PreDeliver fires
 	// after the frames of a flush (or a designer-path reconciliation) are
 	// known but before their content is delivered through the port, and a
@@ -797,11 +804,12 @@ func (ft *FrameTool) CompleteRestore() {
 	ft.genSeen = ft.dev.Generation()
 }
 
-// cellEdits builds the edits that set a cell's configuration word.
+// cellEdits builds the edits that set a cell's configuration word, in the
+// tool's edit list.
 func (ft *FrameTool) cellEdits(ref fabric.CellRef, cc fabric.CellConfig) []Edit {
 	start, width := ft.dev.CellSlotRange(ref.Cell)
 	word := cc.Encode()
-	var edits []Edit
+	edits := ft.edits[:0]
 	for i := 0; i < width; i++ {
 		major, minor, bit := ft.dev.BitAddr(ref.Coord, start+i)
 		edits = append(edits, Edit{
@@ -810,6 +818,7 @@ func (ft *FrameTool) cellEdits(ref fabric.CellRef, cc fabric.CellConfig) []Edit 
 			On:   word>>i&1 == 1,
 		})
 	}
+	ft.edits = edits
 	return edits
 }
 
@@ -838,7 +847,8 @@ func (ft *FrameTool) SetPIP(src, sink fabric.NodeID, on bool) error {
 	if !ok {
 		return fmt.Errorf("relocate: no PIP from %d to %d", src, sink)
 	}
-	return ft.Apply([]Edit{ft.pipEdit(c, local, bit, on)})
+	ft.edits = append(ft.edits[:0], ft.pipEdit(c, local, bit, on))
+	return ft.Apply(ft.edits)
 }
 
 // SetPath enables (or disables) every PIP along a node path in path order.
@@ -858,13 +868,14 @@ func (ft *FrameTool) ClearSinkPIPs(sink fabric.NodeID) error {
 		return fmt.Errorf("relocate: node %d is not a configurable sink", sink)
 	}
 	mask := ft.dev.PIPMask(c, local)
-	var edits []Edit
+	edits := ft.edits[:0]
 	for b := 0; mask != 0; b++ {
 		if mask>>b&1 == 1 {
 			edits = append(edits, ft.pipEdit(c, local, b, false))
 			mask &^= 1 << b
 		}
 	}
+	ft.edits = edits
 	return ft.Apply(edits)
 }
 
@@ -896,10 +907,11 @@ func (ft *FrameTool) writePad(pad fabric.PadRef, pc fabric.PadConfig) error {
 	addr := ft.dev.PadConfigFrame(pad)
 	_, _, bitBase := ft.dev.PadBitAddr(pad)
 	word := pc.Encode()
-	var edits []Edit
+	edits := ft.edits[:0]
 	for i := 0; i < 8; i++ {
 		edits = append(edits, Edit{Addr: addr, Bit: bitBase + i, On: word>>i&1 == 1})
 	}
+	ft.edits = edits
 	return ft.Apply(edits)
 }
 

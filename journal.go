@@ -28,6 +28,7 @@ type sysJournal struct {
 	// seen dedups undo records per operation: one pre-image per frame, the
 	// first one journaled (which is the checkpoint-epoch content — retries
 	// inside one op re-dirty frames without changing their epoch image).
+	// Made at the first Begin, and cleared at every later one.
 	seen map[fabric.FrameAddr]bool
 	// path/rotate drive opt-in journal rotation (WithJournalRotation): after
 	// a commit seal, a file past rotate bytes is compacted in place. path is
@@ -136,7 +137,10 @@ func (s *System) journalBeginLocked(op, design string, region fabric.Rect, detai
 	js.seq++
 	js.active = true
 	js.op = op
-	js.seen = make(map[fabric.FrameAddr]bool)
+	if js.seen == nil {
+		js.seen = map[fabric.FrameAddr]bool{}
+	}
+	clear(js.seen)
 	err := js.j.Append(journal.RecBegin, journal.Begin{
 		Seq: js.seq, Op: op, Design: design, Region: region, Detail: detail,
 	})
@@ -200,7 +204,6 @@ func (s *System) journalCommitLocked() error {
 		return fmt.Errorf("rlm: sealing commit: %w", err)
 	}
 	js.active = false
-	js.seen = nil
 	s.crash("commit")
 	s.maybeRotateLocked()
 	return nil
@@ -240,7 +243,6 @@ func (s *System) journalAbortLocked() {
 		_ = js.j.Sync()
 	}
 	js.active = false
-	js.seen = nil
 	s.crash("abort")
 }
 

@@ -72,27 +72,46 @@ type RecoverReport struct {
 // Options are applied over the journal's recorded configuration; the journal
 // records only the port KIND, so a system built with WithPortModel must pass
 // the factory again to recover onto the same port model.
+//
+// Recover decodes the journal while a helper goroutine builds the System,
+// and joins the helper before it does anything else. A WithPortModel
+// factory therefore runs on the helper, and it may run even when the journal
+// then fails to decode; a panic in it is re-raised on the caller. The errors
+// and their order are those of replaying the journal and then building the
+// System: a journal that fails to replay wins over a bad option.
 func Recover(dev *fabric.Device, journalPath string, opts ...Option) (*System, *RecoverReport, error) {
-	log, err := journal.Scan(journalPath)
-	if err != nil {
-		return nil, nil, fmt.Errorf("rlm: scanning journal: %w", err)
-	}
-	rs, err := journal.Replay(log)
-	if err != nil {
-		return nil, nil, fmt.Errorf("rlm: replaying journal: %w", err)
-	}
-	if rs.Init.Preset != dev.Name || rs.Init.Rows != dev.Rows || rs.Init.Cols != dev.Cols {
-		return nil, nil, fmt.Errorf("%w: journal for %s %dx%d, device is %s %dx%d",
-			ErrDeviceMismatch, rs.Init.Preset, rs.Init.Rows, rs.Init.Cols, dev.Name, dev.Rows, dev.Cols)
-	}
-	cfg := configFromInit(rs.Init)
-	for _, o := range opts {
-		o(&cfg)
-	}
-	s, err := newSystem(&cfg, dev)
+	prep, err := prepareJournal(journalPath)
 	if err != nil {
 		return nil, nil, err
 	}
+	init := prep.Init
+	if init.Preset != dev.Name || init.Rows != dev.Rows || init.Cols != dev.Cols {
+		if _, err := prep.Decode(); err != nil {
+			return nil, nil, fmt.Errorf("rlm: replaying journal: %w", err)
+		}
+		return nil, nil, fmt.Errorf("%w: journal for %s %dx%d, device is %s %dx%d",
+			ErrDeviceMismatch, init.Preset, init.Rows, init.Cols, dev.Name, dev.Rows, dev.Cols)
+	}
+	cfg := configFromInit(init)
+	for _, o := range opts {
+		o(&cfg)
+	}
+	// Construction and decoding share no data: build on a helper while this
+	// goroutine decodes, and join it on every path.
+	done := make(chan built, 1)
+	go buildSystem(&cfg, dev, done)
+	rs, err := prep.Decode()
+	b := <-done
+	if b.panicked != nil {
+		panic(b.panicked)
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("rlm: replaying journal: %w", err)
+	}
+	if b.err != nil {
+		return nil, nil, b.err
+	}
+	s := b.sys
 	j, err := journal.OpenAppend(journalPath, rs.ValidLen)
 	if err != nil {
 		return nil, nil, fmt.Errorf("rlm: reopening journal: %w", err)
@@ -150,6 +169,39 @@ func Recover(dev *fabric.Device, journalPath string, opts ...Option) (*System, *
 	s.jrnl.rotate = cfg.journalRot
 	s.startScrubber(cfg.scrubEvery, cfg.scrubBatch)
 	return s, rep, nil
+}
+
+// prepareJournal scans the journal and runs Replay's grammar pass. The
+// scanned image is garbage once it returns: Recover then allocates a whole
+// System while it decodes, and must not keep the image live meanwhile.
+func prepareJournal(path string) (*journal.Prepared, error) {
+	log, err := journal.Scan(path)
+	if err != nil {
+		return nil, fmt.Errorf("rlm: scanning journal: %w", err)
+	}
+	p, err := journal.Prepare(log)
+	if err != nil {
+		return nil, fmt.Errorf("rlm: replaying journal: %w", err)
+	}
+	return p, nil
+}
+
+// built is newSystem's outcome on Recover's helper goroutine, including a
+// panic (a WithPortModel factory runs there), which Recover re-raises.
+type built struct {
+	sys      *System
+	err      error
+	panicked any
+}
+
+// buildSystem runs newSystem and sends its outcome on done.
+func buildSystem(cfg *config, dev *fabric.Device, done chan<- built) {
+	var b built
+	defer func() {
+		b.panicked = recover()
+		done <- b
+	}()
+	b.sys, b.err = newSystem(cfg, dev)
 }
 
 // configFromInit rebuilds the construction parameters the journal recorded.
