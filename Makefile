@@ -52,12 +52,14 @@ fault-torture:
 	go test -race -run 'TestChaosRetry|TestPersistentFault|TestScrub|TestBackgroundScrubber|TestCrashDuringRetry' repro
 
 # The frame-health lifecycle chaos soak: scrub-driven preemptive quarantine,
-# probe/release, stall watchdog and degraded-mode admission, with a mid-soak
-# crash recovery running concurrently; the soaked system must converge back
-# to full healthy capacity, bit-identical to a fault-free twin. Full length
-# by default; CI runs it with SHORT=-short.
+# probe/release and degraded-mode admission, with a mid-soak crash recovery
+# running concurrently; the soaked system must converge back to full healthy
+# capacity, bit-identical to a fault-free twin. Close, with the scrubber
+# running and a stream in flight, must leave no goroutine behind
+# (TestCloseUnderLoad). Full length by default; CI runs it with
+# SHORT=-short.
 soak:
-	go test -race $(SHORT) -run 'TestChaosSoakSelfHealing|TestChaosSoakCompressed|TestScrubPreemptiveQuarantine|TestStallWatchdog|TestDegradedAdmission|TestCloseUnderLoad' repro
+	go test -race $(SHORT) -run 'TestChaosSoakSelfHealing|TestChaosSoakCompressed|TestScrubPreemptiveQuarantine|TestDegradedAdmission|TestCloseUnderLoad' repro
 
 # The router's exactness gate: over a seeded corpus it must return
 # node-for-node the routes of the reference router kept verbatim in
@@ -117,13 +119,11 @@ view-diff:
 # Stats.SerialFallbacks and OverlappedOps must count the calls that waited on
 # the port and overlapped a stream (TestStageGateIsTheOnlyStreamGate). On a
 # port whose completed bursts the test steps by hand, the gate must drain for
-# a frame exactly while its burst is still shifting, hand the Retry delegate
-# the distinct frames enqueued since the last clean harvest in
-# first-enqueued order (TestStageGateTracksPartialCompletion), and keep
-# counting right after the stall watchdog abandons a harvest
-# (TestBurstCompletionAfterAbandonedHarvest).
+# a frame exactly while its burst is still shifting, and hand the Retry
+# delegate the distinct frames enqueued since the last clean harvest in
+# first-enqueued order (TestStageGateTracksPartialCompletion).
 pipeline-diff:
-	go test -race -run 'TestPipelined|TestStageGateIsTheOnlyStreamGate|TestStageGateTracksPartialCompletion|TestBurstCompletionAfterAbandonedHarvest' repro ./internal/relocate
+	go test -race -run 'TestPipelined|TestStageGateIsTheOnlyStreamGate|TestStageGateTracksPartialCompletion' repro ./internal/relocate
 
 # The facade's one-path gate: Load, Unload, Move, MoveStaged, Plan.Validate,
 # Plan.Commit and Defragment all check their operations with one dry run on

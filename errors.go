@@ -1,10 +1,6 @@
 package rlm
 
-import (
-	"errors"
-
-	"repro/internal/relocate"
-)
+import "errors"
 
 // Sentinel errors returned by the run-time manager. Every error that leaves
 // the public API wraps one of these, so callers dispatch with errors.Is
@@ -38,9 +34,3 @@ var (
 	// placement retries on a mostly-condemned device.
 	ErrDegraded = errors.New("rlm: healthy capacity below admission watermark")
 )
-
-// ErrPortStalled re-exports the frame tool's stall-watchdog sentinel: the
-// configuration port failed to harvest an in-flight stream within the
-// WithStallTimeout deadline. It surfaces wrapped in the same places any
-// transport fault does (and feeds the retry ladder when one is armed).
-var ErrPortStalled = relocate.ErrPortStalled

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/bitstream"
 	"repro/internal/fabric"
@@ -58,10 +57,10 @@ func fuzzSeedFromTasks(sel, flk byte, tasks []workload.Task) []byte {
 // class — clear for a transient stream trip with the high 4 bits as frame
 // budget, set for the persistent/SEU plans with the high 4 bits picking the
 // condemned column and the sub-mode), then 3 bytes per op. The op dispatch
-// is code % 8: ops 0-5 are the facade workout, op 6 pulses a transport
-// stall (the watchdog must absorb or surface it typed), op 7 heals the hurt
-// frame and runs a scrub pass — the probe/release schedule, drawn from the
-// same bytes.
+// is code % 8: ops 0-5 are the facade workout, op 6 does nothing (the
+// checked-in corpus holds the code, so it stays reserved), op 7 heals the
+// hurt frame and runs a scrub pass — the probe/release schedule, drawn from
+// the same bytes.
 func FuzzFacadeOps(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0})                                  // one small load, recover first boundary
 	f.Add([]byte{7, 0, 1, 0, 0, 0, 50, 100, 2, 10, 200})          // big+small load then move
@@ -69,7 +68,7 @@ func FuzzFacadeOps(f *testing.F) {
 	f.Add([]byte{11, 0x91, 1, 7, 7, 0, 60, 60, 3, 0, 0, 5, 1, 1}) // unload + defrag, late injection
 	f.Add([]byte{4, 0x29, 1, 0, 0, 2, 40, 80, 0, 6, 6})           // persistent frame failure on op 1: retry, quarantine, evacuate
 	f.Add([]byte{6, 0x3A, 0, 0, 0, 1, 2, 2, 2, 70, 10})           // silent SEU on op 2, scrubbed after the workout
-	f.Add([]byte{2, 0, 6, 2, 0, 0, 10, 20, 6, 0, 0, 2, 30, 40})   // stall pulses around a load and a move
+	f.Add([]byte{2, 0, 6, 2, 0, 0, 10, 20, 6, 0, 0, 2, 30, 40})   // no-op codes around a load and a move
 	f.Add([]byte{5, 0x29, 1, 0, 0, 2, 40, 80, 7, 6, 6})           // persistent fault, then heal-and-probe toward release
 	f.Add(fuzzSeedFromTasks(5, 0, workload.Stream(workload.Config{Seed: 7, N: 6, MinSide: 2, MaxSide: 4})))
 	f.Add(fuzzSeedFromTasks(9, 0x53, workload.Stream(workload.Config{Seed: 40, N: 8, MinSide: 2, MaxSide: 5, RAMFraction: 0.3})))
@@ -110,11 +109,9 @@ func fuzzFacadeRun(t *testing.T, data []byte) {
 			// the "retry" stage are part of the capture set.
 			WithRetryPolicy(RetryPolicy{MaxRetries: 2, VerifyAfter: 2}),
 			// Aggressive health thresholds so short fuzz streams can reach
-			// every lifecycle state; a short watchdog so op-6 stall pulses
-			// surface through the ladder instead of hanging the run.
+			// every lifecycle state.
 			WithHealthPolicy(HealthPolicy{Alpha: 0.5, SuspectAbove: 0.25,
 				CondemnRepairs: 2, ProbesToRelease: 1, ProbationChecks: 2}),
-			WithStallTimeout(time.Millisecond),
 			WithPortModel(func(ctrl *bitstream.Controller) bitstream.Port {
 				flaky = faultport.New(jtag.NewPort(ctrl, jtag.DefaultTCKHz), uint64(flk))
 				return flaky
@@ -247,8 +244,7 @@ func fuzzFacadeRun(t *testing.T, data []byte) {
 					pol.MaxStep = 1 + int(c%3)
 				}
 				_, _ = sys.Defragment(pol)
-			case 6: // transport stall pulse (0 disables)
-				flaky.SetStall(time.Duration(a%5) * 500 * time.Microsecond)
+			case 6: // no-op
 			case 7: // heal the hurt frame and probe toward release
 				flaky.HealFrames(hurtFrame)
 				// The pass may trip an injected fault armed for this very

@@ -38,7 +38,7 @@ type Port interface {
 //   - while any burst is in flight the caller must not touch the port or its
 //     configuration controller through another path (WriteUpdates and
 //     ReadFrame await internally; a caller feeding the controller directly
-//     fences first);
+//     awaits first);
 //   - every frame of an in-flight burst must hold, on the device, exactly the
 //     content being streamed (write-through staging guarantees this), so the
 //     delivery degenerates to reads of the configuration memory and is
@@ -52,13 +52,6 @@ type AsyncPort interface {
 	// error any queued burst produced (the error is consumed: a later
 	// AwaitStream starts clean).
 	AwaitStream() error
-	// Fence blocks until the queue is drained, without harvesting: the
-	// error stays for the next AwaitStream, and wrappers apply no injected
-	// delay. It is the guard before feeding the configuration controller
-	// through another path.
-	Fence()
-	// StreamInFlight reports whether any enqueued burst is undelivered.
-	StreamInFlight() bool
 	// CompletedBursts returns the number of bursts fully delivered since
 	// the port was built. Callers use it to retire frames from their
 	// in-flight tracking without a blocking await.
@@ -122,34 +115,14 @@ func (q *StreamQueue) drain() {
 // returns and clears the sticky error.
 func (q *StreamQueue) Await() error {
 	q.mu.Lock()
-	q.waitIdle()
-	err := q.err
-	q.err = nil
-	q.mu.Unlock()
-	return err
-}
-
-// Fence blocks until the queue is drained and the worker parked, leaving
-// the sticky error for the next Await.
-func (q *StreamQueue) Fence() {
-	q.mu.Lock()
-	q.waitIdle()
-	q.mu.Unlock()
-}
-
-// waitIdle waits, with q.mu held, until the worker has parked.
-func (q *StreamQueue) waitIdle() {
+	defer q.mu.Unlock()
 	q.init()
 	for q.running {
 		q.cond.Wait()
 	}
-}
-
-// InFlight reports whether any burst is queued or being delivered.
-func (q *StreamQueue) InFlight() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.running || len(q.queue) > 0
+	err := q.err
+	q.err = nil
+	return err
 }
 
 // Completed returns the number of bursts fully delivered so far.
@@ -222,12 +195,6 @@ func (p *ParallelPort) StreamUpdates(updates []FrameUpdate) {
 
 // AwaitStream implements AsyncPort.
 func (p *ParallelPort) AwaitStream() error { return p.q.Await() }
-
-// Fence implements AsyncPort.
-func (p *ParallelPort) Fence() { p.q.Fence() }
-
-// StreamInFlight implements AsyncPort.
-func (p *ParallelPort) StreamInFlight() bool { return p.q.InFlight() }
 
 // CompletedBursts implements AsyncPort.
 func (p *ParallelPort) CompletedBursts() uint64 { return p.q.Completed() }

@@ -7,10 +7,10 @@ import (
 	"time"
 )
 
-// TestStreamQueueFence: Fence returns only once the worker has finished the
-// burst it is delivering, and leaves that burst's error for the next Await
-// to harvest.
-func TestStreamQueueFence(t *testing.T) {
+// TestStreamQueueAwait: Await returns only once the worker has finished the
+// burst it is delivering, returns that burst's error, and consumes it, so
+// the next Await starts clean.
+func TestStreamQueueAwait(t *testing.T) {
 	errBurst := errors.New("burst failed")
 	started, release := make(chan struct{}), make(chan struct{})
 	var delivered atomic.Bool
@@ -20,26 +20,24 @@ func TestStreamQueueFence(t *testing.T) {
 		delivered.Store(true)
 		return errBurst
 	}}
-	q.Fence() // idle queue: returns at once
+	if err := q.Await(); err != nil { // idle queue: returns at once
+		t.Fatalf("Await on an idle queue = %v, want nil", err)
+	}
 	q.Enqueue([]uint32{SyncWord})
 	<-started
-	fenced := make(chan struct{})
-	go func() {
-		q.Fence()
-		close(fenced)
-	}()
+	awaited := make(chan error)
+	go func() { awaited <- q.Await() }()
 	select {
-	case <-fenced:
-		t.Fatal("Fence returned while the worker was still delivering")
+	case <-awaited:
+		t.Fatal("Await returned while the worker was still delivering")
 	case <-time.After(20 * time.Millisecond):
 	}
 	close(release)
-	<-fenced
-	if !delivered.Load() || q.InFlight() {
-		t.Fatalf("after Fence: delivered=%v in flight=%v", delivered.Load(), q.InFlight())
+	if err := <-awaited; !errors.Is(err, errBurst) {
+		t.Fatalf("Await = %v, want the burst's error", err)
 	}
-	if err := q.Await(); !errors.Is(err, errBurst) {
-		t.Fatalf("Await after Fence = %v, want the burst's error", err)
+	if !delivered.Load() || q.Completed() != 1 {
+		t.Fatalf("after Await: delivered=%v completed=%d", delivered.Load(), q.Completed())
 	}
 	if err := q.Await(); err != nil {
 		t.Fatalf("second Await = %v, want nil", err)

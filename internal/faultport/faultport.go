@@ -11,10 +11,11 @@
 //     deterministically corrupted content — the model of stuck configuration
 //     memory;
 //   - silent SEU bit-flips (FlipBit): readback shows the flipped bit, writes
-//     succeed and clear it — the model a scrubber exists to repair;
-//   - stalls (SetStall): wall-clock delay on every harvest (AwaitStream), a
-//     hung-transport model with no cycle-accounting effect — the facade's
-//     stall watchdog exists to bound it.
+//     succeed and clear it — the model a scrubber exists to repair.
+//
+// There is no stall model. A harvest here only waits for the inner port's
+// stream worker, so a hung transport is a hung shift that blocks its caller,
+// and the recovery a timeout would start needs that same worker.
 //
 // The wrapper exploits the pipeline's write-through staging contract
 // (bitstream.AsyncPort): the device model already holds every frame's final
@@ -31,7 +32,6 @@ package faultport
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/bitstream"
 	"repro/internal/fabric"
@@ -46,8 +46,8 @@ type Inner interface {
 }
 
 // Port is a fault-injecting bitstream.AsyncPort wrapper. The zero fault plan
-// is fully healthy; compose faults with TripAfter, FailFrames, FlipBit and
-// SetStall at any time.
+// is fully healthy; compose faults with TripAfter, FailFrames and FlipBit at
+// any time.
 type Port struct {
 	inner Inner
 
@@ -56,8 +56,7 @@ type Port struct {
 	budget int // frames until a transient trip; < 0 = disarmed
 	bad    map[fabric.FrameAddr]bool
 	flips  map[fabric.FrameAddr]map[int]uint32 // addr -> word index -> xor mask
-	stall  time.Duration
-	err    error // sticky until the next AwaitStream
+	err    error                               // sticky until the next AwaitStream
 	faults int
 }
 
@@ -130,17 +129,6 @@ func (f *Port) FlipBit(addr fabric.FrameAddr, word, bit int) {
 	}
 }
 
-// SetStall delays every harvest (AwaitStream) by d of wall-clock time
-// (0 disables) — the model of a hung transport that stops responding at
-// exactly the point the host blocks on it. Stalls never change cycle
-// accounting or delivered content; they exist so a stall watchdog has
-// something to catch.
-func (f *Port) SetStall(d time.Duration) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.stall = d
-}
-
 // Faults returns the number of faults injected so far (trips plus persistent
 // write failures; silent flips are not counted until something reads them).
 func (f *Port) Faults() int {
@@ -204,15 +192,8 @@ func (f *Port) StreamUpdates(updates []bitstream.FrameUpdate) {
 }
 
 // AwaitStream implements bitstream.AsyncPort: it drains the inner queue and
-// surfaces (then clears) any injected sticky error. An armed stall sleeps
-// here, before the drain — the hung-harvest model the watchdog bounds.
+// surfaces (then clears) any injected sticky error.
 func (f *Port) AwaitStream() error {
-	f.mu.Lock()
-	stall := f.stall
-	f.mu.Unlock()
-	if stall > 0 {
-		time.Sleep(stall)
-	}
 	err := f.inner.AwaitStream()
 	f.mu.Lock()
 	if err == nil {
@@ -222,11 +203,6 @@ func (f *Port) AwaitStream() error {
 	f.mu.Unlock()
 	return err
 }
-
-// Fence implements bitstream.AsyncPort: it waits for the inner worker to go
-// idle. A stall models a slow harvest, not a slow shift, so none applies
-// here, and the sticky errors stay for the next AwaitStream.
-func (f *Port) Fence() { f.inner.Fence() }
 
 // ReadFrame implements bitstream.Port, applying the readback fault model:
 // persistent-bad frames come back seed-deterministically corrupted, SEU
@@ -266,9 +242,6 @@ func corruptMask(seed uint64, addr fabric.FrameAddr, word int) uint32 {
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return uint32(x^(x>>31)) | 1
 }
-
-// StreamInFlight implements bitstream.AsyncPort.
-func (f *Port) StreamInFlight() bool { return f.inner.StreamInFlight() }
 
 // CompletedBursts implements bitstream.AsyncPort.
 func (f *Port) CompletedBursts() uint64 { return f.inner.CompletedBursts() }

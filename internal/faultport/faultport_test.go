@@ -3,7 +3,6 @@ package faultport
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/bitstream"
 	"repro/internal/fabric"
@@ -58,25 +57,6 @@ func TestTripAfterBudgetAcrossBursts(t *testing.T) {
 	// so all three bursts completed at the protocol level.
 	if n := p.CompletedBursts(); n != 3 {
 		t.Fatalf("completed bursts = %d, want 3", n)
-	}
-}
-
-// TestFenceSkipsStallKeepsError: Fence waits for the inner worker without
-// the harvest's stall and without consuming the sticky injected error,
-// which the next AwaitStream still reports.
-func TestFenceSkipsStallKeepsError(t *testing.T) {
-	p, inner, dev := newPort(t, 1)
-	p.TripAfter(0)
-	p.StreamUpdates([]bitstream.FrameUpdate{frameUpdate(dev, 0, 0, 3)})
-	p.SetStall(time.Minute)
-	start := time.Now()
-	p.Fence()
-	if d := time.Since(start); d > 10*time.Second || inner.StreamInFlight() {
-		t.Fatalf("Fence took %v, inner in flight after it: %v", d, inner.StreamInFlight())
-	}
-	p.SetStall(0)
-	if err := p.AwaitStream(); err == nil || !strings.Contains(err.Error(), "transient") {
-		t.Fatalf("await after fence: %v, want the injected transient failure", err)
 	}
 }
 

@@ -181,12 +181,6 @@ func (p *Port) StreamUpdates(updates []bitstream.FrameUpdate) {
 // AwaitStream implements bitstream.AsyncPort.
 func (p *Port) AwaitStream() error { return p.q.Await() }
 
-// Fence implements bitstream.AsyncPort.
-func (p *Port) Fence() { p.q.Fence() }
-
-// StreamInFlight implements bitstream.AsyncPort.
-func (p *Port) StreamInFlight() bool { return p.q.InFlight() }
-
 // CompletedBursts implements bitstream.AsyncPort.
 func (p *Port) CompletedBursts() uint64 { return p.q.Completed() }
 

@@ -1,19 +1,12 @@
 package relocate
 
 import (
-	"errors"
 	"fmt"
 	"slices"
-	"time"
 
 	"repro/internal/bitstream"
 	"repro/internal/fabric"
 )
-
-// ErrPortStalled is the typed cause surfaced when the stall watchdog fires:
-// the configuration port failed to harvest an in-flight stream within
-// StallTimeout. It feeds the Retry delegate like any transport fault.
-var ErrPortStalled = errors.New("relocate: configuration port stalled")
 
 // FrameTool turns logical configuration edits (cell configs, PIP bits, pad
 // bits) into partial-bitstream frame writes delivered through a
@@ -74,6 +67,13 @@ type FrameTool struct {
 	// — Flush reads each frame from the shadow, which always holds the
 	// latest staged (and designer-reconciled) data.
 	pending []fabric.FrameAddr
+	// updates is the list Flush builds each delivery in. Flush keeps it, and
+	// the pending list's backing array, from one flush to the next. Reusing
+	// both is safe: nothing Flush calls stages a frame, so the pending list
+	// cannot grow while Flush reads it; the ports encode the updates before
+	// StreamUpdates or WriteUpdates returns; and DeliveryBarrier observers
+	// must not keep them.
+	updates []bitstream.FrameUpdate
 
 	// async is the port's background-delivery interface (nil when the port
 	// cannot stream). Flush numbers the bursts it enqueues 1, 2, ... —
@@ -101,18 +101,6 @@ type FrameTool struct {
 	// delegate must not call back into AwaitStream (it re-delivers through
 	// the port directly).
 	Retry func(cause error, addrs []fabric.FrameAddr) error
-	// StallTimeout, when positive, arms a watchdog on every harvest: if the
-	// port's AwaitStream has not returned within the deadline the harvest
-	// fails with ErrPortStalled (wrapped), which feeds the Retry delegate
-	// like any other transport fault. The abandoned await keeps draining in
-	// its goroutine; a later harvest (or HarvestPending) reaps it.
-	StallTimeout time.Duration
-	// awaitCh holds the result channel of an abandoned watchdog await: the
-	// goroutine blocked in the port's AwaitStream when a previous harvest
-	// timed out. The next harvest re-selects on it instead of spawning a
-	// second awaiter (the port serializes awaits on one condition variable,
-	// but two awaiters would race to consume the sticky error).
-	awaitCh chan error
 	// unharvested lists the distinct frames of every burst enqueued since
 	// the last clean AwaitStream, in first-enqueued order — the
 	// conservative re-delivery superset: the drain counts failed bursts
@@ -457,7 +445,7 @@ func (ft *FrameTool) Flush() error {
 		return err
 	}
 	addrs := ft.pending
-	ft.pending = nil
+	ft.pending = addrs[:0]
 	slices.SortFunc(addrs, fabric.FrameAddr.Compare)
 	kept := addrs[:0]
 	for _, addr := range addrs {
@@ -471,7 +459,7 @@ func (ft *FrameTool) Flush() error {
 		// the writes at stage time and nothing ships.
 		return nil
 	}
-	updates := make([]bitstream.FrameUpdate, 0, len(addrs))
+	updates := ft.updates[:0]
 	for _, addr := range addrs {
 		data, ok := ft.shadow.Frame(addr)
 		if !ok {
@@ -479,6 +467,7 @@ func (ft *FrameTool) Flush() error {
 		}
 		updates = append(updates, bitstream.FrameUpdate{Addr: addr, Data: data, Prev: ft.state(addr).lastSent})
 	}
+	ft.updates = updates
 	if ft.barrier != nil {
 		// The journal's ordering contract: undo records for every frame of
 		// this delivery are durable before the port sees any of it.
@@ -529,12 +518,14 @@ func (ft *FrameTool) Flush() error {
 	return nil
 }
 
-// drainSuperseded drains an in-flight stream whose outcome no longer
-// matters — a rollback is about to overwrite whatever it delivered. The
-// error is discarded and the Retry delegate is bypassed: re-delivering a
-// superseded stream would only waste transport time and double-count the
-// fault the rollback is already answering for.
-func (ft *FrameTool) drainSuperseded() {
+// HarvestPending drains an in-flight stream whose outcome no operation
+// answers for: a rollback is about to overwrite whatever it delivered, or
+// Close is shutting the system down. The error is discarded and the Retry
+// delegate is bypassed: re-delivering a superseded stream would only waste
+// transport time and double-count the fault the rollback is already
+// answering for. The drain is complete, so a caller may feed the
+// configuration controller directly once it returns.
+func (ft *FrameTool) HarvestPending() {
 	retry := ft.Retry
 	ft.Retry = nil
 	_ = ft.AwaitStream()
@@ -552,19 +543,17 @@ func (ft *FrameTool) dropUnharvested() {
 }
 
 // AwaitStream blocks until every burst Flush enqueued has shifted out and
-// returns the first transport error among them. Either way, frames stop
-// gating writes up to the port's completed-burst count: after a drain that is
-// every burst, and after a harvest the stall watchdog abandoned, the bursts
-// still shifting keep their frames gated. A stream error is first offered to
-// the Retry delegate (when one is installed) with the unharvested frame
-// list; a clean harvest — including one the delegate salvaged — confirms
-// every enqueued burst and empties the list. A no-op on a synchronous port
-// or when nothing is in flight.
+// returns the first transport error among them; either way no frame gates a
+// write any more. A stream error is first offered to the Retry delegate
+// (when one is installed) with the unharvested frame list; a clean harvest —
+// including one the delegate salvaged — confirms every enqueued burst and
+// empties the list. A no-op on a synchronous port or when nothing is in
+// flight.
 func (ft *FrameTool) AwaitStream() error {
 	if ft.async == nil {
 		return nil
 	}
-	err := ft.harvest()
+	err := ft.async.AwaitStream()
 	ft.retired = ft.async.CompletedBursts()
 	if err != nil && ft.Retry != nil {
 		err = ft.Retry(err, ft.unharvested)
@@ -588,72 +577,6 @@ func (ft *FrameTool) AwaitStream() error {
 func (ft *FrameTool) ConfirmedBaseline(addr fabric.FrameAddr) ([]uint32, bool) {
 	data := ft.state(addr).confirmed
 	return data, data != nil
-}
-
-// harvest performs the blocking port await, under the stall watchdog when
-// StallTimeout is set. On timeout it returns ErrPortStalled (wrapped) and
-// leaves the await goroutine parked on awaitCh; the next harvest reaps it.
-// A reaped result can be stale — the abandoned awaiter may have returned
-// nil for an earlier drain while bursts enqueued since are still in flight
-// — so a nil result is only accepted when the queue is actually empty.
-func (ft *FrameTool) harvest() error {
-	if ft.StallTimeout <= 0 && ft.awaitCh == nil {
-		return ft.async.AwaitStream()
-	}
-	var timeout <-chan time.Time
-	if ft.StallTimeout > 0 {
-		timer := time.NewTimer(ft.StallTimeout)
-		defer timer.Stop()
-		timeout = timer.C
-	}
-	for {
-		if ft.awaitCh == nil {
-			ch := make(chan error, 1)
-			async := ft.async
-			go func() { ch <- async.AwaitStream() }()
-			ft.awaitCh = ch
-		}
-		select {
-		case err := <-ft.awaitCh:
-			ft.awaitCh = nil
-			if err == nil && ft.async.StreamInFlight() {
-				// Stale result from an abandoned await that completed
-				// before the current bursts were enqueued; await again.
-				continue
-			}
-			return err
-		case <-timeout:
-			return fmt.Errorf("%w (no harvest within %v)", ErrPortStalled, ft.StallTimeout)
-		}
-	}
-}
-
-// Fence blocks until the port's background worker is idle, without the
-// watchdog and without harvesting: the guard before feeding the
-// configuration controller directly. A harvest the watchdog abandoned can
-// return while the worker is still shifting a burst. A no-op on a
-// synchronous port.
-func (ft *FrameTool) Fence() {
-	if ft.async != nil {
-		ft.async.Fence()
-	}
-}
-
-// HarvestPending reaps an abandoned watchdog await and drains any remaining
-// in-flight stream, without the watchdog and without the Retry delegate —
-// the shutdown path: Close must not leave the awaiter goroutine blocked on
-// the port, and a fault surfacing here has no operation left to answer to.
-func (ft *FrameTool) HarvestPending() {
-	if ft.async == nil {
-		return
-	}
-	if ft.awaitCh != nil {
-		<-ft.awaitCh
-		ft.awaitCh = nil
-	}
-	_ = ft.async.AwaitStream()
-	ft.retired = ft.async.CompletedBursts()
-	ft.dropUnharvested()
 }
 
 // StreamInFlight reports whether a background stream is still shifting out:
@@ -704,7 +627,7 @@ func (ft *FrameTool) AbortPending() {
 	for _, addr := range ft.pending {
 		ft.state(addr).pending = false
 	}
-	ft.pending = nil
+	ft.pending = ft.pending[:0]
 }
 
 // Arm synchronises the shadow with the device and opens the checkpoint:
@@ -755,15 +678,14 @@ func (ft *FrameTool) DirtyFrames() []fabric.FrameAddr {
 
 // RecoveryWords builds the partial recovery stream that restores every dirty
 // frame to its pre-image; nil when nothing is dirty. Any in-flight stream
-// drains first — the rollback overwrites frames the stream may cover. The
-// drained stream's own error is discarded: a rollback is already under way,
-// and the recovery stream supersedes whatever the failed delivery left
-// behind. The drain is a harvest the stall watchdog can abandon, so the
-// caller fences (Fence) before feeding the words to the controller the
-// worker may still own. It then synchronises so designer-path writes since
-// the checkpoint are part of the dirty set.
+// drains first (HarvestPending) — the rollback overwrites frames the stream
+// may cover, and the caller feeds the words to the controller the port's
+// worker owned until the drain. The drained stream's own error is
+// discarded: a rollback is already under way, and the recovery stream
+// supersedes whatever the failed delivery left behind. It then synchronises
+// so designer-path writes since the checkpoint are part of the dirty set.
 func (ft *FrameTool) RecoveryWords() ([]uint32, error) {
-	ft.drainSuperseded()
+	ft.HarvestPending()
 	if err := ft.Sync(); err != nil {
 		return nil, err
 	}
@@ -787,7 +709,7 @@ func (ft *FrameTool) RecoveryWords() ([]uint32, error) {
 // stays armed with nothing dirty, so the same checkpoint can back another
 // attempt.
 func (ft *FrameTool) CompleteRestore() {
-	ft.drainSuperseded() // see RecoveryWords: a rollback supersedes the stream
+	ft.HarvestPending() // see RecoveryWords: a rollback supersedes the stream
 	ft.AbortPending()
 	for _, addr := range ft.DirtyFrames() {
 		st := ft.state(addr)

@@ -3,9 +3,7 @@ package relocate_test
 import (
 	"errors"
 	"slices"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/bitstream"
 	"repro/internal/fabric"
@@ -14,11 +12,10 @@ import (
 )
 
 // harvestPort is a SelectMAP port whose bursts retire only when they are
-// harvested: CompletedBursts and StreamInFlight advance at AwaitStream and
-// nowhere else, as on a port whose shift-out always outlasts the host's
-// planning. So every restage of a frame an earlier burst carried reaches the
-// frame tool's stage gate, whatever the scheduler does. awaits counts the
-// harvests.
+// harvested: CompletedBursts advances at AwaitStream and nowhere else, as on
+// a port whose shift-out always outlasts the host's planning. So every
+// restage of a frame an earlier burst carried reaches the frame tool's stage
+// gate, whatever the scheduler does. awaits counts the harvests.
 type harvestPort struct {
 	*bitstream.ParallelPort
 	enqueued, retired uint64
@@ -38,8 +35,6 @@ func (p *harvestPort) AwaitStream() error {
 	p.retired = p.enqueued
 	return err
 }
-
-func (p *harvestPort) StreamInFlight() bool { return p.retired < p.enqueued }
 
 func (p *harvestPort) CompletedBursts() uint64 { return p.retired }
 
@@ -156,19 +151,17 @@ func TestStageGateIsTheOnlyStreamGate(t *testing.T) {
 
 // steppedPort is an asynchronous port whose bursts complete only when the
 // test says so: complete(n) marks the first n bursts shifted out, and
-// AwaitStream drains every burst and returns the fault armed by failNext.
-// While the port is held, AwaitStream parks until release, as on a hung
-// harvest. The burst words go nowhere: write-through staging leaves the
+// AwaitStream completes every burst and returns the fault armed by
+// failNext. The burst words go nowhere: write-through staging leaves the
 // device holding every streamed frame already. The synchronous paths are the
-// embedded port's. awaits counts the harvests that reached the port.
+// embedded port's. awaits counts the harvests that reached the port. Nothing
+// shifts in the background, so only the test's goroutine touches it.
 type steppedPort struct {
 	bitstream.Port
 
-	mu                  sync.Mutex
 	enqueued, completed uint64
 	awaits              int
 	fault               error
-	held                chan struct{}
 }
 
 var _ bitstream.AsyncPort = (*steppedPort)(nil)
@@ -177,123 +170,23 @@ func newSteppedPort(dev *fabric.Device) *steppedPort {
 	return &steppedPort{Port: bitstream.NewParallelPort(bitstream.NewController(dev), 50e6)}
 }
 
-func (p *steppedPort) StreamUpdates([]bitstream.FrameUpdate) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.enqueued++
-}
+func (p *steppedPort) StreamUpdates([]bitstream.FrameUpdate) { p.enqueued++ }
 
 func (p *steppedPort) AwaitStream() error {
-	p.mu.Lock()
 	p.awaits++
-	p.mu.Unlock()
-	p.Fence()
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.completed = p.enqueued
 	err := p.fault
 	p.fault = nil
 	return err
 }
 
-func (p *steppedPort) Fence() {
-	p.mu.Lock()
-	held := p.held
-	p.mu.Unlock()
-	if held != nil {
-		<-held
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.completed = p.enqueued
-}
+func (p *steppedPort) CompletedBursts() uint64 { return p.completed }
 
-func (p *steppedPort) StreamInFlight() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.completed < p.enqueued
-}
+func (p *steppedPort) complete(n uint64) { p.completed = n }
 
-func (p *steppedPort) CompletedBursts() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.completed
-}
+func (p *steppedPort) harvests() int { return p.awaits }
 
-func (p *steppedPort) complete(n uint64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.completed = n
-}
-
-func (p *steppedPort) harvests() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.awaits
-}
-
-func (p *steppedPort) failNext(err error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.fault = err
-}
-
-func (p *steppedPort) hold() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.held = make(chan struct{})
-}
-
-func (p *steppedPort) release() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.held != nil {
-		close(p.held)
-		p.held = nil
-	}
-}
-
-// TestBurstCompletionAfterAbandonedHarvest pins the burst numbering across a
-// harvest the stall watchdog gives up on. Cell A's write streams as burst 1
-// and the harvest stalls, so burst 1 is still shifting: restaging A must
-// reach the stage gate (whose drain stalls in turn). Cell B, in another
-// column, then streams as burst 2, and the port completes burst 1 alone: the
-// tool must still report a stream in flight, since burst 2 is shifting.
-func TestBurstCompletionAfterAbandonedHarvest(t *testing.T) {
-	dev := fabric.NewDevice(fabric.XCV50)
-	port := newSteppedPort(dev)
-	ft, err := relocate.NewFrameTool(dev, port)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ft.StallTimeout = 20 * time.Millisecond
-	a := fabric.CellRef{Coord: fabric.Coord{Row: 2, Col: 12}}
-	b := fabric.CellRef{Coord: fabric.Coord{Row: 2, Col: 3}}
-
-	port.hold()
-	t.Cleanup(func() { port.release(); ft.HarvestPending() })
-	if err := ft.WriteCell(a, fabric.CellConfig{Used: true, LUT: fabric.LUTConst1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ft.AwaitStream(); !errors.Is(err, relocate.ErrPortStalled) {
-		t.Fatalf("held harvest: got %v, want ErrPortStalled", err)
-	}
-	if err := ft.WriteCell(a, fabric.CellConfig{Used: true, LUT: fabric.LUTConst0}); !errors.Is(err, relocate.ErrPortStalled) {
-		t.Fatalf("restaging A while burst 1 shifts: got %v, want the gate's drain to stall", err)
-	}
-	if err := ft.WriteCell(b, fabric.CellConfig{Used: true, LUT: fabric.LUTConst1}); err != nil {
-		t.Fatal(err)
-	}
-	port.complete(1)
-	inFlight := ft.StreamInFlight()
-	port.release()
-	ft.HarvestPending()
-	if !inFlight {
-		t.Fatal("burst 1 of 2 complete, yet StreamInFlight reports false")
-	}
-	if ft.StreamInFlight() {
-		t.Fatal("StreamInFlight reports true after HarvestPending drained the port")
-	}
-}
+func (p *steppedPort) failNext(err error) { p.fault = err }
 
 // TestStageGateTracksPartialCompletion pins the stage gate against bursts
 // that complete one at a time, without a harvest. Cells A and B, in two

@@ -34,7 +34,6 @@ type config struct {
 	scrubBatch   int
 	journalRot   int64
 	health       *HealthPolicy
-	stallTimeout time.Duration
 	compress     bool
 	portWidth    int
 }
@@ -98,6 +97,12 @@ func WithPortModel(factory func(*bitstream.Controller) bitstream.Port) Option {
 // verify are quarantined, with resident designs evacuated. Without this
 // option any transport fault strictly rolls the operation back (the
 // pre-PR-8 behaviour).
+//
+// The ladder answers the faults raised where the background stream is
+// harvested (the frame tool's AwaitStream). A port that cannot stream (one
+// that is not a bitstream.AsyncPort) delivers every flush in the
+// foreground, and a fault there returns straight to the operation, which
+// rolls back without a retry.
 func WithRetryPolicy(p RetryPolicy) Option {
 	return func(c *config) { c.retry = &p }
 }
@@ -127,15 +132,6 @@ func WithScrubber(interval time.Duration, batchFrames int) Option {
 // is not journaled — pass it again when recovering with rlm.Recover.
 func WithHealthPolicy(p HealthPolicy) Option {
 	return func(c *config) { c.health = &p }
-}
-
-// WithStallTimeout arms the stall watchdog: a harvest of the background
-// configuration stream that does not complete within d fails with a typed
-// ErrPortStalled instead of hanging the facade, feeding the retry ladder
-// (when armed) like any transport fault. 0 (the default) disables the
-// watchdog. Not journaled — pass it again when recovering.
-func WithStallTimeout(d time.Duration) Option {
-	return func(c *config) { c.stallTimeout = d }
 }
 
 // WithCompression switches the configuration port to compressed write

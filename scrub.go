@@ -234,11 +234,10 @@ func (s *System) startScrubber(interval time.Duration, batch int) {
 }
 
 // Close stops the background scrubber (if one was started), waits for it to
-// exit, and drains the in-flight background configuration stream — including
-// any awaiter goroutine a stall watchdog abandoned — so no goroutine the
-// system spawned outlives it. Safe to call on a system built without
-// WithScrubber, and safe to call more than once. It does not close the
-// journal — the journal's file lifetime follows the process, as before.
+// exit, and drains the in-flight background configuration stream, so no
+// goroutine the system spawned outlives it. Safe to call on a system built
+// without WithScrubber, and safe to call more than once. It does not close
+// the journal — the journal's file lifetime follows the process.
 func (s *System) Close() error {
 	s.closeOnce.Do(func() {
 		if s.scrubStop != nil {

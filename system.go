@@ -191,7 +191,6 @@ func newSystem(cfg *config, dev *fabric.Device) (*System, error) {
 		return nil, err
 	}
 	eng.Tool.Serial = cfg.serialCommit
-	eng.Tool.StallTimeout = cfg.stallTimeout
 	var tmpl *template.Store
 	if cfg.tmplPolicy != nil {
 		tmpl = template.NewStore(*cfg.tmplPolicy)
@@ -623,14 +622,15 @@ func (s *System) Recover() error {
 }
 
 // fullRecoveryLocked streams the full recovery bitstream, the whole shadow
-// configuration, straight to the controller; the port's worker is fenced
-// first, since the stream bypasses the port. The view then rescans: after a
-// partial recovery that never reached the device, the shadow already holds
-// the pre-operation content, so adopting the restored frames declares
-// nothing, while the view re-derived a rollback the device did not take.
+// configuration, straight to the controller. The stream bypasses the port,
+// so the caller has drained the port's stream first (Recover awaits it, a
+// rollback drains it in RecoveryWords and CompleteRestore). The view then
+// rescans: after a partial recovery that never reached the device, the
+// shadow already holds the pre-operation content, so adopting the restored
+// frames declares nothing, while the view re-derived a rollback the device
+// did not take.
 func (s *System) fullRecoveryLocked() error {
 	tool := s.engine.Tool
-	tool.Fence()
 	err := s.ctrl.Feed(tool.Shadow().RecoveryBitstream()...)
 	if err == nil {
 		err = tool.Sync()
@@ -795,12 +795,11 @@ func (s *System) restoreLocked(cause error) {
 			restoredFrames = append(restoredFrames, bitstream.FrameUpdate{Addr: addr, Data: pre})
 		}
 	}
-	// Both recovery feeds below bypass the port, so each fences its worker
-	// first: RecoveryWords' drain is a harvest, and one the stall watchdog
-	// abandoned returns while a superseded burst may still be shifting.
+	// Both recovery feeds below bypass the port. RecoveryWords drained its
+	// stream completely, so the port's worker is idle and the controller is
+	// free.
 	var feedErr error
 	if wordsErr == nil && len(words) > 0 {
-		tool.Fence()
 		feedErr = s.ctrl.Feed(words...)
 		if feedErr == nil && s.onDelivered != nil {
 			s.onDelivered(restoredFrames)
