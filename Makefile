@@ -42,12 +42,15 @@ crash-torture:
 	go test -race -count=10 -run 'TestRecoverConcurrently' repro
 
 # The transport fault-tolerance property tests: chaos-injected transient
-# faults retried to a state bit-identical to a fault-free twin, persistent
-# faults quarantined with design evacuation (after a failed Move, a
-# MoveStaged failing in a hop, and a failed Defragment candidate followed by
-# a successful one; what a failed evacuation condemns waits for the next
-# operation's sweep), SEUs repaired by the scrubber (foreground and
-# background), and a crash inside the retry loop recovered from the journal.
+# faults retried to a state bit-identical to a fault-free twin, pipelined and
+# under serial commit (TestChaosRetryBitIdenticalToFaultFree's serial/budget-N
+# rows, where each Flush harvests its own burst and the fault must still
+# reach the retry ladder), persistent faults quarantined with design
+# evacuation (after a failed Move, a MoveStaged failing in a hop, and a
+# failed Defragment candidate followed by a successful one; what a failed
+# evacuation condemns waits for the next operation's sweep), SEUs repaired
+# by the scrubber (foreground and background), and a crash inside the retry
+# loop recovered from the journal.
 fault-torture:
 	go test -race -run 'TestChaosRetry|TestPersistentFault|TestScrub|TestBackgroundScrubber|TestCrashDuringRetry' repro
 

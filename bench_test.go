@@ -128,7 +128,7 @@ func selectMapBenchPort(width int) func(*fabric.Device) bitstream.Port {
 func compressBenchPort(mk func(*fabric.Device) bitstream.Port) func(*fabric.Device) bitstream.Port {
 	return func(dev *fabric.Device) bitstream.Port {
 		p := mk(dev)
-		p.(bitstream.CompressPort).SetCompress(true)
+		p.SetCompress(true)
 		return p
 	}
 }
@@ -735,9 +735,7 @@ func BenchmarkTab226msRelocationTime(b *testing.B) {
 		if cp, ok := port.(interface{ Cycles() uint64 }); ok {
 			cycles = cp.Cycles()
 		}
-		if tp, ok := port.(bitstream.CompressPort); ok {
-			tr = tp.Traffic()
-		}
+		tr = port.Meter().Usage(bitstream.Foreground).Traffic
 		return totalSec * 1e3 / float64(clbs), clbs, hostMsPerCLB, overlap, cycles, tr
 	}
 	once("e8", func() {

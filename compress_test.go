@@ -75,12 +75,14 @@ func TestCompressedDeliveryBitIdentical(t *testing.T) {
 	t.Run("tck-deterministic", func(t *testing.T) {
 		// Transport time is accounted at enqueue, so compressed pipelined and
 		// serial-commit delivery must agree cycle for cycle — and word for
-		// word: the encoder sees identical update lists either way.
+		// word: the encoder sees identical update lists either way. The
+		// serial twin's deliveringPort writes every compressed burst, so its
+		// memory is what the deltas decode to.
 		pipe, err := New(WithDevice(fabric.TestDevice), WithCompression())
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial, err := New(WithDevice(fabric.TestDevice), WithCompression(), withSerialCommit())
+		serial, err := New(WithDevice(fabric.TestDevice), WithCompression(), withDeliveringPort(), withSerialCommit())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -83,9 +83,7 @@ func captureState(s *System) hostState {
 	if cp, ok := s.port.(interface{ Cycles() uint64 }); ok {
 		st.cycles = cp.Cycles()
 	}
-	if tp, ok := s.port.(bitstream.CompressPort); ok {
-		st.traffic = tp.Traffic()
-	}
+	st.traffic = s.port.Meter().Usage(bitstream.Foreground).Traffic
 	return st
 }
 

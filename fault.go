@@ -14,15 +14,17 @@ import (
 
 // This file is the facade's transport fault-tolerance ladder. With a
 // RetryPolicy armed, the ladder installs itself as the frame tool's Retry
-// delegate: every transport fault of the batched pipeline surfaces at a
-// Tool.AwaitStream — an operation's end-of-op harvest or the stage gate's
-// serial drain — and the delegate re-delivers the unharvested frames from
-// the host shadow (the paper's complete configuration copy), escalating to
-// per-frame readback-verify. Only when every attempt fails does the
-// operation roll back — and the columns of the frames the final verify
-// condemned are quarantined in the health ledger, which masks them out of
-// the frame tool's delivery and (for CLB columns) out of the area manager's
-// logic space, and resident designs are evacuated to healthy space.
+// delegate: the frame tool delivers every flush through the port's stream,
+// so every transport fault of an operation's delivery surfaces at a
+// Tool.AwaitStream — an operation's end-of-op harvest, the stage gate's
+// serial drain or, under serial commit, the Flush that enqueued the burst —
+// and the delegate re-delivers the unharvested frames from the host shadow
+// (the paper's complete configuration copy), escalating to per-frame
+// readback-verify. Only when every attempt fails does the operation roll
+// back — and the columns of the frames the final verify condemned are
+// quarantined in the health ledger, which masks them out of the frame tool's
+// delivery and (for CLB columns) out of the area manager's logic space, and
+// resident designs are evacuated to healthy space.
 //
 // The write-through staging model makes the re-delivery set well-defined
 // even though the port cannot say WHICH burst failed (its drain continues
@@ -209,10 +211,9 @@ func (s *System) verifyFrames(updates []bitstream.FrameUpdate) ([]fabric.FrameAd
 // traffic (retries, scrubs, probes, recovery) never counts as foreground and
 // the foreground accounting stays bit-identical to a fault-free twin's.
 func (s *System) charge(c bitstream.Class, fn func() error) error {
-	if s.meter != nil {
-		prev := s.meter.SetClass(c)
-		defer s.meter.SetClass(prev)
-	}
+	m := s.port.Meter()
+	prev := m.SetClass(c)
+	defer m.SetClass(prev)
 	return fn()
 }
 

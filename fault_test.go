@@ -50,7 +50,11 @@ func maskFaultStats(st hostState) hostState {
 // of the scripted workout still succeeds, and the final configuration image,
 // host book-keeping and cycle accounting are bit-identical to a fault-free
 // twin's (the retry traffic is charged to the port meter's retry class).
-// Run with -race.
+// Commit mode is the table's second axis: every budget runs pipelined (the
+// rows named budget-N) and under serial commit (serial/budget-N), where each
+// Flush harvests its own burst, so the fault surfaces at the Flush that
+// enqueued it and must reach the ladder all the same. Every serial row must
+// trip, retry and end on the same fault-free twin. Run with -race.
 func TestChaosRetryBitIdenticalToFaultFree(t *testing.T) {
 	clean, err := New(WithDevice(fabric.TestDevice))
 	if err != nil {
@@ -63,38 +67,52 @@ func TestChaosRetryBitIdenticalToFaultFree(t *testing.T) {
 	if testing.Short() {
 		budgets = []int{0, 3, 21, 144}
 	}
+	modes := []struct {
+		prefix string
+		opts   []Option
+		strict bool // every budget must trip and be retried
+	}{
+		{"", nil, false},
+		{"serial/", []Option{withSerialCommit()}, true},
+	}
 	detected := 0
-	for _, budget := range budgets {
-		t.Run(fmt.Sprintf("budget-%d", budget), func(t *testing.T) {
-			sys, flaky := faultSystem(t, 7, WithRetryPolicy(RetryPolicy{MaxRetries: 2, VerifyAfter: 2}))
-			events, cancel := sys.Subscribe(256)
-			defer cancel()
-			flaky.TripAfter(budget)
-			crashScript(t, sys) // every op must succeed; the script fatals otherwise
-			st := sys.Stats()
-			if st.RetriesExhausted != 0 {
-				t.Fatalf("transient fault exhausted retries: %+v", st)
-			}
-			detected += st.FaultsDetected
-			if st.FaultsDetected > 0 {
-				if st.FaultRetries == 0 {
-					t.Fatalf("fault detected but never retried: %+v", st)
+	for _, mode := range modes {
+		for _, budget := range budgets {
+			t.Run(fmt.Sprintf("%sbudget-%d", mode.prefix, budget), func(t *testing.T) {
+				opts := append([]Option{WithRetryPolicy(RetryPolicy{MaxRetries: 2, VerifyAfter: 2})}, mode.opts...)
+				sys, flaky := faultSystem(t, 7, opts...)
+				events, cancel := sys.Subscribe(256)
+				defer cancel()
+				flaky.TripAfter(budget)
+				crashScript(t, sys) // every op must succeed; the script fatals otherwise
+				st := sys.Stats()
+				if st.RetriesExhausted != 0 {
+					t.Fatalf("transient fault exhausted retries: %+v", st)
 				}
-				cancel()
-				sawRetryOK := false
-				for e := range events {
-					if e.Kind == RetrySucceeded {
-						sawRetryOK = true
+				detected += st.FaultsDetected
+				if mode.strict && st.FaultsDetected == 0 {
+					t.Fatalf("the fault never reached the retry ladder: %+v", st)
+				}
+				if st.FaultsDetected > 0 {
+					if st.FaultRetries == 0 {
+						t.Fatalf("fault detected but never retried: %+v", st)
+					}
+					cancel()
+					sawRetryOK := false
+					for e := range events {
+						if e.Kind == RetrySucceeded {
+							sawRetryOK = true
+						}
+					}
+					if !sawRetryOK {
+						t.Fatal("fault detected but no RetrySucceeded event published")
 					}
 				}
-				if !sawRetryOK {
-					t.Fatal("fault detected but no RetrySucceeded event published")
+				if diffs := diffStates(maskFaultStats(captureState(sys)), want); len(diffs) > 0 {
+					t.Fatalf("faulty run diverges from fault-free twin: %s", diffs[0])
 				}
-			}
-			if diffs := diffStates(maskFaultStats(captureState(sys)), want); len(diffs) > 0 {
-				t.Fatalf("faulty run diverges from fault-free twin: %s", diffs[0])
-			}
-		})
+			})
+		}
 	}
 	if detected == 0 {
 		t.Fatal("no budget ever tripped a fault; the chaos sweep tested nothing")

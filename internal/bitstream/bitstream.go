@@ -188,7 +188,7 @@ func (c *Controller) Stats() Stats { return c.stats }
 // SetRedelivery switches the controller in or out of re-delivery mode
 // (frames parse and count but are not applied). The background stream worker
 // brackets each staged burst with it; the caller owns the controller for the
-// duration (AsyncPort's contract serialises all other access).
+// duration (Port's streaming contract serialises all other access).
 func (c *Controller) SetRedelivery(on bool) { c.redelivery = on }
 
 // Device returns the attached device.

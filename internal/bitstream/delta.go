@@ -252,18 +252,6 @@ func (t Traffic) CompressionRatio() float64 {
 	return float64(t.FullWords) / float64(t.WordsShifted)
 }
 
-// CompressPort is the optional capability of ports that can encode their
-// write streams compressed and account the traffic either way. Both stock
-// ports (jtag.Port, ParallelPort) implement it; wrappers forward it.
-type CompressPort interface {
-	// SetCompress switches delta/MFWR stream encoding on or off.
-	SetCompress(on bool)
-	// Compressed reports whether compressed encoding is on.
-	Compressed() bool
-	// Traffic returns the cumulative foreground write-traffic counters.
-	Traffic() Traffic
-}
-
 // EncodeStream builds the write stream for updates — compressed or not —
 // and accounts it into tr. A nil return (only possible compressed, when
 // every frame was an identical rewrite) means nothing needs shipping. Both

@@ -30,19 +30,14 @@ type Usage struct {
 }
 
 // Meter is a port's cost ledger: one Usage per Class, charged to whichever
-// class is current. Both stock ports keep one and read their Cycles,
-// Traffic and Elapsed from its Foreground class.
+// class is current. Both stock ports keep one and read their Cycles and
+// Elapsed from its Foreground class; a wrapper returns the meter of the port
+// it wraps.
 type Meter struct {
 	// Hz is the port clock rate that converts cycles into seconds.
 	Hz    float64
 	class Class
 	use   [numClasses]Usage
-}
-
-// Metered is the capability of ports that keep a Meter (both stock ports;
-// wrappers forward it).
-type Metered interface {
-	Meter() *Meter
 }
 
 // SetClass makes c the class later traffic is charged to and returns the

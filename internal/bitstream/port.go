@@ -7,29 +7,20 @@ import (
 	"repro/internal/fabric"
 )
 
-// Port is a configuration interface of the device: it delivers partial
-// bitstreams and performs readback, accounting for the transport time
-// consumed. The paper uses the Boundary-Scan port (internal/jtag implements
-// it); a SelectMAP-style parallel port is provided here for the
-// interface-comparison ablation.
-type Port interface {
-	// WriteUpdates delivers frame updates as a partial bitstream.
-	WriteUpdates(updates []FrameUpdate) error
-	// ReadFrame reads one frame back through the port.
-	ReadFrame(addr fabric.FrameAddr) ([]uint32, error)
-	// Elapsed returns the cumulative transport time in seconds.
-	Elapsed() float64
-	// Name identifies the port type for reports.
-	Name() string
-}
-
-// AsyncPort is a Port whose partial-bitstream delivery can be staged in the
-// background: StreamUpdates enqueues a coalesced burst and returns while the
-// stream is still shifting out, AwaitStream blocks until every queued burst
-// has been delivered and harvests any transport error. The transport time of
-// a burst is accounted deterministically at enqueue time (the cycle count is
-// a pure function of the stream length), so Elapsed reads the same value at
-// every point of the program regardless of how far the background shift has
+// Port is the configuration interface of the device, and the one contract
+// every port in the repository implements: it delivers partial bitstreams,
+// in the background or in the foreground, performs readback, and charges the
+// transport time it consumes to its meter. The paper uses the Boundary-Scan
+// port (internal/jtag implements it); a SelectMAP-style parallel port is
+// provided here for the interface-comparison ablation, and internal/faultport
+// wraps either with fault injection.
+//
+// StreamUpdates enqueues a coalesced burst and returns while the stream is
+// still shifting out; AwaitStream blocks until every queued burst has been
+// delivered and harvests any transport error. The transport time of a burst
+// is accounted deterministically at enqueue time (the cycle count is a pure
+// function of the stream length), so Elapsed reads the same value at every
+// point of the program regardless of how far the background shift has
 // progressed — pipelined and serial runs produce identical cycle accounting.
 //
 // The contract the run-time manager builds its commit pipeline on:
@@ -43,8 +34,12 @@ type Port interface {
 //     content being streamed (write-through staging guarantees this), so the
 //     delivery degenerates to reads of the configuration memory and is
 //     invisible to concurrently running host-side planning.
-type AsyncPort interface {
-	Port
+type Port interface {
+	// WriteUpdates delivers frame updates as a partial bitstream before it
+	// returns.
+	WriteUpdates(updates []FrameUpdate) error
+	// ReadFrame reads one frame back through the port.
+	ReadFrame(addr fabric.FrameAddr) ([]uint32, error)
 	// StreamUpdates enqueues a burst for background delivery, accounting
 	// its transport time immediately.
 	StreamUpdates(updates []FrameUpdate)
@@ -56,10 +51,22 @@ type AsyncPort interface {
 	// the port was built. Callers use it to retire frames from their
 	// in-flight tracking without a blocking await.
 	CompletedBursts() uint64
+	// Meter returns the port's per-class cost ledger.
+	Meter() *Meter
+	// SetCompress switches delta/MFWR stream encoding on or off.
+	SetCompress(on bool)
+	// Elapsed returns the cumulative foreground transport time in seconds.
+	Elapsed() float64
+	// Name identifies the port type for reports.
+	Name() string
 }
 
-// StreamQueue is the shared background-delivery engine behind AsyncPort
-// implementations: a FIFO of word bursts drained by one lazily started
+// AsyncPort is the former name of the streaming half of Port, kept as an
+// alias because rlmbench (bench/, its own module) still names it.
+type AsyncPort = Port
+
+// StreamQueue is the shared background-delivery engine behind the ports'
+// StreamUpdates: a FIFO of word bursts drained by one lazily started
 // worker goroutine that exits whenever the queue empties, so an idle port
 // holds no goroutine. Deliver is called once per burst, in order, from the
 // worker; its error is sticky until the next Await.
@@ -135,8 +142,8 @@ func (q *StreamQueue) Completed() uint64 {
 // ParallelPort models a SelectMAP-style parallel configuration port:
 // WidthBits data pins per clock (8 by default — one byte per clock, so a
 // 32-bit word takes four clocks; 16 and 32 model the wider SelectMAP
-// variants). It implements AsyncPort: bursts can shift out in the background
-// while the host computes, with the clock cost accounted at enqueue time.
+// variants). Bursts can shift out in the background while the host computes,
+// with the clock cost accounted at enqueue time.
 type ParallelPort struct {
 	Ctrl *Controller
 	// WidthBits is the data-port width in bits: 8, 16 or 32 (0 means 8).
@@ -182,7 +189,7 @@ func (p *ParallelPort) WriteUpdates(updates []FrameUpdate) error {
 	return p.Ctrl.Feed(words...)
 }
 
-// StreamUpdates implements AsyncPort: the burst's clock cost lands on the
+// StreamUpdates implements Port: the burst's clock cost lands on the
 // port immediately (it is a pure function of the stream length), the words
 // ship from a background worker. A fully elided burst (compression skipped
 // every frame) still enqueues — zero words, zero cycles — so callers'
@@ -193,10 +200,10 @@ func (p *ParallelPort) StreamUpdates(updates []FrameUpdate) {
 	p.q.Enqueue(words)
 }
 
-// AwaitStream implements AsyncPort.
+// AwaitStream implements Port.
 func (p *ParallelPort) AwaitStream() error { return p.q.Await() }
 
-// CompletedBursts implements AsyncPort.
+// CompletedBursts implements Port.
 func (p *ParallelPort) CompletedBursts() uint64 { return p.q.Completed() }
 
 // ReadFrame implements Port.
@@ -225,20 +232,10 @@ func (p *ParallelPort) Name() string { return "SelectMAP" }
 // Cycles returns the foreground clock cycle count.
 func (p *ParallelPort) Cycles() uint64 { return p.meter.Usage(Foreground).Cycles }
 
-// Meter implements Metered.
+// Meter implements Port.
 func (p *ParallelPort) Meter() *Meter { return &p.meter }
 
-// SetCompress implements CompressPort.
+// SetCompress implements Port.
 func (p *ParallelPort) SetCompress(on bool) { p.compress = on }
 
-// Compressed implements CompressPort.
-func (p *ParallelPort) Compressed() bool { return p.compress }
-
-// Traffic implements CompressPort.
-func (p *ParallelPort) Traffic() Traffic { return p.meter.Usage(Foreground).Traffic }
-
-var (
-	_ AsyncPort    = (*ParallelPort)(nil)
-	_ CompressPort = (*ParallelPort)(nil)
-	_ Metered      = (*ParallelPort)(nil)
-)
+var _ Port = (*ParallelPort)(nil)

@@ -18,12 +18,14 @@
 // and the recovery a timeout would start needs that same worker.
 //
 // The wrapper exploits the pipeline's write-through staging contract
-// (bitstream.AsyncPort): the device model already holds every frame's final
+// (bitstream.Port): the device model already holds every frame's final
 // content before delivery starts, so a "failed" burst is still enqueued in
 // full on the inner port. Cycle accounting and device content therefore stay
 // bit-identical to a fault-free twin; only the error signal differs, which is
-// exactly what the facade's retry ladder consumes. Transient faults are
-// sticky until harvested by AwaitStream, mirroring the transport contract.
+// exactly what the facade's retry ladder consumes. Transient faults on a
+// stream are sticky until harvested by AwaitStream, mirroring the transport
+// contract. A foreground write (WriteUpdates: the repairs, probes and
+// re-deliveries of the run-time manager) fails at once and delivers nothing.
 //
 // All mutators are safe to call while bursts are in flight; a fixed seed
 // makes every injected corruption reproducible.
@@ -37,19 +39,11 @@ import (
 	"repro/internal/fabric"
 )
 
-// Inner is the port being wrapped: an asynchronous configuration port that
-// keeps a per-class meter (both jtag.Port and bitstream.ParallelPort
-// qualify).
-type Inner interface {
-	bitstream.AsyncPort
-	bitstream.Metered
-}
-
-// Port is a fault-injecting bitstream.AsyncPort wrapper. The zero fault plan
+// Port is a fault-injecting bitstream.Port wrapper. The zero fault plan
 // is fully healthy; compose faults with TripAfter, FailFrames and FlipBit at
 // any time.
 type Port struct {
-	inner Inner
+	inner bitstream.Port
 
 	mu     sync.Mutex
 	seed   uint64
@@ -62,7 +56,7 @@ type Port struct {
 
 // New wraps inner. The seed drives the deterministic readback corruption of
 // persistently failed frames; the same seed reproduces the same bit pattern.
-func New(inner Inner, seed uint64) *Port {
+func New(inner bitstream.Port, seed uint64) *Port {
 	return &Port{inner: inner, seed: seed, budget: -1}
 }
 
@@ -177,7 +171,7 @@ func (f *Port) WriteUpdates(updates []bitstream.FrameUpdate) error {
 	return f.inner.WriteUpdates(updates)
 }
 
-// StreamUpdates implements bitstream.AsyncPort. The burst is always enqueued
+// StreamUpdates implements bitstream.Port. The burst is always enqueued
 // in full on the inner port — write-through staging means the device already
 // holds the streamed content, so a fault only poisons the error signal (and
 // the accounting stays identical to a fault-free run). The injected error is
@@ -191,7 +185,7 @@ func (f *Port) StreamUpdates(updates []bitstream.FrameUpdate) {
 	f.inner.StreamUpdates(updates)
 }
 
-// AwaitStream implements bitstream.AsyncPort: it drains the inner queue and
+// AwaitStream implements bitstream.Port: it drains the inner queue and
 // surfaces (then clears) any injected sticky error.
 func (f *Port) AwaitStream() error {
 	err := f.inner.AwaitStream()
@@ -243,7 +237,7 @@ func corruptMask(seed uint64, addr fabric.FrameAddr, word int) uint32 {
 	return uint32(x^(x>>31)) | 1
 }
 
-// CompletedBursts implements bitstream.AsyncPort.
+// CompletedBursts implements bitstream.Port.
 func (f *Port) CompletedBursts() uint64 { return f.inner.CompletedBursts() }
 
 // Elapsed implements bitstream.Port.
@@ -256,35 +250,14 @@ func (f *Port) Name() string { return f.inner.Name() }
 // Cycles exposes the inner port's foreground cycle count.
 func (f *Port) Cycles() uint64 { return f.inner.Meter().Usage(bitstream.Foreground).Cycles }
 
-// Meter implements bitstream.Metered: the wrapper charges nothing of its
-// own, so its meter is the inner port's.
+// Meter implements bitstream.Port: the wrapper charges nothing of its own,
+// so its meter is the inner port's.
 func (f *Port) Meter() *bitstream.Meter { return f.inner.Meter() }
 
 // SetCompress forwards compression control to the inner port, so a
 // fault-injected system can run compressed streams. Faults are injected on
 // the update list BEFORE encoding (see inject), which keeps persistent frame
 // faults visible even when compression elides the frame's words entirely.
-// No-op when the inner port does not implement bitstream.CompressPort.
-func (f *Port) SetCompress(on bool) {
-	if tp, ok := f.inner.(bitstream.CompressPort); ok {
-		tp.SetCompress(on)
-	}
-}
+func (f *Port) SetCompress(on bool) { f.inner.SetCompress(on) }
 
-// Compressed reports the inner port's compression mode (false when the inner
-// port does not implement bitstream.CompressPort).
-func (f *Port) Compressed() bool {
-	if tp, ok := f.inner.(bitstream.CompressPort); ok {
-		return tp.Compressed()
-	}
-	return false
-}
-
-// Traffic exposes the inner port's foreground write-traffic counters.
-func (f *Port) Traffic() bitstream.Traffic {
-	return f.inner.Meter().Usage(bitstream.Foreground).Traffic
-}
-
-var _ bitstream.AsyncPort = (*Port)(nil)
-var _ Inner = (*Port)(nil)
-var _ bitstream.CompressPort = (*Port)(nil)
+var _ bitstream.Port = (*Port)(nil)

@@ -8,14 +8,13 @@ import (
 )
 
 // Port drives a Chain as a Boundary-Scan configuration port, charging every
-// TCK cycle to its meter's current class. It implements bitstream.Port and
-// bitstream.AsyncPort: a partial bitstream can be enqueued with
-// StreamUpdates and shifts out on a background worker while the host plans
-// the next operation — the paper's natural pipeline, since the
-// Boundary-Scan shift is by far the slowest stage. The TCK cost of a burst
-// is a pure function of its word count, so it is charged at enqueue time:
-// Elapsed is deterministic and identical between pipelined and serial
-// delivery.
+// TCK cycle to its meter's current class. It implements bitstream.Port: a
+// partial bitstream can be enqueued with StreamUpdates and shifts out on a
+// background worker while the host plans the next operation — the paper's
+// natural pipeline, since the Boundary-Scan shift is by far the slowest
+// stage. The TCK cost of a burst is a pure function of its word count, so
+// it is charged at enqueue time: Elapsed is deterministic and identical
+// between pipelined and serial delivery.
 type Port struct {
 	Chain    *Chain
 	meter    bitstream.Meter
@@ -164,7 +163,7 @@ func burstCycles(nWords int) uint64 {
 	return uint64(IRLength+6) + uint64(32*nWords+5)
 }
 
-// StreamUpdates implements bitstream.AsyncPort: the burst's TCK cost is
+// StreamUpdates implements bitstream.Port: the burst's TCK cost is
 // charged now; the TAP stepping — the expensive part of the Boundary-Scan
 // model — runs on the queue's background worker.
 // A fully elided burst (compression skipped every frame) still enqueues —
@@ -178,10 +177,10 @@ func (p *Port) StreamUpdates(updates []bitstream.FrameUpdate) {
 	p.q.Enqueue(words)
 }
 
-// AwaitStream implements bitstream.AsyncPort.
+// AwaitStream implements bitstream.Port.
 func (p *Port) AwaitStream() error { return p.q.Await() }
 
-// CompletedBursts implements bitstream.AsyncPort.
+// CompletedBursts implements bitstream.Port.
 func (p *Port) CompletedBursts() uint64 { return p.q.Completed() }
 
 // deliverBurst shifts one queued burst through the TAP on the worker
@@ -250,21 +249,13 @@ func (p *Port) Name() string { return "Boundary-Scan" }
 // Cycles returns the foreground TCK cycles consumed.
 func (p *Port) Cycles() uint64 { return p.meter.Usage(bitstream.Foreground).Cycles }
 
-// Meter implements bitstream.Metered.
+// Meter implements bitstream.Port.
 func (p *Port) Meter() *bitstream.Meter { return &p.meter }
 
-// SetCompress implements bitstream.CompressPort.
+// SetCompress implements bitstream.Port.
 func (p *Port) SetCompress(on bool) { p.compress = on }
 
-// Compressed implements bitstream.CompressPort.
-func (p *Port) Compressed() bool { return p.compress }
-
-// Traffic implements bitstream.CompressPort.
+// Traffic returns the foreground write-traffic counters.
 func (p *Port) Traffic() bitstream.Traffic { return p.meter.Usage(bitstream.Foreground).Traffic }
 
-var (
-	_ bitstream.Port         = (*Port)(nil)
-	_ bitstream.AsyncPort    = (*Port)(nil)
-	_ bitstream.CompressPort = (*Port)(nil)
-	_ bitstream.Metered      = (*Port)(nil)
-)
+var _ bitstream.Port = (*Port)(nil)

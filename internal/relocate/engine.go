@@ -260,12 +260,13 @@ type cellPlan struct {
 // free-running synchronous cells use the plain two-phase procedure;
 // gated-clock and latch cells use the auxiliary relocation circuit.
 //
-// On an asynchronous port the call is the second stage of the commit
-// pipeline: the previous operation's partial bitstream may still be shifting
-// out while this cell's relocation is planned and routed (pure host compute
-// against the stage-time-current view), and execution overlaps the remaining
-// shift. A write to a frame that an in-flight burst still carries drains the
-// stream first, at the frame tool's stage gate, so configuration memory stays
+// The call is the second stage of the commit pipeline (unless the frame
+// tool is Serial, which harvests every burst at its Flush): the previous
+// operation's partial bitstream may still be shifting out while this cell's
+// relocation is planned and routed (pure host compute against the
+// stage-time-current view), and execution overlaps the remaining shift. A
+// write to a frame that an in-flight burst still carries drains the stream
+// first, at the frame tool's stage gate, so configuration memory stays
 // bit-identical to fully serial delivery. A transport error of a stream left
 // in flight by this call surfaces at the next Tool.AwaitStream (the run-time
 // manager harvests one before releasing each operation's checkpoint).

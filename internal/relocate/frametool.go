@@ -50,8 +50,12 @@ type FrameTool struct {
 	// Like VerifyHook it forces per-frame streaming.
 	ReadbackVerify bool
 
-	// Serial forces synchronous delivery even on an AsyncPort — the
-	// pipelined/serial bit-identity property tests and ablations use it.
+	// Serial makes Flush harvest the burst it just enqueued before it
+	// returns, so nothing streams while the host plans and a transport fault
+	// surfaces at that Flush, through AwaitStream and the Retry delegate as
+	// a pipelined one does. The one burst it leaves in flight is the last
+	// of an InBatch whose fn failed, which the rollback drains. The
+	// pipelined/serial bit-identity property tests use it.
 	Serial bool
 
 	frames  int
@@ -71,23 +75,21 @@ type FrameTool struct {
 	// the pending list's backing array, from one flush to the next. Reusing
 	// both is safe: nothing Flush calls stages a frame, so the pending list
 	// cannot grow while Flush reads it; the ports encode the updates before
-	// StreamUpdates or WriteUpdates returns; and DeliveryBarrier observers
-	// must not keep them.
+	// StreamUpdates returns; and DeliveryBarrier observers must not keep
+	// them.
 	updates []bitstream.FrameUpdate
 
-	// async is the port's background-delivery interface (nil when the port
-	// cannot stream). Flush numbers the bursts it enqueues 1, 2, ... —
-	// enqueued is the last number, and since the tool is the port's only
-	// streamer it matches the port's own count — and stamps each frame's
-	// record with its burst. retired trails the port's CompletedBursts, read
-	// only when a frame's burst is above it, in StreamInFlight and after a
-	// harvest. A new write to a frame whose burst is above CompletedBursts
-	// must first drain the queue, because on a real part the in-flight stream
-	// and the new write would race on the configuration port; a frame stops
-	// gating the moment its burst has fully shifted out — no blocking await
-	// needed. gateDrains counts the gate's drains; the engine reads it to
-	// count the relocations that waited on the port.
-	async      bitstream.AsyncPort
+	// Flush numbers the bursts it enqueues 1, 2, ... — enqueued is the last
+	// number, and since the tool is the port's only streamer it matches the
+	// port's own count — and stamps each frame's record with its burst.
+	// retired trails the port's CompletedBursts, read only when a frame's
+	// burst is above it, in StreamInFlight and after a harvest. A new write
+	// to a frame whose burst is above CompletedBursts must first drain the
+	// queue, because on a real part the in-flight stream and the new write
+	// would race on the configuration port; a frame stops gating the moment
+	// its burst has fully shifted out — no blocking await needed. gateDrains
+	// counts the gate's drains; the engine reads it to count the relocations
+	// that waited on the port.
 	enqueued   uint64
 	retired    uint64
 	gateDrains int
@@ -97,9 +99,9 @@ type FrameTool struct {
 	// the unharvested frame set, and a nil return absorbs the fault. The
 	// run-time manager's re-delivery ladder hangs here — AwaitStream is the
 	// single point transport faults of the batched pipeline surface, whether
-	// at an operation's harvest or the stage gate's serial drain. The
-	// delegate must not call back into AwaitStream (it re-delivers through
-	// the port directly).
+	// at an operation's harvest, the stage gate's serial drain or, with
+	// Serial set, the Flush that enqueued the burst. The delegate must not
+	// call back into AwaitStream (it re-delivers through the port directly).
 	Retry func(cause error, addrs []fabric.FrameAddr) error
 	// unharvested lists the distinct frames of every burst enqueued since
 	// the last clean AwaitStream, in first-enqueued order — the
@@ -153,8 +155,8 @@ type FrameTool struct {
 // (captured from the pre-staging shadow on the frame's first-ever stage, so
 // the initial baseline is what the fabric held at power-up); Flush diffs each
 // delivery against it. confirmed trails lastSent: it only advances when a
-// delivery's outcome is confirmed (a clean harvest, a synchronous write, a
-// designer-path reconciliation), and it is the baseline the facade's
+// delivery's outcome is confirmed (a clean harvest, a designer-path
+// reconciliation, a rollback), and it is the baseline the facade's
 // re-delivery ladder diffs against — a failed burst's frames genuinely
 // re-ship their changed runs. Both are nil until the frame is first adopted
 // or staged, and both alias shadow slices (the shadow replaces slices
@@ -162,8 +164,7 @@ type FrameTool struct {
 // write-through staging a too-old baseline only enlarges the shipped delta.
 //
 // pending marks a frame on the tool's pending list. burst is the number of
-// the last burst that carried the frame: 0 until one does, and always 0 in
-// serial mode or on a synchronous port, where nothing streams.
+// the last burst that carried the frame, 0 until one does.
 //
 // pre is the frame's content when the checkpoint was armed (or last rolled
 // back), saved on the frame's first write since; nil while the frame is not
@@ -189,9 +190,9 @@ func (ft *FrameTool) state(addr fabric.FrameAddr) *frameState {
 // delivered configuration. PreDeliver is called with the frame set of one
 // delivery before any of it reaches the port; returning an error aborts the
 // delivery (nothing is streamed). Delivered is called with the delivered
-// updates — for an async port at enqueue time, when the burst's content is
-// fixed. The updates' data slices are owned by the shadow; observers must
-// not retain or mutate them.
+// updates at enqueue time, when the burst's content is fixed. The updates'
+// data slices are owned by the shadow; observers must not retain or mutate
+// them.
 type DeliveryBarrier interface {
 	PreDeliver(addrs []fabric.FrameAddr) error
 	Delivered(updates []bitstream.FrameUpdate)
@@ -222,8 +223,7 @@ func NewFrameTool(dev *fabric.Device, port bitstream.Port) (*FrameTool, error) {
 	if err != nil {
 		return nil, err
 	}
-	async, _ := port.(bitstream.AsyncPort)
-	return &FrameTool{dev: dev, port: port, shadow: shadow, genSeen: dev.Generation(), async: async}, nil
+	return &FrameTool{dev: dev, port: port, shadow: shadow, genSeen: dev.Generation()}, nil
 }
 
 // Sync adopts configuration that changed through a path other than this
@@ -392,7 +392,7 @@ func (ft *FrameTool) Apply(edits []Edit) error {
 func (ft *FrameTool) stage(addr fabric.FrameAddr, data []uint32) error {
 	st := ft.state(addr)
 	if st.burst > ft.retired {
-		ft.retired = ft.async.CompletedBursts()
+		ft.retired = ft.port.CompletedBursts()
 		if st.burst > ft.retired {
 			ft.gateDrains++
 			if err := ft.AwaitStream(); err != nil {
@@ -424,10 +424,10 @@ func (ft *FrameTool) stage(addr fabric.FrameAddr, data []uint32) error {
 
 // Flush stages every pending frame into one partial bitstream, sorted by
 // frame address so consecutive frames share FDRI bursts. It is a no-op when
-// nothing is pending. On an AsyncPort the burst is enqueued for background
-// shift-out and Flush returns while it is still streaming — stage-stream;
-// AwaitStream is the matching harvest. On a synchronous port (or with
-// Serial set) the burst is delivered before Flush returns.
+// nothing is pending. The burst is enqueued for background shift-out and
+// Flush returns while it is still streaming — stage-stream; AwaitStream is
+// the matching harvest. With Serial set, Flush makes that harvest itself
+// before it returns.
 //
 // Designer-path writes may have landed since the frames were staged — in a
 // batched plan, a Load places directly onto the device between two ops'
@@ -475,46 +475,33 @@ func (ft *FrameTool) Flush() error {
 			return err
 		}
 	}
-	if ft.async != nil && !ft.Serial {
-		// Stage-stream: the burst shifts out in the background. The words
-		// are built from the shadow's current slices at enqueue time (the
-		// stream copies the data), so later staging cannot mutate an
-		// in-flight burst. Every frame carries the burst's number, and gates
-		// conflicting writes until the port has completed that many bursts.
-		// The burst's content is fixed at enqueue: it is the delta baseline
-		// of the next delivery, whatever the shift-out's outcome (confirmed
-		// only advances at a clean harvest).
-		ft.enqueued++
-		for _, u := range updates {
-			st := ft.state(u.Addr)
-			if st.burst <= ft.harvested {
-				ft.unharvested = append(ft.unharvested, u.Addr)
-			}
-			st.burst = ft.enqueued
-			st.lastSent = u.Data
-		}
-		ft.async.StreamUpdates(updates)
-		if ft.barrier != nil {
-			// The burst's content is fixed at enqueue (the stream copies the
-			// data), so the delivered view is already determined here even
-			// though the shift-out completes later.
-			ft.barrier.Delivered(updates)
-		}
-		return nil
-	}
-	if err := ft.port.WriteUpdates(updates); err != nil {
-		return err
-	}
+	// Stage-stream: the burst shifts out in the background. The words are
+	// built from the shadow's current slices at enqueue time (the stream
+	// copies the data), so later staging cannot mutate an in-flight burst.
+	// Every frame carries the burst's number, and gates conflicting writes
+	// until the port has completed that many bursts. The burst's content is
+	// fixed at enqueue: it is the delta baseline of the next delivery,
+	// whatever the shift-out's outcome (confirmed only advances at a clean
+	// harvest).
+	ft.enqueued++
 	for _, u := range updates {
 		st := ft.state(u.Addr)
-		st.lastSent, st.confirmed = u.Data, u.Data
+		if st.burst <= ft.harvested {
+			ft.unharvested = append(ft.unharvested, u.Addr)
+		}
+		st.burst = ft.enqueued
+		st.lastSent = u.Data
 	}
+	ft.port.StreamUpdates(updates)
 	if ft.barrier != nil {
+		// The burst's content is fixed at enqueue (the stream copies the
+		// data), so the delivered view is already determined here even
+		// though the shift-out completes later.
 		ft.barrier.Delivered(updates)
 	}
-	// The controller re-wrote the same data the reconciled shadow holds;
-	// fold exactly those generation bumps in so the next sync stays a no-op.
-	ft.genSeen = ft.dev.Generation()
+	if ft.Serial {
+		return ft.AwaitStream()
+	}
 	return nil
 }
 
@@ -547,14 +534,10 @@ func (ft *FrameTool) dropUnharvested() {
 // write any more. A stream error is first offered to the Retry delegate
 // (when one is installed) with the unharvested frame list; a clean harvest —
 // including one the delegate salvaged — confirms every enqueued burst and
-// empties the list. A no-op on a synchronous port or when nothing is in
-// flight.
+// empties the list. It returns at once when nothing is in flight.
 func (ft *FrameTool) AwaitStream() error {
-	if ft.async == nil {
-		return nil
-	}
-	err := ft.async.AwaitStream()
-	ft.retired = ft.async.CompletedBursts()
+	err := ft.port.AwaitStream()
+	ft.retired = ft.port.CompletedBursts()
 	if err != nil && ft.Retry != nil {
 		err = ft.Retry(err, ft.unharvested)
 	}
@@ -584,7 +567,7 @@ func (ft *FrameTool) ConfirmedBaseline(addr fabric.FrameAddr) ([]uint32, bool) {
 // asks the port only while an earlier answer left a burst outstanding.
 func (ft *FrameTool) StreamInFlight() bool {
 	if ft.retired < ft.enqueued {
-		ft.retired = ft.async.CompletedBursts()
+		ft.retired = ft.port.CompletedBursts()
 	}
 	return ft.retired < ft.enqueued
 }
@@ -609,13 +592,19 @@ func (ft *FrameTool) EndBatch() error {
 // InBatch runs fn inside one batch level. The batch always closes — a
 // failing fn still gets its pending frames flushed (they are dead only if
 // the caller rolls back, which drops them via AbortPending) — and a flush
-// failure surfaces only when fn itself succeeded.
+// failure surfaces only when fn itself succeeded. A failing fn's burst is
+// left in flight even with Serial set, as a pipelined one is: the rollback's
+// drain (HarvestPending) answers for it without the Retry delegate.
 func (ft *FrameTool) InBatch(fn func() error) error {
 	ft.BeginBatch()
 	err := fn()
-	if endErr := ft.EndBatch(); err == nil {
-		err = endErr
+	if err == nil {
+		return ft.EndBatch()
 	}
+	serial := ft.Serial
+	ft.Serial = false
+	_ = ft.EndBatch()
+	ft.Serial = serial
 	return err
 }
 

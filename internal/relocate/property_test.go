@@ -124,38 +124,35 @@ func contains(s, sub string) bool {
 	return false
 }
 
-// flakyPort wraps a Port and injects a mid-stream failure: once its frame
-// budget is exhausted, WriteUpdates delivers a prefix of the requested
-// frames and then errors — the partial-delivery case a real configuration
-// port can produce.
+// flakyPort wraps a SelectMAP port and injects a mid-stream failure: once
+// its frame budget is exhausted, a burst ships only a prefix of its frames
+// and the stream reports an error at the next AwaitStream — the
+// partial-delivery case a real configuration port can produce.
 type flakyPort struct {
-	inner  bitstream.Port
-	budget int // frames still deliverable; < 0 = unlimited
+	*bitstream.ParallelPort
+	budget int   // frames still deliverable; < 0 = unlimited
+	err    error // sticky until the next AwaitStream
 }
 
-func (f *flakyPort) WriteUpdates(updates []bitstream.FrameUpdate) error {
-	if f.budget < 0 {
-		return f.inner.WriteUpdates(updates)
-	}
-	if len(updates) <= f.budget {
-		f.budget -= len(updates)
-		return f.inner.WriteUpdates(updates)
-	}
-	k := f.budget
-	f.budget = 0
-	if k > 0 {
-		if err := f.inner.WriteUpdates(updates[:k]); err != nil {
-			return err
+func (f *flakyPort) StreamUpdates(updates []bitstream.FrameUpdate) {
+	if f.budget >= 0 {
+		if len(updates) > f.budget {
+			f.err = fmt.Errorf("flaky port: injected failure after %d frames", f.budget)
+			updates = updates[:f.budget]
 		}
+		f.budget -= len(updates)
 	}
-	return fmt.Errorf("flaky port: injected failure after %d frames", k)
+	f.ParallelPort.StreamUpdates(updates)
 }
 
-func (f *flakyPort) ReadFrame(addr fabric.FrameAddr) ([]uint32, error) {
-	return f.inner.ReadFrame(addr)
+func (f *flakyPort) AwaitStream() error {
+	err := f.ParallelPort.AwaitStream()
+	if err == nil {
+		err = f.err
+	}
+	f.err = nil
+	return err
 }
-func (f *flakyPort) Elapsed() float64 { return f.inner.Elapsed() }
-func (f *flakyPort) Name() string     { return f.inner.Name() }
 
 // TestPartialCheckpointBitIdentical is the checkpoint-correctness property:
 // after a relocation aborted by a mid-stream write failure (plus a
@@ -182,12 +179,15 @@ func TestPartialCheckpointBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			ctrl := bitstream.NewController(dev)
-			port := &flakyPort{inner: bitstream.NewParallelPort(ctrl, 50e6), budget: -1}
+			port := &flakyPort{ParallelPort: bitstream.NewParallelPort(ctrl, 50e6), budget: -1}
 			eng, err := relocate.NewEngine(dev, port)
 			if err != nil {
 				t.Fatal(err)
 			}
 			eng.MaxCyclesPerWait = 0
+			// Each flush harvests its own burst, so the relocation aborts at
+			// the flush that crossed the budget.
+			eng.Tool.Serial = true
 
 			// Checkpoint both ways at the same instant: the full shadow
 			// copy is the reference, the tool's checkpoint is the system

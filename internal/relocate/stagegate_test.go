@@ -22,7 +22,7 @@ type harvestPort struct {
 	awaits            int
 }
 
-var _ bitstream.AsyncPort = (*harvestPort)(nil)
+var _ bitstream.Port = (*harvestPort)(nil)
 
 func (p *harvestPort) StreamUpdates(updates []bitstream.FrameUpdate) {
 	p.ParallelPort.StreamUpdates(updates)
@@ -37,6 +37,36 @@ func (p *harvestPort) AwaitStream() error {
 }
 
 func (p *harvestPort) CompletedBursts() uint64 { return p.retired }
+
+// deliveringPort is the serial twin's SelectMAP port. Its StreamUpdates
+// delivers the burst through WriteUpdates before it returns, so the
+// configuration controller decodes it and writes every frame that differs
+// from the device, and its AwaitStream returns that write's error. A
+// pipelined port's stream only re-delivers frames write-through staging has
+// already written, so comparing a pipelined device with this twin's checks
+// the content of every burst the frame tool ships.
+type deliveringPort struct {
+	*bitstream.ParallelPort
+	completed uint64
+	err       error // sticky until the next AwaitStream
+}
+
+var _ bitstream.Port = (*deliveringPort)(nil)
+
+func (p *deliveringPort) StreamUpdates(updates []bitstream.FrameUpdate) {
+	if err := p.WriteUpdates(updates); err != nil && p.err == nil {
+		p.err = err
+	}
+	p.completed++
+}
+
+func (p *deliveringPort) AwaitStream() error {
+	err := p.err
+	p.err = nil
+	return err
+}
+
+func (p *deliveringPort) CompletedBursts() uint64 { return p.completed }
 
 // sameFrames fails the test unless the two devices hold the same
 // configuration memory, frame by frame.
@@ -67,10 +97,11 @@ func sameFrames(t *testing.T, ctx string, a, b *fabric.Device) {
 // streaming, and the engine's counters report what it did. On a port that
 // retires bursts only at a harvest, b03 cells (gated-clock ones included, so
 // the aux circuit restages its control constants) relocate on XCV50 beside a
-// serial-delivery twin. After every call the configuration memory and the
-// cycle count equal the twin's, SerialFallbacks equals the number of calls
-// that awaited the port, and OverlappedOps counts every call after the
-// first, whose planning always overlaps the previous call's last burst.
+// serial-delivery twin whose deliveringPort writes every burst it is handed.
+// After every call the configuration memory and the cycle count equal the
+// twin's, SerialFallbacks equals the number of calls that awaited the port,
+// and OverlappedOps counts every call after the first, whose planning always
+// overlaps the previous call's last burst.
 func TestStageGateIsTheOnlyStreamGate(t *testing.T) {
 	pipeDev := fabric.NewDevice(fabric.XCV50)
 	serialDev := fabric.NewDevice(fabric.XCV50)
@@ -83,7 +114,7 @@ func TestStageGateIsTheOnlyStreamGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serialPort := bitstream.NewParallelPort(bitstream.NewController(serialDev), 50e6)
+	serialPort := &deliveringPort{ParallelPort: bitstream.NewParallelPort(bitstream.NewController(serialDev), 50e6)}
 	serial, err := relocate.NewEngine(serialDev, serialPort)
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +195,7 @@ type steppedPort struct {
 	fault               error
 }
 
-var _ bitstream.AsyncPort = (*steppedPort)(nil)
+var _ bitstream.Port = (*steppedPort)(nil)
 
 func newSteppedPort(dev *fabric.Device) *steppedPort {
 	return &steppedPort{Port: bitstream.NewParallelPort(bitstream.NewController(dev), 50e6)}
@@ -251,4 +282,58 @@ func TestStageGateTracksPartialCompletion(t *testing.T) {
 	port.failNext(errInjected)
 	write(b, true) // burst 4 is still shifting
 	checkRetry(2, append(framesOf(b), framesOf(a)...))
+}
+
+// TestSerialLeavesAFailedBatchToTheRollback pins where a Serial frame tool
+// harvests. A batch whose body succeeds is harvested by its closing Flush,
+// through the Retry delegate. A batch whose body fails leaves its burst in
+// flight, as a pipelined tool does: the delegate never runs for an
+// operation that is about to roll back, and the rollback's drain
+// (HarvestPending) discards the burst's fault.
+func TestSerialLeavesAFailedBatchToTheRollback(t *testing.T) {
+	dev := fabric.NewDevice(fabric.XCV50)
+	port := newSteppedPort(dev)
+	ft, err := relocate.NewFrameTool(dev, port)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ft.Serial = true
+	retries := 0
+	ft.Retry = func(error, []fabric.FrameAddr) error {
+		retries++
+		return nil
+	}
+	ref := fabric.CellRef{Coord: fabric.Coord{Row: 2, Col: 12}}
+	errInjected := errors.New("injected stream fault")
+	errBody := errors.New("batch body failed")
+	batch := func(lut uint16, bodyErr error) error {
+		return ft.InBatch(func() error {
+			if err := ft.WriteCell(ref, fabric.CellConfig{Used: true, LUT: lut}); err != nil {
+				return err
+			}
+			return bodyErr
+		})
+	}
+	check := func(ctx string, wantRetries, wantHarvests int, wantInFlight bool) {
+		t.Helper()
+		if retries != wantRetries || port.harvests() != wantHarvests || ft.StreamInFlight() != wantInFlight {
+			t.Fatalf("%s: %d retries, %d harvests, in flight %v; want %d, %d, %v",
+				ctx, retries, port.harvests(), ft.StreamInFlight(), wantRetries, wantHarvests, wantInFlight)
+		}
+	}
+
+	port.failNext(errInjected)
+	if err := batch(1, nil); err != nil {
+		t.Fatalf("batch with a salvaged fault: %v", err)
+	}
+	check("good body", 1, 1, false)
+
+	port.failNext(errInjected)
+	if err := batch(2, errBody); !errors.Is(err, errBody) {
+		t.Fatalf("failed batch returned %v, want the body's error", err)
+	}
+	check("failed body", 1, 1, true)
+
+	ft.HarvestPending()
+	check("rollback drain", 1, 2, false)
 }

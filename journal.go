@@ -273,9 +273,7 @@ func (s *System) journalStateLocked() journal.State {
 	}
 	st.Stats.FramesWritten = s.engine.Tool.FramesWritten()
 	st.Stats.PlanSeconds, st.Stats.OverlappedOps, st.Stats.SerialFallbacks = 0, 0, 0
-	if s.meter != nil {
-		st.Port = s.meter.Usages()
-	}
+	st.Port = s.port.Meter().Usages()
 	names := make([]string, 0, len(s.designs))
 	for name := range s.designs {
 		names = append(names, name)

@@ -97,12 +97,6 @@ func WithPortModel(factory func(*bitstream.Controller) bitstream.Port) Option {
 // verify are quarantined, with resident designs evacuated. Without this
 // option any transport fault strictly rolls the operation back (the
 // pre-PR-8 behaviour).
-//
-// The ladder answers the faults raised where the background stream is
-// harvested (the frame tool's AwaitStream). A port that cannot stream (one
-// that is not a bitstream.AsyncPort) delivers every flush in the
-// foreground, and a fault there returns straight to the operation, which
-// rolls back without a retry.
 func WithRetryPolicy(p RetryPolicy) Option {
 	return func(c *config) { c.retry = &p }
 }

@@ -13,11 +13,53 @@ import (
 )
 
 // withSerialCommit is the test hook that disables the two-stage commit
-// pipeline: every partial bitstream is delivered synchronously before the
-// next operation plans. Configuration memory and cycle accounting are
+// pipeline: it sets FrameTool.Serial, so every Flush harvests the burst it
+// just enqueued and no partial bitstream is still shifting when the next
+// operation plans. A fault of that burst reaches the retry ladder as a
+// pipelined one does. Configuration memory and cycle accounting are
 // bit-identical either way, which is the property the pipeline tests pin.
 func withSerialCommit() Option {
 	return func(c *config) { c.serialCommit = true }
+}
+
+// deliveringPort is the serial twins' port. Its StreamUpdates delivers the
+// burst through the inner port's WriteUpdates before it returns, so the
+// configuration controller decodes it and writes every frame that differs
+// from the device, and its AwaitStream returns that write's error. A
+// pipelined port's stream only re-delivers, because write-through staging
+// has already written the device, so its twin's memory is what the frame
+// tool staged. Comparing the two memories therefore checks the content of
+// every burst the frame tool ships, not just what it staged.
+type deliveringPort struct {
+	bitstream.Port
+	completed uint64
+	err       error // sticky until the next AwaitStream
+}
+
+func (p *deliveringPort) StreamUpdates(updates []bitstream.FrameUpdate) {
+	if err := p.Port.WriteUpdates(updates); err != nil && p.err == nil {
+		p.err = err
+	}
+	p.completed++
+}
+
+func (p *deliveringPort) AwaitStream() error {
+	err := p.err
+	p.err = nil
+	return err
+}
+
+func (p *deliveringPort) CompletedBursts() uint64 { return p.completed }
+
+// Cycles reads the inner port's foreground cycle count.
+func (p *deliveringPort) Cycles() uint64 { return p.Meter().Usage(bitstream.Foreground).Cycles }
+
+// withDeliveringPort builds the system's port as a Boundary-Scan port at the
+// default TCK wrapped in a deliveringPort.
+func withDeliveringPort() Option {
+	return WithPortModel(func(ctrl *bitstream.Controller) bitstream.Port {
+		return &deliveringPort{Port: jtag.NewPort(ctrl, jtag.DefaultTCKHz)}
+	})
 }
 
 // comparePipelinedSerial asserts the two systems' configuration memories are
@@ -56,18 +98,18 @@ func comparePipelinedSerial(t *testing.T, ctx string, pipe, serial *System) {
 // correctness property: a randomized sequence of facade operations — loads,
 // transactional plans (moves, staged moves, unloads), Need-mode and
 // best-effort defragmentation — executed on a pipelined Boundary-Scan
-// system and on a serial-commit twin must leave configuration memory
-// bit-identical and the cycle accounting equal after every operation. The
-// op mix mirrors the random-op generator of
-// relocate.TestViewMatchesRescanUnderRandomOps, lifted to the facade's
-// vocabulary. Run under -race this also exercises the background worker's
-// synchronisation.
+// system and on a serial-commit twin, whose deliveringPort writes every
+// burst it is handed, must leave configuration memory bit-identical and the
+// cycle accounting equal after every operation. The op mix mirrors the
+// random-op generator of relocate.TestViewMatchesRescanUnderRandomOps, lifted
+// to the facade's vocabulary. Run under -race this also exercises the
+// background worker's synchronisation.
 func TestPipelinedCommitBitIdenticalToSerial(t *testing.T) {
 	pipe, err := New(WithDevice(fabric.XCV50), WithPort(BoundaryScan))
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := New(WithDevice(fabric.XCV50), WithPort(BoundaryScan), withSerialCommit())
+	serial, err := New(WithDevice(fabric.XCV50), withDeliveringPort(), withSerialCommit())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -155,14 +155,10 @@ func Recover(dev *fabric.Device, journalPath string, opts ...Option) (*System, *
 	// overwrites it. With nothing ever committed there is nothing to
 	// restore: the fresh port's construction traffic is the never-crashed
 	// twin's too, and the reconciliation never left the recovery class.
-	if s.meter != nil {
-		rep.RecoverySeconds = s.meter.Seconds(bitstream.Recovery)
-	}
+	rep.RecoverySeconds = s.port.Meter().Seconds(bitstream.Recovery)
 	if target.Seq > 0 {
 		s.engine.RestoreAccounting(target.Stats, target.LastTick)
-		if s.meter != nil {
-			s.meter.Restore(target.Port)
-		}
+		s.port.Meter().Restore(target.Port)
 	}
 	s.attachJournal(j, rs.LastSeq)
 	s.jrnl.path = journalPath

@@ -475,9 +475,6 @@ func TestChaosSoakSelfHealing(t *testing.T) {
 func TestChaosSoakCompressed(t *testing.T) {
 	sys := runChaosSoak(t, WithCompression())
 	tr := sys.Traffic()
-	if !sys.Port().(bitstream.CompressPort).Compressed() {
-		t.Fatal("port is not in compressed mode")
-	}
 	if tr.WordsShifted == 0 || tr.WordsShifted >= tr.FullWords {
 		t.Fatalf("compression never engaged: %+v", tr)
 	}

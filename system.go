@@ -49,11 +49,6 @@ type System struct {
 	engine *relocate.Engine
 	area   *area.Manager
 
-	// meter is the port's per-class cost ledger (nil for a custom port
-	// without one). The facade's direct port calls are all maintenance
-	// traffic, and charge names the class they go to.
-	meter *bitstream.Meter
-
 	designs map[string]*place.Design
 	regions map[string]int // design name -> area allocation id
 
@@ -180,11 +175,7 @@ func newSystem(cfg *config, dev *fabric.Device) (*System, error) {
 		pp.WidthBits = cfg.portWidth
 	}
 	if cfg.compress {
-		tp, ok := port.(bitstream.CompressPort)
-		if !ok {
-			return nil, fmt.Errorf("rlm: WithCompression: port %q does not support compressed streams", port.Name())
-		}
-		tp.SetCompress(true)
+		port.SetCompress(true)
 	}
 	eng, err := relocate.NewEngine(dev, port)
 	if err != nil {
@@ -213,9 +204,6 @@ func newSystem(cfg *config, dev *fabric.Device) (*System, error) {
 	}
 	sys.health = health.NewTracker(hpol)
 	eng.Tool.Masked = sys.masked
-	if mp, ok := port.(bitstream.Metered); ok {
-		sys.meter = mp.Meter()
-	}
 	sys.armRetryLadder()
 	return sys, nil
 }
@@ -305,32 +293,26 @@ func (s *System) Map() string {
 // Stats returns the relocation engine statistics, with FramesWritten read
 // from the frame tool and the transport seconds from the port: PortSeconds
 // is its foreground time, and RetrySeconds, ScrubSeconds and ProbeSeconds
-// are its meter's maintenance classes (zero on a custom port without a
-// meter).
+// are its meter's maintenance classes.
 func (s *System) Stats() relocate.Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	st := s.engine.Stats
 	st.FramesWritten = s.engine.Tool.FramesWritten()
 	st.PortSeconds = s.port.Elapsed()
-	if s.meter != nil {
-		st.RetrySeconds = s.meter.Seconds(bitstream.Retry)
-		st.ScrubSeconds = s.meter.Seconds(bitstream.Scrub)
-		st.ProbeSeconds = s.meter.Seconds(bitstream.Probe)
-	}
+	m := s.port.Meter()
+	st.RetrySeconds = m.Seconds(bitstream.Retry)
+	st.ScrubSeconds = m.Seconds(bitstream.Scrub)
+	st.ProbeSeconds = m.Seconds(bitstream.Probe)
 	return st
 }
 
-// Traffic returns the port's configuration write-traffic counters (words
-// actually shifted vs the uncompressed equivalent). Zero-valued on a custom
-// port that does not implement bitstream.CompressPort.
+// Traffic returns the port meter's foreground write-traffic counters (words
+// actually shifted vs the uncompressed equivalent).
 func (s *System) Traffic() bitstream.Traffic {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if tp, ok := s.port.(bitstream.CompressPort); ok {
-		return tp.Traffic()
-	}
-	return bitstream.Traffic{}
+	return s.port.Meter().Usage(bitstream.Foreground).Traffic
 }
 
 // Load places a netlist into a region (auto-sized when region is zero),
