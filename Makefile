@@ -104,13 +104,18 @@ replay-diff:
 # an adopted frame configures (Device.OwnerOfBit, checked against the frame
 # layout for every bit), and after every facade operation (cold and warm
 # loads, moves, unloads, refused operations that roll back) and after every
-# engine-level write it must equal a rescan of the configuration memory, with
-# no change left undeclared (Engine.AuditView). After every engine-level
-# write, Engine.FreeRouter, which reads the view in place, must block exactly
-# the nodes the rescan shows in use. A failed partial recovery and a pad
-# OutMask clear are pinned on their own.
+# engine-level write it must equal the tile walk, an independent derivation
+# of the configuration memory, with no change left undeclared
+# (Engine.AuditView). After every engine-level write, Engine.FreeRouter,
+# which reads the view in place, must block exactly the nodes the walk shows
+# in use. The view is built, and rebuilt on a full recovery, by decoding
+# every frame against an all-zero baseline; on every device size, for an
+# empty device, placed designs, random frame words, sparse random bits and a
+# device cloned frame by frame, that decode must equal the tile walk
+# (TestRescanMatchesTileWalk). A failed partial recovery and a pad OutMask
+# clear are pinned on their own.
 view-diff:
-	go test -race -run 'TestViewMatchesRescan|TestViewAfterFailedPartialRecovery|TestViewAfterPadOutMaskClear|TestAuditView|TestOwnerOfBit' repro ./internal/relocate ./internal/fabric
+	go test -race -run 'TestViewMatchesRescan|TestRescanMatchesTileWalk|TestViewAfterFailedPartialRecovery|TestViewAfterPadOutMaskClear|TestAuditView|TestOwnerOfBit' repro ./internal/relocate ./internal/fabric
 
 # The commit pipeline's exactness gate: a randomized mix of facade operations
 # on a pipelined Boundary-Scan system must leave configuration memory and TCK

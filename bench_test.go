@@ -84,6 +84,9 @@ func pingPongSetup(b *testing.B, circuit string, gated bool, port func(*fabric.D
 		b.Fatal(err)
 	}
 	eng.MaxCyclesPerWait = 0 // no simulation load in benches
+	// The engine builds its router at the first route; build it here, so
+	// the timed loop holds the relocations alone.
+	eng.FreeRouter()
 	var from fabric.CellRef
 	found := false
 	for id, nd := range nl.Nodes {
@@ -239,6 +242,7 @@ func BenchmarkFig5RouteRelocation(b *testing.B) {
 		b.Fatal(err)
 	}
 	eng.MaxCyclesPerWait = 0
+	eng.FreeRouter() // built before timing, as in pingPongSetup
 	// A routed pin to bounce between alternative paths.
 	var tile fabric.Coord
 	local := -1
@@ -514,6 +518,7 @@ func BenchmarkLoadWarmVsCold(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			sys.engine.FreeRouter() // built before timing, as in pingPongSetup
 			nl := itc99.Generate(cfg)
 			b.StartTimer()
 			if _, err := sys.Load(nl, region); err != nil {
@@ -693,6 +698,7 @@ func BenchmarkTab226msRelocationTime(b *testing.B) {
 			b.Fatal(err)
 		}
 		eng.MaxCyclesPerWait = 0
+		eng.FreeRouter() // built before timing, as in pingPongSetup
 		return tab2Setup{region: region, d: d, eng: eng}
 	}
 	measure := func(su tab2Setup) (msPerCLB float64, clbs int, hostMsPerCLB, overlap float64, cycles uint64, tr bitstream.Traffic) {
@@ -890,6 +896,69 @@ func BenchmarkAblationDeviceScaling(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = measure(fabric.XCV50)
+	}
+}
+
+// --- Construction ----------------------------------------------------------
+
+// BenchmarkNewSystem pins what building a System costs: the frame tool's
+// shadow of every frame and the occupancy view decoded from those frames.
+// The engine's router is built by the first route, not here.
+func BenchmarkNewSystem(b *testing.B) {
+	for _, preset := range []fabric.Preset{fabric.XCV50, fabric.XCV800} {
+		b.Run(preset.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := New(WithDevice(preset), WithPort(BoundaryScan)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// denseXCV800 is an XCV800 loaded over most of its array: 96 designs in a
+// grid of 6x6 regions, each routed around the ones before it, one input pad
+// on the West edge and one output pad on the East. It is built once per test
+// binary; building an engine only reads it.
+var denseXCV800 = sync.OnceValues(func() (*fabric.Device, error) {
+	dev := fabric.NewDevice(fabric.XCV800)
+	eng, err := relocate.NewEngine(dev, directBenchPort(dev))
+	if err != nil {
+		return nil, err
+	}
+	reserved := map[fabric.PadRef]bool{}
+	for i := 0; i < 96; i++ {
+		nl := itc99.Generate(itc99.GenConfig{
+			Name: fmt.Sprintf("d%d", i), Inputs: 1, Outputs: 1,
+			Seed: uint64(i + 1), Style: itc99.FreeRunning,
+		}.SizedTo(6*6*fabric.CellsPerCLB, 0.35))
+		region := fabric.Rect{Row: i / 12 * 7, Col: i % 12 * 7, H: 6, W: 6}
+		if _, err := place.Place(dev, nl, place.Options{Region: region, ReservePads: reserved, Router: eng.FreeRouter()}); err != nil {
+			return nil, fmt.Errorf("placing %s at %v: %w", nl.Name, region, err)
+		}
+		if err := eng.Tool.Sync(); err != nil {
+			return nil, err
+		}
+	}
+	return dev, nil
+})
+
+// BenchmarkNewEngineDenseXCV800 pins engine construction on a densely
+// loaded large device, where the view's frame decode has the most set bits
+// to re-derive.
+func BenchmarkNewEngineDenseXCV800(b *testing.B) {
+	dev, err := denseXCV800()
+	if err != nil {
+		b.Fatal(err)
+	}
+	port := directBenchPort(dev)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := relocate.NewEngine(dev, port); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -225,6 +225,23 @@ func (d *Device) ReadFrame(major, minor int) ([]uint32, error) {
 	return out, nil
 }
 
+// ReadFrameInto copies one configuration frame into dst, which must hold
+// FrameWords words: ReadFrame without the allocation, for a reader that
+// walks every frame through one buffer.
+func (d *Device) ReadFrameInto(major, minor int, dst []uint32) error {
+	idx, err := d.frameIndex(major, minor)
+	if err != nil {
+		return err
+	}
+	if len(dst) != d.frameWords {
+		return fmt.Errorf("fabric: frame buffer length %d, want %d words", len(dst), d.frameWords)
+	}
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	copy(dst, d.frames[idx])
+	return nil
+}
+
 // WriteFrame overwrites one configuration frame. Writing a frame marks every
 // tile of the column stale for simulation purposes, even when the data is
 // identical: rewriting identical bits is glitch-free on the fabric (a

@@ -328,17 +328,30 @@ func TestFrameReadWriteRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	into := make([]uint32, d.FrameWords())
+	if err := d.ReadFrameInto(3, 7, into); err != nil {
+		t.Fatal(err)
+	}
 	for i := range data {
-		if got[i] != data[i] {
-			t.Fatalf("word %d = %#x, want %#x", i, got[i], data[i])
+		if got[i] != data[i] || into[i] != data[i] {
+			t.Fatalf("word %d = %#x (ReadFrame), %#x (ReadFrameInto), want %#x", i, got[i], into[i], data[i])
 		}
 	}
-	// Out-of-range addresses error.
+	if n := testing.AllocsPerRun(10, func() { _ = d.ReadFrameInto(3, 7, into) }); n != 0 {
+		t.Errorf("ReadFrameInto allocates %.0f times per call, want 0", n)
+	}
+	// Out-of-range addresses and wrong buffer lengths error.
 	if _, err := d.ReadFrame(-1, 0); err == nil {
 		t.Error("ReadFrame(-1,0) should fail")
 	}
 	if _, err := d.ReadFrame(0, FramesPerClockColumn); err == nil {
 		t.Error("ReadFrame minor overflow should fail")
+	}
+	if err := d.ReadFrameInto(0, FramesPerClockColumn, into); err == nil {
+		t.Error("ReadFrameInto minor overflow should fail")
+	}
+	if err := d.ReadFrameInto(3, 7, into[1:]); err == nil {
+		t.Error("ReadFrameInto into a short buffer should fail")
 	}
 	if err := d.WriteFrame(1, 0, make([]uint32, 1)); err == nil {
 		t.Error("short frame write should fail")

@@ -140,8 +140,11 @@ type Engine struct {
 
 	Stats Stats
 
-	view     *view
-	router   *route.Router // the only router: every route takes it from FreeRouter
+	view *view
+	// router is the only router: every route takes it from FreeRouter,
+	// which builds it on first use, so an engine that never routes (the
+	// one Recover builds) never allocates its per-node arrays.
+	router   *route.Router
 	lastTick float64
 }
 
@@ -157,7 +160,6 @@ func NewEngine(dev *fabric.Device, port bitstream.Port) (*Engine, error) {
 		AppClockHz:       1e6,
 		MaxCyclesPerWait: 8,
 		view:             newView(dev),
-		router:           route.NewRouter(dev),
 	}
 	// The tool hands every frame it adopts to the view, which re-derives
 	// the bits that changed instead of rescanning the device per operation.
@@ -167,13 +169,17 @@ func NewEngine(dev *fabric.Device, port bitstream.Port) (*Engine, error) {
 
 // FreeRouter returns the engine's router reset to a fresh session, with
 // Greedy at its default and every node the configuration memory shows in use
-// blocked: the free routing resources. The router reads the occupancy view in
-// place, so a write staged after this call shows through; every caller routes
-// before it writes. A caller may block or unblock more nodes and set Greedy
-// before it routes; the next call discards all of it, so no route depends on
-// an earlier operation's search or negotiation state.
+// blocked: the free routing resources. The first call builds the router. The
+// router reads the occupancy view in place, so a write staged after this call
+// shows through; every caller routes before it writes. A caller may block or
+// unblock more nodes and set Greedy before it routes; the next call discards
+// all of it, so no route depends on an earlier operation's search or
+// negotiation state.
 func (e *Engine) FreeRouter() *route.Router {
 	e.view.refresh()
+	if e.router == nil {
+		e.router = route.NewRouter(e.Dev)
+	}
 	r := e.router
 	r.Reset(e.view.used)
 	r.Greedy = 0

@@ -132,6 +132,14 @@ type FrameTool struct {
 	// staging (a drain's Retry delegate, a VerifyHook) cannot overwrite a
 	// list still being read.
 	edits []Edit
+	// touched is the list Apply builds each call's frames in, in
+	// first-touched order, kept from one call to the next. Reusing it is
+	// safe because Apply takes it off the tool while it stages and hands it
+	// back when it returns: the Retry delegate a drain runs re-delivers
+	// through the port and never reaches Apply, and a VerifyHook that writes
+	// through the tool runs a nested Apply, which finds no list and builds
+	// its own instead of overwriting the one being staged.
+	touched []touchedFrame
 
 	// barrier, when set, observes the flush ordering: PreDeliver fires
 	// after the frames of a flush (or a designer-path reconciliation) are
@@ -146,6 +154,13 @@ type FrameTool struct {
 	// record holds its pre-image.
 	armed bool
 	dirty []fabric.FrameAddr
+}
+
+// touchedFrame is one frame an Apply call writes: its address and its new
+// content, which stage hands to the shadow.
+type touchedFrame struct {
+	addr fabric.FrameAddr
+	data []uint32
 }
 
 // frameState is the frame tool's one record of a configuration frame.
@@ -317,20 +332,26 @@ func (ft *FrameTool) Apply(edits []Edit) error {
 	if err := ft.Sync(); err != nil {
 		return err
 	}
-	order := []fabric.FrameAddr{}
-	frames := map[fabric.FrameAddr][]uint32{}
+	touched := ft.touched[:0]
+	ft.touched = nil
+	defer func() {
+		clear(touched)
+		ft.touched = touched[:0]
+	}()
 	for _, e := range edits {
-		data, seen := frames[e.Addr]
-		if !seen {
+		i := len(touched) - 1
+		for i >= 0 && touched[i].addr != e.Addr {
+			i--
+		}
+		if i < 0 {
 			base, ok := ft.shadow.Frame(e.Addr)
 			if !ok {
 				return fmt.Errorf("relocate: no shadow for frame %v", e.Addr)
 			}
-			data = make([]uint32, len(base))
-			copy(data, base)
-			frames[e.Addr] = data
-			order = append(order, e.Addr)
+			i = len(touched)
+			touched = append(touched, touchedFrame{addr: e.Addr, data: slices.Clone(base)})
 		}
+		data := touched[i].data
 		if e.On {
 			data[e.Bit/32] |= 1 << (e.Bit % 32)
 		} else {
@@ -338,8 +359,9 @@ func (ft *FrameTool) Apply(edits []Edit) error {
 		}
 	}
 	perFrame := ft.VerifyHook != nil || ft.ReadbackVerify
-	for _, addr := range order {
-		if err := ft.stage(addr, frames[addr]); err != nil {
+	for _, tf := range touched {
+		addr := tf.addr
+		if err := ft.stage(addr, tf.data); err != nil {
 			return err
 		}
 		if !perFrame {

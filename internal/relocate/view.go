@@ -24,13 +24,16 @@ import (
 // view is the engine's bitstream-derived picture of the device: which
 // routing nodes are in use, which cells are occupied, and how signals flow.
 //
-// The picture is maintained incrementally through one path: the frame tool
-// hands over the old and new content of every frame it adopts — a staged
-// write, a reconciliation with the device, a rollback (view implements
-// ViewSink) — and each bit that differs names the one cell, sink PIP or pad
-// it configures, which alone is re-derived from the configuration memory.
-// A generation that moved with no declaration (a raw write that bypassed
-// the tool) falls back to a rescan.
+// The picture has one derivation: each bit that differs between a frame's
+// old and new content names the one cell, sink PIP or pad it configures,
+// which alone is re-derived from the configuration memory (FrameChanged).
+// The frame tool hands over every frame it adopts — a staged write, a
+// reconciliation with the device, a rollback (view implements ViewSink) —
+// and a rescan adopts every frame of the device against an all-zero
+// baseline. A generation that moved with no declaration (a raw write that
+// bypassed the tool) falls back to a rescan. tileWalk derives the same
+// picture independently, tile by tile; it is the reference the audit and
+// the property tests compare against, never a production path.
 type view struct {
 	dev *fabric.Device
 	gen uint64
@@ -51,26 +54,65 @@ type view struct {
 	freeCount  int
 }
 
+// newView builds the view of a device's current configuration by decoding
+// its frames (rescan).
 func newView(dev *fabric.Device) *view {
-	v := &view{
+	v := allocView(dev)
+	v.rescan()
+	return v
+}
+
+func allocView(dev *fabric.Device) *view {
+	return &view{
 		dev:        dev,
 		used:       make([]bool, int(dev.PadBase())+dev.NumPads()),
 		freeCLB:    make([]bool, dev.Rows*dev.Cols),
 		freePerRow: make([]int, dev.Rows),
 	}
-	v.rescan()
-	return v
 }
 
 // rescan rebuilds the occupancy picture from the configuration memory, in
-// place.
+// place, through the one derivation declared changes use: starting from an
+// empty device (no node used, every CLB free) it adopts every frame of
+// every column against an all-zero baseline, so each set bit re-derives
+// what it configures. It reads every frame, not only those with a
+// generation, because a device cloned frame by frame need not carry any,
+// and it reads them through one buffer. The generation is taken before the
+// first read: a write that lands during the walk leaves the view behind the
+// device, and the next refresh rescans it.
 func (v *view) rescan() {
-	v.gen = v.dev.Generation()
-	clear(v.used)
-	clear(v.freeCLB)
-	clear(v.freePerRow)
-	v.freeCount = 0
 	dev := v.dev
+	gen := dev.Generation()
+	clear(v.used)
+	for i := range v.freeCLB {
+		v.freeCLB[i] = true
+	}
+	for row := range v.freePerRow {
+		v.freePerRow[row] = dev.Cols
+	}
+	v.freeCount = dev.Rows * dev.Cols
+	words := dev.FrameWords()
+	buf := make([]uint32, 2*words)
+	zero, frame := buf[:words], buf[words:]
+	for _, col := range dev.Columns() {
+		for minor := 0; minor < col.Frames; minor++ {
+			if err := dev.ReadFrameInto(col.Major, minor, frame); err != nil {
+				panic(err) // every column's minors are in range
+			}
+			v.FrameChanged(fabric.FrameAddr{Major: col.Major, Minor: minor}, zero, frame)
+		}
+	}
+	v.gen = gen
+}
+
+// tileWalk derives the occupancy picture of a device tile by tile, with no
+// frame decoding: every cell word and sink PIP mask of every CLB, then every
+// pad. It is the independent reference AuditView and the view's property
+// tests compare against (validation by enumeration), so the frame decode is
+// never checked against itself.
+func tileWalk(dev *fabric.Device) *view {
+	v := allocView(dev)
+	v.gen = dev.Generation()
 	for row := 0; row < dev.Rows; row++ {
 		for col := 0; col < dev.Cols; col++ {
 			c := fabric.Coord{Row: row, Col: col}
@@ -115,45 +157,53 @@ func (v *view) rescan() {
 			v.used[n] = true
 		}
 	}
+	return v
 }
 
-// AuditView checks the engine's occupancy view against a fresh rescan of the
-// configuration memory — validation by enumeration. A view behind the device
-// generation is a disagreement by itself: some change was never declared,
-// and a reader would have rescanned it away. Otherwise it rebuilds the
-// picture from scratch and returns the first disagreement in the used nodes,
-// the free CLBs, the per-row free counts or the free total; nil means the
-// incrementally kept view is exact. It costs a full rescan: an audit, not a
-// read path.
+// AuditView checks the engine's occupancy view against the configuration
+// memory — validation by enumeration. A view behind the device generation is
+// a disagreement by itself: some change was never declared, and a reader
+// would have rescanned it away. Otherwise it derives the picture afresh by
+// the tile walk, which shares nothing with the frame decode that built and
+// keeps the view, and returns the first disagreement (see compare); nil
+// means the view is exact. It costs a full tile walk: an audit, not a read
+// path.
 func (e *Engine) AuditView() error {
 	v := e.view
 	if g := v.dev.Generation(); g != v.gen {
 		return fmt.Errorf("relocate: view audit: the view is at generation %d, configuration memory at %d: a change was never declared", v.gen, g)
 	}
-	fresh := newView(v.dev)
+	if err := v.compare(tileWalk(v.dev)); err != nil {
+		return fmt.Errorf("relocate: view audit: %w", err)
+	}
+	return nil
+}
+
+// compare returns the first disagreement between the view and a reference
+// picture of the same configuration memory, in the used nodes, the free
+// CLBs, the per-row free counts or the free total; nil when they agree.
+func (v *view) compare(ref *view) error {
 	mismatch := func(what string, inView bool) error {
-		return fmt.Errorf("relocate: view audit: %s: %t in the view, %t in configuration memory", what, inView, !inView)
+		return fmt.Errorf("%s: %t in the view, %t in configuration memory", what, inView, !inView)
 	}
 	for n, used := range v.used {
-		if used != fresh.used[n] {
+		if used != ref.used[n] {
 			return mismatch(fmt.Sprintf("node %d used", n), used)
 		}
 	}
 	for i, free := range v.freeCLB {
-		if free != fresh.freeCLB[i] {
-			c := fabric.Coord{Row: i / v.dev.Cols, Col: i % v.dev.Cols}
-			return mismatch(fmt.Sprintf("CLB %v free", c), free)
+		if free != ref.freeCLB[i] {
+			return mismatch(fmt.Sprintf("CLB %v free", v.dev.CoordOfTile(i)), free)
 		}
 	}
-	for row, n := range fresh.freePerRow {
+	for row, n := range ref.freePerRow {
 		if v.freePerRow[row] != n {
-			return fmt.Errorf("relocate: view audit: row %d has %d free CLBs in the view, %d in configuration memory",
+			return fmt.Errorf("row %d has %d free CLBs in the view, %d in configuration memory",
 				row, v.freePerRow[row], n)
 		}
 	}
-	if v.freeCount != fresh.freeCount {
-		return fmt.Errorf("relocate: view audit: %d free CLBs in the view, %d in configuration memory",
-			v.freeCount, fresh.freeCount)
+	if v.freeCount != ref.freeCount {
+		return fmt.Errorf("%d free CLBs in the view, %d in configuration memory", v.freeCount, ref.freeCount)
 	}
 	return nil
 }
@@ -173,7 +223,7 @@ func (v *view) refresh() {
 func (e *Engine) RescanView() { e.view.rescan() }
 
 // nodeInUse re-derives one node's occupancy from the configuration memory.
-// It must agree exactly with the criteria rescan applies: a cell output is
+// It must agree exactly with the criteria tileWalk applies: a cell output is
 // used while its cell is configured, a sink while any of its PIPs is
 // enabled, a source while any enabled PIP or output-pad mask selects it, and
 // a pad node while the pad is configured as input or output.

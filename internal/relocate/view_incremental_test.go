@@ -15,8 +15,8 @@ import (
 // TestViewMatchesRescanUnderRandomOps is the O(change) contract's property
 // test: after ANY sequence of loads (designer-path writes), relocations,
 // tree releases, cell/pad clears, raw PIP pokes and checkpoint rollbacks, the
-// incrementally maintained view must be bit-identical to a fresh rescan of
-// the configuration memory.
+// incrementally maintained view must be bit-identical to the tile walk's
+// picture of the configuration memory.
 func TestViewMatchesRescanUnderRandomOps(t *testing.T) {
 	dev := fabric.NewDevice(fabric.TestDevice)
 	ctrl := bitstream.NewController(dev)
@@ -36,7 +36,7 @@ func TestViewMatchesRescanUnderRandomOps(t *testing.T) {
 	check := func(ctx string) {
 		t.Helper()
 		eng.view.refresh()
-		fresh := newView(dev)
+		fresh := tileWalk(dev)
 		if !slices.Equal(eng.view.used, fresh.used) {
 			for n, used := range fresh.used {
 				if used && !eng.view.used[n] {

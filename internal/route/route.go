@@ -364,12 +364,12 @@ type pq struct {
 }
 
 // reset empties the queue in O(1) apart from clearing the bitmap. The bucket
-// heads are allocated by the first search: a router that never searches,
-// such as the one Recover builds, never pays for them. The pool and the
-// front start at a size a search reaches anyway (a front holds about one
-// plateau; a search across the device lists over 10,000 entries), so a new
-// router's first search does not grow two slices from nothing where the
-// binary heap grew one.
+// heads are allocated by the first search, not by NewRouter, so building a
+// router costs only its per-node arrays. The pool and the front start at a
+// size a search reaches anyway (a front holds about one plateau; a search
+// across the device lists over 10,000 entries), so a new router's first
+// search does not grow two slices from nothing where the binary heap grew
+// one.
 func (p *pq) reset() {
 	if p.head == nil {
 		p.head = make([]int32, numBuckets)
