@@ -1,4 +1,4 @@
-.PHONY: test race bench bench-baseline bench-module cover lint fuzz fuzz-seeds fuzz-facade fuzz-journal fuzz-delta gate-check scenarios torture crash-torture fault-torture soak router-diff port-diff replay-diff view-diff pipeline-diff facade-diff alloc-diff surfaces
+.PHONY: test race bench bench-baseline bench-module cover lint fuzz fuzz-seeds fuzz-facade fuzz-journal fuzz-delta gate-check scenarios torture crash-torture fault-torture soak shadow-diff router-diff port-diff replay-diff view-diff pipeline-diff facade-diff alloc-diff surfaces
 
 test:
 	go build ./... && go test ./...
@@ -10,7 +10,7 @@ race:
 # the -run pattern of a gate and the prose of what it pins live in this file
 # only. SHORT=-short runs the short mode of the scenario matrix and the soak,
 # as CI does.
-GATES = scenarios crash-torture fault-torture soak router-diff port-diff replay-diff view-diff pipeline-diff facade-diff alloc-diff
+GATES = scenarios crash-torture fault-torture soak shadow-diff router-diff port-diff replay-diff view-diff pipeline-diff facade-diff alloc-diff
 
 # Every alternative of every gate's -run pattern must match at least one test
 # of that gate's packages (go test -list), so a renamed test cannot drop out
@@ -64,6 +64,22 @@ fault-torture:
 soak:
 	go test -race $(SHORT) -run 'TestChaosSoakSelfHealing|TestChaosSoakCompressed|TestScrubPreemptiveQuarantine|TestDegradedAdmission|TestCloseUnderLoad' repro
 
+# The host copy's gate: the frame tool keeps the one copy of the
+# configuration, a table indexed by frame. On every device size, with random
+# words in every frame, the copy must equal the device right after it is
+# taken, a full recovery stream built from it must restore every frame of a
+# clobbered device, and a frame never staged must keep its construction
+# content as its delta baseline (TestShadowCopiesEveryFrame). The checkpoint
+# keeps the copy's replaced slices as pre-images: a rollback must restore
+# device and copy and leave the tool armed (TestCheckpoint), a disarmed tool
+# must save nothing, an armed one must refuse a second Arm, a frame-granular
+# rollback must leave every frame bit-identical to a full copy taken at the
+# checkpoint (TestPartialCheckpointBitIdentical), and a batched flush must
+# keep a designer-path write that shares a frame with a staged one, which a
+# rollback must then revert (TestBatchFlushReconcilesDesignerWrites).
+shadow-diff:
+	go test -race -run 'TestShadowCopiesEveryFrame|TestCheckpoint|TestDisarmedToolSavesNothing|TestArmOnArmedToolPanics|TestPartialCheckpointBitIdentical|TestBatchFlushReconcilesDesignerWrites' ./internal/relocate
+
 # The router's exactness gate: over a seeded corpus it must return
 # node-for-node the routes of the reference router kept verbatim in
 # internal/route/reference_test.go, also past the open set's last bucket
@@ -73,8 +89,7 @@ soak:
 # Routes cannot show the search's dead-end pruning, so
 # TestSearchQueuesNoDeadEnds pins it, and TestFanoutTemplateOneTilePerLocal
 # the invariant it rests on. A session's blocked set is the base Reset reads
-# in place plus the session's Block and Unblock stamps
-# (TestResetReadsBaseInPlace).
+# in place plus the session's Block stamps (TestResetReadsBaseInPlace).
 router-diff:
 	go test -race -run 'TestRouterMatchesReference|TestOpenSet|TestFanoutTemplate|TestSearchQueuesNoDeadEnds|TestResetReadsBaseInPlace' ./internal/route ./internal/fabric
 

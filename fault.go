@@ -161,13 +161,7 @@ func (s *System) redeliverySetLocked(unharvested []fabric.FrameAddr) []bitstream
 		if s.masked(a.Major) {
 			continue
 		}
-		if data, ok := s.engine.Tool.Shadow().Frame(a); ok {
-			u := bitstream.FrameUpdate{Addr: a, Data: data}
-			if prev, ok := s.engine.Tool.ConfirmedBaseline(a); ok {
-				u.Prev = prev
-			}
-			updates = append(updates, u)
-		}
+		updates = append(updates, bitstream.FrameUpdate{Addr: a, Data: s.engine.Tool.Frame(a), Prev: s.engine.Tool.ConfirmedBaseline(a)})
 	}
 	return updates
 }

@@ -262,30 +262,6 @@ func TestFullBitstreamRestoresDevice(t *testing.T) {
 	}
 }
 
-func TestShadowRecovery(t *testing.T) {
-	dev, _ := newDevCtl()
-	ref := fabric.CellRef{Coord: fabric.Coord{Row: 0, Col: 4}, Cell: 0}
-	dev.WriteCell(ref, fabric.CellConfig{LUT: 0xABCD})
-	shadow, err := NewShadow(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Device gets clobbered...
-	dev.WriteCell(ref, fabric.CellConfig{})
-	if dev.ReadCell(ref).LUT != 0 {
-		t.Fatal("clobber failed")
-	}
-	// ...and the shadow restores it.
-	dev2 := fabric.NewDevice(fabric.TestDevice)
-	ctl2 := NewController(dev2)
-	if err := ctl2.Feed(shadow.RecoveryBitstream()...); err != nil {
-		t.Fatal(err)
-	}
-	if got := dev2.ReadCell(ref); got.LUT != 0xABCD {
-		t.Errorf("recovered LUT = %#x", got.LUT)
-	}
-}
-
 func TestParallelPort(t *testing.T) {
 	dev, ctl := newDevCtl()
 	port := NewParallelPort(ctl, 50e6)

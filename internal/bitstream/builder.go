@@ -226,61 +226,3 @@ func Full(dev *fabric.Device) ([]uint32, error) {
 	b.Start().Desync()
 	return b.Words(), nil
 }
-
-// Shadow mirrors the device configuration on the host. The paper's tool
-// "always keeps a complete copy of the current configuration, enabling
-// system recovery in case of failure"; Shadow is that copy, a plain frame
-// store. Frame slices in the shadow are replaced wholesale on every note and
-// never mutated in place, which is what lets the frame tool's checkpoint
-// keep a replaced slice as a frame's pre-image instead of copying it.
-type Shadow struct {
-	frameWords int
-	columns    []fabric.Column
-	data       map[fabric.FrameAddr][]uint32
-}
-
-// NewShadow captures the device's current full configuration.
-func NewShadow(dev *fabric.Device) (*Shadow, error) {
-	s := &Shadow{
-		frameWords: dev.FrameWords(),
-		columns:    dev.Columns(),
-		data:       make(map[fabric.FrameAddr][]uint32),
-	}
-	for _, col := range dev.Columns() {
-		for m := 0; m < col.Frames; m++ {
-			f, err := dev.ReadFrame(col.Major, m)
-			if err != nil {
-				return nil, err
-			}
-			s.data[fabric.FrameAddr{Major: col.Major, Minor: m}] = f
-		}
-	}
-	return s, nil
-}
-
-// NoteOwned records a frame update taking ownership of the slice (the caller
-// must not mutate it afterwards).
-func (s *Shadow) NoteOwned(addr fabric.FrameAddr, data []uint32) {
-	s.data[addr] = data
-}
-
-// Frame returns the shadowed content of a frame.
-func (s *Shadow) Frame(addr fabric.FrameAddr) ([]uint32, bool) {
-	f, ok := s.data[addr]
-	return f, ok
-}
-
-// RecoveryBitstream builds a full bitstream restoring the shadowed state.
-func (s *Shadow) RecoveryBitstream() []uint32 {
-	b := NewBuilder(s.frameWords)
-	b.Sync().ResetCRC().FrameLength()
-	for _, col := range s.columns {
-		frames := make([][]uint32, col.Frames)
-		for m := 0; m < col.Frames; m++ {
-			frames[m] = s.data[fabric.FrameAddr{Major: col.Major, Minor: m}]
-		}
-		b.WriteFrames(FAR{Major: col.Major}, frames)
-	}
-	b.Start().Desync()
-	return b.Words()
-}

@@ -352,6 +352,9 @@ func (d *Device) InBounds(c Coord) bool {
 // number 0..TotalFrames()-1 in frame-address order.
 func (d *Device) FrameIndex(a FrameAddr) int { return d.frameBase[a.Major] + a.Minor }
 
+// FrameAddrAt is the inverse of FrameIndex.
+func (d *Device) FrameAddrAt(i int) FrameAddr { return d.addrOfFrame[i] }
+
 // TileIndex returns the linear index of a tile.
 func (d *Device) TileIndex(c Coord) int { return c.Row*d.Cols + c.Col }
 

@@ -107,7 +107,7 @@ func TestCheckpointRollbackRestoresAndStaysArmed(t *testing.T) {
 			t.Fatalf("round %d: recovery stream rejected: %v", round, err)
 		}
 		ft.CompleteRestore()
-		sh, _ := ft.Shadow().Frame(addr)
+		sh := ft.Frame(addr)
 		if !slices.Equal(readFrame(t, dev, addr), orig) || !slices.Equal(sh, orig) {
 			t.Fatalf("round %d: rollback did not restore device and shadow", round)
 		}
@@ -182,7 +182,7 @@ func TestCheckpointRecoveryWordsRoundTrip(t *testing.T) {
 	}
 	ft.CompleteRestore()
 	for _, addr := range addrs {
-		sh, _ := ft.Shadow().Frame(addr)
+		sh := ft.Frame(addr)
 		if got := readFrame(t, dev, addr); !slices.Equal(got, orig[addr]) || !slices.Equal(sh, got) {
 			t.Fatalf("frame %v not restored on device and shadow", addr)
 		}

@@ -171,10 +171,10 @@ func NewEngine(dev *fabric.Device, port bitstream.Port) (*Engine, error) {
 // Greedy at its default and every node the configuration memory shows in use
 // blocked: the free routing resources. The first call builds the router. The
 // router reads the occupancy view in place, so a write staged after this call
-// shows through; every caller routes before it writes. A caller may block or
-// unblock more nodes and set Greedy before it routes; the next call discards
-// all of it, so no route depends on an earlier operation's search or
-// negotiation state.
+// shows through; every caller routes before it writes. A caller may block
+// more nodes and set Greedy before it routes; the next call discards all of
+// it, so no route depends on an earlier operation's search or negotiation
+// state.
 func (e *Engine) FreeRouter() *route.Router {
 	e.view.refresh()
 	if e.router == nil {

@@ -10,9 +10,10 @@ import (
 
 // FrameTool turns logical configuration edits (cell configs, PIP bits, pad
 // bits) into partial-bitstream frame writes delivered through a
-// configuration port. It maintains the shadow copy the paper's tool keeps
-// for failure recovery, and it is the ONLY mutation path the relocation
-// engine uses — everything the engine does is real partial reconfiguration.
+// configuration port. It keeps the complete copy of the configuration the
+// paper's tool keeps for failure recovery (the shadow), and it is the ONLY
+// mutation path the relocation engine uses — everything the engine does is
+// real partial reconfiguration.
 //
 // Frame writes are staged write-through: the device sees each frame the
 // moment it is staged (rewriting identical bits is glitch-free, so the later
@@ -22,7 +23,7 @@ import (
 // BeginBatch/EndBatch. A frame staged twice in one batch streams once, with
 // its final content.
 //
-// Besides the shadow, the tool keeps one record per configuration frame
+// Beside the shadow, the tool keeps one record per configuration frame
 // (frameState): the frame's delta baselines, whether it is pending, the
 // number of the last burst that carried it, and its pre-image under the
 // checkpoint. That number is all the stream tracking there is: bursts are
@@ -34,9 +35,14 @@ import (
 // the frame's pre-image in its record, and a rollback replays only what the
 // operation touched.
 type FrameTool struct {
-	dev    *fabric.Device
-	port   bitstream.Port
-	shadow *bitstream.Shadow
+	dev  *fabric.Device
+	port bitstream.Port
+	// shadow holds every frame's current content, indexed by
+	// Device.FrameIndex; NewFrameTool fills it from the device in one slab.
+	// A frame's slice is replaced wholesale on every write and never mutated
+	// in place, which is what lets the records' baselines and pre-images
+	// alias it instead of copying.
+	shadow [][]uint32
 
 	// VerifyHook, when set, is invoked after every frame write (the
 	// harness re-settles the simulator and checks for glitches there).
@@ -44,11 +50,6 @@ type FrameTool struct {
 	// own so the hook observes the same per-frame sequence the paper's
 	// cautious tool produced.
 	VerifyHook func() error
-	// ReadbackVerify reads every written frame back through the port and
-	// compares — the cautious mode of the paper's tool. It roughly doubles
-	// the Boundary-Scan traffic per relocation (see the ablation bench).
-	// Like VerifyHook it forces per-frame streaming.
-	ReadbackVerify bool
 
 	// Serial makes Flush harvest the burst it just enqueued before it
 	// returns, so nothing streams while the host plans and a transport fault
@@ -118,10 +119,10 @@ type FrameTool struct {
 	// Masked, when set, reports the configuration columns (by frame-address
 	// major) that are condemned memory: staged writes to their frames still
 	// update the shadow and the device model (the host view stays
-	// coherent), but Flush silently drops them from port delivery and the
-	// cautious readback mode skips them — nothing live may depend on a
-	// masked column (the area manager's mask guarantees that). The run-time
-	// manager points it at its column health ledger; nil masks nothing.
+	// coherent), but Flush silently drops them from port delivery — nothing
+	// live may depend on a masked column (the area manager's mask guarantees
+	// that). The run-time manager points it at its column health ledger; nil
+	// masks nothing.
 	Masked func(major int) bool
 
 	sink ViewSink
@@ -166,17 +167,15 @@ type touchedFrame struct {
 // frameState is the frame tool's one record of a configuration frame.
 //
 // lastSent and confirmed are the frame's delta baselines for compressed
-// delivery. lastSent is the content most recently handed to the port
-// (captured from the pre-staging shadow on the frame's first-ever stage, so
-// the initial baseline is what the fabric held at power-up); Flush diffs each
-// delivery against it. confirmed trails lastSent: it only advances when a
-// delivery's outcome is confirmed (a clean harvest, a designer-path
-// reconciliation, a rollback), and it is the baseline the facade's
-// re-delivery ladder diffs against — a failed burst's frames genuinely
-// re-ship their changed runs. Both are nil until the frame is first adopted
-// or staged, and both alias shadow slices (the shadow replaces slices
-// wholesale, never mutates in place); a stale baseline is always safe: under
-// write-through staging a too-old baseline only enlarges the shipped delta.
+// delivery. lastSent is the content most recently handed to the port (the
+// shadow's content when the records are built, so the initial baseline is
+// what the fabric held until then); Flush diffs each delivery against it.
+// confirmed trails lastSent: it only advances when a delivery's outcome is
+// confirmed (a clean harvest, a designer-path reconciliation, a rollback),
+// and it is the baseline the facade's re-delivery ladder diffs against — a
+// failed burst's frames genuinely re-ship their changed runs. Both alias
+// shadow slices; a stale baseline is always safe: under write-through staging
+// a too-old baseline only enlarges the shipped delta.
 //
 // pending marks a frame on the tool's pending list. burst is the number of
 // the last burst that carried the frame, 0 until one does.
@@ -191,12 +190,16 @@ type frameState struct {
 	pending             bool
 }
 
-// state returns a frame's record. The table is built on first use, so a tool
-// that never adopts or stages a frame (a recovery that only rolls forward)
-// never pays for it.
+// state returns a frame's record. The table is built on first use, each
+// record's baselines starting at the shadow's content, so a tool that never
+// adopts or stages a frame (a recovery that only rolls forward) never pays
+// for it.
 func (ft *FrameTool) state(addr fabric.FrameAddr) *frameState {
 	if ft.states == nil {
-		ft.states = make([]frameState, ft.dev.TotalFrames())
+		ft.states = make([]frameState, len(ft.shadow))
+		for i, data := range ft.shadow {
+			ft.states[i].lastSent, ft.states[i].confirmed = data, data
+		}
 	}
 	return &ft.states[ft.dev.FrameIndex(addr)]
 }
@@ -234,11 +237,19 @@ func (ft *FrameTool) SetViewSink(s ViewSink) { ft.sink = s }
 // NewFrameTool builds a tool over a device and port. The shadow is
 // initialised from the device's current configuration.
 func NewFrameTool(dev *fabric.Device, port bitstream.Port) (*FrameTool, error) {
-	shadow, err := bitstream.NewShadow(dev)
-	if err != nil {
-		return nil, err
+	ft := &FrameTool{dev: dev, port: port, genSeen: dev.Generation()}
+	n, fw := dev.TotalFrames(), dev.FrameWords()
+	slab := make([]uint32, n*fw)
+	ft.shadow = make([][]uint32, n)
+	for i := range ft.shadow {
+		a := dev.FrameAddrAt(i)
+		data := slab[i*fw : (i+1)*fw : (i+1)*fw]
+		if err := dev.ReadFrameInto(a.Major, a.Minor, data); err != nil {
+			return nil, err
+		}
+		ft.shadow[i] = data
 	}
-	return &FrameTool{dev: dev, port: port, shadow: shadow, genSeen: dev.Generation()}, nil
+	return ft, nil
 }
 
 // Sync adopts configuration that changed through a path other than this
@@ -293,20 +304,34 @@ func (ft *FrameTool) Sync() error {
 // shadow content and returns the content it replaced. With the checkpoint
 // armed, the frame's first write since saves that content as its pre-image.
 func (ft *FrameTool) note(addr fabric.FrameAddr, st *frameState, data []uint32) []uint32 {
-	old, _ := ft.shadow.Frame(addr)
+	i := ft.dev.FrameIndex(addr)
+	old := ft.shadow[i]
 	if ft.armed && st.pre == nil {
 		st.pre = old
 		ft.dirty = append(ft.dirty, addr)
 	}
-	ft.shadow.NoteOwned(addr, data)
+	ft.shadow[i] = data
 	return old
 }
 
 // Port returns the configuration port.
 func (ft *FrameTool) Port() bitstream.Port { return ft.port }
 
-// Shadow returns the recovery copy.
-func (ft *FrameTool) Shadow() *bitstream.Shadow { return ft.shadow }
+// Frame returns the shadow's content of a frame. The slice is the shadow's:
+// it is never mutated, and the caller must not mutate it either.
+func (ft *FrameTool) Frame(addr fabric.FrameAddr) []uint32 {
+	return ft.shadow[ft.dev.FrameIndex(addr)]
+}
+
+// ShadowUpdates returns the whole shadow as one update per frame, in
+// frame-address order: the content of a full recovery stream.
+func (ft *FrameTool) ShadowUpdates() []bitstream.FrameUpdate {
+	updates := make([]bitstream.FrameUpdate, len(ft.shadow))
+	for i, data := range ft.shadow {
+		updates[i] = bitstream.FrameUpdate{Addr: ft.dev.FrameAddrAt(i), Data: data}
+	}
+	return updates
+}
 
 // FramesWritten returns the cumulative frame count pushed through the port.
 func (ft *FrameTool) FramesWritten() int { return ft.frames }
@@ -322,9 +347,9 @@ type Edit struct {
 // coalesce into one write; frames are staged in first-touched order. Outside
 // a batch the staged frames flush as one partial bitstream before Apply
 // returns; inside a batch they coalesce with neighbouring operations until
-// the batch ends (or a caller forces a Flush). When VerifyHook or
-// ReadbackVerify is set, every frame streams individually and the hook runs
-// after each, preserving the cautious per-frame probing mode.
+// the batch ends (or a caller forces a Flush). When VerifyHook is set, every
+// frame streams individually and the hook runs after each, preserving the
+// cautious per-frame probing mode.
 func (ft *FrameTool) Apply(edits []Edit) error {
 	if len(edits) == 0 {
 		return nil
@@ -344,12 +369,8 @@ func (ft *FrameTool) Apply(edits []Edit) error {
 			i--
 		}
 		if i < 0 {
-			base, ok := ft.shadow.Frame(e.Addr)
-			if !ok {
-				return fmt.Errorf("relocate: no shadow for frame %v", e.Addr)
-			}
 			i = len(touched)
-			touched = append(touched, touchedFrame{addr: e.Addr, data: slices.Clone(base)})
+			touched = append(touched, touchedFrame{addr: e.Addr, data: slices.Clone(ft.Frame(e.Addr))})
 		}
 		data := touched[i].data
 		if e.On {
@@ -358,39 +379,23 @@ func (ft *FrameTool) Apply(edits []Edit) error {
 			data[e.Bit/32] &^= 1 << (e.Bit % 32)
 		}
 	}
-	perFrame := ft.VerifyHook != nil || ft.ReadbackVerify
 	for _, tf := range touched {
-		addr := tf.addr
-		if err := ft.stage(addr, tf.data); err != nil {
+		if err := ft.stage(tf.addr, tf.data); err != nil {
 			return err
 		}
-		if !perFrame {
+		if ft.VerifyHook == nil {
 			continue
 		}
-		// The cautious modes are strictly serial: deliver the frame and
-		// drain the stream before probing, as the paper's tool did.
+		// The cautious mode is strictly serial: deliver the frame and drain
+		// the stream before probing, as the paper's tool did.
 		if err := ft.Flush(); err != nil {
 			return err
 		}
 		if err := ft.AwaitStream(); err != nil {
 			return err
 		}
-		if ft.ReadbackVerify && (ft.Masked == nil || !ft.Masked(addr.Major)) {
-			got, err := ft.port.ReadFrame(addr)
-			if err != nil {
-				return fmt.Errorf("relocate: readback of %v: %w", addr, err)
-			}
-			want, _ := ft.shadow.Frame(addr)
-			for i := range got {
-				if got[i] != want[i] {
-					return fmt.Errorf("relocate: readback mismatch in %v word %d", addr, i)
-				}
-			}
-		}
-		if ft.VerifyHook != nil {
-			if err := ft.VerifyHook(); err != nil {
-				return fmt.Errorf("relocate: after writing %v: %w", addr, err)
-			}
+		if err := ft.VerifyHook(); err != nil {
+			return fmt.Errorf("relocate: after writing %v: %w", tf.addr, err)
 		}
 	}
 	if ft.batchDepth == 0 {
@@ -423,12 +428,6 @@ func (ft *FrameTool) stage(addr fabric.FrameAddr, data []uint32) error {
 		}
 	}
 	old := ft.note(addr, st, data)
-	if st.lastSent == nil {
-		// First-ever stage of this frame: the pre-staging shadow content is
-		// what the fabric has held since power-up — the initial delta
-		// baseline for compressed delivery.
-		st.lastSent, st.confirmed = old, old
-	}
 	if err := ft.dev.WriteFrame(addr.Major, addr.Minor, data); err != nil {
 		return err
 	}
@@ -483,11 +482,7 @@ func (ft *FrameTool) Flush() error {
 	}
 	updates := ft.updates[:0]
 	for _, addr := range addrs {
-		data, ok := ft.shadow.Frame(addr)
-		if !ok {
-			return fmt.Errorf("relocate: pending frame %v missing from shadow", addr)
-		}
-		updates = append(updates, bitstream.FrameUpdate{Addr: addr, Data: data, Prev: ft.state(addr).lastSent})
+		updates = append(updates, bitstream.FrameUpdate{Addr: addr, Data: ft.Frame(addr), Prev: ft.state(addr).lastSent})
 	}
 	ft.updates = updates
 	if ft.barrier != nil {
@@ -578,10 +573,8 @@ func (ft *FrameTool) AwaitStream() error {
 // ConfirmedBaseline returns the last frame content whose port delivery was
 // confirmed — the delta baseline the facade's re-delivery ladder diffs
 // against, so a failed burst's frames genuinely re-ship their changed runs.
-// It reports false for a frame the tool has never adopted or staged.
-func (ft *FrameTool) ConfirmedBaseline(addr fabric.FrameAddr) ([]uint32, bool) {
-	data := ft.state(addr).confirmed
-	return data, data != nil
+func (ft *FrameTool) ConfirmedBaseline(addr fabric.FrameAddr) []uint32 {
+	return ft.state(addr).confirmed
 }
 
 // StreamInFlight reports whether a background stream is still shifting out:
@@ -724,8 +717,9 @@ func (ft *FrameTool) CompleteRestore() {
 	ft.AbortPending()
 	for _, addr := range ft.DirtyFrames() {
 		st := ft.state(addr)
-		before, _ := ft.shadow.Frame(addr)
-		ft.shadow.NoteOwned(addr, st.pre)
+		i := ft.dev.FrameIndex(addr)
+		before := ft.shadow[i]
+		ft.shadow[i] = st.pre
 		// The recovery stream physically re-delivered the frame in full: the
 		// pre-image is the new value of both baselines.
 		st.lastSent, st.confirmed = st.pre, st.pre

@@ -192,7 +192,7 @@ func TestPartialCheckpointBitIdentical(t *testing.T) {
 			// Checkpoint both ways at the same instant: the full shadow
 			// copy is the reference, the tool's checkpoint is the system
 			// under test.
-			full := copyShadow(dev, eng.Tool.Shadow())
+			full := copyShadow(dev, eng.Tool)
 			if err := eng.Tool.Arm(); err != nil {
 				t.Fatal(err)
 			}
@@ -257,10 +257,7 @@ func TestPartialCheckpointBitIdentical(t *testing.T) {
 						}
 					}
 					// The tool's live shadow must agree as well.
-					sh, ok := eng.Tool.Shadow().Frame(addr)
-					if !ok {
-						t.Fatalf("live shadow misses frame %v", addr)
-					}
+					sh := eng.Tool.Frame(addr)
 					for w := range got {
 						if sh[w] != got[w] {
 							t.Fatalf("shadow diverges at %v word %d", addr, w)
@@ -277,16 +274,14 @@ func TestPartialCheckpointBitIdentical(t *testing.T) {
 	}
 }
 
-// copyShadow deep-copies every frame of a shadow: the full O(device)
+// copyShadow deep-copies every frame of a tool's shadow: the full O(device)
 // checkpoint the frame tool's frame-granular one is checked against.
-func copyShadow(dev *fabric.Device, sh *bitstream.Shadow) map[fabric.FrameAddr][]uint32 {
+func copyShadow(dev *fabric.Device, tool *relocate.FrameTool) map[fabric.FrameAddr][]uint32 {
 	full := map[fabric.FrameAddr][]uint32{}
 	for _, col := range dev.Columns() {
 		for m := 0; m < col.Frames; m++ {
 			addr := fabric.FrameAddr{Major: col.Major, Minor: m}
-			if f, ok := sh.Frame(addr); ok {
-				full[addr] = slices.Clone(f)
-			}
+			full[addr] = slices.Clone(tool.Frame(addr))
 		}
 	}
 	return full

@@ -479,35 +479,3 @@ func TestErrorsAreDescriptive(t *testing.T) {
 		t.Errorf("relocating empty cell: %v", err)
 	}
 }
-
-func TestReadbackVerifyMode(t *testing.T) {
-	dev := fabric.NewDevice(fabric.XCV50)
-	d := placeDesign(t, dev, "b01")
-	h := newHarness(t, dev, d, directPort(dev))
-	h.eng.Tool.ReadbackVerify = true
-	from, _, ok := findCellWith(d, func(nd netlist.Node) bool { return nd.Kind == netlist.KindFF })
-	if !ok {
-		t.Fatal("no FF")
-	}
-	to := freeCellAt(dev, fabric.Coord{Row: 10, Col: 10}, from.Cell)
-	mv, err := h.eng.RelocateCell(from, to)
-	if err != nil {
-		t.Fatalf("relocate with readback verify: %v", err)
-	}
-	d.Rebind(from, to)
-	h.run(30)
-	// Compare traffic with a non-verifying engine on an identical system.
-	dev2 := fabric.NewDevice(fabric.XCV50)
-	d2 := placeDesign(t, dev2, "b01")
-	h2 := newHarness(t, dev2, d2, directPort(dev2))
-	from2, _, _ := findCellWith(d2, func(nd netlist.Node) bool { return nd.Kind == netlist.KindFF })
-	to2 := freeCellAt(dev2, fabric.Coord{Row: 10, Col: 10}, from2.Cell)
-	mv2, err := h2.eng.RelocateCell(from2, to2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mv.Seconds <= mv2.Seconds {
-		t.Errorf("readback verify should cost extra port time: %.3f vs %.3f ms",
-			mv.Seconds*1e3, mv2.Seconds*1e3)
-	}
-}

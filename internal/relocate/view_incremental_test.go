@@ -290,7 +290,7 @@ func TestViewAfterFailedPartialRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Tool.CompleteRestore()
-	if err := ctrl.Feed(eng.Tool.Shadow().RecoveryBitstream()...); err != nil {
+	if err := ctrl.Feed(bitstream.Partial(dev, eng.Tool.ShadowUpdates())...); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Tool.Sync(); err != nil {

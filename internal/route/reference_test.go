@@ -123,13 +123,6 @@ func (r *refRouter) Block(nodes ...fabric.NodeID) {
 	}
 }
 
-// Unblock releases nodes.
-func (r *refRouter) Unblock(nodes ...fabric.NodeID) {
-	for _, n := range nodes {
-		r.blockedAt[n] = 0
-	}
-}
-
 // Blocked reports whether a node is blocked.
 func (r *refRouter) Blocked(n fabric.NodeID) bool { return r.blockedAt[n] == r.epoch }
 

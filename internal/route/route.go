@@ -73,11 +73,11 @@ func nodeDelay(dev *fabric.Device, n fabric.NodeID) float64 {
 // tables live in epoch-stamped arrays indexed by NodeID, so Reset and every
 // search start are O(1) instead of reallocating device-sized tables. A
 // session's blocked set is a base the caller owns (Reset's argument, read in
-// place) with the session's Block and Unblock stamped on top. The A*
-// open set is a bucketed queue (pq) reused across searches: a search start
-// truncates it and clears its 64-word bitmap. Neighbours come from the
-// fabric's translation-invariant fanout template, compiled once per router
-// into a per-local hop table.
+// place) with the session's Block stamps on top. The A* open set is a
+// bucketed queue (pq) reused across searches: a search start truncates it
+// and clears its 64-word bitmap. Neighbours come from the fabric's
+// translation-invariant fanout template, compiled once per router into a
+// per-local hop table.
 type Router struct {
 	dev *fabric.Device
 	// MaxIters bounds the negotiation rounds.
@@ -103,10 +103,10 @@ type Router struct {
 
 	// Session state, valid while its stamp equals epoch (Reset bumps the
 	// epoch, invalidating everything at once). A node is blocked while
-	// blockedAt holds epoch, or while base marks it and blockedAt does not
-	// hold epoch|unblocked. The congestion arrays (history, present, owner)
-	// are allocated by the first RouteAll: only negotiation writes them, and
-	// until then every node reads as unused and history-free.
+	// blockedAt holds epoch or base marks it. The congestion arrays (history,
+	// present, owner) are allocated by the first RouteAll: only negotiation
+	// writes them, and until then every node reads as unused and
+	// history-free.
 	epoch     uint64
 	base      []bool
 	blockedAt []uint64
@@ -229,14 +229,10 @@ func (r *Router) padFanout(n fabric.NodeID, i int) []hop {
 	return hs
 }
 
-// unblocked marks an Unblock stamp: blockedAt[n] == epoch|unblocked frees n
-// for the session even where the base blocks it.
-const unblocked = 1 << 63
-
 // Reset starts a fresh session in O(1): no congestion history, and blocked
 // exactly the nodes used marks (indexed by NodeID; nil blocks nothing). The
 // router reads used in place as the session's base, so a later change to it
-// shows through; Block and Unblock never write it.
+// shows through; Block never writes it.
 func (r *Router) Reset(used []bool) {
 	r.epoch++
 	r.base = used
@@ -249,17 +245,9 @@ func (r *Router) Block(nodes ...fabric.NodeID) {
 	}
 }
 
-// Unblock releases nodes for the session, base nodes included.
-func (r *Router) Unblock(nodes ...fabric.NodeID) {
-	for _, n := range nodes {
-		r.blockedAt[n] = r.epoch | unblocked
-	}
-}
-
 // Blocked reports whether a node is blocked.
 func (r *Router) Blocked(n fabric.NodeID) bool {
-	s := r.blockedAt[n]
-	return s == r.epoch || int(n) < len(r.base) && r.base[n] && s != r.epoch|unblocked
+	return r.blockedAt[n] == r.epoch || int(n) < len(r.base) && r.base[n]
 }
 
 func (r *Router) historyOf(n fabric.NodeID) float64 {
@@ -590,7 +578,7 @@ func (r *Router) searchOne(seeds []fabric.NodeID, sink fabric.NodeID,
 		r.searchAt[n], r.best[n], r.prev[n] = se, 0, fabric.InvalidNode
 	}
 
-	epoch, freed, base := r.epoch, r.epoch|unblocked, r.base
+	epoch, base := r.epoch, r.base
 	negotiating := r.negotiatedAt == epoch
 	padBase := dev.PadBase()
 	cols := dev.Cols
@@ -645,7 +633,7 @@ func (r *Router) searchOne(seeds []fabric.NodeID, sink fabric.NodeID,
 				// core move); only intermediate nodes must be free. The
 				// length test admits a nil base and spares the bounds
 				// check.
-				if s := r.blockedAt[nxt]; s == epoch || int(nxt) < len(base) && base[nxt] && s != freed {
+				if r.blockedAt[nxt] == epoch || int(nxt) < len(base) && base[nxt] {
 					continue
 				}
 			}

@@ -219,8 +219,8 @@ func TestBlockedNodesAvoided(t *testing.T) {
 }
 
 // TestResetReadsBaseInPlace pins a session's blocked set: the base Reset
-// takes is read in place, Block and Unblock stamp the session's changes on
-// top of it without writing it, and the next Reset drops those changes.
+// takes is read in place, Block stamps the session's changes on top of it
+// without writing it, and the next Reset drops those changes.
 func TestResetReadsBaseInPlace(t *testing.T) {
 	d := dev(t)
 	src := d.NodeIDAt(fabric.Coord{Row: 2, Col: 2}, fabric.LocalOutX(0))
@@ -262,22 +262,21 @@ func TestResetReadsBaseInPlace(t *testing.T) {
 			t.Fatalf("route through base node %d", n)
 		}
 	}
-	r.Unblock(mid...)
-	blocked("Unblock of base nodes", false, mid...)
-	for _, n := range mid {
-		if !base[n] {
-			t.Fatalf("Unblock wrote the base at node %d", n)
-		}
+	r.Block(free[0])
+	blocked("Block on top of the base", true, free[0])
+	if base[free[0]] {
+		t.Fatalf("Block wrote the base at node %d", free[0])
 	}
-	r.Block(mid[0])
-	blocked("Block after Unblock", true, mid[0])
-	blocked("Unblock after another node's Block", false, mid[1:]...)
 
 	r.Reset(base)
-	blocked("Unblock across Reset", true, mid...)
-	r.Unblock(mid...)
+	blocked("Block across Reset", false, free[0])
+	blocked("base across Reset", true, mid...)
+	for _, n := range mid {
+		base[n] = false
+	}
+	blocked("base cleared in place", false, mid...)
 	if got := route(); !slices.Equal(got, free) {
-		t.Fatalf("with the base unblocked the route is %v, want %v", got, free)
+		t.Fatalf("with the base cleared the route is %v, want %v", got, free)
 	}
 
 	r.Reset(nil)

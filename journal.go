@@ -182,11 +182,7 @@ func (s *System) journalCommitLocked() error {
 			// never match and would force recovery into a spurious roll-back.
 			continue
 		}
-		data, ok := s.engine.Tool.Shadow().Frame(addr)
-		if !ok {
-			return fmt.Errorf("rlm: journal digest: frame %v missing from shadow", addr)
-		}
-		digests = append(digests, journal.FrameDigest{Addr: addr, CRC: crcFrame(data)})
+		digests = append(digests, journal.FrameDigest{Addr: addr, CRC: crcFrame(s.engine.Tool.Frame(addr))})
 	}
 	err := js.j.Append(journal.RecPost, journal.Post{Seq: js.seq, State: state, Dirty: digests})
 	if err == nil {

@@ -47,25 +47,19 @@ func (s *System) scrubLocked(maxFrames int) (*ScrubReport, error) {
 		rep.Skipped = true
 		return rep, nil
 	}
-	addrs := s.frameAddrsLocked()
-	if len(addrs) == 0 {
-		return rep, nil
-	}
-	if maxFrames <= 0 || maxFrames > len(addrs) {
-		maxFrames = len(addrs)
+	total := s.dev.TotalFrames()
+	if maxFrames <= 0 || maxFrames > total {
+		maxFrames = total
 	}
 	var changes []*health.Change
 	err := s.charge(bitstream.Scrub, func() error {
 		for i := 0; i < maxFrames; i++ {
-			addr := addrs[s.scrubCursor%len(addrs)]
-			s.scrubCursor = (s.scrubCursor + 1) % len(addrs)
+			addr := s.dev.FrameAddrAt(s.scrubCursor)
+			s.scrubCursor = (s.scrubCursor + 1) % total
 			if s.masked(addr.Major) {
 				continue
 			}
-			want, ok := s.engine.Tool.Shadow().Frame(addr)
-			if !ok {
-				continue
-			}
+			want := s.engine.Tool.Frame(addr)
 			got, err := s.port.ReadFrame(addr)
 			if err != nil {
 				return err
@@ -124,11 +118,7 @@ func (s *System) probeQuarantinedLocked() {
 		_ = s.charge(bitstream.Probe, func() error {
 			for minor := 0; minor < col.Frames; minor++ {
 				fa := fabric.FrameAddr{Major: major, Minor: minor}
-				golden, ok := s.engine.Tool.Shadow().Frame(fa)
-				if !ok {
-					continue
-				}
-				if !s.probeFrameLocked(fa, golden) {
+				if !s.probeFrameLocked(fa, s.engine.Tool.Frame(fa)) {
 					clean = false
 					s.engine.Stats.ProbeFailures++
 					s.publish(Event{Kind: ProbeFailed, Frame: fa})
@@ -179,28 +169,6 @@ func (s *System) probeFrameLocked(fa fabric.FrameAddr, golden []uint32) bool {
 		return false
 	}
 	return true
-}
-
-// frameAddrsLocked returns the device's full frame address space in address
-// order (major by major, minor by minor), built once and cached (the
-// geometry never changes). The scrubber walks it round-robin, and a full
-// recovery reports the shadow in this order.
-func (s *System) frameAddrsLocked() []fabric.FrameAddr {
-	if s.frameAddrs != nil {
-		return s.frameAddrs
-	}
-	var addrs []fabric.FrameAddr
-	for major := 0; major < s.dev.NumMajors(); major++ {
-		col, ok := s.dev.ColumnByMajor(major)
-		if !ok {
-			continue
-		}
-		for minor := 0; minor < col.Frames; minor++ {
-			addrs = append(addrs, fabric.FrameAddr{Major: major, Minor: minor})
-		}
-	}
-	s.frameAddrs = addrs
-	return addrs
 }
 
 // startScrubber launches the background scrub goroutine WithScrubber asked

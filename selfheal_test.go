@@ -27,25 +27,6 @@ func colHealth(s *System, major int) ColumnHealth {
 	return ColumnHealth{Major: major}
 }
 
-// ownedMinor returns the first frame of the column the shadow owns (the
-// scrubber and the probes only act on shadow-owned frames, so health tests
-// must target one).
-func ownedMinor(t *testing.T, s *System, major int) fabric.FrameAddr {
-	t.Helper()
-	col, ok := s.Device().ColumnByMajor(major)
-	if !ok {
-		t.Fatalf("no column at major %d", major)
-	}
-	for minor := 0; minor < col.Frames; minor++ {
-		fa := fabric.FrameAddr{Major: major, Minor: minor}
-		if _, ok := s.Engine().Tool.Shadow().Frame(fa); ok {
-			return fa
-		}
-	}
-	t.Fatalf("no shadow-owned frame in column F%d (load a design over it first)", major)
-	return fabric.FrameAddr{}
-}
-
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, d time.Duration, cond func() bool, what string) {
 	t.Helper()
@@ -86,7 +67,7 @@ func TestScrubPreemptiveQuarantineAndProbeRelease(t *testing.T) {
 		t.Fatal(err)
 	}
 	major := sys.Device().MajorOfArrayCol(11)
-	addr := ownedMinor(t, sys, major)
+	addr := fabric.FrameAddr{Major: major}
 	colRect := fabric.Rect{Row: 0, Col: 11, H: sys.Device().Rows, W: 1}
 
 	// Two scrub repairs of the same frame condemn the column preemptively.
@@ -299,7 +280,7 @@ func TestJournalCompactCarriesHealth(t *testing.T) {
 		t.Fatal(err)
 	}
 	major := sys.Device().MajorOfArrayCol(11)
-	addr := ownedMinor(t, sys, major)
+	addr := fabric.FrameAddr{Major: major}
 	for i := 0; i < pol.CondemnRepairs; i++ {
 		flaky.FlipBit(addr, 1, 3)
 		if _, err := sys.Scrub(0); err != nil {
@@ -513,7 +494,7 @@ func runChaosSoak(t *testing.T, extra ...Option) *System {
 	soakScript(t, clean, rounds, nil)
 	want := maskSoakStats(captureState(clean))
 	major := clean.Device().MajorOfArrayCol(11)
-	addr := ownedMinor(t, clean, major)
+	addr := fabric.FrameAddr{Major: major}
 	colRect := fabric.Rect{Row: 0, Col: 11, H: clean.Device().Rows, W: 1}
 
 	// The faulty twin: background scrubber + journal + delivered-frame

@@ -87,10 +87,8 @@ type System struct {
 	// cannot recurse.
 	evacuating bool
 
-	// The device's frame address space, cached (see frameAddrsLocked), and
-	// the scrubber's state (see scrub.go): its round-robin cursor and the
-	// background goroutine's lifecycle.
-	frameAddrs  []fabric.FrameAddr
+	// The scrubber's state (see scrub.go): its round-robin cursor, a frame
+	// index (Device.FrameIndex), and the background goroutine's lifecycle.
 	scrubCursor int
 	scrubStop   chan struct{}
 	scrubDone   chan struct{}
@@ -603,38 +601,26 @@ func (s *System) Recover() error {
 	return nil
 }
 
-// fullRecoveryLocked streams the full recovery bitstream, the whole shadow
-// configuration, straight to the controller. The stream bypasses the port,
-// so the caller has drained the port's stream first (Recover awaits it, a
-// rollback drains it in RecoveryWords and CompleteRestore). The view then
-// rescans: after a partial recovery that never reached the device, the
-// shadow already holds the pre-operation content, so adopting the restored
-// frames declares nothing, while the view re-derived a rollback the device
-// did not take.
+// fullRecoveryLocked streams the full recovery bitstream, every frame of the
+// shadow, straight to the controller, and reports the same frames to the
+// delivered-configuration observer. The stream bypasses the port, so the
+// caller has drained the port's stream first (Recover awaits it, a rollback
+// drains it in RecoveryWords and CompleteRestore). The view then rescans:
+// after a partial recovery that never reached the device, the shadow already
+// holds the pre-operation content, so adopting the restored frames declares
+// nothing, while the view re-derived a rollback the device did not take.
 func (s *System) fullRecoveryLocked() error {
 	tool := s.engine.Tool
-	err := s.ctrl.Feed(tool.Shadow().RecoveryBitstream()...)
+	updates := tool.ShadowUpdates()
+	err := s.ctrl.Feed(bitstream.Partial(s.dev, updates)...)
 	if err == nil {
 		err = tool.Sync()
-		s.notifyShadowDelivered()
+		if s.onDelivered != nil {
+			s.onDelivered(updates)
+		}
 	}
 	s.engine.RescanView()
 	return err
-}
-
-// notifyShadowDelivered reports the whole shadow configuration to the
-// delivered-configuration observer after a full recovery bitstream.
-func (s *System) notifyShadowDelivered() {
-	if s.onDelivered == nil {
-		return
-	}
-	var updates []bitstream.FrameUpdate
-	for _, addr := range s.frameAddrsLocked() {
-		if data, ok := s.engine.Tool.Shadow().Frame(addr); ok {
-			updates = append(updates, bitstream.FrameUpdate{Addr: addr, Data: data})
-		}
-	}
-	s.onDelivered(updates)
 }
 
 // txLocked runs body as one transaction on the complete configuration copy:
