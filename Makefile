@@ -33,8 +33,11 @@ torture: crash-torture fault-torture
 # delivery. A recovered system must route its next load like its
 # never-crashed twin (TestRecoverRoutesNextLoadLikeTwin), and a checked-in
 # journal whose Posts still carry the retired "nets" and "pads" keys must
-# recover clean (TestRecoverReadsRetiredStateKeys). Recover decodes the
-# journal while a helper goroutine builds the system, so the second line runs
+# recover clean (TestRecoverReadsRetiredStateKeys). Recover reads the journal
+# in one pass that keeps only the records it decodes, so the same crash
+# recovered after 2 and after 34 sealed moves must allocate the same bytes
+# within 16 KiB (TestRecoverBytesIndependentOfHistory). It decodes those
+# records while a helper goroutine builds the system, so the second line runs
 # concurrent recoveries ten times over: each must equal a sequential one,
 # and no goroutine may outlive Recover (TestRecoverConcurrently).
 crash-torture:
@@ -111,9 +114,15 @@ port-diff:
 # scanned image cleared between Prepare and Decode, must replay exactly as
 # Replay does on an intact copy (TestPreparedOutlivesLog). Its allocations
 # must not grow with the sealed history, and every record the writer
-# marshals must start with {"seq":.
+# marshals must start with {"seq":. Recovery reads a journal file in one
+# pass (PrepareFile) that keeps only the records it decodes: for every cut
+# and every single-byte flip of seeded journals, and of one whose non-final
+# record claims a length past the end of the file, it must replay exactly
+# what ScanBytes, Prepare and Decode replay, or fail with the same
+# sentinels, at its own buffer size and at the smallest
+# (TestPrepareFileMatchesScan).
 replay-diff:
-	go test -race -run 'TestReplayMatchesEager|TestPreparedOutlivesLog|TestReplayAllocsIndependentOfHistory|TestRecordSeq' ./internal/journal
+	go test -race -run 'TestReplayMatchesEager|TestPreparedOutlivesLog|TestReplayAllocsIndependentOfHistory|TestRecordSeq|TestPrepareFileMatchesScan' ./internal/journal
 
 # The occupancy view's exactness gate: the view re-derives what each bit of
 # an adopted frame configures (Device.OwnerOfBit, checked against the frame

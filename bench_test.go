@@ -14,6 +14,7 @@ import (
 	"repro/internal/bitstream"
 	"repro/internal/fabric"
 	"repro/internal/itc99"
+	"repro/internal/journal"
 	"repro/internal/jtag"
 	"repro/internal/netlist"
 	"repro/internal/place"
@@ -84,9 +85,6 @@ func pingPongSetup(b *testing.B, circuit string, gated bool, port func(*fabric.D
 		b.Fatal(err)
 	}
 	eng.MaxCyclesPerWait = 0 // no simulation load in benches
-	// The engine builds its router at the first route; build it here, so
-	// the timed loop holds the relocations alone.
-	eng.FreeRouter()
 	var from fabric.CellRef
 	found := false
 	for id, nd := range nl.Nodes {
@@ -105,6 +103,14 @@ func pingPongSetup(b *testing.B, circuit string, gated bool, port func(*fabric.D
 		b.Fatal("no suitable cell")
 	}
 	spare := fabric.CellRef{Coord: fabric.Coord{Row: 12, Col: 12}, Cell: from.Cell}
+	// The engine builds its router at the first route, and the frame tool
+	// its per-frame records at the first staged write. One untimed round
+	// trip builds both, so the timed loop holds the relocations alone.
+	for _, hop := range [][2]fabric.CellRef{{from, spare}, {spare, from}} {
+		if _, err := eng.RelocateCell(hop[0], hop[1]); err != nil {
+			b.Fatal(err)
+		}
+	}
 	return eng, from, spare
 }
 
@@ -1004,4 +1010,105 @@ func BenchmarkRecoverFromJournal(b *testing.B) {
 	}
 	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "recover_ms")
 	b.ReportMetric(float64(framesChecked), "frames_checked")
+}
+
+// longHistory is the journal of a journaled XCV50 history, as rlmbench's
+// crash-recover workload writes one but four times longer: four designs
+// loaded, then 64 moves, each design going between two slots, and Close.
+// The final commit seal is cut, so the journal ends in an unsealed move
+// with its post state. It returns the cut journal and the device's frames.
+var longHistory = sync.OnceValues(func() (crashPoint, error) {
+	dir, err := os.MkdirTemp("", "rlm-history-")
+	if err != nil {
+		return crashPoint{}, err
+	}
+	defer os.RemoveAll(dir)
+	path := dir + "/history.journal"
+	sys, err := New(WithDevice(fabric.XCV50), WithJournal(path))
+	if err != nil {
+		return crashPoint{}, err
+	}
+	slot := func(i int) fabric.Rect { return fabric.Rect{Row: 2 + 7*(i/4), Col: 3 + 5*(i%4), H: 3, W: 3} }
+	names := make([]string, 4)
+	for i := range names {
+		style := itc99.GatedClock
+		if i%2 == 1 {
+			style = itc99.FreeRunning
+		}
+		nl := itc99.Generate(itc99.GenConfig{
+			Name: fmt.Sprintf("d%d", i), Inputs: 2, Outputs: 2, FFs: 5, LUTs: 10,
+			Seed: uint64(100 + i), Style: style, CEFraction: 0.75,
+		})
+		names[i] = nl.Name
+		if _, err := sys.Load(nl, slot(i)); err != nil {
+			return crashPoint{}, err
+		}
+	}
+	away := make([]bool, 4)
+	for move := 0; move < 64; move++ {
+		i := move % 4
+		to := slot(i + 4)
+		if away[i] {
+			to = slot(i)
+		}
+		if err := sys.Move(names[i], to); err != nil {
+			return crashPoint{}, err
+		}
+		away[i] = !away[i]
+	}
+	if err := sys.Close(); err != nil {
+		return crashPoint{}, err
+	}
+	img, err := os.ReadFile(path)
+	if err != nil {
+		return crashPoint{}, err
+	}
+	log, err := journal.ScanBytes(img)
+	if err != nil {
+		return crashPoint{}, err
+	}
+	last := log.Records[len(log.Records)-1]
+	if last.Type != journal.RecCommit {
+		return crashPoint{}, fmt.Errorf("history ends on a %v record, want commit", last.Type)
+	}
+	const header = 9 // a record's type byte, payload length and CRC
+	return crashPoint{jdata: img[:len(img)-header-len(last.Payload)], frames: dumpFrames(sys.Device())}, nil
+})
+
+// BenchmarkRecoverLongHistory recovers the longHistory crash: 64 moves of
+// history before the unsealed one. Recover reads a journal in one pass and
+// keeps only the records it decodes, so its B/op must stay near
+// BenchmarkRecoverFromJournal's and must not grow with the history.
+func BenchmarkRecoverLongHistory(b *testing.B) {
+	crash, err := longHistory()
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := b.TempDir() + "/crash.journal"
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := os.WriteFile(path, crash.jdata, 0o644); err != nil {
+			b.Fatal(err)
+		}
+		dev := fabric.NewDevice(fabric.XCV50)
+		for addr, words := range crash.frames {
+			if err := dev.WriteFrame(addr.Major, addr.Minor, words); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		sys, rep, err := Recover(dev, path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if rep.Action != "rolled-forward" || len(rep.Designs) != 4 {
+			b.Fatalf("recovered %s with %v, want rolled-forward with four designs", rep.Action, rep.Designs)
+		}
+		sys.Close()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(len(crash.jdata)), "journal_bytes")
 }

@@ -331,9 +331,9 @@ func healthCmd(args []string) {
 		fmt.Fprintln(os.Stderr, "fratool health: usage: fratool health JOURNAL")
 		os.Exit(2)
 	}
-	log, err := journal.Scan(args[0])
+	p, err := journal.PrepareFile(args[0])
 	fail(err)
-	rs, err := journal.Replay(log)
+	rs, err := p.Decode()
 	fail(err)
 	st := &rs.State
 	quarantined := 0

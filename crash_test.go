@@ -720,7 +720,12 @@ func TestRecoverTypedErrors(t *testing.T) {
 // returns the crash captured at the move's post boundary: the shift has
 // landed and its Post is durable, but the seal is lost, so recovery rolls it
 // forward after reading back every dirty frame.
-func postCrash(tb testing.TB, jpath string) crashPoint {
+func postCrash(tb testing.TB, jpath string) crashPoint { return historyCrash(tb, jpath, 0) }
+
+// historyCrash is postCrash after a history: between the loads and the
+// crashed move, the moved design goes there and back sealed/2 times, so the
+// device and the crashed move are the same whatever sealed (even) is.
+func historyCrash(tb testing.TB, jpath string, sealed int) crashPoint {
 	tb.Helper()
 	sys, err := New(WithDevice(fabric.TestDevice), WithJournal(jpath))
 	if err != nil {
@@ -752,16 +757,67 @@ func postCrash(tb testing.TB, jpath string) crashPoint {
 	if _, err := sys.Load(b01, fabric.Rect{Row: 0, Col: 0, H: 4, W: 4}); err != nil {
 		tb.Fatal(err)
 	}
-	if _, err := sys.Load(mkCounter("c1"), fabric.Rect{Row: 0, Col: 8, H: 2, W: 2}); err != nil {
+	home := fabric.Rect{Row: 0, Col: 8, H: 2, W: 2}
+	if _, err := sys.Load(mkCounter("c1"), home); err != nil {
 		tb.Fatal(err)
 	}
-	if err := sys.Move("c1", fabric.Rect{Row: 6, Col: 10, H: 2, W: 2}); err != nil {
+	away := fabric.Rect{Row: 6, Col: 10, H: 2, W: 2}
+	for i := 0; i < sealed; i++ {
+		if err := sys.Move("c1", [2]fabric.Rect{away, home}[i%2]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := sys.Move("c1", away); err != nil {
 		tb.Fatal(err)
 	}
 	if crash == nil {
 		tb.Fatal("no post boundary fired")
 	}
 	return *crash
+}
+
+// TestRecoverBytesIndependentOfHistory pins Recover's memory to the records
+// it decodes: the same crash, recovered after 2 and after 34 sealed moves
+// of one design moved there and back, must allocate the same bytes
+// (runtime.MemStats.TotalAlloc, averaged over runs after a warm-up) within
+// 16 KiB, although the longer journal is many times the size.
+func TestRecoverBytesIndependentOfHistory(t *testing.T) {
+	const runs = 8
+	dir := t.TempDir()
+	path := filepath.Join(dir, "crash.journal")
+	var size [2]int
+	var alloc [2]float64
+	for k, sealed := range []int{2, 34} {
+		crash := historyCrash(t, filepath.Join(dir, fmt.Sprintf("history-%d.journal", sealed)), sealed)
+		var total uint64
+		for i := 0; i <= runs; i++ {
+			if err := os.WriteFile(path, crash.jdata, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			dev := deviceFromFrames(t, crash.frames)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			sys, rep, err := Recover(dev, path)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatalf("%d sealed moves: %v", sealed, err)
+			}
+			sys.Close()
+			if rep.Action != "rolled-forward" {
+				t.Fatalf("%d sealed moves: action %q, want rolled-forward", sealed, rep.Action)
+			}
+			if i > 0 { // the first run is the warm-up
+				total += after.TotalAlloc - before.TotalAlloc
+			}
+		}
+		size[k], alloc[k] = len(crash.jdata), float64(total)/runs
+	}
+	t.Logf("Recover allocates %.0f B over a %d-byte journal (2 sealed moves) and %.0f B over a %d-byte one (34)",
+		alloc[0], size[0], alloc[1], size[1])
+	if d := alloc[1] - alloc[0]; d > 16<<10 || d < -16<<10 {
+		t.Errorf("Recover allocates %.0f B after 2 sealed moves and %.0f B after 34: %+.0f B, over 16 KiB",
+			alloc[0], alloc[1], d)
+	}
 }
 
 // withPayload frames recs into a journal image, with payload in place of

@@ -20,20 +20,21 @@ var ErrUnsealed = errors.New("journal: unsealed tail")
 //
 // Compaction refuses a torn file (ErrTorn, wrapped) and a file whose last
 // operation is unsealed (ErrUnsealed): both still carry information only
-// recovery may consume. The rewrite goes through a temporary sibling file
-// and an atomic rename, so a crash mid-compaction leaves either the old or
-// the new journal intact, never a mix.
+// recovery may consume. It reads the file in PrepareFile's one pass, so it
+// holds only the records it decodes. The rewrite goes through a temporary
+// sibling file and an atomic rename, so a crash mid-compaction leaves
+// either the old or the new journal intact, never a mix.
 //
 // Returns the compacted file's length in bytes.
 func Compact(path string) (int64, error) {
-	log, err := Scan(path)
+	p, err := PrepareFile(path)
 	if err != nil {
 		return 0, err
 	}
-	if log.Torn {
+	if p.torn {
 		return 0, fmt.Errorf("%w: refusing to compact", ErrTorn)
 	}
-	rs, err := Replay(log)
+	rs, err := p.Decode()
 	if err != nil {
 		return 0, err
 	}
@@ -58,7 +59,7 @@ func Compact(path string) (int64, error) {
 		// original reported it.
 		seal := Begin{
 			Seq: rs.LastSeq, Op: "compact",
-			Detail: fmt.Sprintf("collapsed %d records", len(log.Records)),
+			Detail: fmt.Sprintf("collapsed %d records", p.records),
 		}
 		if err := j.Append(RecBegin, seal); err != nil {
 			j.Close()

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -20,8 +22,11 @@ func fuzzRecord(t RecType, body []byte) []byte {
 // FuzzJournalScan feeds arbitrary bytes through the scanner and, when they
 // parse, through Replay. The invariants: no panic ever; Scan's ValidLen is a
 // re-scannable prefix yielding the same records; errors are always one of the
-// package's typed sentinels; and Replay's two steps, run on a copy of the
-// input that is cleared between them, replay exactly as Replay does.
+// package's typed sentinels; Replay's two steps, run on a copy of the input
+// that is cleared between them, replay exactly as Replay does; and the same
+// bytes read from a file in one pass (PrepareFile, then Decode, at its own
+// buffer size and at the smallest) replay exactly as ScanBytes, Prepare and
+// Decode do, or fail with the same sentinels.
 func FuzzJournalScan(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(Magic))
@@ -37,6 +42,18 @@ func FuzzJournalScan(f *testing.F) {
 	f.Add(append(append([]byte(nil), wellFormed...), fuzzRecord(RecBegin, []byte(`{"seq":2,"op":"move"}`))...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		want, wantErr := replayScanned(data)
+		path := filepath.Join(t.TempDir(), "fuzz.journal")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, size := range passBuffers {
+			got, gotErr := replayFile(path, size)
+			if d := replayMismatch(got, gotErr, want, wantErr); d != "" {
+				t.Fatalf("one pass over the file, %d-byte buffer: %s", size, d)
+			}
+		}
+
 		log, err := ScanBytes(data)
 		if err != nil {
 			for _, want := range []error{ErrEmpty, ErrBadMagic, ErrChecksum} {
@@ -64,7 +81,7 @@ func FuzzJournalScan(f *testing.F) {
 			}
 		}
 		// Replay either succeeds or fails with a typed sentinel; no panic.
-		want, err := Replay(log)
+		want, err = Replay(log)
 		if err != nil && !errors.Is(err, ErrMalformed) && !errors.Is(err, ErrEmpty) {
 			t.Fatalf("replay error %v is not a typed sentinel", err)
 		}

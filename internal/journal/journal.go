@@ -12,18 +12,23 @@
 // File layout: an 8-byte magic header followed by framed records. Each
 // record is a 9-byte header — type byte, little-endian uint32 payload
 // length, little-endian uint32 IEEE CRC-32 of the payload — followed by the
-// JSON payload. A crash can tear at most the final record; Scan tolerates a
-// torn tail (the incomplete record is dropped and reported) but treats a
-// checksum mismatch anywhere before the tail as corruption.
+// JSON payload. A crash can tear at most the final record; a reader
+// tolerates a torn tail (the incomplete record is dropped and reported) but
+// treats a checksum mismatch anywhere before the tail as corruption.
 //
-// Reading a journal back takes three steps: Scan checks the framing,
-// Prepare checks the record grammar and copies out the payloads still to
-// be decoded, and Decode decodes them. Replay runs the last two back to
-// back; a caller that has other work can drop the scanned Log after
-// Prepare and decode later.
+// A journal file is read in one pass: PrepareFile checks every record's
+// framing and the record grammar through one buffered reader, and reads
+// back only the records still to be decoded (the last committed Post and
+// the open tail); Decode decodes them. Its memory follows those records,
+// not the history. An in-memory image takes the same checks in steps:
+// ScanBytes (or Scan, which loads the file) checks the framing, Prepare the
+// grammar, copying out the payloads still to be decoded, and Decode decodes
+// them; Replay runs the last two back to back. Both paths share the framing
+// rules and the grammar.
 package journal
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
@@ -245,7 +250,8 @@ type Log struct {
 // Scan reads and validates a journal file. A torn final record is tolerated
 // (Log.Torn); a short header tail likewise. Zero-length files fail with
 // ErrEmpty, non-journal files with ErrBadMagic, mid-file corruption with
-// ErrChecksum.
+// ErrChecksum. It holds the whole file: recovery reads a journal through
+// PrepareFile instead.
 func Scan(path string) (*Log, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -257,63 +263,289 @@ func Scan(path string) (*Log, error) {
 // ScanBytes validates an in-memory journal image (the fuzz target's entry
 // point; Scan delegates here).
 func ScanBytes(data []byte) (*Log, error) {
-	if len(data) == 0 {
-		return nil, ErrEmpty
+	size := int64(len(data))
+	if err := checkMagic(data[:min(len(data), len(Magic))], size); err != nil {
+		return nil, err
 	}
-	if len(data) < len(Magic) || string(data[:len(Magic)]) != Magic {
-		return nil, ErrBadMagic
-	}
-	log := &Log{ValidLen: int64(len(Magic))}
-	off := len(Magic)
-	for off < len(data) {
-		if len(data)-off < recHeaderLen {
-			log.Torn = true // header torn mid-write
-			break
-		}
-		t := RecType(data[off])
-		n := binary.LittleEndian.Uint32(data[off+1 : off+5])
-		sum := binary.LittleEndian.Uint32(data[off+5 : off+9])
-		if t < RecInit || t > RecAbort || n > maxPayload {
-			// An impossible header: on the final record this is a torn
-			// write; earlier it is corruption.
-			if lastRecord(data, off+recHeaderLen+int(n)) {
-				log.Torn = true
-				break
-			}
-			return nil, fmt.Errorf("%w: record header at offset %d", ErrChecksum, off)
-		}
-		end := off + recHeaderLen + int(n)
-		if end > len(data) {
-			log.Torn = true // payload torn mid-write
-			break
-		}
-		body := data[off+recHeaderLen : end]
-		if crc32.ChecksumIEEE(body) != sum {
-			if end == len(data) {
-				// The final record's payload landed at full length but with
-				// wrong bits — a tear inside the last write, recoverable.
-				log.Torn = true
-				break
-			}
-			return nil, fmt.Errorf("%w: %v record at offset %d", ErrChecksum, t, off)
-		}
-		log.Records = append(log.Records, Record{Type: t, Payload: body})
-		off = end
-		log.ValidLen = int64(off)
+	log, err := scanRecords(data, int64(len(Magic)))
+	if err != nil {
+		return nil, err
 	}
 	if len(log.Records) == 0 {
-		return nil, fmt.Errorf("%w: no records%s", ErrEmpty, tornNote(log.Torn))
+		return nil, noRecords(log.Torn)
 	}
 	return log, nil
 }
 
-// lastRecord reports whether a record claiming to end at end would be the
-// file's final record (its claimed extent reaches or overruns the end).
-func lastRecord(data []byte, end int) bool { return end >= len(data) }
+// passBuffer is the size of PrepareFile's read buffer. A record that fits
+// is checked where it lies in the buffer; a longer one is checksummed
+// through it a buffer at a time.
+const passBuffer = 32 << 10
 
-func tornNote(torn bool) string {
-	if torn {
-		return " (torn tail)"
+// PrepareFile reads the journal at path in one pass and returns what Scan
+// and then Prepare return, without holding the file. Through one buffered
+// reader it checks every record's framing as ScanBytes does and feeds each
+// record to Prepare's grammar, then reads back only the records Decode
+// reads: the last committed Post and the open tail. Its memory follows the
+// buffer, those records, Init and any payload whose leading sequence
+// number cannot be read (the grammar decodes those whole), not the
+// history. The errors are those of Scan and then Prepare: the pass reads
+// on after a grammar error, so a framing error anywhere in the file wins.
+func PrepareFile(path string) (*Prepared, error) {
+	return prepareFile(path, passBuffer)
+}
+
+// prepareFile is PrepareFile with a read buffer of bufSize bytes, at least
+// seqHead.
+func prepareFile(path string, bufSize int) (*Prepared, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
 	}
-	return ""
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	size := st.Size()
+	ps := &pass{r: bufio.NewReaderSize(io.NewSectionReader(f, 0, size), bufSize)}
+	magic, err := ps.r.Peek(int(min(size, int64(len(Magic)))))
+	if err != nil {
+		return nil, fmt.Errorf("journal: reading %s: %w", path, err)
+	}
+	if err := checkMagic(magic, size); err != nil {
+		return nil, err
+	}
+	ps.skip = len(Magic)
+	validLen, torn := int64(len(Magic)), false
+	for validLen < size {
+		fr, payload, err := ps.next(validLen, size)
+		if err == ErrTorn {
+			torn = true
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		if ps.gerr == nil {
+			ps.gerr = ps.g.feed(fr.t, payload, span{fr.off, fr.end()})
+		}
+		validLen = fr.end()
+	}
+	if validLen == int64(len(Magic)) {
+		return nil, noRecords(torn)
+	}
+	if ps.gerr != nil {
+		return nil, ps.gerr
+	}
+	g := &ps.g
+	p := g.prepared(torn, validLen)
+	var tail span
+	if g.begin != (span{}) {
+		tail = span{g.begin.from, validLen}
+	}
+	post := g.committed.to - g.committed.from
+	slab := make([]byte, post+tail.to-tail.from)
+	if post > 0 {
+		recs, err := readBack(f, slab[:post], g.committed.from)
+		if err != nil {
+			return nil, err
+		}
+		p.post = recs[0]
+	}
+	if tail != (span{}) {
+		if p.tail, err = readBack(f, slab[post:], tail.from); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
+}
+
+// pass is PrepareFile's reader: one buffer over the file, and the grammar
+// it feeds. Each Discard drops bytes a Peek has already buffered, so none
+// can fail.
+type pass struct {
+	r    *bufio.Reader
+	g    grammar
+	gerr error // the grammar's first error; it is fed nothing after it
+	// skip is how many bytes of the last payload to discard before the next
+	// header: a payload that fits is read where it lies in the buffer.
+	skip int
+	head [seqHead]byte
+}
+
+// next reads the record at off of a file of size bytes: its framing, and
+// what the grammar reads of its payload. It fails as nextFrame and
+// frame.checkSum do.
+func (ps *pass) next(off, size int64) (frame, []byte, error) {
+	_, _ = ps.r.Discard(ps.skip)
+	ps.skip = 0
+	hdr, err := ps.r.Peek(int(min(recHeaderLen, size-off)))
+	if err != nil {
+		return frame{}, nil, fmt.Errorf("journal: reading at offset %d: %w", off, err)
+	}
+	fr, err := nextFrame(hdr, off, size)
+	if err != nil {
+		return frame{}, nil, err
+	}
+	_, _ = ps.r.Discard(recHeaderLen)
+	payload, crc, err := ps.payload(fr)
+	if err != nil {
+		return frame{}, nil, fmt.Errorf("journal: reading at offset %d: %w", off, err)
+	}
+	return fr, payload, fr.checkSum(crc, size)
+}
+
+// payload consumes fr's payload and returns its CRC-32 and what the grammar
+// reads of it: the payload where it lies in the buffer if it fits, a copy
+// if the grammar wants it whole, else its head. A longer payload is
+// checksummed a buffer at a time, where it lies.
+func (ps *pass) payload(fr frame) ([]byte, uint32, error) {
+	n := int(fr.n)
+	first, err := ps.r.Peek(min(n, ps.r.Size()))
+	switch {
+	case err != nil:
+		return nil, 0, err
+	case n == len(first):
+		ps.skip = n
+		return first, crc32.ChecksumIEEE(first), nil
+	case ps.gerr == nil && ps.g.wantsWhole(fr.t, first):
+		whole := make([]byte, n)
+		_, err := io.ReadFull(ps.r, whole)
+		return whole, crc32.ChecksumIEEE(whole), err
+	}
+	head := ps.head[:copy(ps.head[:], first)]
+	var crc uint32
+	for n > 0 {
+		b, err := ps.r.Peek(min(n, ps.r.Size()))
+		if err != nil {
+			return nil, 0, err
+		}
+		crc = crc32.Update(crc, crc32.IEEETable, b)
+		_, _ = ps.r.Discard(len(b))
+		n -= len(b)
+	}
+	return head, crc, nil
+}
+
+// readBack reads whole records into buf from offset off of f and frames
+// them. The pass has checked them already, so a failure means the file
+// changed under it.
+func readBack(f *os.File, buf []byte, off int64) ([]Record, error) {
+	if _, err := f.ReadAt(buf, off); err != nil {
+		return nil, fmt.Errorf("journal: reading %s back: %w", f.Name(), err)
+	}
+	log, err := scanRecords(buf, 0)
+	if err == nil && log.Torn {
+		err = ErrTorn
+	}
+	if err != nil {
+		return nil, fmt.Errorf("journal: %s changed while it was read: %w", f.Name(), err)
+	}
+	return log.Records, nil
+}
+
+// scanRecords frames the records of data from off to its end.
+func scanRecords(data []byte, off int64) (*Log, error) {
+	size := int64(len(data))
+	log := &Log{ValidLen: off}
+	for log.ValidLen < size {
+		f, err := nextFrame(data[log.ValidLen:], log.ValidLen, size)
+		var body []byte
+		if err == nil {
+			body = data[f.off+recHeaderLen : f.end()]
+			err = f.checkSum(crc32.ChecksumIEEE(body), size)
+		}
+		if err == ErrTorn {
+			log.Torn = true
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		log.Records = append(log.Records, Record{Type: f.t, Payload: body})
+		log.ValidLen = f.end()
+	}
+	return log, nil
+}
+
+// The framing rules, shared by ScanBytes and PrepareFile.
+
+// checkMagic checks a journal's signature: head holds its first bytes, up
+// to len(Magic) of them, and size is its length.
+func checkMagic(head []byte, size int64) error {
+	if size == 0 {
+		return ErrEmpty
+	}
+	if string(head) != Magic {
+		return ErrBadMagic
+	}
+	return nil
+}
+
+// frame is one record's framing: its type, the offset of its header, its
+// payload length and its payload's CRC-32.
+type frame struct {
+	t   RecType
+	off int64
+	n   int64
+	sum uint32
+}
+
+// end is the offset just past the record.
+func (f frame) end() int64 { return f.off + recHeaderLen + f.n }
+
+// nextFrame reads the header of the record at off of a journal image of
+// size bytes; hdr holds the image from off, at least min(recHeaderLen,
+// size-off) bytes of it. It fails with ErrTorn when the record is a torn
+// final record: a header cut short, an impossible header, or a payload
+// that overruns the image. An impossible header on an earlier record is
+// corruption (ErrChecksum). A record's length is thus checked against the
+// image before anything reads its payload.
+func nextFrame(hdr []byte, off, size int64) (frame, error) {
+	if size-off < recHeaderLen {
+		return frame{}, ErrTorn // header torn mid-write
+	}
+	f := frame{
+		t:   RecType(hdr[0]),
+		off: off,
+		n:   int64(binary.LittleEndian.Uint32(hdr[1:5])),
+		sum: binary.LittleEndian.Uint32(hdr[5:9]),
+	}
+	if f.t < RecInit || f.t > RecAbort || f.n > maxPayload {
+		// An impossible header: on the final record (its claimed extent
+		// reaches or overruns the end) this is a torn write; earlier it is
+		// corruption.
+		if f.end() >= size {
+			return frame{}, ErrTorn
+		}
+		return frame{}, fmt.Errorf("%w: record header at offset %d", ErrChecksum, off)
+	}
+	if f.end() > size {
+		return frame{}, ErrTorn // payload torn mid-write
+	}
+	return f, nil
+}
+
+// checkSum compares crc, the CRC-32 of f's payload, with its header's. On
+// the final record a mismatch is a tear inside the last write, whose
+// payload landed at full length but with wrong bits (ErrTorn); earlier it
+// is corruption (ErrChecksum).
+func (f frame) checkSum(crc uint32, size int64) error {
+	switch {
+	case crc == f.sum:
+		return nil
+	case f.end() == size:
+		return ErrTorn
+	}
+	return fmt.Errorf("%w: %v record at offset %d", ErrChecksum, f.t, f.off)
+}
+
+// noRecords is the error for an image that frames no record.
+func noRecords(torn bool) error {
+	note := ""
+	if torn {
+		note = " (torn tail)"
+	}
+	return fmt.Errorf("%w: no records%s", ErrEmpty, note)
 }

@@ -183,7 +183,8 @@ func Replay(log *Log) (*Replayed, error) {
 
 // Prepared is a journal between Replay's two steps: every record has passed
 // the grammar pass and Init is decoded, and the payloads Decode reads are
-// copies, so a Prepared holds no reference to the scanned Log or its image.
+// copies, so a Prepared holds no reference to the scanned Log, its image or
+// the file PrepareFile read.
 type Prepared struct {
 	// Init is the journal's opening record, decoded.
 	Init Init
@@ -191,6 +192,7 @@ type Prepared struct {
 	lastSeq  uint64
 	torn     bool
 	validLen int64
+	records  int
 	// post is the last Post of the last committed operation (zero Type
 	// when none committed), and tail the open operation's records (nil
 	// when the journal ends sealed). Their payloads are slices of one slab.
@@ -215,62 +217,19 @@ func Prepare(log *Log) (*Prepared, error) {
 		return nil, ErrEmpty
 	}
 	recs := log.Records
-	p := &Prepared{torn: log.Torn, validLen: log.ValidLen}
-	if recs[0].Type != RecInit {
-		return nil, fmt.Errorf("%w: first record is %v, want init", ErrMalformed, recs[0].Type)
-	}
-	if err := json.Unmarshal(recs[0].Payload, &p.Init); err != nil {
-		return nil, fmt.Errorf("%w: init: %v", ErrMalformed, err)
-	}
-	// Record indices: the open operation's Begin and its last Post, and the
-	// last Post of the last committed operation (-1 for none).
-	begin, post, committed := -1, -1, -1
-	for i := 1; i < len(recs); i++ {
-		rec := recs[i]
-		switch rec.Type {
-		case RecInit:
-			return nil, fmt.Errorf("%w: duplicate init at record %d", ErrMalformed, i)
-		case RecBegin, RecUndo, RecPost, RecCommit, RecAbort:
-		default:
-			return nil, fmt.Errorf("%w: unknown record type %v", ErrMalformed, rec.Type)
-		}
-		s, err := recordSeq(rec)
-		if err != nil {
+	var g grammar
+	for i, rec := range recs {
+		if err := g.feed(rec.Type, rec.Payload, span{int64(i), int64(i) + 1}); err != nil {
 			return nil, err
-		}
-		if rec.Type == RecBegin {
-			if begin >= 0 {
-				return nil, fmt.Errorf("%w: begin inside open op %d", ErrMalformed, p.seq)
-			}
-			begin, post, p.seq = i, -1, s
-			p.lastSeq = max(p.lastSeq, s)
-			continue
-		}
-		if begin < 0 {
-			return nil, fmt.Errorf("%w: %v outside op body", ErrMalformed, rec.Type)
-		}
-		if s != p.seq {
-			return nil, fmt.Errorf("%w: %v seq %d inside op %d", ErrMalformed, rec.Type, s, p.seq)
-		}
-		switch rec.Type {
-		case RecPost:
-			post = i
-		case RecCommit:
-			if post < 0 {
-				return nil, fmt.Errorf("%w: commit of op %d without post state", ErrMalformed, s)
-			}
-			committed, p.postSeq, begin = post, s, -1
-		case RecAbort:
-			begin = -1
 		}
 	}
 	var tail []Record
-	if begin >= 0 {
-		tail = recs[begin:]
+	if g.begin != (span{}) {
+		tail = recs[g.begin.from:]
 	}
 	n := 0
-	if committed >= 0 {
-		n += len(recs[committed].Payload)
+	if g.committed != (span{}) {
+		n += len(recs[g.committed.from].Payload)
 	}
 	for _, rec := range tail {
 		n += len(rec.Payload)
@@ -281,8 +240,9 @@ func Prepare(log *Log) (*Prepared, error) {
 		slab = append(slab, rec.Payload...)
 		return Record{Type: rec.Type, Payload: slab[at:len(slab):len(slab)]}
 	}
-	if committed >= 0 {
-		p.post = clone(recs[committed])
+	p := g.prepared(log.Torn, log.ValidLen)
+	if g.committed != (span{}) {
+		p.post = clone(recs[g.committed.from])
 	}
 	if tail != nil {
 		p.tail = make([]Record, len(tail))
@@ -291,6 +251,106 @@ func Prepare(log *Log) (*Prepared, error) {
 		}
 	}
 	return p, nil
+}
+
+// span is where a record lies: its index in a scanned Log (from i to i+1),
+// or the byte range of its header and payload in a journal file. The zero
+// span is no record, as every record's span ends past 0.
+type span struct{ from, to int64 }
+
+// grammar checks the record stream Replay accepts one record at a time, so
+// that Prepare over a scanned Log and PrepareFile over a file apply one set
+// of rules. It decodes Init, and notes where the records Decode reads lie:
+// the open operation's Begin (the tail runs from it to the last record)
+// and the last Post of the last committed operation.
+type grammar struct {
+	init    Init
+	fed     int // records fed so far
+	lastSeq uint64
+	// seq is the open operation's sequence number (the last one's, once it
+	// is sealed), and postSeq the last committed operation's.
+	seq, postSeq uint64
+	// begin is the open operation's Begin and post its last Post; the zero
+	// span when there is none. committed is the last committed operation's
+	// last Post.
+	begin, post, committed span
+}
+
+// seqHead is how many leading payload bytes leadingSeq reads at most: the
+// prefix, up to 20 digits and the byte after them.
+const seqHead = len(seqPrefix) + 21
+
+// wantsWhole reports whether feed needs a record's whole payload, head
+// being at least its first seqHead bytes: it decodes Init, and decodes in
+// full a payload whose leading sequence number it cannot read.
+func (g *grammar) wantsWhole(t RecType, head []byte) bool {
+	if g.fed == 0 {
+		return t == RecInit
+	}
+	_, ok := leadingSeq(head)
+	return !ok
+}
+
+// feed checks the next record, of type t, lying at at. payload is the
+// record's whole payload, or at least its first seqHead bytes where
+// wantsWhole reports false. Any violation fails with ErrMalformed
+// (wrapped), and the grammar is then spent.
+func (g *grammar) feed(t RecType, payload []byte, at span) error {
+	i := g.fed
+	g.fed++
+	if i == 0 {
+		if t != RecInit {
+			return fmt.Errorf("%w: first record is %v, want init", ErrMalformed, t)
+		}
+		if err := json.Unmarshal(payload, &g.init); err != nil {
+			return fmt.Errorf("%w: init: %v", ErrMalformed, err)
+		}
+		return nil
+	}
+	switch t {
+	case RecInit:
+		return fmt.Errorf("%w: duplicate init at record %d", ErrMalformed, i)
+	case RecBegin, RecUndo, RecPost, RecCommit, RecAbort:
+	default:
+		return fmt.Errorf("%w: unknown record type %v", ErrMalformed, t)
+	}
+	s, err := recordSeq(Record{Type: t, Payload: payload})
+	if err != nil {
+		return err
+	}
+	if t == RecBegin {
+		if g.begin != (span{}) {
+			return fmt.Errorf("%w: begin inside open op %d", ErrMalformed, g.seq)
+		}
+		g.begin, g.post, g.seq = at, span{}, s
+		g.lastSeq = max(g.lastSeq, s)
+		return nil
+	}
+	if g.begin == (span{}) {
+		return fmt.Errorf("%w: %v outside op body", ErrMalformed, t)
+	}
+	if s != g.seq {
+		return fmt.Errorf("%w: %v seq %d inside op %d", ErrMalformed, t, s, g.seq)
+	}
+	switch t {
+	case RecPost:
+		g.post = at
+	case RecCommit:
+		if g.post == (span{}) {
+			return fmt.Errorf("%w: commit of op %d without post state", ErrMalformed, s)
+		}
+		g.committed, g.postSeq, g.begin = g.post, s, span{}
+	case RecAbort:
+		g.begin = span{}
+	}
+	return nil
+}
+
+// prepared returns the Prepared of a stream the grammar accepted, without
+// the records Decode reads.
+func (g *grammar) prepared(torn bool, validLen int64) *Prepared {
+	return &Prepared{Init: g.init, lastSeq: g.lastSeq, torn: torn, validLen: validLen,
+		records: g.fed, postSeq: g.postSeq, seq: g.seq}
 }
 
 // Decode is Replay's second step: it decodes the last committed Post and

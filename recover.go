@@ -73,16 +73,20 @@ type RecoverReport struct {
 // records only the port KIND, so a system built with WithPortModel must pass
 // the factory again to recover onto the same port model.
 //
-// Recover decodes the journal while a helper goroutine builds the System,
-// and joins the helper before it does anything else. A WithPortModel
-// factory therefore runs on the helper, and it may run even when the journal
-// then fails to decode; a panic in it is re-raised on the caller. The errors
-// and their order are those of replaying the journal and then building the
-// System: a journal that fails to replay wins over a bad option.
+// Recover reads the journal in one pass (journal.PrepareFile), which checks
+// every record but keeps only the ones it decodes: Init, the last committed
+// Post and the open tail. So its memory follows the tail and the live
+// state, not the history. It then decodes those records while a helper
+// goroutine builds the System, and joins the helper before it does
+// anything else. A WithPortModel factory therefore runs on the helper, and
+// it may run even when the journal then fails to decode; a panic in it is
+// re-raised on the caller. The errors and their order are those of
+// replaying the journal and then building the System: a journal that fails
+// to replay wins over a bad option.
 func Recover(dev *fabric.Device, journalPath string, opts ...Option) (*System, *RecoverReport, error) {
-	prep, err := prepareJournal(journalPath)
+	prep, err := journal.PrepareFile(journalPath)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("rlm: reading journal: %w", err)
 	}
 	init := prep.Init
 	if init.Preset != dev.Name || init.Rows != dev.Rows || init.Cols != dev.Cols {
@@ -165,21 +169,6 @@ func Recover(dev *fabric.Device, journalPath string, opts ...Option) (*System, *
 	s.jrnl.rotate = cfg.journalRot
 	s.startScrubber(cfg.scrubEvery, cfg.scrubBatch)
 	return s, rep, nil
-}
-
-// prepareJournal scans the journal and runs Replay's grammar pass. The
-// scanned image is garbage once it returns: Recover then allocates a whole
-// System while it decodes, and must not keep the image live meanwhile.
-func prepareJournal(path string) (*journal.Prepared, error) {
-	log, err := journal.Scan(path)
-	if err != nil {
-		return nil, fmt.Errorf("rlm: scanning journal: %w", err)
-	}
-	p, err := journal.Prepare(log)
-	if err != nil {
-		return nil, fmt.Errorf("rlm: replaying journal: %w", err)
-	}
-	return p, nil
 }
 
 // built is newSystem's outcome on Recover's helper goroutine, including a
